@@ -322,8 +322,17 @@ def is_connected_graph(g: Graph) -> bool:
 # The canonical form of a graph is the lexicographically least graph6 byte
 # string over all vertex labelings.  The search refines an ordered partition
 # of the vertices (iterated neighbor-count splitting, seeded by degrees) and
-# branches only inside the first non-singleton cell, so the number of leaves
-# visited is roughly the automorphism group size.
+# branches only inside the first non-singleton cell.
+#
+# Within that cell it branches on one vertex per twin class.  Two vertices
+# are twins when they have the same neighbors apart from each other (equal
+# open or equal closed neighborhoods).  Swapping two twins is an automorphism
+# that fixes every other vertex; twins in one cell also share their initial
+# color, so the swap maps the partition at the node onto itself and the
+# subtree below one twin onto the subtree below the other, leaf string for
+# leaf string.  Skipping the second subtree therefore leaves the minimum, and
+# the canonical form, unchanged, while stars and complete bipartite graphs no
+# longer cost a factorial number of leaves.
 
 
 def _cell_masks(cells):
@@ -392,10 +401,11 @@ def canonical_form(g: Graph, max_vertices: int = CANONICAL_VERTEX_CAP,
     The result is the graph6 encoding of the canonically labeled graph: the
     least upper-triangle bit string over the labelings explored.  Branching
     happens only inside the first non-singleton cell of the refined
-    partition, and branches whose determined bit prefix already exceeds the
-    best known string are cut.  ``initial_classes`` optionally assigns an
-    integer color per vertex; only same-colored vertices may then be
-    exchanged (used for canonicalizing vertex/facet incidence graphs).
+    partition, on one vertex per twin class within that cell, and branches
+    whose determined bit prefix already exceeds the best known string are
+    cut.  ``initial_classes`` optionally assigns an integer color per
+    vertex; only same-colored vertices may then be exchanged (used for
+    canonicalizing vertex/facet incidence graphs).
     """
     n = g.vertex_count
     if n > max_vertices:
@@ -411,6 +421,11 @@ def canonical_form(g: Graph, max_vertices: int = CANONICAL_VERTEX_CAP,
             buckets.setdefault(c, []).append(v)
         cells = [buckets[c] for c in sorted(buckets)]
     cells = _equitable_refinement(adj, cells)
+    # twin[v]: least vertex with the same open or the same closed neighborhood
+    # (a vertex has nontrivial twins of at most one of the two kinds)
+    open_rep, closed_rep = {}, {}
+    twin = [min(open_rep.setdefault(adj[v], v),
+                closed_rep.setdefault(adj[v] | 1 << v, v)) for v in range(n)]
     best = None
 
     def descend(cells, prefix_len, bits, tight):
@@ -447,7 +462,11 @@ def canonical_form(g: Graph, max_vertices: int = CANONICAL_VERTEX_CAP,
             (sum((adj[v] >> p & 1) << (shift - i) for i, p in enumerate(prefix)), v)
             for v in cell
         )
+        branched = set()
         for key, v in keyed:
+            if twin[v] in branched:
+                continue  # same subtree as the twin already branched on
+            branched.add(twin[v])
             if tight and best is not None:
                 # the candidate's own column is determined before refining;
                 # in sorted order the first too-large key ends the loop

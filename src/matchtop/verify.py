@@ -55,6 +55,13 @@ class SearchSpec:
     cross_check_prime: int | None = 3
     force: bool = False
 
+    def __post_init__(self):
+        if self.max_edges < 1:
+            raise InvalidParameterError(f"max_edges must be >= 1, got {self.max_edges}")
+        if self.max_vertices < 2:
+            raise InvalidParameterError(
+                f"max_vertices must be >= 2, got {self.max_vertices}")
+
     def normalized_target(self) -> str:
         t = _TARGET_ALIASES.get(self.target, self.target)
         if t not in TARGETS:
@@ -370,12 +377,15 @@ def run_search(spec: SearchSpec) -> SearchReport:
     predicted_disconnected = {}
     for g in enumerate_graphs(spec):
         examined += 1
+        canon = None
         if target == "disconnected-complex" and _expects_disconnected(g):
-            predicted_disconnected[gr.canonical_form(g)] = g
+            canon = gr.canonical_form(g, spec.max_vertices)
+            predicted_disconnected[canon] = g
         result = _evaluate(g, target, spec.p, q)
         if result is None:
             continue
-        canon = gr.canonical_form(g)
+        if canon is None:
+            canon = gr.canonical_form(g, spec.max_vertices)
         if result.anomaly:
             anomalies.append({"graph6": canon.decode(), "detail": result.anomaly})
         if result.is_hit:
@@ -389,7 +399,7 @@ def run_search(spec: SearchSpec) -> SearchReport:
         expected_map = {}
         for name, g, cls in catalog.expected_search_hits(
                 target, spec.max_edges, spec.max_vertices, spec.connected_only):
-            expected_map[gr.canonical_form(g)] = (name, g, cls)
+            expected_map[gr.canonical_form(g, spec.max_vertices)] = (name, g, cls)
 
     hit_keys = {k for k, _, _ in hits}
     extra = sorted(k.decode() for k in hit_keys - set(expected_map))

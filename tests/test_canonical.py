@@ -1,0 +1,136 @@
+"""Canonical forms: pinned bytes and class counts, and invariance on
+twin-rich graphs (stars, complete and complete bipartite graphs), where the
+search branches on one vertex per twin class."""
+
+import hashlib
+import itertools
+
+from hypothesis import example, given, settings, strategies as st
+
+from matchtop import graphs as gr
+from matchtop import verify
+
+import oracle_utils
+
+# connected classes with m = 1..10 edges and at most 10 vertices
+CONNECTED_CLASS_COUNTS = [1, 1, 3, 5, 12, 30, 79, 227, 710, 2087]
+CANONICAL_DIGEST = "04a905b0a3c988d65e7e68905e476071ac418028f21a55f4abc238da8dbcd26c"
+
+
+def test_connected_class_counts_and_canonical_bytes_pinned():
+    levels = verify.connected_graph_classes(10, 10)
+    assert [len(level) for level in levels[1:]] == CONNECTED_CLASS_COUNTS
+    h = hashlib.sha256()
+    for level in levels:
+        for form in sorted(gr.canonical_form(g) for g in level):
+            h.update(form + b"\n")
+    for level in levels:
+        for g in level:
+            colors = [v % 2 for v in range(g.vertex_count)]
+            h.update(gr.canonical_form(g, initial_classes=colors) + b"\n")
+    assert h.hexdigest() == CANONICAL_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# twin-rich inputs
+
+
+@st.composite
+def _star_plus_edges(draw, max_n):
+    k = draw(st.integers(2, max_n - 2))
+    # non-edges of the star, plus pendant edges to one new vertex
+    extra = list(itertools.combinations(range(1, k + 1), 2))
+    extra += [(u, k + 1) for u in range(k + 1)]
+    chosen = draw(st.lists(st.sampled_from(extra), min_size=1, max_size=2,
+                           unique=True))
+    n = k + 2 if any(v == k + 1 for _, v in chosen) else k + 1
+    return gr.Graph(n, list(gr.star(k).edges) + chosen)
+
+
+@st.composite
+def _random_graph(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return gr.Graph(n, [p for p, k in zip(pairs, keep) if k])
+
+
+def _twin_rich_piece(max_n):
+    return st.one_of(
+        st.integers(1, max_n - 1).map(gr.star),
+        st.integers(1, max_n - 1).flatmap(
+            lambda a: st.integers(1, max_n - a).map(
+                lambda b: gr.complete_bipartite(a, b))),
+        st.integers(1, max_n).map(gr.complete),
+        _star_plus_edges(max_n),
+        # regular without twins: in a union of two cycles of different
+        # lengths, refinement leaves inequivalent vertices in one cell
+        st.integers(3, max_n).map(gr.cycle),
+    )
+
+
+@st.composite
+def _union_of_pieces(draw, max_n):
+    pieces = draw(st.lists(_twin_rich_piece(max_n), min_size=2, max_size=3))
+    union = []
+    for piece in pieces:
+        if sum(p.vertex_count for p in union) + piece.vertex_count <= max_n:
+            union.append(piece)
+    return gr.disjoint_union(union)
+
+
+def twin_rich_graphs(max_n):
+    """Stars, complete (bipartite) graphs, stars plus one or two edges,
+    cycles, disjoint unions of these, and random graphs, on at most max_n
+    vertices."""
+    return st.one_of(_twin_rich_piece(max_n), _union_of_pieces(max_n),
+                     _random_graph(max_n))
+
+
+@st.composite
+def _graph_perm_colors(draw):
+    g = draw(twin_rich_graphs(10))
+    n = g.vertex_count
+    perm = draw(st.permutations(range(n)))
+    colors = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return g, perm, colors
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_perm_colors())
+@example((gr.disjoint_union([gr.cycle(3), gr.cycle(4)]), list(range(6, -1, -1)), [0] * 7))
+@example((gr.disjoint_union([gr.star(3), gr.cycle(4)]), list(range(7, -1, -1)), [0] * 8))
+def test_canonical_form_relabeling_invariance_twin_rich(case):
+    g, perm, colors = case
+    h = gr.relabel(g, perm)
+    assert gr.canonical_form(h) == gr.canonical_form(g)
+    moved = [0] * g.vertex_count
+    for v, c in enumerate(colors):
+        moved[perm[v]] = c
+    assert (gr.canonical_form(h, initial_classes=moved)
+            == gr.canonical_form(g, initial_classes=colors))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(twin_rich_graphs(6), min_size=2, max_size=2))
+def test_canonical_form_separates_twin_rich(pair):
+    g1, g2 = pair
+    same = gr.canonical_form(g1) == gr.canonical_form(g2)
+    assert same == (oracle_utils.brute_canonical(g1) == oracle_utils.brute_canonical(g2))
+
+
+def test_differently_colored_twins_not_merged():
+    # The leaves of a star are twins.  Color a of them 0, the center 1 and
+    # the other leaves 2: colors order the labeling, so the center lands at
+    # position a, and the forms must differ exactly when a does.
+    for k in range(2, 10):
+        g = gr.star(k)
+        forms = set()
+        for a in range(k + 1):
+            colors = [1] + [0] * a + [2] * (k - a)
+            form = gr.canonical_form(g, initial_classes=colors)
+            forms.add(form)
+            # which leaves carry which color does not matter
+            shuffled = [1] + [2] * (k - a) + [0] * a
+            assert gr.canonical_form(g, initial_classes=shuffled) == form
+        assert len(forms) == k + 1

@@ -103,6 +103,13 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1
 
 
+def test_verify_nonsensical_budget_exits_one(capsys):
+    code, out, err = run_cli(capsys, "verify", "--target", "1-sphere", "--max-edges", "-1")
+    assert code == 1 and out == "" and "max_edges" in err
+    code, out, err = run_cli(capsys, "verify", "--target", "1-sphere", "--max-vertices", "0")
+    assert code == 1 and out == "" and "max_vertices" in err
+
+
 def test_edge_file_input(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text(gr.format_edge_list(gr.complete_bipartite(4, 3)))

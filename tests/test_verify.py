@@ -74,6 +74,23 @@ def test_guard():
     list(verify.enumerate_graphs(spec(max_edges=2, max_vertices=11, force=True)))
 
 
+def test_forced_budget_beyond_canonical_cap():
+    # 11 vertices exceeds canonical_form's default cap; the search must pass
+    # its own vertex budget through
+    report = verify.run_search(spec(target="disconnected-complex", max_edges=10,
+                                    max_vertices=11, connected_only=True, force=True))
+    assert report.verdict == "Match"
+    assert any(h["vertices"] == 11 for h in report.hits)
+
+
+@pytest.mark.parametrize("budget", [
+    {"max_edges": -1}, {"max_edges": 0}, {"max_vertices": 0}, {"max_vertices": 1},
+])
+def test_nonsensical_budget_rejected(budget):
+    with pytest.raises(InvalidParameterError):
+        spec(**budget)
+
+
 def test_unknown_target_rejected():
     with pytest.raises(InvalidParameterError):
         verify.run_search(spec(target="klein-bottle"))
