@@ -33,6 +33,7 @@ from .graphs import (
     enumerate_matchings,
     from_graph6,
     is_equimatchable,
+    matching_number,
     maximal_matchings,
     new_graph,
     path,
@@ -68,6 +69,18 @@ from .catalog import (
     recognize_basic,
 )
 from .verify import SearchSpec, enumerate_graphs, property_suite, run_search
+from . import catalog, homology, manifold, verify
+
+
+def clear_caches():
+    """Empty every module-level cache: the enumerated graph classes, Betti
+    numbers, link classes and the catalog tables.  Results do not change;
+    a long-lived process can call this to bound its memory."""
+    verify.clear_caches()
+    homology.clear_caches()
+    manifold.clear_caches()
+    catalog.clear_caches()
+
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -408,3 +408,8 @@ def expected_search_hits(target: str, max_edges: int, max_vertices: int,
             continue
         kept.append((name, g, str(cls)))
     return kept
+
+
+def clear_caches():
+    global _SMALL_BASICS, _EXCEPTIONAL, _DISCONNECTED_BALLS, _REGISTRY
+    _SMALL_BASICS = _EXCEPTIONAL = _DISCONNECTED_BALLS = _REGISTRY = None

@@ -492,6 +492,9 @@ def are_isomorphic(c1: Complex, c2: Complex) -> bool:
 
 
 def _incidence_canon(c: Complex) -> bytes:
+    """A complete isomorphism invariant: the vertex and facet counts, then
+    the colored canonical form of the vertex/facet incidence graph (whose
+    bytes alone do not encode the color class sizes)."""
     n = c.vertex_count
     nf = len(c.facet_masks)
     if n + nf > FACE_VERTEX_CAP:
@@ -502,7 +505,8 @@ def _incidence_canon(c: Complex) -> bytes:
             pairs.append((p, n + j))
     g = graphs_mod.Graph(n + nf, pairs)
     colors = [0] * n + [1] * nf
-    return graphs_mod.canonical_form(g, max_vertices=n + nf, initial_classes=colors)
+    return b"%d,%d:" % (n, nf) + graphs_mod.canonical_form(
+        g, max_vertices=n + nf, initial_classes=colors)
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,11 @@ def maximal_matchings(g: Graph):
     return out
 
 
+def matching_number(g: Graph) -> int:
+    """Size of a maximum matching (0 for a graph without edges)."""
+    return max(len(t) for t in maximal_matchings(g))
+
+
 def is_equimatchable(g: Graph) -> bool:
     """True when every maximal matching has the same size."""
     sizes = {len(t) for t in maximal_matchings(g)}
@@ -406,6 +411,13 @@ def canonical_form(g: Graph, max_vertices: int = CANONICAL_VERTEX_CAP,
     cut.  ``initial_classes`` optionally assigns an integer color per
     vertex; only same-colored vertices may then be exchanged (used for
     canonicalizing vertex/facet incidence graphs).
+
+    The colors order the labeling but are not encoded in the bytes, so the
+    forms of two differently colored graphs can coincide (a star whose
+    leaves are split between two colors gives the same bytes for every
+    split).  Equal forms mean isomorphic colored graphs only for inputs
+    whose color class sizes are already known to agree; callers comparing
+    colored forms must key on those sizes as well.
     """
     n = g.vertex_count
     if n > max_vertices:

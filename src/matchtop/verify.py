@@ -7,6 +7,15 @@ connected classes, which need no further deduplication.  Search targets
 apply cheap combinatorial prefilters before the full homology checks, and
 reports compare the hit set against the catalog's expectations.
 
+Since dim M(G) = nu(G) - 1, where nu is the matching number, a target of
+dimension d can only be hit by graphs with nu = d + 1.  The searches for
+those targets therefore enumerate only graphs with nu <= d + 1: children
+whose nu exceeds the cap are dropped from the generation frontier before
+they are canonicalized, and the components of a disjoint union share the
+budget, since nu adds up over components.  The disconnected-complex search
+has no dimension and enumerates everything; that uncapped enumeration is
+also the oracle the pruned searches are tested against.
+
 A bounded search only confirms a classification within its edge/vertex
 budget; nothing is claimed about larger graphs.
 """
@@ -44,6 +53,14 @@ TARGETS = (
     "disconnected-complex",
 )
 
+# dim M(G) = nu(G) - 1, so a target of dimension d needs nu = d + 1
+_MATCHING_CAPS = {
+    "1-sphere": 2,
+    "2-sphere": 3,
+    "closed-2-manifold": 3,
+    "2-manifold-with-boundary": 3,
+}
+
 
 @dataclass(frozen=True)
 class SearchSpec:
@@ -61,12 +78,20 @@ class SearchSpec:
         if self.max_vertices < 2:
             raise InvalidParameterError(
                 f"max_vertices must be >= 2, got {self.max_vertices}")
+        if self.cross_check_prime == self.p:
+            # the same prime twice is no cross-check
+            object.__setattr__(self, "cross_check_prime", None)
 
     def normalized_target(self) -> str:
         t = _TARGET_ALIASES.get(self.target, self.target)
         if t not in TARGETS:
             raise InvalidParameterError(f"unknown search target {self.target!r}")
         return t
+
+    def matching_cap(self) -> int | None:
+        """The largest matching number a hit can have, or None when the
+        target has no dimension to bound it."""
+        return _MATCHING_CAPS.get(self.normalized_target())
 
     def to_dict(self):
         return {
@@ -92,62 +117,138 @@ def _check_guard(spec: SearchSpec):
 # ---------------------------------------------------------------------------
 # enumeration
 
-_LEVELS: dict = {}  # max_vertices -> [classes with 0 edges, 1 edge, ...]
+@dataclass
+class _Levels:
+    graphs: list  # connected classes with 0 edges, 1 edge, ...
+    nu: list  # their matching numbers when capped, zeros when not
+    pruned: list  # children dropped by the cap while building each level
 
 
-def connected_graph_classes(max_edges: int, max_vertices: int):
+_LEVELS: dict = {}  # (max_vertices, matching cap or None) -> _Levels
+
+
+def _free_pairs(g: gr.Graph, nu: int):
+    """Per vertex u, the mask of vertices w such that some maximum matching
+    of g (of size nu) covers neither u nor w.  The masks include the vertex
+    n = g.vertex_count a pendant edge would add, which no matching covers."""
+    full = (1 << (g.vertex_count + 1)) - 1
+    out = [0] * (g.vertex_count + 1)
+    for matching in gr.maximal_matchings(g):
+        if len(matching) == nu:
+            free = full
+            for i in matching:
+                u, v = g.edges[i]
+                free &= ~(1 << u | 1 << v)
+            for u in gr._bits(free):
+                out[u] |= free
+    return out
+
+
+def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
+    lv = _LEVELS.get((max_vertices, cap))
+    if lv is None:
+        lv = _LEVELS[(max_vertices, cap)] = _Levels(
+            [[], [gr.path(2)]], [[], [0 if cap is None else 1]], [0, 0])
+    levels = lv.graphs
+    while len(levels) <= max_edges:
+        seen = {}
+        pruned = 0
+        for g, nu in zip(levels[-1], lv.nu[-1]):
+            n = g.vertex_count
+            # v == n is the pendant edge to a new vertex n
+            top = n + 1 if n < max_vertices else n
+            # adding (u, v) raises nu by one exactly when some maximum
+            # matching misses both u and v
+            free = _free_pairs(g, nu) if cap is not None else None
+            for u in range(n):
+                au = g.adj[u]
+                fu = free[u] if free is not None else 0
+                for v in range(u + 1, top):
+                    if au >> v & 1:
+                        continue
+                    child_nu = nu
+                    if fu >> v & 1:
+                        if nu == cap:
+                            pruned += 1
+                            continue
+                        child_nu += 1
+                    child = gr.Graph(n + (v == n), g.edges + ((u, v),))
+                    key = gr.canonical_form(child, max_vertices)
+                    if key not in seen:
+                        seen[key] = (child, child_nu)
+        keys = sorted(seen)
+        levels.append([seen[k][0] for k in keys])
+        lv.nu.append([seen[k][1] for k in keys])
+        lv.pruned.append(pruned)
+    return lv
+
+
+def connected_graph_classes(max_edges: int, max_vertices: int,
+                            matching_cap: int | None = None):
     """Connected isomorphism classes by edge count, each exactly once.
 
     Every connected graph with m+1 edges loses either a cycle edge or a leaf
     edge to a connected graph with m edges, so augmenting by those two moves
     reaches everything.
+
+    With a ``matching_cap``, only the classes with matching number at most
+    the cap are generated: a child above the cap is dropped before it is
+    canonicalized.  Nothing is lost, because adding an edge never lowers
+    the matching number, so the connected parent (by one of the two moves
+    above) of a class within the cap is within the cap as well.  The levels
+    are then exactly the uncapped ones restricted to the cap, with the same
+    representatives in the same order.
     """
-    levels = _LEVELS.setdefault(max_vertices, [[], [gr.path(2)]])
-    while len(levels) <= max_edges:
-        seen = {}
-        for g in levels[-1]:
-            n = g.vertex_count
-            for u in range(n):
-                au = g.adj[u]
-                for v in range(u + 1, n):
-                    if not au >> v & 1:
-                        child = gr.Graph(n, g.edges + ((u, v),))
-                        key = gr.canonical_form(child, max_vertices)
-                        if key not in seen:
-                            seen[key] = child
-            if n < max_vertices:
-                for u in range(n):
-                    child = gr.Graph(n + 1, g.edges + ((u, n),))
-                    key = gr.canonical_form(child, max_vertices)
-                    if key not in seen:
-                        seen[key] = child
-        levels.append([seen[k] for k in sorted(seen)])
-    return levels[: max_edges + 1]
+    return _levels(max_edges, max_vertices, matching_cap).graphs[: max_edges + 1]
 
 
-def enumerate_graphs(spec: SearchSpec):
+def enumerate_graphs(spec: SearchSpec, matching_cap: int | None = None):
     """Every isomorphism class of graphs without isolated vertices, with at
-    most max_edges edges and max_vertices vertices, exactly once."""
+    most max_edges edges and max_vertices vertices, exactly once; with a
+    ``matching_cap``, only those whose matching number is at most the cap."""
     _check_guard(spec)
-    levels = connected_graph_classes(spec.max_edges, spec.max_vertices)
+    levels = connected_graph_classes(spec.max_edges, spec.max_vertices, matching_cap)
     comps = [g for level in levels[1:] for g in level]
     if spec.connected_only:
         yield from comps
         return
+    # matching numbers add up over components (uncapped, all are 0)
+    nus = _LEVELS[(spec.max_vertices, matching_cap)].nu
+    comp_nu = [nu for level in nus[1: spec.max_edges + 1] for nu in level]
+    nu_budget = matching_cap or 0
 
-    def rec(start, edges_left, verts_left, acc):
+    def rec(start, edges_left, verts_left, nu_left, acc):
         for idx in range(start, len(comps)):
             g = comps[idx]
             if len(g.edges) > edges_left:
                 break  # components are ordered by edge count
-            if g.vertex_count > verts_left:
+            if g.vertex_count > verts_left or comp_nu[idx] > nu_left:
                 continue
             cur = acc + (g,)
             yield gr.disjoint_union(cur) if len(cur) > 1 else g
             yield from rec(idx, edges_left - len(g.edges),
-                           verts_left - g.vertex_count, cur)
+                           verts_left - g.vertex_count, nu_left - comp_nu[idx], cur)
 
-    yield from rec(0, spec.max_edges, spec.max_vertices, ())
+    yield from rec(0, spec.max_edges, spec.max_vertices, nu_budget, ())
+
+
+def _pruning_summary(spec: SearchSpec) -> dict | None:
+    """What the matching-number cap of a search removed, or None uncapped:
+    the rule, the connected classes kept within the budget, and the
+    children dropped from the generation frontier before canonicalization."""
+    cap = spec.matching_cap()
+    if cap is None:
+        return None
+    lv = _levels(spec.max_edges, spec.max_vertices, cap)
+    return {
+        "rule": f"matching number <= {cap}",
+        "connected_classes_kept": sum(map(len, lv.graphs[1: spec.max_edges + 1])),
+        "augmentations_pruned": sum(lv.pruned[: spec.max_edges + 1]),
+    }
+
+
+def clear_caches():
+    _LEVELS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +443,7 @@ class SearchReport:
     anomalies: list
     graphs_examined: int
     elapsed_ms: int
+    pruning: dict | None = None
     note: str = BOUNDED_SEARCH_NOTE
 
     def to_dict(self, include_timing=True):
@@ -354,6 +456,7 @@ class SearchReport:
             "missing": self.missing,
             "anomalies": self.anomalies,
             "graphs_examined": self.graphs_examined,
+            "pruning": self.pruning,
             "note": self.note,
         }
         if include_timing:
@@ -375,7 +478,7 @@ def run_search(spec: SearchSpec) -> SearchReport:
     anomalies = []
     examined = 0
     predicted_disconnected = {}
-    for g in enumerate_graphs(spec):
+    for g in enumerate_graphs(spec, spec.matching_cap()):
         examined += 1
         canon = None
         if target == "disconnected-complex" and _expects_disconnected(g):
@@ -430,7 +533,7 @@ def run_search(spec: SearchSpec) -> SearchReport:
     ]
     elapsed = int((time.perf_counter() - t0) * 1000)
     return SearchReport(spec, hit_dicts, expected_dicts, verdict, extra,
-                        missing, anomalies, examined, elapsed)
+                        missing, anomalies, examined, elapsed, _pruning_summary(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import itertools
 
 from hypothesis import example, given, settings, strategies as st
 
+from matchtop import complexes as cx
 from matchtop import graphs as gr
 from matchtop import verify
 
@@ -134,3 +135,51 @@ def test_differently_colored_twins_not_merged():
             shuffled = [1] + [2] * (k - a) + [0] * a
             assert gr.canonical_form(g, initial_classes=shuffled) == form
         assert len(forms) == k + 1
+
+
+# ---------------------------------------------------------------------------
+# matching-number pruning of the enumeration
+
+# connected classes with matching number <= 3, m = 1..10 edges, <= 10 vertices
+PRUNED_CLASS_COUNTS = [1, 1, 3, 5, 12, 30, 74, 173, 364, 595]
+
+
+def test_pruned_levels_are_the_unpruned_levels_within_the_cap():
+    full = verify.connected_graph_classes(10, 10)
+    for cap in (2, 3):
+        pruned = verify.connected_graph_classes(10, 10, matching_cap=cap)
+        for m in range(11):
+            # the same representatives in the same order, so the same forms
+            assert pruned[m] == [g for g in full[m] if gr.matching_number(g) <= cap]
+    counts = [len(level) for level in verify.connected_graph_classes(10, 10, 3)[1:]]
+    assert counts == PRUNED_CLASS_COUNTS
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_graph(8))
+def test_matching_number_is_the_largest_matching(g):
+    assert gr.matching_number(g) == max(len(m) for m in gr.enumerate_matchings(g))
+
+
+# ---------------------------------------------------------------------------
+# colored forms
+
+
+def test_colored_forms_collide_but_incidence_keys_carry_the_counts():
+    # A star on k leaves, center last.  Color 0 on the first a leaves and
+    # color 1 on the other leaves and the center, the shape of the coloring
+    # complexes._incidence_canon uses with a vertices and k + 1 - a facets:
+    # the bytes are the same for every a.
+    k = 4
+    g = gr.Graph(k + 1, [(v, k) for v in range(k)])
+    forms = {gr.canonical_form(g, initial_classes=[0] * a + [1] * (k + 1 - a))
+             for a in range(1, k + 1)}
+    assert len(forms) == 1
+    # The star with a = k is the incidence graph of a (k-1)-simplex.  Its
+    # key carries the counts, so no input with other counts can share it.
+    simplex = cx.from_facets(None, [tuple(range(k))])
+    key = cx._incidence_canon(simplex)
+    assert key == b"%d,1:" % k + forms.pop()
+    other = cx.from_facets(None, [(0, 1), (1, 2)])  # 3 vertices, 2 facets
+    assert cx._incidence_canon(other).startswith(b"3,2:")
+    assert cx._incidence_canon(other) != key

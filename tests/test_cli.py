@@ -137,3 +137,13 @@ def test_out_flag_writes_json(tmp_path, capsys):
     assert code == 0
     on_disk = json.loads(path.read_text())
     assert on_disk == data
+
+
+def test_verify_same_prime_twice_reports_no_cross_check(capsys):
+    code, data, _ = run_json(capsys, "verify", "--target", "1-sphere",
+                             "--max-edges", "5", "--p", "3")
+    assert code == 0 and data["verdict"] == "Match"
+    assert data["spec"]["p"] == 3
+    assert data["spec"]["cross_check_prime"] is None
+    code, data, _ = run_json(capsys, "verify", "--target", "1-sphere", "--max-edges", "5")
+    assert data["spec"]["cross_check_prime"] == 3

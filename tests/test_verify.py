@@ -1,5 +1,7 @@
 import pytest
 
+import matchtop
+from matchtop import catalog, homology, manifold
 from matchtop import complexes as cx
 from matchtop import graphs as gr
 from matchtop import verify
@@ -164,3 +166,71 @@ def test_disconnection_rule_exhaustive_small():
     for g in verify.enumerate_graphs(spec(max_edges=8)):
         M = cx.matching_complex(g)
         assert cx.is_connected(M) == (not verify._expects_disconnected(g)), gr.to_graph6(g)
+
+
+# ---------------------------------------------------------------------------
+# matching-number pruning
+
+
+@pytest.mark.parametrize("connected_only", [False, True])
+@pytest.mark.parametrize("target", ["1-sphere", "2-sphere", "closed-2-manifold",
+                                    "2-manifold-with-boundary"])
+def test_pruned_search_matches_unpruned_oracle(target, connected_only, monkeypatch):
+    s = spec(target=target, max_edges=9, connected_only=connected_only)
+    pruned = verify.run_search(s)
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_MATCHING_CAPS", {})  # no target is capped
+        oracle = verify.run_search(s)
+    assert oracle.pruning is None
+    assert pruned.pruning["rule"] == f"matching number <= {2 if target == '1-sphere' else 3}"
+    assert pruned.graphs_examined < oracle.graphs_examined
+    a = pruned.to_dict(include_timing=False)
+    b = oracle.to_dict(include_timing=False)
+    for d in (a, b):
+        del d["graphs_examined"], d["pruning"]
+    assert a == b
+
+
+def test_pruning_entry_pinned():
+    closed = verify.run_search(spec(target="closed-2-manifold", max_edges=10))
+    assert closed.to_dict(include_timing=False)["pruning"] == {
+        "rule": "matching number <= 3",
+        "connected_classes_kept": sum([1, 1, 3, 5, 12, 30, 74, 173, 364, 595]),
+        "augmentations_pruned": 4958,
+    }
+    disconnected = verify.run_search(spec(target="disconnected-complex", max_edges=5))
+    assert disconnected.to_dict(include_timing=False)["pruning"] is None
+    assert disconnected.spec.matching_cap() is None
+
+
+def test_pruned_multisets_are_the_unpruned_ones_within_the_cap():
+    s = spec(max_edges=8)
+    everything = {gr.canonical_form(g) for g in verify.enumerate_graphs(s)
+                  if gr.matching_number(g) <= 3}
+    pruned = [gr.canonical_form(g) for g in verify.enumerate_graphs(s, 3)]
+    assert len(pruned) == len(set(pruned))
+    assert set(pruned) == everything
+
+
+def test_cross_check_prime_equal_to_p_is_no_cross_check():
+    assert spec().cross_check_prime == 3
+    assert spec().to_dict()["cross_check_prime"] == 3
+    same = spec(p=3)
+    assert same.cross_check_prime is None
+    assert same.to_dict()["cross_check_prime"] is None
+    assert spec(p=3, cross_check_prime=2).cross_check_prime == 2
+    report = verify.run_search(spec(max_edges=5, p=3))
+    assert report.spec.cross_check_prime is None
+    assert report.verdict == "Match"
+
+
+def test_clear_caches_keeps_reports():
+    s = spec(target="2-manifold-with-boundary", max_edges=7)
+    before = verify.run_search(s).to_dict(include_timing=False)
+    assert verify._LEVELS and homology._betti_cache
+    matchtop.clear_caches()
+    assert not verify._LEVELS and not homology._betti_cache
+    assert not manifold._class_cache
+    assert catalog._EXCEPTIONAL is None and catalog._DISCONNECTED_BALLS is None
+    assert catalog._SMALL_BASICS is None and catalog._REGISTRY is None
+    assert verify.run_search(s).to_dict(include_timing=False) == before
