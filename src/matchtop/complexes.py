@@ -76,23 +76,7 @@ class Complex:
         """All faces as position bitmasks, including 0 for the empty face."""
         got = self._cache.get("faces")
         if got is None:
-            if self.is_void:
-                got = frozenset()
-            else:
-                seen = set(self.facet_masks)
-                frontier = list(seen)
-                while frontier:
-                    f = frontier.pop()
-                    m = f
-                    while m:
-                        b = m & -m
-                        sub = f ^ b
-                        if sub not in seen:
-                            seen.add(sub)
-                            frontier.append(sub)
-                        m ^= b
-                seen.add(0)
-                got = frozenset(seen)
+            got = frozenset() if self.is_void else frozenset(_all_faces(self.facet_masks) | {0})
             self._cache["faces"] = got
         return got
 
@@ -137,6 +121,24 @@ class Complex:
         return f"Complex(labels={self.labels}, facets={self.facets()})"
 
 
+def _all_faces(facet_masks) -> set:
+    """Every nonempty face under the given facets."""
+    seen = set(facet_masks)
+    seen.discard(0)
+    frontier = list(seen)
+    while frontier:
+        f = frontier.pop()
+        m = f
+        while m:
+            b = m & -m
+            sub = f ^ b
+            if sub and sub not in seen:
+                seen.add(sub)
+                frontier.append(sub)
+            m ^= b
+    return seen
+
+
 def _maximal(masks):
     """Inclusion-maximal masks, sorted; absorbs duplicates."""
     by_size = {}
@@ -150,6 +152,39 @@ def _maximal(masks):
         kept.extend(level)
     kept.sort()
     return kept
+
+
+def _reindex(masks, used=0):
+    """Re-index masks onto the positions set in ``used`` (default: the union
+    of the masks), keeping their order; returns ``(used, sorted new masks)``.
+
+    Position i of the result is the i-th lowest position of ``used``, so
+    ``labels_of(used)`` labels the new vertices.  Runs once per face in the
+    link analysis, hence the bit-by-bit table walk.
+    """
+    if not used:
+        for m in masks:
+            used |= m
+    if not used & (used + 1):  # already the positions 0..k-1
+        return used, tuple(sorted(masks))
+    new_bit = {}
+    nb = 1
+    u = used
+    while u:
+        b = u & -u
+        new_bit[b] = nb
+        nb <<= 1
+        u ^= b
+    out = []
+    for m in masks:
+        nm = 0
+        while m:
+            b = m & -m
+            nm |= new_bit[b]
+            m ^= b
+        out.append(nm)
+    out.sort()
+    return used, tuple(out)
 
 
 def from_facets(labels, facet_list) -> Complex:
@@ -193,22 +228,6 @@ def matching_complex(g: graphs_mod.Graph) -> Complex:
     return Complex(range(len(g.edges)), facets)
 
 
-def _restrict_to_used(universe_labels, masks):
-    """Re-index masks onto their used vertices; returns (labels, masks)."""
-    used = 0
-    for m in masks:
-        used |= m
-    positions = list(graphs_mod._bits(used))
-    remap = {p: i for i, p in enumerate(positions)}
-    new_masks = []
-    for m in masks:
-        nm = 0
-        for p in graphs_mod._bits(m):
-            nm |= 1 << remap[p]
-        new_masks.append(nm)
-    return tuple(universe_labels[p] for p in positions), sorted(new_masks)
-
-
 def link(c: Complex, face_labels) -> Complex:
     """Faces disjoint from the given face whose union with it is a face.
 
@@ -222,10 +241,8 @@ def link(c: Complex, face_labels) -> Complex:
         raise FaceNotInComplexError(f"{tuple(face_labels)} is not a face")
     if mask == 0:
         return c
-    cand = [f & ~mask for f in c.facet_masks if f & mask == mask]
-    masks = _maximal(cand)
-    labels, masks = _restrict_to_used(c.labels, masks)
-    return Complex(labels, masks)
+    used, masks = _reindex(_maximal(f & ~mask for f in c.facet_masks if f & mask == mask))
+    return Complex(c.labels_of(used), masks)
 
 
 def join(c1: Complex, c2: Complex) -> Complex:
@@ -441,16 +458,8 @@ def induced_subcomplex(c: Complex, label_subset) -> Complex:
     smask = 0
     for lab in subset:
         smask |= 1 << c.position(lab)
-    restricted = _maximal(f & smask for f in c.facet_masks)
-    pos_keep = [i for i, lab in enumerate(c.labels) if lab in set(subset)]
-    remap = {p: i for i, p in enumerate(pos_keep)}
-    masks = []
-    for m in restricted:
-        nm = 0
-        for p in graphs_mod._bits(m):
-            nm |= 1 << remap[p]
-        masks.append(nm)
-    return Complex(subset, sorted(masks))
+    _, masks = _reindex(_maximal(f & smask for f in c.facet_masks), smask)
+    return Complex(subset, masks)
 
 
 def is_pure(c: Complex) -> bool:
@@ -530,18 +539,3 @@ def to_json(c: Complex) -> str:
         {"labels": list(c.labels), "facets": [list(f) for f in c.facets()]}
     )
 
-
-def link_with_positions(c: Complex, mask: int):
-    """Internal: link by position mask, plus old-position -> new-position map."""
-    cand = [f & ~mask for f in c.facet_masks if f & mask == mask]
-    masks = _maximal(cand)
-    used = 0
-    for m in masks:
-        used |= m
-    positions = list(graphs_mod._bits(used))
-    remap = {p: i for i, p in enumerate(positions)}
-    new_masks = sorted(
-        sum(1 << remap[p] for p in graphs_mod._bits(m)) for m in masks
-    )
-    labels = tuple(c.labels[p] for p in positions)
-    return Complex(labels, new_masks), remap

@@ -2,24 +2,29 @@
 
 Betti numbers come from ranks of boundary matrices: beta_k = nullity(d_k) -
 rank(d_{k+1}), with d_0 the augmentation map, so beta_-1 is 1 exactly for the
-complex {∅}.  Over GF(2) ranks use bit-packed column elimination; over odd
-primes a dense modular elimination (numpy).
+complex {∅}.  Ranks come from the standard sparse column reduction of
+computational topology (Edelsbrunner, Letscher & Zomorodian 2002): a column
+is reduced against earlier pivots (its lowest nonzero row) until it is zero
+or owns a new pivot.  Over GF(2) columns are bit-packed integers, over odd
+primes {row: coefficient} dicts.  The maps are reduced from the top
+dimension down, skipping the columns of faces that are already pivot rows
+one dimension up, since those reduce to zero (clearing).
 
 Large complexes are reduced first by elementary collapses, which preserve
 homology exactly: a complex that collapses to a point is acyclic, and a pure
 complex whose puncturing (one top facet removed) is acyclic has precisely the
 reduced homology of a sphere of its dimension, by the Mayer-Vietoris sequence
 for the punctured part and the removed simplex.  Anything that resists both
-reductions falls back to plain matrix ranks.
+reductions falls back to plain matrix ranks.  The outcome of the
+collapses does not depend on the prime, so it is computed once per facet
+set and kept for the other prime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .complexes import Complex
+from .complexes import Complex, _all_faces
 from .errors import BadDimensionError, InvalidParameterError, VoidComplexError
 
 _DIRECT_FACE_LIMIT = 2048
@@ -118,33 +123,23 @@ class BoundaryMatrix:
 
     def rank(self) -> int:
         if self.p == 2:
-            ints = []
-            for col in self.columns:
-                v = 0
-                for i, coeff in col:
-                    if coeff % 2:
-                        v |= 1 << i
-                ints.append(v)
-            return _rank_gf2(ints)
-        rows, cols = self.shape
-        mat = np.zeros((rows, cols), dtype=np.int64)
-        for j, col in enumerate(self.columns):
-            for i, coeff in col:
-                mat[i, j] = coeff % self.p
-        return _rank_modp(mat, self.p)
+            return _rank_gf2([sum(1 << i for i, coeff in col if coeff % 2)
+                              for col in self.columns])
+        return _rank_modp([dict(col) for col in self.columns], self.p)
 
 
-def _signed_subfaces(mask: int):
-    """(subface, sign) pairs for deleting each vertex, smallest first."""
-    out = []
+def _column(mask: int, index, p: int) -> dict:
+    """The boundary of a face mod p, as {row: coefficient}: (-1)^i at the
+    index of the subface that drops its i-th smallest vertex."""
+    col = {}
     sign = 1
     m = mask
     while m:
         b = m & -m
-        out.append((mask ^ b, sign))
-        sign = -sign
+        col[index[mask ^ b]] = sign
+        sign = p - sign
         m ^= b
-    return out
+    return col
 
 
 def boundary_matrix(c: Complex, k: int, p) -> BoundaryMatrix:
@@ -163,18 +158,12 @@ def boundary_matrix(c: Complex, k: int, p) -> BoundaryMatrix:
         )
     row_masks = by_size.get(k, [])
     index = {m: i for i, m in enumerate(row_masks)}
-    columns = []
-    for cm in col_masks:
-        col = []
-        for sub, sign in _signed_subfaces(cm):
-            col.append((index[sub], sign % pp))
-        columns.append(tuple(col))
     return BoundaryMatrix(
         k,
         pp,
         tuple(c.labels_of(m) for m in row_masks),
         tuple(c.labels_of(m) for m in col_masks),
-        tuple(columns),
+        tuple(tuple(_column(cm, index, pp).items()) for cm in col_masks),
     )
 
 
@@ -182,69 +171,57 @@ def boundary_matrix(c: Complex, k: int, p) -> BoundaryMatrix:
 # ranks
 
 
-def _rank_gf2(cols) -> int:
-    """Rank of a GF(2) matrix given as column bitmasks over row indices."""
-    pivots = {}
-    rank = 0
+def _rank_gf2(cols, pivots=None) -> int:
+    """Rank of a GF(2) matrix given as column bitmasks over row indices.
+
+    ``pivots``, if given, receives the pivot row of every nonzero reduced
+    column.
+    """
+    if pivots is None:
+        pivots = {}
     for c in cols:
         while c:
             h = c.bit_length() - 1
             row = pivots.get(h)
             if row is None:
                 pivots[h] = c
-                rank += 1
                 break
             c ^= row
-    return rank
+    return len(pivots)
 
 
-def _rank_modp(mat: np.ndarray, p: int) -> int:
-    """In-place row echelon rank of an integer matrix mod p."""
-    mat = np.mod(mat, p)
-    rows, cols = mat.shape
-    r = 0
-    for col in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(mat[r:, col])
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            mat[[r, i], col:] = mat[[i, r], col:]
-        inv = pow(int(mat[r, col]), p - 2, p)
-        if inv != 1:
-            mat[r, col:] = mat[r, col:] * inv % p
-        below = np.flatnonzero(mat[r + 1:, col])
-        if below.size:
-            idx = below + r + 1
-            mat[idx, col:] = (
-                mat[idx, col:] - np.outer(mat[idx, col], mat[r, col:])
-            ) % p
-        r += 1
-    return r
+def _rank_modp(cols, p: int, pivots=None) -> int:
+    """Rank mod p of a matrix given as sparse columns ``{row: coefficient}``.
+
+    Each column is reduced against the kept columns by its lowest (highest
+    index) nonzero row until it is zero or that row is a new pivot; the
+    column dicts are consumed.  ``pivots``, if given, receives the pivot
+    rows as for :func:`_rank_gf2`.
+    """
+    if pivots is None:
+        pivots = {}
+    for col in cols:
+        for r in [r for r, v in col.items() if not v % p]:
+            del col[r]
+        while col:
+            low = max(col)
+            got = pivots.get(low)
+            if got is None:
+                pivots[low] = (col, pow(col[low], p - 2, p))
+                break
+            piv, inv = got
+            f = col[low] * inv % p
+            for r, v in piv.items():
+                nv = (col.get(r, 0) - f * v) % p
+                if nv:
+                    col[r] = nv
+                else:
+                    del col[r]
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
 # collapse engine
-
-
-def _all_faces(facet_masks):
-    """Every nonempty face under the given facets."""
-    seen = set(facet_masks)
-    seen.discard(0)
-    frontier = list(seen)
-    while frontier:
-        f = frontier.pop()
-        m = f
-        while m:
-            b = m & -m
-            sub = f ^ b
-            if sub and sub not in seen:
-                seen.add(sub)
-                frontier.append(sub)
-            m ^= b
-    return seen
 
 
 def _collapse(faces: set, vertex_count: int) -> set:
@@ -329,14 +306,13 @@ def _betti_from_faces(faces, p: int, pad_dim: int) -> BettiVector:
     if not by_size:
         return BettiVector(p, 1, (0,) * (pad_dim + 1) if pad_dim >= 0 else ())
     top = max(by_size)
-    ranks = [0] * (top + 1)  # ranks[k] = rank of d_k
+    ranks = [0] * (top + 1)  # ranks[k] = rank of d_k; d_top has no columns
     ranks[0] = 1 if by_size.get(1) else 0
-    for k in range(1, top):
-        rows = by_size.get(k, [])
-        cols = by_size.get(k + 1, [])
-        if not rows or not cols:
-            continue
-        index = {m: i for i, m in enumerate(rows)}
+    cleared = {}  # pivot rows of d_{k+1}: columns of d_k that reduce to zero
+    for k in range(top - 1, 0, -1):
+        index = {m: i for i, m in enumerate(by_size[k])}
+        cols = [cm for j, cm in enumerate(by_size[k + 1]) if j not in cleared]
+        pivots = {}
         if p == 2:
             ints = []
             for cm in cols:
@@ -347,14 +323,11 @@ def _betti_from_faces(faces, p: int, pad_dim: int) -> BettiVector:
                     v |= 1 << index[cm ^ b]
                     m ^= b
                 ints.append(v)
-            ranks[k] = _rank_gf2(ints)
+            _rank_gf2(ints, pivots)
         else:
-            mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-            for j, cm in enumerate(cols):
-                for sub, sign in _signed_subfaces(cm):
-                    mat[index[sub], j] = sign % p
-            ranks[k] = _rank_modp(mat, p)
-    ranks.append(0)  # d_{top} maps from nothing above
+            _rank_modp([_column(cm, index, p) for cm in cols], p, pivots)
+        ranks[k] = len(pivots)
+        cleared = pivots
     betti = []
     for k in range(top):
         f_k = len(by_size.get(k + 1, ()))
@@ -365,6 +338,7 @@ def _betti_from_faces(faces, p: int, pad_dim: int) -> BettiVector:
 
 
 _betti_cache: dict = {}
+_reduction_cache: dict = {}
 
 
 def betti_for_facets(vertex_count: int, facet_masks, p: int) -> BettiVector:
@@ -381,11 +355,24 @@ def betti_for_facets(vertex_count: int, facet_masks, p: int) -> BettiVector:
     if got is not None:
         return got
     d = max(m.bit_count() for m in facet_masks) - 1
-    faces = _all_faces(facet_masks)
-    if len(faces) <= _DIRECT_FACE_LIMIT:
+    reduction = _reduction_cache.get(facet_masks)
+    if reduction is None:
+        faces = _all_faces(facet_masks)
+        if len(faces) <= _DIRECT_FACE_LIMIT:
+            reduction = ("direct", faces)
+        else:
+            reduction = _reduce(faces, facet_masks, vertex_count)
+            _reduction_cache[facet_masks] = reduction
+    kind, faces = reduction
+    if kind == "point":
+        out = BettiVector(p, 0, (0,) * (d + 1))
+    elif kind == "sphere" or (
+            kind == "punctured" and _betti_from_faces(faces, p, d).is_ball()):
+        out = _sphere_vector(p, d)
+    elif kind in ("direct", "core"):
         out = _betti_from_faces(faces, p, d)
-    else:
-        out = _betti_large(faces, facet_masks, vertex_count, p, d)
+    else:  # nothing small is left, or the puncture is not acyclic
+        out = _betti_from_faces(_all_faces(facet_masks), p, d)
     _betti_cache[key] = out
     return out
 
@@ -396,26 +383,29 @@ def _sphere_vector(p: int, d: int) -> BettiVector:
     return BettiVector(p, 0, tuple(0 if k != d else 1 for k in range(d + 1)))
 
 
-def _betti_large(faces, facet_masks, vertex_count, p, d) -> BettiVector:
+def _reduce(faces, facet_masks, vertex_count):
+    """The prime-free outcome of the collapses of a large complex, cached
+    by its facets as (kind, face set): ("point", None) if it collapses to a
+    point, ("core", core) for a small collapsed core, ("sphere", None) for a
+    pure complex whose puncture collapses to a point, ("punctured", core)
+    for a small collapsed puncture (a sphere exactly when that core is
+    acyclic), and ("full", None) when nothing small is left."""
     core = _collapse(faces, vertex_count)
     if len(core) == 1:
-        return BettiVector(p, 0, (0,) * (d + 1))
+        return "point", None
     if len(core) <= _CORE_FACE_LIMIT:
-        return _betti_from_faces(core, p, d)
-    sizes = {m.bit_count() for m in facet_masks}
-    if len(sizes) == 1:
+        return "core", core
+    if len({m.bit_count() for m in facet_masks}) == 1:
         # puncture a pure complex: acyclic remainder forces sphere homology
         for pick in (0, len(facet_masks) // 2, len(facet_masks) - 1):
             punctured = set(faces)
             punctured.discard(facet_masks[pick])
             core_p = _collapse(punctured, vertex_count)
             if len(core_p) == 1:
-                return _sphere_vector(p, d)
+                return "sphere", None
             if len(core_p) <= _CORE_FACE_LIMIT:
-                if _betti_from_faces(core_p, p, d).is_ball():
-                    return _sphere_vector(p, d)
-                break
-    return _betti_from_faces(faces, p, d)
+                return "punctured", core_p
+    return "full", None
 
 
 def betti_reduced(c: Complex, p) -> BettiVector:
@@ -445,3 +435,4 @@ def has_ball_homology(c: Complex, p) -> bool:
 
 def clear_caches():
     _betti_cache.clear()
+    _reduction_cache.clear()

@@ -6,6 +6,12 @@ dimension.  Faces with ball links form the boundary, which must itself be a
 closed homology manifold one dimension down.  Classification then reads off
 Betti fingerprints at two primes together with the number of boundary
 components; the surface types that actually occur are separated by that data.
+
+Links are computed top-down: the link of σ ∪ v is read off the facets of
+the link of σ, so no face scans the facets of the whole complex.  The face
+classes and the verdict are memoized on the complex per prime, so
+``check_manifold``, ``boundary_complex``, ``classify`` and
+``manifold_report`` analyse each complex once.
 """
 
 from __future__ import annotations
@@ -69,41 +75,6 @@ _FAIL = "?"
 _class_cache: dict = {}
 
 
-def _link_facets(facet_masks, face_mask):
-    """Facet masks of the link of a face in a pure complex."""
-    out = [f & ~face_mask for f in facet_masks if f & face_mask == face_mask]
-    out.sort()
-    return out
-
-
-def _normalize(masks):
-    """Re-index masks onto used vertices; returns (count, sorted tuple)."""
-    used = 0
-    for m in masks:
-        used |= m
-    if used == 0:
-        return 0, (0,)
-    positions = {}
-    i = 0
-    mm = used
-    while mm:
-        b = mm & -mm
-        positions[b] = 1 << i
-        i += 1
-        mm ^= b
-    out = []
-    for m in masks:
-        nm = 0
-        t = m
-        while t:
-            b = t & -t
-            nm |= positions[b]
-            t ^= b
-        out.append(nm)
-    out.sort()
-    return i, tuple(out)
-
-
 def _classify_link(norm_count, norm_masks, expected_dim, p):
     """('S'|'B'|'?', betti) for a link with the given normalized facets.
 
@@ -128,22 +99,43 @@ def _classify_link(norm_count, norm_masks, expected_dim, p):
 
 
 def _face_classes(c: Complex, p: int):
-    """Map each nonempty face mask to 'S'/'B'/'?' by its link homology."""
-    d = c.dimension
-    facets = c.facet_masks
+    """Map each nonempty face mask to 'S'/'B'/'?' by its link homology.
+
+    Returns ``(classes, betti_of)``, the second holding the link Betti
+    numbers of the failing faces; memoized on the complex.  Links are built
+    top-down, depth first: the facets of lk(σ ∪ v) are the facets of lk σ
+    that contain v, with v removed.  A face is extended only by link
+    vertices above its top vertex, so each face is visited once and scans
+    only its parent's link facets.
+    """
+    key = ("face_classes", p)
+    got = c._cache.get(key)
+    if got is not None:
+        return got
     classes = {}
     betti_of = {}
-    by_size = c.faces_by_size()
-    for size in sorted(by_size):
-        target = d - size
-        for face in by_size[size]:
-            lf = _link_facets(facets, face)
-            norm_count, norm_masks = _normalize(lf)
-            cls, betti = _classify_link(norm_count, norm_masks, target, p)
-            classes[face] = cls
+
+    def extend(face, low, link, used, target):
+        higher = used & ~low
+        while higher:
+            b = higher & -higher
+            higher ^= b
+            sub = [f ^ b for f in link if f & b]
+            sub_used, norm = cx._reindex(sub)
+            cls, betti = _classify_link(sub_used.bit_count(), norm, target, p)
+            child = face | b
+            classes[child] = cls
             if cls == _FAIL:
-                betti_of[face] = betti
-    return classes, betti_of
+                betti_of[child] = betti
+            extend(child, (b << 1) - 1, sub, sub_used, target - 1)
+
+    used = 0
+    for f in c.facet_masks:
+        used |= f
+    extend(0, 0, c.facet_masks, used, c.dimension - 1)
+    got = (classes, betti_of)
+    c._cache[key] = got
+    return got
 
 
 def _face_sort_key(c: Complex, mask: int):
@@ -156,9 +148,18 @@ def check_manifold(c: Complex, p) -> ManifoldVerdict:
     Follows the link-condition definitions: every nonempty face's link must
     have sphere or ball homology of complementary dimension, and the faces
     with ball links (plus ∅) must form a closed homology manifold one
-    dimension lower.  Non-pure input short-circuits to NotPure.
+    dimension lower.  Non-pure input short-circuits to NotPure.  The
+    verdict is memoized on the complex.
     """
     pp = _prime_of(p)
+    key = ("verdict", pp)
+    got = c._cache.get(key)
+    if got is None:
+        got = c._cache[key] = _verdict(c, pp)
+    return got
+
+
+def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
     if c.is_void:
         return ManifoldVerdict(STATUS_NOT_PURE, -2, pp)
     if c.is_empty_only():
@@ -178,7 +179,9 @@ def check_manifold(c: Complex, p) -> ManifoldVerdict:
     boundary = [f for f, cls in classes.items() if cls == _BOUNDARY]
     if not boundary:
         return ManifoldVerdict(STATUS_CLOSED, d, pp)
-    # the boundary faces must be closed under taking subfaces
+    # the boundary faces must be closed under taking subfaces; the first
+    # face (by size, then mask) with a missing subface is the witness
+    boundary.sort(key=lambda m: (m.bit_count(), m))
     bset = set(boundary)
     for f in boundary:
         m = f
@@ -219,31 +222,25 @@ def check_manifold(c: Complex, p) -> ManifoldVerdict:
 
 
 def _subcomplex_link(c: Complex, face_mask: int) -> Complex:
-    lf = _link_facets(c.facet_masks, face_mask)
-    count, masks = _normalize(lf)
-    return Complex(range(count), masks)
+    used, masks = cx._reindex(
+        [f & ~face_mask for f in c.facet_masks if f & face_mask == face_mask])
+    return Complex(range(used.bit_count()), masks)
 
 
 def _span(c: Complex, face_masks) -> Complex:
-    """Subcomplex generated by the given faces, on its own vertex set."""
-    maximal = cx._maximal(face_masks)
-    used = 0
-    for m in maximal:
-        used |= m
-    positions = [i for i in range(c.vertex_count) if used >> i & 1]
-    remap = {pos: i for i, pos in enumerate(positions)}
-    masks = []
-    for m in maximal:
-        nm = 0
-        t = m
-        while t:
-            b = t & -t
-            nm |= 1 << remap[b.bit_length() - 1]
-            t ^= b
-        masks.append(nm)
-    if not masks:
-        masks = [0]
-    return Complex(tuple(c.labels[i] for i in positions), sorted(masks))
+    """Subcomplex generated by a downward-closed set of nonempty faces, on
+    its own vertex set.  A face of such a set is maximal exactly when it is
+    not a codimension-1 subface of another face in the set."""
+    faces = set(face_masks)
+    covered = set()
+    for f in faces:
+        m = f
+        while m:
+            b = m & -m
+            covered.add(f ^ b)
+            m ^= b
+    used, masks = cx._reindex([f for f in faces if f not in covered])
+    return Complex(c.labels_of(used), masks)
 
 
 def boundary_complex(c: Complex, p, verdict: ManifoldVerdict | None = None) -> BoundaryComplex:
@@ -261,17 +258,18 @@ def boundary_complex(c: Complex, p, verdict: ManifoldVerdict | None = None) -> B
         raise InvalidParameterError(f"no boundary for status {verdict.status}")
     if verdict.dimension == -1:
         return BoundaryComplex(cx.from_facets((), [()]), 0)
-    d = c.dimension
     classes, _ = _face_classes(c, pp)
     ball_faces = {f for f, cls in classes.items() if cls == _BOUNDARY}
-    ridge_faces = set()
-    by_size = c.faces_by_size()
-    for ridge in by_size.get(d, []):
-        count = sum(1 for f in c.facet_masks if f & ridge == ridge)
-        if count == 1:
-            ridge_faces.add(ridge)
+    cofacets = {}
+    for f in c.facet_masks:
+        m = f
+        while m:
+            b = m & -m
+            ridge = f ^ b
+            cofacets[ridge] = cofacets.get(ridge, 0) + 1
+            m ^= b
     spanned = set()
-    for r in ridge_faces:
+    for r in (r for r, n in cofacets.items() if n == 1):
         stack = [r]
         while stack:
             f = stack.pop()

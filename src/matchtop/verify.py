@@ -518,15 +518,17 @@ def run_search(spec: SearchSpec) -> SearchReport:
     hit_dicts = []
     for canon, g, result in hits:
         name = expected_map.get(canon, (None,))[0]
-        hit_dicts.append({
+        hit = {
             "graph6": canon.decode(),
             "name": name,
             "class": result.klass,
-            "betti_p2": result.betti_p,
-            "betti_p3": result.betti_q,
-            "vertices": g.vertex_count,
-            "edges": len(g.edges),
-        })
+            f"betti_p{spec.p}": result.betti_p,
+        }
+        if q is not None:
+            hit[f"betti_p{q}"] = result.betti_q
+        hit["vertices"] = g.vertex_count
+        hit["edges"] = len(g.edges)
+        hit_dicts.append(hit)
     expected_dicts = [
         {"name": name, "graph6": key.decode(), "class": cls if isinstance(cls, str) else str(cls)}
         for key, (name, g, cls) in sorted(expected_map.items())

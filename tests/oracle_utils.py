@@ -2,8 +2,8 @@
 
 Nothing here shares code with the package internals: matchings come from
 filtering all edge subsets, faces from powersets of facets, ranks from a
-naive dense elimination, and canonical forms from trying every vertex
-permutation.
+naive dense elimination, links from scanning every facet, and canonical
+forms from trying every vertex permutation.
 """
 
 from __future__ import annotations
@@ -104,6 +104,37 @@ def oracle_betti(facets, p):
     ranks[d + 1] = 0
     betti = [len(by_dim.get(k, [])) - ranks[k] - ranks[k + 1] for k in range(d + 1)]
     return 1 - ranks[0], betti
+
+
+def oracle_face_classes(facets, p):
+    """Link class of every nonempty face of a pure complex, each link found
+    by scanning all facets: "S" when it has the reduced homology of a sphere
+    of complementary dimension, "B" when it is acyclic, "?" otherwise.
+
+    ``facets`` are label tuples; returns {frozenset of labels: class}.
+    """
+    facets = [frozenset(f) for f in facets]
+    d = max(len(f) for f in facets) - 1
+    memo = {}
+    out = {}
+    for face in brute_faces(facets):
+        if not face:
+            continue
+        link = [f - face for f in facets if face <= f]
+        relabel = {v: i for i, v in enumerate(sorted(set().union(*link)))}
+        key = tuple(sorted(tuple(sorted(relabel[v] for v in f)) for f in link))
+        if key not in memo:
+            memo[key] = oracle_betti(key, p)
+        minus_one, betti = memo[key]
+        target = d - len(face)
+        sphere = [1 if k == target else 0 for k in range(len(betti))]
+        if minus_one == (1 if target == -1 else 0) and betti == sphere:
+            out[face] = "S"
+        elif minus_one == 0 and not any(betti):
+            out[face] = "B"
+        else:
+            out[face] = "?"
+    return out
 
 
 def brute_canonical(g):

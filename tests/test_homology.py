@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchtop import complexes as cx
 from matchtop import graphs as gr
@@ -176,5 +177,31 @@ def test_rank_helpers_against_oracle():
                     ints.append(v)
                 assert hm._rank_gf2(ints) == expect
             else:
-                import numpy as np
-                assert hm._rank_modp(np.array(mat, dtype=np.int64), p) == expect
+                assert hm._rank_modp(_sparse_columns(mat), p) == expect
+
+
+def _sparse_columns(mat):
+    return [{i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(len(mat[0]))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([3, 5, 7]),
+       st.integers(1, 9).flatmap(lambda rows: st.lists(
+           st.lists(st.integers(-20, 20), min_size=rows, max_size=rows),
+           min_size=1, max_size=9)))
+def test_sparse_rank_matches_naive_elimination(p, columns):
+    mat = [list(row) for row in zip(*columns)]  # the drawn lists are columns
+    assert hm._rank_modp(_sparse_columns(mat), p) == oracle_utils.naive_rank_mod_p(mat, p)
+
+
+def test_non_sphere_above_direct_limit():
+    # the torus joined with S^1 and S^0: a non-sphere on the collapse path
+    M = cx.matching_complex(gr.disjoint_union(
+        [gr.complete_bipartite(4, 3), gr.complete_bipartite(3, 2), gr.path(3)]))
+    faces = hm._all_faces(M.facet_masks)
+    assert len(faces) == 2846 > hm._DIRECT_FACE_LIMIT
+    for p in (2, 3, 5):
+        for b in (hm.betti_for_facets(M.vertex_count, M.facet_masks, p),
+                  hm._betti_from_faces(faces, p, M.dimension)):
+            assert (b.minus_one, b.betti) == (0, (0, 0, 0, 0, 2, 1))
+    assert hm._reduction_cache[M.facet_masks][0] == "core"  # nothing collapses

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import os
 import random
 
 from matchtop import catalog
@@ -6,6 +9,8 @@ from matchtop import graphs as gr
 from matchtop import homology as hm
 from matchtop import manifold as mf
 
+import oracle_utils
+from test_acceptance import _join_arithmetic_cases
 from test_complexes import cycle_complex
 
 
@@ -223,3 +228,62 @@ def test_vertex_count_bounds_on_manifold_complexes():
             assert M.vertex_count <= 12
         else:
             assert M.vertex_count <= 3 * v.dimension + 3
+
+
+# ---------------------------------------------------------------------------
+# the memoized top-down link analysis
+
+
+GOLDEN_REPORTS = os.path.join(os.path.dirname(__file__), "golden_manifold_reports.json")
+
+
+def test_reports_match_golden_for_every_catalog_name():
+    # captured before the link analysis was rewritten top-down
+    reports = {name: mf.manifold_report(cx.matching_complex(catalog.named_graph(name)), (2, 3))
+               for name in catalog.catalog_names()}
+    with open(GOLDEN_REPORTS) as fh:
+        assert reports == json.load(fh)
+    text = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest().startswith("f34b32fa9976928d")
+
+
+def _classes_by_labels(c, p):
+    return {frozenset(c.labels_of(m)): cls for m, cls in mf._face_classes(c, p)[0].items()}
+
+
+def test_face_classes_match_facet_scan_oracle_on_joins():
+    cases = list(_join_arithmetic_cases(face_cap=400))
+    assert len(cases) >= 100
+    for g, _ in cases:
+        M = cx.matching_complex(g)
+        for p in (2, 3):
+            assert _classes_by_labels(M, p) == oracle_utils.oracle_face_classes(M.facets(), p), \
+                gr.to_graph6(g)
+
+
+def test_face_classes_match_facet_scan_oracle_on_random_pure_complexes():
+    rng = random.Random(42)
+    for _ in range(60):
+        nv = rng.randint(3, 9)
+        size = rng.randint(1, min(4, nv))
+        facets = [tuple(rng.sample(range(nv), size)) for _ in range(rng.randint(1, 10))]
+        c = cx.from_facets(range(nv), facets)
+        for p in (2, 3):
+            assert _classes_by_labels(c, p) == oracle_utils.oracle_face_classes(c.facets(), p)
+
+
+def test_one_link_analysis_per_complex(monkeypatch):
+    calls = []
+    real = mf._classify_link
+    monkeypatch.setattr(mf, "_classify_link", lambda *a: calls.append(a) or real(*a))
+    for g in (gr.spider(3), gr.complete_bipartite(4, 3),
+              {e.name: e for e in catalog.exceptional_table()}["torus_disk_9e"].graph):
+        M = cx.matching_complex(g)
+        verdict = mf.check_manifold(M, 2)
+        analysed = len(calls)
+        assert analysed >= len(M.faces()) - 1  # every nonempty face of M, at least
+        mf.classify(M, verdict, (2, 3))
+        mf.boundary_complex(M, 2, verdict)
+        assert mf.check_manifold(M, 2) == verdict
+        assert len(calls) == analysed
+        calls.clear()

@@ -36,7 +36,8 @@ def test_enumerate_connected_three_edges():
 
 
 def test_enumeration_contains_k43():
-    levels = verify.connected_graph_classes(12, 10)
+    # K43 has matching number 3: the capped levels of criterion 4 hold it
+    levels = verify.connected_graph_classes(12, 10, 3)
     keys = {gr.canonical_form(g) for g in levels[12]}
     assert gr.canonical_form(gr.complete_bipartite(4, 3)) in keys
 
@@ -224,13 +225,33 @@ def test_cross_check_prime_equal_to_p_is_no_cross_check():
     assert report.verdict == "Match"
 
 
+def test_betti_keys_named_after_the_primes():
+    report = verify.run_search(spec(max_edges=5, p=3))
+    assert report.hits
+    for h in report.hits:
+        M = cx.matching_complex(gr.from_graph6(h["graph6"]))
+        assert [k for k in h if k.startswith("betti")] == ["betti_p3"]
+        assert h["betti_p3"] == homology.betti_reduced(M, 3).to_list()
+    report = verify.run_search(spec(max_edges=5, p=5, cross_check_prime=7))
+    assert report.hits
+    for h in report.hits:
+        M = cx.matching_complex(gr.from_graph6(h["graph6"]))
+        assert [k for k in h if k.startswith("betti")] == ["betti_p5", "betti_p7"]
+        assert h["betti_p5"] == homology.betti_reduced(M, 5).to_list()
+        assert h["betti_p7"] == homology.betti_reduced(M, 7).to_list()
+
+
 def test_clear_caches_keeps_reports():
     s = spec(target="2-manifold-with-boundary", max_edges=7)
     before = verify.run_search(s).to_dict(include_timing=False)
-    assert verify._LEVELS and homology._betti_cache
+    big = cx.matching_complex(gr.spider(9))  # over the direct limit: collapsed
+    big_betti = homology.betti_reduced(big, 2)
+    assert verify._LEVELS and homology._betti_cache and homology._reduction_cache
     matchtop.clear_caches()
     assert not verify._LEVELS and not homology._betti_cache
+    assert not homology._reduction_cache
     assert not manifold._class_cache
     assert catalog._EXCEPTIONAL is None and catalog._DISCONNECTED_BALLS is None
     assert catalog._SMALL_BASICS is None and catalog._REGISTRY is None
     assert verify.run_search(s).to_dict(include_timing=False) == before
+    assert homology.betti_reduced(cx.matching_complex(gr.spider(9)), 2) == big_betti
