@@ -35,7 +35,6 @@ from .graphs import (
     is_equimatchable,
     matching_number,
     maximal_matchings,
-    new_graph,
     path,
     spider,
     star,

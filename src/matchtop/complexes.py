@@ -159,8 +159,8 @@ def _reindex(masks, used=0):
     of the masks), keeping their order; returns ``(used, sorted new masks)``.
 
     Position i of the result is the i-th lowest position of ``used``, so
-    ``labels_of(used)`` labels the new vertices.  Runs once per face in the
-    link analysis, hence the bit-by-bit table walk.
+    ``labels_of(used)`` labels the new vertices.  Runs once per link shape
+    and link vertex in the link analysis, hence the bit-by-bit table walk.
     """
     if not used:
         for m in masks:

@@ -109,11 +109,6 @@ def _bits(mask: int):
         mask ^= b
 
 
-def new_graph(n: int, pairs) -> Graph:
-    """Build a normalized graph, rejecting loops and duplicate pairs."""
-    return Graph(n, pairs)
-
-
 # ---------------------------------------------------------------------------
 # named families
 

@@ -7,11 +7,14 @@ closed homology manifold one dimension down.  Classification then reads off
 Betti fingerprints at two primes together with the number of boundary
 components; the surface types that actually occur are separated by that data.
 
-Links are computed top-down: the link of σ ∪ v is read off the facets of
-the link of σ, so no face scans the facets of the whole complex.  The face
-classes and the verdict are memoized on the complex per prime, so
-``check_manifold``, ``boundary_complex``, ``classify`` and
-``manifold_report`` analyse each complex once.
+Links are computed top-down: the link of σ ∪ v is the link of v inside
+the link of σ, so no face scans the facets of the whole complex.  The walk
+is memoized by link shape (the link's facets re-indexed onto positions
+0..k-1): the children of a link depend only on its shape, so each distinct
+shape of a complex is re-indexed and classified once, however many faces
+have it.  The face classes, the verdict and the boundary are memoized on
+the complex per prime, so ``check_manifold``, ``boundary_complex``,
+``classify`` and ``manifold_report`` analyse each complex once.
 """
 
 from __future__ import annotations
@@ -103,10 +106,22 @@ def _face_classes(c: Complex, p: int):
 
     Returns ``(classes, betti_of)``, the second holding the link Betti
     numbers of the failing faces; memoized on the complex.  Links are built
-    top-down, depth first: the facets of lk(σ ∪ v) are the facets of lk σ
-    that contain v, with v removed.  A face is extended only by link
-    vertices above its top vertex, so each face is visited once and scans
-    only its parent's link facets.
+    top-down, depth first: lk(σ ∪ v) = lk_{lk σ}(v), so the facets of
+    lk(σ ∪ v) are the facets of lk σ that contain v, with v removed.  A
+    face is extended only by link vertices above its top vertex, so each
+    face is visited once.
+
+    The walk is memoized by link shape.  Each distinct normalized link (its
+    facets re-indexed onto positions 0..k-1) gets one record, local to this
+    call: its class, its Betti numbers and, filled as they are first needed,
+    its children, one per link vertex i.  A child is the shape of lk_{lk}(i),
+    the positions of its vertices within the parent link, and the cut: how
+    many of them lie below i.  A face carries its link's vertices as bits of
+    the complex, so visiting a child is a lookup and a list of bits.  This is
+    exact: the children of a link depend only on its shape, and re-indexing
+    keeps the vertex order, so "only link vertices above the top vertex"
+    becomes "only child positions from the cut on".  Re-indexing and
+    classification thus run once per shape, not once per face.
     """
     key = ("face_classes", p)
     got = c._cache.get(key)
@@ -114,25 +129,35 @@ def _face_classes(c: Complex, p: int):
         return got
     classes = {}
     betti_of = {}
+    shapes = {}  # normalized facets -> [class, betti, facets, dimension, children]
 
-    def extend(face, low, link, used, target):
-        higher = used & ~low
-        while higher:
-            b = higher & -higher
-            higher ^= b
-            sub = [f ^ b for f in link if f & b]
-            sub_used, norm = cx._reindex(sub)
-            cls, betti = _classify_link(sub_used.bit_count(), norm, target, p)
-            child = face | b
-            classes[child] = cls
+    def child_of(rec, i):
+        b = 1 << i
+        used, norm = cx._reindex([f ^ b for f in rec[2] if f & b])
+        child = shapes.get(norm)
+        if child is None:
+            k = used.bit_count()
+            cls, betti = _classify_link(k, norm, rec[3] - 1, p)
+            child = shapes[norm] = [cls, betti, norm, rec[3] - 1, [None] * k]
+        entry = rec[4][i] = (child, bytes(graphs_mod._bits(used)),
+                             (used & (b - 1)).bit_count())
+        return entry
+
+    def walk(face, rec, pos, start):
+        kids = rec[4]
+        for i in range(start, len(pos)):
+            child, idx, cut = kids[i] or child_of(rec, i)
+            sub = face | pos[i]
+            classes[sub] = cls = child[0]
             if cls == _FAIL:
-                betti_of[child] = betti
-            extend(child, (b << 1) - 1, sub, sub_used, target - 1)
+                betti_of[sub] = child[1]
+            if cut < len(idx):
+                walk(sub, child, [pos[j] for j in idx], cut)
 
-    used = 0
-    for f in c.facet_masks:
-        used |= f
-    extend(0, 0, c.facet_masks, used, c.dimension - 1)
+    used, norm = cx._reindex(c.facet_masks)
+    root = [None, None, norm, c.dimension, [None] * used.bit_count()]
+    walk(0, root, [1 << v for v in graphs_mod._bits(used)], 0)
+    del walk  # the recursive closure is a reference cycle; free it now
     got = (classes, betti_of)
     c._cache[key] = got
     return got
@@ -196,6 +221,9 @@ def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
                 )
             m ^= b
     bd = _span(c, boundary)
+    # kept as labels and facets, so the face table of the boundary's own
+    # verdict below does not live as long as c
+    c._cache[("boundary_span", pp)] = (bd.labels, bd.facet_masks)
     if bd.dimension != d - 1 and d >= 1:
         worst = min(boundary, key=lambda m: _face_sort_key(c, m))
         return ManifoldVerdict(
@@ -249,7 +277,8 @@ def boundary_complex(c: Complex, p, verdict: ManifoldVerdict | None = None) -> B
     Route one: faces whose links have ball homology.  Route two: the span of
     the (d-1)-faces lying in exactly one facet.  A mismatch raises
     CrossCheckMismatchError.  For closed manifolds the boundary is {∅} with
-    zero components.
+    zero components.  The result is memoized on the complex per prime, and
+    it reuses the span that the verdict built.
     """
     pp = _prime_of(p)
     if verdict is None:
@@ -258,6 +287,14 @@ def boundary_complex(c: Complex, p, verdict: ManifoldVerdict | None = None) -> B
         raise InvalidParameterError(f"no boundary for status {verdict.status}")
     if verdict.dimension == -1:
         return BoundaryComplex(cx.from_facets((), [()]), 0)
+    key = ("boundary", pp)
+    got = c._cache.get(key)
+    if got is None:
+        got = c._cache[key] = _boundary(c, pp)
+    return got
+
+
+def _boundary(c: Complex, pp: int) -> BoundaryComplex:
     classes, _ = _face_classes(c, pp)
     ball_faces = {f for f, cls in classes.items() if cls == _BOUNDARY}
     cofacets = {}
@@ -286,7 +323,8 @@ def boundary_complex(c: Complex, p, verdict: ManifoldVerdict | None = None) -> B
         )
     if not ball_faces:
         return BoundaryComplex(cx.from_facets((), [()]), 0)
-    bd = _span(c, ball_faces)
+    span = c._cache.get(("boundary_span", pp))  # built by the verdict
+    bd = Complex(*span) if span else _span(c, ball_faces)
     if bd.dimension == 0:
         comps = bd.vertex_count
     else:

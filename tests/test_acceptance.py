@@ -157,7 +157,7 @@ def _random_complex(rng):
             n = rng.randint(2, 9)
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
             m = rng.randint(1, min(12, len(pairs)))
-            g = gr.new_graph(n, rng.sample(pairs, m))
+            g = gr.Graph(n, rng.sample(pairs, m))
             if g.has_isolated_vertices:
                 continue
             c = cx.matching_complex(g)

@@ -31,7 +31,7 @@ def test_recognize_requires_connected_no_isolated():
     with pytest.raises(InvalidParameterError):
         catalog.recognize_basic(gr.disjoint_union([gr.path(2), gr.path(2)]))
     with pytest.raises(InvalidParameterError):
-        catalog.recognize_basic(gr.new_graph(3, [(0, 1)]))
+        catalog.recognize_basic(gr.Graph(3, [(0, 1)]))
 
 
 def test_exceptional_table_checksums():

@@ -20,7 +20,7 @@ def random_graph(rng, n_max=9, m_max=12):
         n = rng.randint(2, n_max)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         m = rng.randint(1, min(m_max, len(pairs)))
-        g = gr.new_graph(n, rng.sample(pairs, m))
+        g = gr.Graph(n, rng.sample(pairs, m))
         if not g.has_isolated_vertices:
             return g
 
@@ -70,7 +70,7 @@ def test_matching_complex_k4_three_disjoint_edges():
 
 
 def test_matching_complex_of_edgeless_graph():
-    g = gr.new_graph(3, [])
+    g = gr.Graph(3, [])
     M = cx.matching_complex(g)
     assert M.is_empty_only()
 
@@ -191,7 +191,7 @@ def test_induced_subcomplex_matches_subgraph():
         sub = cx.induced_subcomplex(M, labels)
         verts = sorted({v for i in labels for v in g.edges[i]})
         vmap = {v: j for j, v in enumerate(verts)}
-        spanned = gr.new_graph(len(verts),
+        spanned = gr.Graph(len(verts),
                                [(vmap[g.edges[i][0]], vmap[g.edges[i][1]]) for i in labels])
         M2 = cx.matching_complex(spanned)
         relabel = {new: old for new, old in enumerate(labels)}

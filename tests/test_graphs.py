@@ -16,23 +16,23 @@ import oracle_utils
 
 
 def test_new_graph_normalizes():
-    g = gr.new_graph(3, [(1, 2), (0, 1)])
+    g = gr.Graph(3, [(1, 2), (0, 1)])
     assert g.edges == ((0, 1), (1, 2))
     assert not g.has_isolated_vertices
 
 
 def test_new_graph_rejects_loops_duplicates_range():
     with pytest.raises(LoopEdgeError):
-        gr.new_graph(2, [(0, 0)])
+        gr.Graph(2, [(0, 0)])
     with pytest.raises(DuplicateEdgeError):
-        gr.new_graph(4, [(0, 1), (1, 0)])
+        gr.Graph(4, [(0, 1), (1, 0)])
     with pytest.raises(VertexOutOfRangeError):
-        gr.new_graph(2, [(0, 2)])
+        gr.Graph(2, [(0, 2)])
 
 
 def test_isolated_vertex_flag():
-    assert gr.new_graph(3, [(0, 1)]).has_isolated_vertices
-    assert not gr.new_graph(2, [(0, 1)]).has_isolated_vertices
+    assert gr.Graph(3, [(0, 1)]).has_isolated_vertices
+    assert not gr.Graph(2, [(0, 1)]).has_isolated_vertices
 
 
 def test_named_families():
@@ -112,7 +112,7 @@ def test_equimatchable_iff_matching_complex_pure():
     for _ in range(80):
         n = rng.randint(2, 8)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        g = gr.new_graph(n, rng.sample(pairs, rng.randint(1, min(10, len(pairs)))))
+        g = gr.Graph(n, rng.sample(pairs, rng.randint(1, min(10, len(pairs)))))
         assert gr.is_equimatchable(g) == cx.is_pure(cx.matching_complex(g))
 
 
@@ -132,7 +132,7 @@ def test_subgraph_avoiding_c5():
 
 
 def test_subgraph_avoiding_empty_matching_drops_isolated():
-    g = gr.new_graph(4, [(0, 1)])
+    g = gr.Graph(4, [(0, 1)])
     sub, index_map = gr.subgraph_avoiding(g, [])
     assert sub.vertex_count == 2 and sub.edges == ((0, 1),)
     assert index_map == {0: 0}
@@ -154,7 +154,7 @@ def test_subgraph_avoiding_no_incidences_property():
         n = rng.randint(3, 9)
         all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         m = rng.randint(1, min(10, len(all_pairs)))
-        g = gr.new_graph(n, rng.sample(all_pairs, m))
+        g = gr.Graph(n, rng.sample(all_pairs, m))
         matchings = gr.enumerate_matchings(g)
         matching = rng.choice(matchings)
         sub, index_map = gr.subgraph_avoiding(g, matching)
@@ -171,7 +171,7 @@ def test_connected_components():
     assert len(comps) == 1
     comps, _ = gr.connected_components(gr.disjoint_union([gr.banner(), gr.path(2)]))
     assert sorted(len(c.edges) for c in comps) == [1, 5]
-    comps, isolated = gr.connected_components(gr.new_graph(3, [(0, 2)]))
+    comps, isolated = gr.connected_components(gr.Graph(3, [(0, 2)]))
     assert isolated == [1] and len(comps) == 1
 
 
@@ -200,14 +200,14 @@ def test_canonical_form_separates_all_small_graphs():
         mine = {}
         brute = {}
         for edges in oracle_utils.labeled_graphs_on(n):
-            g = gr.new_graph(n, edges)
+            g = gr.Graph(n, edges)
             mine.setdefault(gr.canonical_form(g), set()).add(edges)
             brute.setdefault(oracle_utils.brute_canonical(g), set()).add(edges)
         assert set(map(frozenset, mine.values())) == set(map(frozenset, brute.values()))
 
 
 def test_five_vertex_class_count():
-    canon = {gr.canonical_form(gr.new_graph(5, e))
+    canon = {gr.canonical_form(gr.Graph(5, e))
              for e in oracle_utils.labeled_graphs_on(5)}
     assert len(canon) == 34
 
@@ -218,12 +218,12 @@ def test_graph6_round_trip():
         n = rng.randint(1, 12)
         all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         k = rng.randint(0, len(all_pairs))
-        g = gr.new_graph(n, rng.sample(all_pairs, k))
+        g = gr.Graph(n, rng.sample(all_pairs, k))
         assert gr.from_graph6(gr.to_graph6(g)) == g
 
 
 def test_graph6_long_form_header():
-    g = gr.new_graph(70, [(i, i + 1) for i in range(69)])
+    g = gr.Graph(70, [(i, i + 1) for i in range(69)])
     s = gr.to_graph6(g)
     assert s.startswith("~")
     assert gr.from_graph6(s) == g

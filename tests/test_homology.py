@@ -205,3 +205,20 @@ def test_non_sphere_above_direct_limit():
                   hm._betti_from_faces(faces, p, M.dimension)):
             assert (b.minus_one, b.betti) == (0, (0, 0, 0, 0, 2, 1))
     assert hm._reduction_cache[M.facet_masks][0] == "core"  # nothing collapses
+
+
+def test_non_sphere_on_the_puncture_path():
+    # the torus joined with two circles: nothing collapses, and the puncture
+    # leaves a core that is small but not acyclic, so the full rank decides
+    M = cx.matching_complex(gr.disjoint_union(
+        [gr.complete_bipartite(4, 3), gr.complete_bipartite(3, 2), gr.complete_bipartite(3, 2)]))
+    faces = hm._all_faces(M.facet_masks)
+    assert len(faces) == 12336
+    assert len(hm._collapse(set(faces), M.vertex_count)) == len(faces)
+    for p in (2, 3):
+        for b in (hm.betti_for_facets(M.vertex_count, M.facet_masks, p),
+                  hm._betti_from_faces(faces, p, M.dimension)):
+            assert (b.minus_one, b.betti) == (0, (0, 0, 0, 0, 0, 2, 1))
+    kind, core = hm._reduction_cache[M.facet_masks]
+    assert kind == "punctured" and len(core) == 2365
+    assert not hm._betti_from_faces(core, 2, M.dimension).is_ball()

@@ -272,6 +272,18 @@ def test_face_classes_match_facet_scan_oracle_on_random_pure_complexes():
             assert _classes_by_labels(c, p) == oracle_utils.oracle_face_classes(c.facets(), p)
 
 
+def _distinct_links(c):
+    """The normalized facets of the link of every nonempty face, found by
+    scanning all facets."""
+    shapes = set()
+    for face in c.faces() - {0}:
+        link = [f & ~face for f in c.facet_masks if f & face == face]
+        verts = sorted({v for f in link for v in range(c.vertex_count) if f >> v & 1})
+        shapes.add(tuple(sorted(sum(1 << i for i, v in enumerate(verts) if f >> v & 1)
+                                for f in link)))
+    return shapes
+
+
 def test_one_link_analysis_per_complex(monkeypatch):
     calls = []
     real = mf._classify_link
@@ -279,11 +291,70 @@ def test_one_link_analysis_per_complex(monkeypatch):
     for g in (gr.spider(3), gr.complete_bipartite(4, 3),
               {e.name: e for e in catalog.exceptional_table()}["torus_disk_9e"].graph):
         M = cx.matching_complex(g)
+        assert len(mf._face_classes(M, 2)[0]) == len(M.faces()) - 1
+        assert 0 < len(calls) <= len(_distinct_links(M))  # once per link shape
         verdict = mf.check_manifold(M, 2)
         analysed = len(calls)
-        assert analysed >= len(M.faces()) - 1  # every nonempty face of M, at least
         mf.classify(M, verdict, (2, 3))
         mf.boundary_complex(M, 2, verdict)
         assert mf.check_manifold(M, 2) == verdict
         assert len(calls) == analysed
         calls.clear()
+
+
+def _relabelled(c, rng):
+    perm = list(range(c.vertex_count))
+    rng.shuffle(perm)
+    return cx.from_facets(range(c.vertex_count), [[perm[v] for v in f] for f in c.facets()])
+
+
+def test_shared_link_shapes_match_oracle_under_relabelling():
+    # two copies of a random pure complex, sometimes glued at a vertex, under
+    # random relabellings: one link shape shows up in several vertex orders
+    rng = random.Random(44)
+    faces_seen = witnesses = 0
+    for _ in range(16):
+        nv = rng.randint(3, 6)
+        size = rng.randint(2, min(3, nv))
+        base = [rng.sample(range(nv), size) for _ in range(rng.randint(2, 6))]
+        glue = rng.random() < 0.5
+        copy = [[0 if glue and v == 0 else v + nv for v in f] for f in base]
+        c = cx.from_facets(range(2 * nv), base + copy)
+        for M in (c, _relabelled(c, rng), _relabelled(c, rng)):
+            faces_seen += len(M.faces()) - 1
+            for p in (2, 3):
+                oracle = oracle_utils.oracle_face_classes(M.facets(), p)
+                assert _classes_by_labels(M, p) == oracle
+                verdict = mf.check_manifold(M, p)
+                failing = [f for f, cls in oracle.items() if cls == "?"]
+                if not failing:
+                    continue
+                worst = min(failing, key=lambda f: (len(f), sorted(f)))
+                link = [tuple(sorted(set(f) - worst)) for f in M.facets() if worst <= set(f)]
+                assert verdict.status == mf.STATUS_NOT_MANIFOLD
+                assert verdict.witness_face == tuple(sorted(worst))
+                b = verdict.witness_betti
+                assert (b.minus_one, list(b.betti)) == oracle_utils.oracle_betti(link, p)
+                witnesses += 1
+    assert witnesses >= 20 and faces_seen > 500
+
+
+def test_one_boundary_span_per_complex_and_prime(monkeypatch):
+    spans, built = [], []
+    real_span, real_boundary = mf._span, mf._boundary
+    monkeypatch.setattr(mf, "_span", lambda c, f: spans.append(c) or real_span(c, f))
+    monkeypatch.setattr(mf, "_boundary", lambda c, p: built.append(p) or real_boundary(c, p))
+    table = {e.name: e for e in catalog.exceptional_table()}
+    for g in (gr.spider(3), table["annulus_8e"].graph, table["moebius_c7"].graph):
+        M = cx.matching_complex(g)
+        for _ in range(2):
+            verdict = mf.check_manifold(M, 2)
+            mf.classify(M, verdict, (2, 3))
+            mf.boundary_complex(M, 2, verdict)
+            mf.boundary_complex(M, 3)
+            mf.manifold_report(M, (2, 3))
+            mf.manifold_report(M, (3, 2))
+        assert len(spans) == 2 and all(c is M for c in spans)  # one per prime
+        assert sorted(built) == [2, 3]  # one cofacet cross-check per prime
+        spans.clear()
+        built.clear()

@@ -50,7 +50,7 @@ def test_enumeration_counts_match_labeled_oracle():
         for edges in oracle_utils.labeled_graphs_on(n):
             if not edges or len(edges) > 5:
                 continue
-            g = gr.new_graph(n, edges)
+            g = gr.Graph(n, edges)
             if g.has_isolated_vertices:
                 continue
             expected.add(gr.canonical_form(g))
