@@ -73,11 +73,10 @@ from . import catalog, homology, manifold, verify
 
 def clear_caches():
     """Empty every module-level cache: the enumerated graph classes, Betti
-    numbers, link classes and the catalog tables.  Results do not change;
-    a long-lived process can call this to bound its memory."""
+    numbers and the catalog tables.  Results do not change; a long-lived
+    process can call this to bound its memory."""
     verify.clear_caches()
     homology.clear_caches()
-    manifold.clear_caches()
     catalog.clear_caches()
 
 

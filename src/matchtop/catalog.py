@@ -360,10 +360,6 @@ def predict(g: gr.Graph) -> Prediction:
 # expected hit sets for the exhaustive searches
 
 
-def _sphere_expect(entries):
-    return [(name, g, str(cls)) for name, g, cls in entries]
-
-
 def expected_search_hits(target: str, max_edges: int, max_vertices: int,
                          connected_only: bool):
     """The cataloged graphs a search should find, filtered to the budget.

@@ -237,7 +237,7 @@ def link(c: Complex, face_labels) -> Complex:
     if c.is_void:
         raise VoidComplexError("link of a face of the void complex")
     mask = c.mask_of(face_labels)
-    if mask not in c.faces():
+    if not any(f & mask == mask for f in c.facet_masks):
         raise FaceNotInComplexError(f"{tuple(face_labels)} is not a face")
     if mask == 0:
         return c

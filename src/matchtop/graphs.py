@@ -572,6 +572,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise FormatError("non-integer header", line=1) from None
+    if n < 0:
+        raise FormatError(f"negative vertex count {n}", line=1)
     pairs = []
     ln = 1
     for ln, line in enumerate(lines[1:], start=2):

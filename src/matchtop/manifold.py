@@ -75,30 +75,19 @@ _INTERIOR = "S"
 _BOUNDARY = "B"
 _FAIL = "?"
 
-_class_cache: dict = {}
-
 
 def _classify_link(norm_count, norm_masks, expected_dim, p):
     """('S'|'B'|'?', betti) for a link with the given normalized facets.
 
-    Cached purely on the facet structure: links in a pure complex are pure
-    of complementary dimension, so the expected dimension is a function of
-    the masks and the cache cannot be asked two different questions about
-    one shape.
+    The Betti numbers are cached by ``betti_for_facets`` on the facet
+    structure, and the class is read off them.
     """
-    key = (norm_masks, p)
-    got = _class_cache.get(key)
-    if got is None:
-        betti = betti_for_facets(norm_count, norm_masks, p)
-        if betti.is_sphere(expected_dim):
-            cls = _INTERIOR
-        elif betti.is_ball():
-            cls = _BOUNDARY
-        else:
-            cls = _FAIL
-        got = (cls, betti)
-        _class_cache[key] = got
-    return got
+    betti = betti_for_facets(norm_count, norm_masks, p)
+    if betti.is_sphere(expected_dim):
+        return _INTERIOR, betti
+    if betti.is_ball():
+        return _BOUNDARY, betti
+    return _FAIL, betti
 
 
 def _face_classes(c: Complex, p: int):
@@ -217,7 +206,7 @@ def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
                 return ManifoldVerdict(
                     STATUS_NOT_MANIFOLD, d, pp,
                     witness_face=c.labels_of(sub),
-                    witness_betti=betti_reduced(_subcomplex_link(c, sub), pp),
+                    witness_betti=betti_reduced(cx.link(c, c.labels_of(sub)), pp),
                 )
             m ^= b
     bd = _span(c, boundary)
@@ -229,7 +218,7 @@ def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
         return ManifoldVerdict(
             STATUS_NOT_MANIFOLD, d, pp,
             witness_face=c.labels_of(worst),
-            witness_betti=betti_reduced(_subcomplex_link(c, worst), pp),
+            witness_betti=betti_reduced(cx.link(c, c.labels_of(worst)), pp),
         )
     sub = check_manifold(bd, pp)
     if sub.status != STATUS_CLOSED:
@@ -240,19 +229,13 @@ def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
             # least boundary face instead
             worst = min(boundary, key=lambda m: _face_sort_key(c, m))
             witness = c.labels_of(worst)
-            witness_betti = betti_reduced(_subcomplex_link(c, worst), pp)
+            witness_betti = betti_reduced(cx.link(c, c.labels_of(worst)), pp)
         return ManifoldVerdict(
             STATUS_NOT_MANIFOLD, d, pp,
             witness_face=witness,
             witness_betti=witness_betti,
         )
     return ManifoldVerdict(STATUS_WITH_BOUNDARY, d, pp)
-
-
-def _subcomplex_link(c: Complex, face_mask: int) -> Complex:
-    used, masks = cx._reindex(
-        [f & ~face_mask for f in c.facet_masks if f & face_mask == face_mask])
-    return Complex(range(used.bit_count()), masks)
 
 
 def _span(c: Complex, face_masks) -> Complex:
@@ -385,7 +368,11 @@ def classify(c: Complex, verdict: ManifoldVerdict | None = None, p_pair=(2, 3)) 
 
 
 def manifold_report(c: Complex, p_pair=(2, 3)) -> dict:
-    """One-stop JSON-ready summary for a complex."""
+    """One-stop JSON-ready summary for a complex.
+
+    With two equal primes each is listed once and there is no cross-check
+    (``cross_check_status`` is None).
+    """
     p1, p2 = (_prime_of(q) for q in p_pair)
     verdict = check_manifold(c, p1)
     out = {
@@ -403,10 +390,9 @@ def manifold_report(c: Complex, p_pair=(2, 3)) -> dict:
     out["euler_characteristic"] = fv.euler_characteristic()
     b1 = betti_reduced(c, p1)
     b2 = betti_reduced(c, p2)
-    out["betti"] = [
-        {"p": p1, "betti": b1.to_list()},
-        {"p": p2, "betti": b2.to_list()},
-    ]
+    out["betti"] = [{"p": p1, "betti": b1.to_list()}]
+    if p2 != p1:
+        out["betti"].append({"p": p2, "betti": b2.to_list()})
     if verdict.is_manifold:
         bd = boundary_complex(c, p1, verdict)
         out["boundary_components"] = bd.component_count
@@ -416,13 +402,9 @@ def manifold_report(c: Complex, p_pair=(2, 3)) -> dict:
                 betti_reduced(bd.complex, p1).is_sphere(verdict.dimension - 1)
                 and betti_reduced(bd.complex, p2).is_sphere(verdict.dimension - 1)
             )
-        cross = check_manifold(c, p2)
-        out["cross_check_status"] = cross.status
+        # a single prime is no cross-check
+        out["cross_check_status"] = check_manifold(c, p2).status if p2 != p1 else None
     else:
         out["boundary_components"] = None
     out["class"] = str(classify(c, verdict, (p1, p2)))
     return out
-
-
-def clear_caches():
-    _class_cache.clear()

@@ -265,17 +265,13 @@ def _facet_masks(g: gr.Graph):
     return out
 
 
-def _bits(mask):
-    return gr._bits(mask)
-
-
 def _surface_prefilter(facets, closed: bool) -> bool:
     """Necessary conditions for a pure 2-complex to be a homology surface:
     every edge in one or two triangles, every vertex link a path or cycle."""
     pair_count = {}
     vertex_adj = {}
     for f in facets:
-        vs = list(_bits(f))
+        vs = list(gr._bits(f))
         for a, b in itertools.combinations(vs, 2):
             pc = pair_count.get((a, b), 0) + 1
             if pc > 2:
@@ -293,7 +289,7 @@ def _surface_prefilter(facets, closed: bool) -> bool:
         edges = []
         for f in facets:
             if f >> v & 1:
-                a, b = (w for w in _bits(f) if w != v)
+                a, b = (w for w in gr._bits(f) if w != v)
                 deg[a] += 1
                 deg[b] += 1
                 edges.append((a, b))
@@ -331,7 +327,7 @@ def _skeleton_connected(g: gr.Graph) -> bool:
     while frontier:
         i = frontier.pop()
         compatible = full & ~conf[i] & ~seen
-        for j in _bits(compatible):
+        for j in gr._bits(compatible):
             seen |= 1 << j
             frontier.append(j)
     return seen == full
@@ -380,7 +376,7 @@ def _evaluate(g: gr.Graph, target: str, p: int, q: int | None) -> _Evaluation | 
             return None
         deg = {}
         for f in facets:
-            for v in _bits(f):
+            for v in gr._bits(f):
                 deg[v] = deg.get(v, 0) + 1
         if len(deg) != len(g.edges) or any(d != 2 for d in deg.values()):
             return None

@@ -147,3 +147,13 @@ def test_verify_same_prime_twice_reports_no_cross_check(capsys):
     assert data["spec"]["cross_check_prime"] is None
     code, data, _ = run_json(capsys, "verify", "--target", "1-sphere", "--max-edges", "5")
     assert data["spec"]["cross_check_prime"] == 3
+
+
+def test_manifold_one_prime_reports_no_cross_check(capsys):
+    code, data, _ = run_json(capsys, "manifold", "--name", "K43", "--p", "3")
+    assert code == 0 and data["class"] == "Torus"
+    assert data["betti"] == [{"p": 3, "betti": [0, 2, 1]}]
+    assert data["cross_check_status"] is None
+    code, data, _ = run_json(capsys, "manifold", "--name", "K43")
+    assert [b["p"] for b in data["betti"]] == [2, 3]
+    assert data["cross_check_status"] == "ClosedManifold"

@@ -86,6 +86,7 @@ def test_link_examples():
     assert cx.link(M, []) == M
     with pytest.raises(FaceNotInComplexError):
         cx.link(tri, [0, 1, 2])
+    assert "faces" not in tri._cache  # the face check scans the facets
 
 
 def test_link_equals_avoided_subgraph_complex():

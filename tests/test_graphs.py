@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchtop import graphs as gr
 from matchtop.errors import (
@@ -251,3 +252,42 @@ def test_edge_list_round_trip_and_errors():
     with pytest.raises(FormatError) as exc:
         gr.parse_edge_list("hello\n")
     assert exc.value.line == 1
+    with pytest.raises(FormatError) as exc:
+        gr.parse_edge_list("-1 0")
+    assert exc.value.line == 1
+
+
+# Header and endpoint integers are drawn from a small range, so no vertex
+# count is large enough to allocate a big adjacency list; arbitrary text
+# tokens are at most four characters for the same reason.
+_int = st.integers(-5, 30).map(str)
+_line = st.one_of(st.tuples(_int, _int).map(" ".join),
+                  st.lists(st.one_of(_int, st.text(max_size=4)), max_size=3).map(" ".join))
+
+
+@st.composite
+def _edge_list_text(draw):
+    lines = draw(st.lists(_line, max_size=6))
+    m = draw(st.one_of(st.just(str(len(lines))), _int))
+    head = draw(st.one_of(st.tuples(_int, st.just(m)).map(" ".join), _line))
+    return "\n".join([head] + lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_list_text())
+def test_parse_edge_list_raises_only_format_error(text):
+    try:
+        g = gr.parse_edge_list(text)
+    except FormatError:
+        return
+    assert gr.parse_edge_list(gr.format_edge_list(g)) == g
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.text(st.characters(min_codepoint=60, max_codepoint=130))))
+def test_from_graph6_raises_only_format_error(text):
+    try:
+        g = gr.from_graph6(text)
+    except FormatError:
+        return
+    assert gr.from_graph6(gr.to_graph6(g)) == g

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matchtop import catalog
 from matchtop import complexes as cx
 from matchtop import graphs as gr
 from matchtop import homology as hm
@@ -143,20 +144,21 @@ def test_oracle_agreement_golden():
             assert mine == (ref[0], ref[1])
 
 
-def test_collapse_paths_match_direct():
-    # complexes over the fast-path threshold, checked against plain matrices
-    big = [
-        cx.matching_complex(gr.disjoint_union([gr.complete_bipartite(3, 2)] * 3)),
-        cx.matching_complex(gr.disjoint_union([gr.spider(4), gr.spider(4)])),
-        cx.matching_complex(gr.spider(9)),
-    ]
-    for M in big:
-        faces = hm._all_faces(M.facet_masks)
-        assert len(faces) > hm._DIRECT_FACE_LIMIT
+def test_large_complexes_match_catalog_prediction():
+    # complexes of more than 2,048 faces, against the sphere or ball vector
+    # of the dimension that the join arithmetic predicts
+    for g in (gr.disjoint_union([gr.complete_bipartite(3, 2)] * 3),
+              gr.disjoint_union([gr.spider(4), gr.spider(4)]),
+              gr.spider(9)):
+        M = cx.matching_complex(g)
+        assert len(hm._all_faces(M.facet_masks)) > 2048
+        pred = catalog.predict(g)
+        d = pred.predicted_dimension
+        assert d == M.dimension
+        top = 1 if pred.predicted_class.label == "Sphere" else 0
         for p in (2, 3):
-            fast = hm.betti_for_facets(M.vertex_count, M.facet_masks, p)
-            slow = hm._betti_from_faces(faces, p, M.dimension)
-            assert (fast.minus_one, fast.betti) == (slow.minus_one, slow.betti)
+            b = hm.betti_for_facets(M.vertex_count, M.facet_masks, p)
+            assert (b.minus_one, b.betti) == (0, (0,) * d + (top,))
 
 
 def test_rank_helpers_against_oracle():
@@ -194,31 +196,25 @@ def test_sparse_rank_matches_naive_elimination(p, columns):
     assert hm._rank_modp(_sparse_columns(mat), p) == oracle_utils.naive_rank_mod_p(mat, p)
 
 
-def test_non_sphere_above_direct_limit():
-    # the torus joined with S^1 and S^0: a non-sphere on the collapse path
+def test_large_non_sphere_torus_join_circle_and_point():
+    # the torus joined with S^1 and S^0
     M = cx.matching_complex(gr.disjoint_union(
         [gr.complete_bipartite(4, 3), gr.complete_bipartite(3, 2), gr.path(3)]))
     faces = hm._all_faces(M.facet_masks)
-    assert len(faces) == 2846 > hm._DIRECT_FACE_LIMIT
+    assert len(faces) == 2846
     for p in (2, 3, 5):
         for b in (hm.betti_for_facets(M.vertex_count, M.facet_masks, p),
                   hm._betti_from_faces(faces, p, M.dimension)):
             assert (b.minus_one, b.betti) == (0, (0, 0, 0, 0, 2, 1))
-    assert hm._reduction_cache[M.facet_masks][0] == "core"  # nothing collapses
 
 
-def test_non_sphere_on_the_puncture_path():
-    # the torus joined with two circles: nothing collapses, and the puncture
-    # leaves a core that is small but not acyclic, so the full rank decides
+def test_large_non_sphere_torus_join_two_circles():
+    # the torus joined with two circles
     M = cx.matching_complex(gr.disjoint_union(
         [gr.complete_bipartite(4, 3), gr.complete_bipartite(3, 2), gr.complete_bipartite(3, 2)]))
     faces = hm._all_faces(M.facet_masks)
     assert len(faces) == 12336
-    assert len(hm._collapse(set(faces), M.vertex_count)) == len(faces)
     for p in (2, 3):
         for b in (hm.betti_for_facets(M.vertex_count, M.facet_masks, p),
                   hm._betti_from_faces(faces, p, M.dimension)):
             assert (b.minus_one, b.betti) == (0, (0, 0, 0, 0, 0, 2, 1))
-    kind, core = hm._reduction_cache[M.facet_masks]
-    assert kind == "punctured" and len(core) == 2365
-    assert not hm._betti_from_faces(core, 2, M.dimension).is_ball()

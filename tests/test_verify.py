@@ -1,7 +1,7 @@
 import pytest
 
 import matchtop
-from matchtop import catalog, homology, manifold
+from matchtop import catalog, homology
 from matchtop import complexes as cx
 from matchtop import graphs as gr
 from matchtop import verify
@@ -244,13 +244,11 @@ def test_betti_keys_named_after_the_primes():
 def test_clear_caches_keeps_reports():
     s = spec(target="2-manifold-with-boundary", max_edges=7)
     before = verify.run_search(s).to_dict(include_timing=False)
-    big = cx.matching_complex(gr.spider(9))  # over the direct limit: collapsed
+    big = cx.matching_complex(gr.spider(9))
     big_betti = homology.betti_reduced(big, 2)
-    assert verify._LEVELS and homology._betti_cache and homology._reduction_cache
+    assert verify._LEVELS and homology._betti_cache
     matchtop.clear_caches()
     assert not verify._LEVELS and not homology._betti_cache
-    assert not homology._reduction_cache
-    assert not manifold._class_cache
     assert catalog._EXCEPTIONAL is None and catalog._DISCONNECTED_BALLS is None
     assert catalog._SMALL_BASICS is None and catalog._REGISTRY is None
     assert verify.run_search(s).to_dict(include_timing=False) == before
