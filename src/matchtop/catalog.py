@@ -10,6 +10,7 @@ lists) produce the torus and the classified surfaces with boundary.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import graphs as gr
@@ -44,20 +45,15 @@ def _canon(g):
     return gr.canonical_form(g)
 
 
-_SMALL_BASICS = None
-
-
+@functools.cache
 def _small_basics():
-    global _SMALL_BASICS
-    if _SMALL_BASICS is None:
-        _SMALL_BASICS = {
-            _canon(gr.path(2)): BasicGraphKind("P2"),
-            _canon(gr.path(3)): BasicGraphKind("P3"),
-            _canon(gr.cycle(5)): BasicGraphKind("C5"),
-            _canon(gr.complete_bipartite(3, 2)): BasicGraphKind("K32"),
-            _canon(gr.banner()): BasicGraphKind("Gamma"),
-        }
-    return _SMALL_BASICS
+    return {
+        _canon(gr.path(2)): BasicGraphKind("P2"),
+        _canon(gr.path(3)): BasicGraphKind("P3"),
+        _canon(gr.cycle(5)): BasicGraphKind("C5"),
+        _canon(gr.complete_bipartite(3, 2)): BasicGraphKind("K32"),
+        _canon(gr.banner()): BasicGraphKind("Gamma"),
+    }
 
 
 def _spider_legs(g: gr.Graph) -> int | None:
@@ -122,6 +118,7 @@ def _c7_plus(chords):
     return gr.Graph(7, pairs)
 
 
+@functools.cache
 def _exceptional_graphs():
     annulus = gr.Graph(
         7, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6), (0, 6)]
@@ -138,7 +135,7 @@ def _exceptional_graphs():
         [(0, 1), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3), (2, 5), (3, 4), (3, 6),
          (4, 5), (5, 6)],
     )
-    return [
+    return (
         ExceptionalEntry(
             "K43", gr.complete_bipartite(4, 3), ManifoldClass("Torus"), 7, 12,
             "complete bipartite graph on 4+3 vertices; matching complex is a torus",
@@ -180,50 +177,44 @@ def _exceptional_graphs():
             "torus_disk_11e", torus_disk_11e, ManifoldClass("TorusMinusDisk"), 7, 11,
             "7 vertices, 11 edges; matching complex is a torus minus an open disk",
         ),
-    ]
-
-
-_EXCEPTIONAL = None
+    )
 
 
 def exceptional_table():
-    global _EXCEPTIONAL
-    if _EXCEPTIONAL is None:
-        _EXCEPTIONAL = _exceptional_graphs()
-    return list(_EXCEPTIONAL)
+    return list(_exceptional_graphs())
 
 
 def _union(*parts):
     return gr.disjoint_union(parts)
 
 
-_DISCONNECTED_BALLS = None
+@functools.cache
+def _disconnected_balls():
+    p2, p3 = gr.path(2), gr.path(3)
+    return (
+        ("3P2", _union(p2, p2, p2), "a single triangle"),
+        ("2P2+P3", _union(p2, p2, p3), "two triangles glued along an edge"),
+        ("P2+P5", _union(p2, gr.path(5)), "cone over a 4-vertex path"),
+        ("P2+Gamma", _union(p2, gr.banner()), "cone over a 5-vertex path"),
+        ("P2+2P3", _union(p2, p3, p3), "cone over a 4-cycle"),
+        ("P2+C5", _union(p2, gr.cycle(5)), "cone over a 5-cycle"),
+        ("P2+K32", _union(p2, gr.complete_bipartite(3, 2)), "cone over a 6-cycle"),
+        ("P3+P5", _union(p3, gr.path(5)), "suspension of a 4-vertex path"),
+        ("P3+Gamma", _union(p3, gr.banner()), "suspension of a 5-vertex path"),
+    )
 
 
 def disconnected_ball_table():
     """Disconnected graphs whose matching complexes are 2-balls (cones and
     suspensions over the path and cycle complexes)."""
-    global _DISCONNECTED_BALLS
-    if _DISCONNECTED_BALLS is None:
-        p2, p3 = gr.path(2), gr.path(3)
-        _DISCONNECTED_BALLS = [
-            ("3P2", _union(p2, p2, p2), "a single triangle"),
-            ("2P2+P3", _union(p2, p2, p3), "two triangles glued along an edge"),
-            ("P2+P5", _union(p2, gr.path(5)), "cone over a 4-vertex path"),
-            ("P2+Gamma", _union(p2, gr.banner()), "cone over a 5-vertex path"),
-            ("P2+2P3", _union(p2, p3, p3), "cone over a 4-cycle"),
-            ("P2+C5", _union(p2, gr.cycle(5)), "cone over a 5-cycle"),
-            ("P2+K32", _union(p2, gr.complete_bipartite(3, 2)), "cone over a 6-cycle"),
-            ("P3+P5", _union(p3, gr.path(5)), "suspension of a 4-vertex path"),
-            ("P3+Gamma", _union(p3, gr.banner()), "suspension of a 5-vertex path"),
-        ]
-    return list(_DISCONNECTED_BALLS)
+    return list(_disconnected_balls())
 
 
 # ---------------------------------------------------------------------------
 # named graphs for the CLI
 
 
+@functools.cache
 def _registry():
     reg = {}
     for n in range(2, 9):
@@ -252,28 +243,20 @@ def _registry():
     return reg
 
 
-_REGISTRY = None
-
-
 def named_graph(name: str) -> gr.Graph:
     """Resolve a catalog name (case-insensitive; '-matching' suffix ignored)."""
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _registry()
     key = name.strip().lower()
     if key.endswith("-matching"):
         key = key[: -len("-matching")]
     key = key.replace("_{", "").replace("}", "").replace(",", "")
-    if key not in _REGISTRY:
+    reg = _registry()
+    if key not in reg:
         raise InvalidParameterError(f"unknown graph name {name!r}")
-    return _REGISTRY[key]()
+    return reg[key]()
 
 
 def catalog_names():
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _registry()
-    return sorted(_REGISTRY)
+    return sorted(_registry())
 
 
 # ---------------------------------------------------------------------------
@@ -407,5 +390,5 @@ def expected_search_hits(target: str, max_edges: int, max_vertices: int,
 
 
 def clear_caches():
-    global _SMALL_BASICS, _EXCEPTIONAL, _DISCONNECTED_BALLS, _REGISTRY
-    _SMALL_BASICS = _EXCEPTIONAL = _DISCONNECTED_BALLS = _REGISTRY = None
+    for table in (_small_basics, _exceptional_graphs, _disconnected_balls, _registry):
+        table.cache_clear()

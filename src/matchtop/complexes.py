@@ -76,7 +76,8 @@ class Complex:
         """All faces as position bitmasks, including 0 for the empty face."""
         got = self._cache.get("faces")
         if got is None:
-            got = frozenset() if self.is_void else frozenset(_all_faces(self.facet_masks) | {0})
+            got = frozenset().union(*self.faces_by_size().values(),
+                                    () if self.is_void else (0,))
             self._cache["faces"] = got
         return got
 
@@ -84,13 +85,7 @@ class Complex:
         """dict size -> sorted list of masks, sizes >= 1."""
         got = self._cache.get("by_size")
         if got is None:
-            got = {}
-            for f in self.faces():
-                if f:
-                    got.setdefault(f.bit_count(), []).append(f)
-            for lst in got.values():
-                lst.sort()
-            self._cache["by_size"] = got
+            got = self._cache["by_size"] = _faces_by_size(self.facet_masks)
         return got
 
     def facets(self):
@@ -121,22 +116,28 @@ class Complex:
         return f"Complex(labels={self.labels}, facets={self.facets()})"
 
 
-def _all_faces(facet_masks) -> set:
-    """Every nonempty face under the given facets."""
-    seen = set(facet_masks)
-    seen.discard(0)
-    frontier = list(seen)
-    while frontier:
-        f = frontier.pop()
-        m = f
-        while m:
-            b = m & -m
-            sub = f ^ b
-            if sub and sub not in seen:
-                seen.add(sub)
-                frontier.append(sub)
-            m ^= b
-    return seen
+def _faces_by_size(facet_masks) -> dict:
+    """``{size: sorted masks}`` of every nonempty face under the given facets.
+
+    Built from the top size down: the faces of size s are the facets of
+    size s plus every face one vertex short of a face of size s + 1, so each
+    face is reached from the level above and no face set is regrouped.
+    """
+    tops = {}
+    for f in facet_masks:
+        tops.setdefault(f.bit_count(), set()).add(f)
+    out = {}
+    above = ()
+    for s in range(max(tops, default=0), 0, -1):
+        level = tops.get(s, set())
+        for f in above:
+            m = f
+            while m:
+                b = m & -m
+                level.add(f ^ b)
+                m ^= b
+        above = out[s] = sorted(level)
+    return out
 
 
 def _maximal(masks):

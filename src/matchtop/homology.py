@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import Complex, _all_faces
+from .complexes import Complex, _faces_by_size
 from .errors import BadDimensionError, InvalidParameterError, VoidComplexError
 
 
@@ -119,9 +119,6 @@ class BoundaryMatrix:
         return out
 
     def rank(self) -> int:
-        if self.p == 2:
-            return _rank_gf2([sum(1 << i for i, coeff in col if coeff % 2)
-                              for col in self.columns])
         return _rank_modp([dict(col) for col in self.columns], self.p)
 
 
@@ -221,13 +218,9 @@ def _rank_modp(cols, p: int, pivots=None) -> int:
 # betti numbers
 
 
-def _betti_from_faces(faces, p: int, pad_dim: int) -> BettiVector:
-    """Direct matrix-rank computation from an explicit nonempty face set."""
-    by_size = {}
-    for f in faces:
-        by_size.setdefault(f.bit_count(), []).append(f)
-    for lst in by_size.values():
-        lst.sort()
+def _betti_from_faces(by_size, p: int, pad_dim: int) -> BettiVector:
+    """Direct matrix-rank computation from a face table ``{size: sorted
+    masks}`` of the nonempty faces, as :func:`_faces_by_size` builds it."""
     if not by_size:
         return BettiVector(p, 1, (0,) * (pad_dim + 1) if pad_dim >= 0 else ())
     top = max(by_size)
@@ -279,7 +272,7 @@ def betti_for_facets(vertex_count: int, facet_masks, p: int) -> BettiVector:
     got = _betti_cache.get(key)
     if got is None:
         d = max(m.bit_count() for m in facet_masks) - 1
-        got = _betti_cache[key] = _betti_from_faces(_all_faces(facet_masks), p, d)
+        got = _betti_cache[key] = _betti_from_faces(_faces_by_size(facet_masks), p, d)
     return got
 
 

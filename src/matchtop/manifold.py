@@ -182,6 +182,14 @@ def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
         return ManifoldVerdict(STATUS_NOT_PURE, c.dimension, pp)
     d = c.dimension
     classes, betti_of = _face_classes(c, pp)
+
+    def failed_at(mask):
+        return ManifoldVerdict(
+            STATUS_NOT_MANIFOLD, d, pp,
+            witness_face=c.labels_of(mask),
+            witness_betti=betti_reduced(cx.link(c, c.labels_of(mask)), pp),
+        )
+
     failures = [f for f, cls in classes.items() if cls == _FAIL]
     if failures:
         worst = min(failures, key=lambda m: _face_sort_key(c, m))
@@ -203,39 +211,26 @@ def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
             b = m & -m
             sub = f ^ b
             if sub and sub not in bset:
-                return ManifoldVerdict(
-                    STATUS_NOT_MANIFOLD, d, pp,
-                    witness_face=c.labels_of(sub),
-                    witness_betti=betti_reduced(cx.link(c, c.labels_of(sub)), pp),
-                )
+                return failed_at(sub)
             m ^= b
     bd = _span(c, boundary)
     # kept as labels and facets, so the face table of the boundary's own
     # verdict below does not live as long as c
     c._cache[("boundary_span", pp)] = (bd.labels, bd.facet_masks)
     if bd.dimension != d - 1 and d >= 1:
-        worst = min(boundary, key=lambda m: _face_sort_key(c, m))
-        return ManifoldVerdict(
-            STATUS_NOT_MANIFOLD, d, pp,
-            witness_face=c.labels_of(worst),
-            witness_betti=betti_reduced(cx.link(c, c.labels_of(worst)), pp),
-        )
+        return failed_at(min(boundary, key=lambda m: _face_sort_key(c, m)))
     sub = check_manifold(bd, pp)
-    if sub.status != STATUS_CLOSED:
-        witness = sub.witness_face
-        witness_betti = sub.witness_betti
-        if witness is None:
-            # the boundary failed structurally (e.g. not pure); point at the
-            # least boundary face instead
-            worst = min(boundary, key=lambda m: _face_sort_key(c, m))
-            witness = c.labels_of(worst)
-            witness_betti = betti_reduced(cx.link(c, c.labels_of(worst)), pp)
-        return ManifoldVerdict(
-            STATUS_NOT_MANIFOLD, d, pp,
-            witness_face=witness,
-            witness_betti=witness_betti,
-        )
-    return ManifoldVerdict(STATUS_WITH_BOUNDARY, d, pp)
+    if sub.status == STATUS_CLOSED:
+        return ManifoldVerdict(STATUS_WITH_BOUNDARY, d, pp)
+    if sub.witness_face is None:
+        # the boundary failed structurally (e.g. not pure); point at the
+        # least boundary face instead
+        return failed_at(min(boundary, key=lambda m: _face_sort_key(c, m)))
+    return ManifoldVerdict(
+        STATUS_NOT_MANIFOLD, d, pp,
+        witness_face=sub.witness_face,
+        witness_betti=sub.witness_betti,
+    )
 
 
 def _span(c: Complex, face_masks) -> Complex:
@@ -288,19 +283,8 @@ def _boundary(c: Complex, pp: int) -> BoundaryComplex:
             ridge = f ^ b
             cofacets[ridge] = cofacets.get(ridge, 0) + 1
             m ^= b
-    spanned = set()
-    for r in (r for r, n in cofacets.items() if n == 1):
-        stack = [r]
-        while stack:
-            f = stack.pop()
-            if f and f not in spanned:
-                spanned.add(f)
-                m = f
-                while m:
-                    b = m & -m
-                    stack.append(f ^ b)
-                    m ^= b
-    if spanned != ball_faces:
+    spanned = cx._faces_by_size([r for r, n in cofacets.items() if n == 1])
+    if set().union(*spanned.values()) != ball_faces:
         raise CrossCheckMismatchError(
             "link-homology boundary disagrees with facet-count boundary"
         )
@@ -308,13 +292,13 @@ def _boundary(c: Complex, pp: int) -> BoundaryComplex:
         return BoundaryComplex(cx.from_facets((), [()]), 0)
     span = c._cache.get(("boundary_span", pp))  # built by the verdict
     bd = Complex(*span) if span else _span(c, ball_faces)
-    if bd.dimension == 0:
-        comps = bd.vertex_count
-    else:
-        skel = cx.one_skeleton(bd)
-        groups, isolated = graphs_mod.connected_components(skel)
-        comps = len(groups) + len(isolated)
-    return BoundaryComplex(bd, comps)
+    parts = []  # vertex masks of the components merged so far
+    for f in bd.facet_masks:
+        for m in [m for m in parts if m & f]:
+            parts.remove(m)
+            f |= m
+        parts.append(f)
+    return BoundaryComplex(bd, len(parts))
 
 
 # ---------------------------------------------------------------------------

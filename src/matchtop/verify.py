@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from . import catalog, complexes as cx, graphs as gr, manifold as mf
 from .errors import GuardExceededError, InvalidParameterError
-from .homology import betti_reduced
+from .homology import FieldPrime, betti_reduced
 from .manifold import STATUS_CLOSED, STATUS_WITH_BOUNDARY
 
 GUARD_MAX_EDGES = 12
@@ -78,6 +78,10 @@ class SearchSpec:
         if self.max_vertices < 2:
             raise InvalidParameterError(
                 f"max_vertices must be >= 2, got {self.max_vertices}")
+        # a non-prime fails here, before any graph is enumerated
+        FieldPrime(self.p)
+        if self.cross_check_prime is not None:
+            FieldPrime(self.cross_check_prime)
         if self.cross_check_prime == self.p:
             # the same prime twice is no cross-check
             object.__setattr__(self, "cross_check_prime", None)
@@ -368,7 +372,7 @@ def _evaluate(g: gr.Graph, target: str, p: int, q: int | None) -> _Evaluation | 
             return None
         M = cx.matching_complex(g)
         bp = betti_reduced(M, p).to_list()
-        bq = betti_reduced(M, q).to_list() if q else []
+        bq = betti_reduced(M, q).to_list() if q is not None else []
         return _Evaluation(True, "DisconnectedComplex", bp, bq)
 
     if target == "1-sphere":

@@ -110,6 +110,12 @@ def test_verify_nonsensical_budget_exits_one(capsys):
     assert code == 1 and out == "" and "max_vertices" in err
 
 
+def test_verify_non_prime_exits_one_before_searching(capsys):
+    code, out, err = run_cli(capsys, "verify", "--target", "disconnected-complex",
+                             "--max-edges", "4", "--cross-check-prime", "0")
+    assert code == 1 and out == "" and "not prime" in err
+
+
 def test_edge_file_input(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text(gr.format_edge_list(gr.complete_bipartite(4, 3)))

@@ -94,6 +94,14 @@ def test_nonsensical_budget_rejected(budget):
         spec(**budget)
 
 
+@pytest.mark.parametrize("primes", [
+    {"cross_check_prime": 0}, {"cross_check_prime": 1}, {"p": 4}, {"p": 0},
+])
+def test_non_prime_search_primes_rejected(primes):
+    with pytest.raises(InvalidParameterError):
+        spec(target="disconnected-complex", **primes)
+
+
 def test_unknown_target_rejected():
     with pytest.raises(InvalidParameterError):
         verify.run_search(spec(target="klein-bottle"))
@@ -249,7 +257,8 @@ def test_clear_caches_keeps_reports():
     assert verify._LEVELS and homology._betti_cache
     matchtop.clear_caches()
     assert not verify._LEVELS and not homology._betti_cache
-    assert catalog._EXCEPTIONAL is None and catalog._DISCONNECTED_BALLS is None
-    assert catalog._SMALL_BASICS is None and catalog._REGISTRY is None
+    for table in (catalog._exceptional_graphs, catalog._disconnected_balls,
+                  catalog._small_basics, catalog._registry):
+        assert table.cache_info().currsize == 0
     assert verify.run_search(s).to_dict(include_timing=False) == before
     assert homology.betti_reduced(cx.matching_complex(gr.spider(9)), 2) == big_betti
