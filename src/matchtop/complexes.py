@@ -198,10 +198,11 @@ def from_facets(labels, facet_list) -> Complex:
     if labels is None:
         labels = sorted({lab for f in facet_list for lab in f})
     else:
-        labels = sorted(set(labels))
+        known = set(labels)
+        labels = sorted(known)
         for f in facet_list:
             for lab in f:
-                if lab not in set(labels):
+                if lab not in known:
                     raise BadSubsetError(f"face label {lab} not in labels")
     if not facet_list:
         return Complex(labels, (), is_void=True)

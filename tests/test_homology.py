@@ -228,3 +228,45 @@ def test_large_non_sphere_torus_join_two_circles():
         for b in (hm.betti_for_facets(M.vertex_count, M.facet_masks, p),
                   hm._betti_from_faces(by_size, p, M.dimension)):
             assert (b.minus_one, b.betti) == (0, (0, 0, 0, 0, 0, 2, 1))
+
+
+def _face_set_betti(facet_masks, p):
+    # the oracle of the core: rank the full face table of the given facets
+    d = max(m.bit_count() for m in facet_masks) - 1
+    return hm._betti_from_faces(hm._faces_by_size(facet_masks), p, d)
+
+
+_PAIRS = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.sets(st.sampled_from(_PAIRS), min_size=1, max_size=9).map(
+        lambda edges: cx.matching_complex(gr.Graph(8, sorted(edges)))),
+    st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=8), min_size=1, max_size=8).map(
+        lambda facets: cx.from_facets(None, facets))))
+def test_core_matches_face_set_path(c):
+    # matching complexes of graphs with at most 9 edges, and arbitrary
+    # (non-flag, non-pure) complexes
+    core = hm._core(c.facet_masks)
+    assert core and 0 not in core
+    assert max(m.bit_count() for m in core) <= c.dimension + 1
+    assert sorted(hm._core(core)) == sorted(core)
+    for p in (2, 3, 5):
+        assert (hm.betti_for_facets(c.vertex_count, c.facet_masks, p)
+                == _face_set_betti(c.facet_masks, p))
+
+
+def test_core_of_simplex_cone_and_spider_is_one_vertex():
+    simplex = cx.from_facets(range(5), [tuple(range(5))])
+    cone = cx.from_facets(range(6), [(i, (i + 1) % 5, 5) for i in range(5)])
+    spider = cx.matching_complex(gr.spider(9))
+    for c in (simplex, cone, spider):
+        assert [m.bit_count() for m in hm._core(c.facet_masks)] == [1]
+
+
+def test_core_keeps_sphere_joins_without_dominated_vertex():
+    for parts in ([gr.complete_bipartite(3, 2)] * 3,
+                  [gr.path(3), gr.cycle(5), gr.complete_bipartite(3, 2)]):
+        M = cx.matching_complex(gr.disjoint_union(parts))
+        assert sorted(hm._core(M.facet_masks)) == sorted(M.facet_masks)

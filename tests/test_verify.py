@@ -254,11 +254,16 @@ def test_clear_caches_keeps_reports():
     before = verify.run_search(s).to_dict(include_timing=False)
     big = cx.matching_complex(gr.spider(9))
     big_betti = homology.betti_reduced(big, 2)
+    catalog.predict(gr.cycle(5))  # fills the small-basics table
+    catalog.catalog_names()  # fills the name registry
+    tables = (catalog._exceptional_graphs, catalog._disconnected_balls,
+              catalog._small_basics, catalog._registry)
     assert verify._LEVELS and homology._betti_cache
+    for table in tables:
+        assert table.cache_info().currsize > 0
     matchtop.clear_caches()
     assert not verify._LEVELS and not homology._betti_cache
-    for table in (catalog._exceptional_graphs, catalog._disconnected_balls,
-                  catalog._small_basics, catalog._registry):
+    for table in tables:
         assert table.cache_info().currsize == 0
     assert verify.run_search(s).to_dict(include_timing=False) == before
     assert homology.betti_reduced(cx.matching_complex(gr.spider(9)), 2) == big_betti
