@@ -187,6 +187,9 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.p and len(args.p) > 1:
+        raise _UsageError("verify takes one --p; use --cross-check-prime "
+                          "for a second prime")
     spec = verify.SearchSpec(
         target=args.target,
         max_edges=args.max_edges,
@@ -258,7 +261,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--max-edges", type=int, default=12)
     sp.add_argument("--max-vertices", type=int, default=10)
     sp.add_argument("--connected", action="store_true")
-    sp.add_argument("--p", type=int, action="append")
+    sp.add_argument("--p", type=int, action="append",
+                    help="the search prime (once; default 2)")
     sp.add_argument("--cross-check-prime", type=int, default=3)
     sp.add_argument("--force", action="store_true",
                     help="lift the edge/vertex runtime guard")

@@ -1,11 +1,12 @@
 """Exhaustive, isomorphism-free searches over small graphs.
 
 Connected isomorphism classes are generated level by level on edge count
-(adding an edge between existing vertices or a pendant edge, with exact
-canonical-form rejection); arbitrary graphs are nondecreasing multisets of
-connected classes, which need no further deduplication.  Search targets
-apply cheap combinatorial prefilters before the full homology checks, and
-reports compare the hit set against the catalog's expectations.
+(adding an edge between existing vertices or a pendant edge, with a
+canonical-deletion prefilter, then canonical-form dedupe); arbitrary graphs
+are nondecreasing multisets of connected classes, which need no further
+deduplication.  Search targets apply cheap combinatorial prefilters before
+the full homology checks, and reports compare the hit set against the
+catalog's expectations.
 
 Since dim M(G) = nu(G) - 1, where nu is the matching number, a target of
 dimension d can only be hit by graphs with nu = d + 1.  The searches for
@@ -148,6 +149,60 @@ def _free_pairs(g: gr.Graph, nu: int):
     return out
 
 
+def _joined_without(adj, a: int, b: int) -> bool:
+    """Whether b is reachable from a without the edge (a, b): the edge is
+    then not a bridge."""
+    seen = 1 << a
+    frontier = adj[a] & ~(1 << b)
+    while frontier:
+        seen |= frontier
+        if seen >> b & 1:
+            return True
+        nxt = 0
+        for w in gr._bits(frontier):
+            nxt |= adj[w]
+        frontier = nxt & ~seen
+    return False
+
+
+def _is_canonical_deletion(adj, u: int, v: int) -> bool:
+    """Whether the edge (u, v) of the connected graph with adjacency masks
+    ``adj`` is removable and ranks highest among its removable edges.
+
+    The removable edges are the pendant edges, or the non-bridges when there
+    is no pendant edge: the two moves of ``connected_graph_classes`` undone.
+    An edge ranks by the sorted pair of (degree, sum of neighbour degrees)
+    over its two ends, which an isomorphism carries along with the edge.
+    Isolated vertices in ``adj`` are ignored."""
+    deg = [a.bit_count() for a in adj]
+    nsum = {}
+
+    def end(w):
+        s = nsum.get(w)
+        if s is None:
+            s = nsum[w] = sum(deg[x] for x in gr._bits(adj[w]))
+        return deg[w], s
+
+    def key(a, b):
+        ka, kb = end(a), end(b)
+        return (ka, kb) if ka <= kb else (kb, ka)
+
+    if 1 in deg:
+        if deg[u] != 1 and deg[v] != 1:
+            return False
+        top = key(u, v)
+        return all(key(w, adj[w].bit_length() - 1) <= top
+                   for w, d in enumerate(deg) if d == 1)
+    if not _joined_without(adj, u, v):
+        return False
+    top = key(u, v)
+    for a in range(len(adj)):
+        for b in gr._bits(adj[a] >> a + 1 << a + 1):
+            if key(a, b) > top and _joined_without(adj, a, b):
+                return False
+    return True
+
+
 def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
     lv = _LEVELS.get((max_vertices, cap))
     if lv is None:
@@ -164,6 +219,7 @@ def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
             # adding (u, v) raises nu by one exactly when some maximum
             # matching misses both u and v
             free = _free_pairs(g, nu) if cap is not None else None
+            adj = list(g.adj) + [0]
             for u in range(n):
                 au = g.adj[u]
                 fu = free[u] if free is not None else 0
@@ -176,6 +232,13 @@ def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
                             pruned += 1
                             continue
                         child_nu += 1
+                    adj[u] ^= 1 << v
+                    adj[v] ^= 1 << u
+                    keep = _is_canonical_deletion(adj, u, v)
+                    adj[u] ^= 1 << v
+                    adj[v] ^= 1 << u
+                    if not keep:
+                        continue
                     child = gr.Graph(n + (v == n), g.edges + ((u, v),))
                     key = gr.canonical_form(child, max_vertices)
                     if key not in seen:
@@ -201,7 +264,22 @@ def connected_graph_classes(max_edges: int, max_vertices: int,
     the matching number, so the connected parent (by one of the two moves
     above) of a class within the cap is within the cap as well.  The levels
     are then exactly the uncapped ones restricted to the cap, with the same
-    representatives in the same order.
+    representatives in the same order: a parent above the cap has no child
+    within it.
+
+    A child is canonicalized only when its added edge passes
+    ``_is_canonical_deletion``: it is removable (a pendant edge, or a
+    non-bridge when the child has no pendant edge) and its isomorphism-
+    invariant key ranks highest among the child's removable edges (McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Most
+    children of a class are rejected there, and the canonical-form dedupe
+    removes the rest of the repeats.  The prefilter loses no class: a class
+    C with m+1 edges has a removable edge e of top key, and deleting e (with
+    its leaf, for a pendant edge) leaves a connected graph with m edges
+    within the cap and the vertex budget, isomorphic to some parent P of
+    level m.  The isomorphism carries e to an addition on P whose child is
+    C, and the key and removability are invariants, so that addition ranks
+    highest in its child and passes.
     """
     return _levels(max_edges, max_vertices, matching_cap).graphs[: max_edges + 1]
 

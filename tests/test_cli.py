@@ -116,6 +116,12 @@ def test_verify_non_prime_exits_one_before_searching(capsys):
     assert code == 1 and out == "" and "not prime" in err
 
 
+def test_verify_second_prime_exits_one(capsys):
+    code, out, err = run_cli(capsys, "verify", "--target", "1-sphere",
+                             "--max-edges", "4", "--p", "2", "--p", "5")
+    assert code == 1 and out == "" and "--cross-check-prime" in err
+
+
 def test_edge_file_input(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text(gr.format_edge_list(gr.complete_bipartite(4, 3)))

@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import matchtop
 from matchtop import catalog, homology
@@ -219,6 +222,82 @@ def test_pruned_multisets_are_the_unpruned_ones_within_the_cap():
     pruned = [gr.canonical_form(g) for g in verify.enumerate_graphs(s, 3)]
     assert len(pruned) == len(set(pruned))
     assert set(pruned) == everything
+
+
+# ---------------------------------------------------------------------------
+# canonical-deletion prefilter
+
+
+def _level_forms(levels):
+    return [sorted(gr.canonical_form(g) for g in level) for level in levels]
+
+
+def test_prefilter_matches_dedupe_only_oracle(monkeypatch):
+    budgets = ((10, None), (10, 2), (10, 3))
+    specs = (spec(target="closed-2-manifold", max_edges=10),
+             spec(target="disconnected-complex", max_edges=8))
+    verify.clear_caches()
+    try:
+        with monkeypatch.context() as m:
+            # every child reaches the canonical-form dedupe
+            m.setattr(verify, "_is_canonical_deletion", lambda adj, u, v: True)
+            oracle_levels = [_level_forms(verify.connected_graph_classes(e, 10, cap))
+                             for e, cap in budgets]
+            oracle_reports = [verify.run_search(s).to_dict(include_timing=False)
+                              for s in specs]
+    finally:
+        verify.clear_caches()  # no oracle level outlives the test
+    levels = [_level_forms(verify.connected_graph_classes(e, 10, cap))
+              for e, cap in budgets]
+    assert levels == oracle_levels
+    reports = [verify.run_search(s).to_dict(include_timing=False) for s in specs]
+    assert reports == oracle_reports
+
+
+@st.composite
+def _connected_edge_perm(draw):
+    n = draw(st.integers(2, 8))
+    # a random spanning tree plus random further edges
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    rest = [p for p in itertools.combinations(range(n), 2) if p not in tree]
+    extra = draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    g = gr.Graph(n, tree + extra)
+    edge = draw(st.sampled_from(g.edges))
+    perm = draw(st.permutations(range(n)))
+    return g, edge, perm
+
+
+@settings(max_examples=300, deadline=None)
+@given(_connected_edge_perm())
+# two triangles joined by a bridge, the edge of top key: not removable
+@example((gr.Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]),
+          (2, 3), [5, 4, 3, 2, 1, 0]))
+def test_canonical_deletion_invariant_under_relabelling(case):
+    g, (u, v), perm = case
+    h = gr.relabel(g, perm)
+    assert (verify._is_canonical_deletion(list(g.adj), u, v)
+            == verify._is_canonical_deletion(list(h.adj), perm[u], perm[v]))
+    # some removable edge ranks highest, so every class has a parent
+    assert any(verify._is_canonical_deletion(list(g.adj), a, b) for a, b in g.edges)
+
+
+def test_prefilter_canonicalizes_each_class_about_once(monkeypatch):
+    calls = 0
+    real = gr.canonical_form
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    verify.clear_caches()
+    with monkeypatch.context() as m:
+        m.setattr(gr, "canonical_form", counting)
+        levels = verify.connected_graph_classes(11, 10, 3)
+    # 2,065 classes; without the prefilter all 20,182 children within the
+    # cap are canonicalized
+    assert sum(map(len, levels)) == 2065
+    assert calls < 3000
 
 
 def test_cross_check_prime_equal_to_p_is_no_cross_check():
