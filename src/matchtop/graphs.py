@@ -226,7 +226,13 @@ def enumerate_matchings(g: Graph):
 
 
 def maximal_matchings(g: Graph):
-    """Matchings that no edge of g can extend, by size then lex order."""
+    """Matchings that no edge of g can extend, by size then lex order.
+
+    A branch may add only free edges from ``start`` on, so a free edge
+    below ``start`` none of whose conflicting edges is still addable can
+    never be blocked: no matching in that branch is maximal, and the branch
+    ends there.
+    """
     conf = g.edge_conflicts()
     m = len(g.edges)
     full = (1 << m) - 1
@@ -235,6 +241,15 @@ def maximal_matchings(g: Graph):
     def rec(start, chosen, blocked):
         if blocked == full:
             out.append(chosen)
+            return
+        free = full & ~blocked
+        addable = free >> start << start
+        low = free ^ addable
+        while low:
+            b = low & -low
+            if not conf[b.bit_length() - 1] & addable:
+                return
+            low ^= b
         for i in range(start, m):
             b = 1 << i
             if not blocked & b:

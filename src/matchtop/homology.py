@@ -11,7 +11,10 @@ dimension down, skipping the columns of faces that are already pivot rows
 one dimension up, since those reduce to zero (clearing).
 
 Only the core of a complex is ranked: dominated vertices are deleted
-first (:func:`_core`), which keeps the homology at every prime.  Elementary
+first (:func:`_core`), which keeps the homology at every prime.  The core
+is cached on the complex, so every prime ranks one face table, and a
+complex that is its own core is ranked from the face table that the link
+analysis of :mod:`matchtop.manifold` left on it.  Elementary
 collapses on faces did not pay for themselves once the ranks used clearing:
 they walk every face and its cofaces, which costs more than the columns they
 spare.  A strong collapse reads only the facets, one AND per vertex of
@@ -301,16 +304,35 @@ def betti_for_facets(vertex_count: int, facet_masks, p: int) -> BettiVector:
     whole face table.  Results are cached by the facet structure, and the
     Betti vector keeps the length of the original dimension.
     """
-    facet_masks = tuple(facet_masks)
+    return _betti(tuple(facet_masks), p, None)
+
+
+def _betti(facet_masks: tuple, p: int, c: Complex | None) -> BettiVector:
+    """:func:`betti_for_facets`; ``c``, if given, is a complex with these
+    facets, and a cache miss ranks the face table of its cached core."""
     if facet_masks == (0,):
         return BettiVector(p, 1, ())
     key = (facet_masks, p)
     got = _betti_cache.get(key)
     if got is None:
+        by_size = (_faces_by_size(_core(facet_masks)) if c is None
+                   else _core_complex(c).faces_by_size())
         d = max(m.bit_count() for m in facet_masks) - 1
-        got = _betti_cache[key] = _betti_from_faces(
-            _faces_by_size(_core(facet_masks)), p, d)
+        got = _betti_cache[key] = _betti_from_faces(by_size, p, d)
     return got
+
+
+def _core_complex(c: Complex) -> Complex:
+    """The core of c as a complex on c's labels: c itself when no vertex is
+    dominated, so its ranks read the face table that the link analysis left
+    on it.  Cached on c, so every prime ranks one core and one face table;
+    c as its own core is cached as (), since a reference from c's cache to c
+    would keep c and its tables alive until the cycle collector runs."""
+    core = c._cache.get("core")
+    if core is None:
+        masks = tuple(_core(c.facet_masks))
+        core = c._cache["core"] = () if masks == c.facet_masks else Complex(c.labels, masks)
+    return core or c
 
 
 def betti_reduced(c: Complex, p) -> BettiVector:
@@ -318,7 +340,7 @@ def betti_reduced(c: Complex, p) -> BettiVector:
     pp = _prime_of(p)
     if c.is_void:
         raise VoidComplexError("homology of the void complex")
-    return betti_for_facets(c.vertex_count, c.facet_masks, pp)
+    return _betti(c.facet_masks, pp, c)
 
 
 def has_sphere_homology(c: Complex, d: int, p) -> bool:

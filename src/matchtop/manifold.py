@@ -10,11 +10,16 @@ components; the surface types that actually occur are separated by that data.
 Links are computed top-down: the link of σ ∪ v is the link of v inside
 the link of σ, so no face scans the facets of the whole complex.  The walk
 is memoized by link shape (the link's facets re-indexed onto positions
-0..k-1): the children of a link depend only on its shape, so each distinct
-shape of a complex is re-indexed and classified once, however many faces
-have it.  The face classes, the verdict and the boundary are memoized on
-the complex per prime, so ``check_manifold``, ``boundary_complex``,
-``classify`` and ``manifold_report`` analyse each complex once.
+0..k-1) in a table shared by the whole process: the children of a link
+and its class depend only on its shape, so each distinct shape is
+re-indexed and classified once per prime and process, however many faces
+and complexes have it; ``matchtop.clear_caches()`` empties the table.  The
+walk visits every nonempty face once and leaves the complex's face table
+behind, from which the homology ranks a complex that is its own core.  The
+face classes, the verdict and the boundary (a complex kept with its own
+face table) are memoized on the complex per prime, so ``check_manifold``,
+``boundary_complex``, ``classify`` and ``manifold_report`` analyse each
+complex once.
 """
 
 from __future__ import annotations
@@ -76,77 +81,104 @@ _BOUNDARY = "B"
 _FAIL = "?"
 
 
-def _classify_link(norm_count, norm_masks, expected_dim, p):
+def _classify_link(norm_count, norm_masks, p):
     """('S'|'B'|'?', betti) for a link with the given normalized facets.
 
-    The Betti numbers are cached by ``betti_for_facets`` on the facet
-    structure, and the class is read off them.
+    The expected dimension is read off the facets: in a pure complex the
+    link of a face of size s is pure of dimension d - s.  The Betti numbers
+    are cached by ``betti_for_facets`` on the facet structure, and the class
+    is read off them.
     """
     betti = betti_for_facets(norm_count, norm_masks, p)
-    if betti.is_sphere(expected_dim):
+    if betti.is_sphere(max(m.bit_count() for m in norm_masks) - 1):
         return _INTERIOR, betti
     if betti.is_ball():
         return _BOUNDARY, betti
     return _FAIL, betti
 
 
+# prime -> normalized facets -> [class, betti, facets, children]: one record
+# per link shape for the whole process; emptied by clear_caches()
+_shapes: dict = {}
+
+
+def clear_caches():
+    _shapes.clear()
+
+
 def _face_classes(c: Complex, p: int):
-    """Map each nonempty face mask to 'S'/'B'/'?' by its link homology.
+    """Map each nonempty face mask of a pure complex to 'S'/'B'/'?' by its
+    link homology.
 
     Returns ``(classes, betti_of)``, the second holding the link Betti
     numbers of the failing faces; memoized on the complex.  Links are built
     top-down, depth first: lk(σ ∪ v) = lk_{lk σ}(v), so the facets of
     lk(σ ∪ v) are the facets of lk σ that contain v, with v removed.  A
     face is extended only by link vertices above its top vertex, so each
-    face is visited once.
+    face is visited once, and the walk leaves the face table of c in
+    ``c.faces_by_size()``.
 
-    The walk is memoized by link shape.  Each distinct normalized link (its
-    facets re-indexed onto positions 0..k-1) gets one record, local to this
-    call: its class, its Betti numbers and, filled as they are first needed,
-    its children, one per link vertex i.  A child is the shape of lk_{lk}(i),
-    the positions of its vertices within the parent link, and the cut: how
-    many of them lie below i.  A face carries its link's vertices as bits of
-    the complex, so visiting a child is a lookup and a list of bits.  This is
-    exact: the children of a link depend only on its shape, and re-indexing
+    The walk is memoized by link shape, in a table shared by the whole
+    process.  Each distinct normalized link (its facets re-indexed onto
+    positions 0..k-1) gets one record per prime: its class, its Betti
+    numbers and, filled as they are first needed, its children, one per
+    link vertex i.  A child is the shape of lk_{lk}(i), the positions of its
+    vertices within the parent link, and the cut: how many of them lie below
+    i.  A complex's own shape gets a record too, classified only when it
+    turns up as a link.  A face carries its link's vertices as bits of the
+    complex, so visiting a child is a lookup and a list of bits.  This is
+    exact: the children of a link depend only on its shape, re-indexing
     keeps the vertex order, so "only link vertices above the top vertex"
-    becomes "only child positions from the cut on".  Re-indexing and
-    classification thus run once per shape, not once per face.
+    becomes "only child positions from the cut on", and a record's class
+    depends on nothing but its facets.  Re-indexing and classification thus
+    run once per shape and prime in the process, not once per face.
     """
     key = ("face_classes", p)
     got = c._cache.get(key)
     if got is not None:
         return got
+    shapes = _shapes.setdefault(p, {})
     classes = {}
     betti_of = {}
-    shapes = {}  # normalized facets -> [class, betti, facets, dimension, children]
+    levels = [[] for _ in range(c.dimension + 2)]  # the faces, by size
+
+    def record(norm, k):
+        rec = shapes.get(norm)
+        if rec is None:
+            rec = shapes[norm] = [None, None, norm, [None] * k]
+        return rec
 
     def child_of(rec, i):
         b = 1 << i
         used, norm = cx._reindex([f ^ b for f in rec[2] if f & b])
-        child = shapes.get(norm)
-        if child is None:
-            k = used.bit_count()
-            cls, betti = _classify_link(k, norm, rec[3] - 1, p)
-            child = shapes[norm] = [cls, betti, norm, rec[3] - 1, [None] * k]
-        entry = rec[4][i] = (child, bytes(graphs_mod._bits(used)),
+        k = used.bit_count()
+        child = record(norm, k)
+        if child[0] is None:
+            child[0], child[1] = _classify_link(k, norm, p)
+        entry = rec[3][i] = (child, bytes(graphs_mod._bits(used)),
                              (used & (b - 1)).bit_count())
         return entry
 
-    def walk(face, rec, pos, start):
-        kids = rec[4]
+    def walk(face, rec, pos, start, size):
+        kids = rec[3]
+        level = levels[size]
         for i in range(start, len(pos)):
             child, idx, cut = kids[i] or child_of(rec, i)
             sub = face | pos[i]
             classes[sub] = cls = child[0]
+            level.append(sub)
             if cls == _FAIL:
                 betti_of[sub] = child[1]
             if cut < len(idx):
-                walk(sub, child, [pos[j] for j in idx], cut)
+                walk(sub, child, [pos[j] for j in idx], cut, size + 1)
 
     used, norm = cx._reindex(c.facet_masks)
-    root = [None, None, norm, c.dimension, [None] * used.bit_count()]
-    walk(0, root, [1 << v for v in graphs_mod._bits(used)], 0)
+    walk(0, record(norm, used.bit_count()), [1 << v for v in graphs_mod._bits(used)], 0, 1)
     del walk  # the recursive closure is a reference cycle; free it now
+    if "by_size" not in c._cache:
+        for level in levels:
+            level.sort()
+        c._cache["by_size"] = {s: level for s, level in enumerate(levels) if level}
     got = (classes, betti_of)
     c._cache[key] = got
     return got
@@ -198,25 +230,35 @@ def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
             witness_face=c.labels_of(worst),
             witness_betti=betti_of[worst],
         )
-    boundary = [f for f, cls in classes.items() if cls == _BOUNDARY]
+    boundary = {f for f, cls in classes.items() if cls == _BOUNDARY}
     if not boundary:
         return ManifoldVerdict(STATUS_CLOSED, d, pp)
-    # the boundary faces must be closed under taking subfaces; the first
-    # face (by size, then mask) with a missing subface is the witness
-    boundary.sort(key=lambda m: (m.bit_count(), m))
-    bset = set(boundary)
+    covered = set()  # the codimension-1 subfaces of the boundary faces
+    add = covered.add
     for f in boundary:
         m = f
         while m:
             b = m & -m
-            sub = f ^ b
-            if sub and sub not in bset:
-                return failed_at(sub)
+            add(f ^ b)
             m ^= b
-    bd = _span(c, boundary)
-    # kept as labels and facets, so the face table of the boundary's own
-    # verdict below does not live as long as c
-    c._cache[("boundary_span", pp)] = (bd.labels, bd.facet_masks)
+    covered.discard(0)
+    if not covered <= boundary:
+        # the boundary faces must be closed under taking subfaces; the
+        # first face (by size, then mask) with a missing subface is the
+        # witness
+        for f in sorted(boundary, key=lambda m: (m.bit_count(), m)):
+            m = f
+            while m:
+                b = m & -m
+                if f ^ b and f ^ b not in boundary:
+                    return failed_at(f ^ b)
+                m ^= b
+    # a face of a downward-closed set is maximal exactly when it is not a
+    # codimension-1 subface of another; the boundary complex is kept with
+    # its facets on c, so its face table serves classify too
+    facets = boundary - covered
+    bd = _span(c, facets)
+    c._cache[("boundary_span", pp)] = (facets, bd)
     if bd.dimension != d - 1 and d >= 1:
         return failed_at(min(boundary, key=lambda m: _face_sort_key(c, m)))
     sub = check_manifold(bd, pp)
@@ -233,30 +275,22 @@ def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
     )
 
 
-def _span(c: Complex, face_masks) -> Complex:
-    """Subcomplex generated by a downward-closed set of nonempty faces, on
-    its own vertex set.  A face of such a set is maximal exactly when it is
-    not a codimension-1 subface of another face in the set."""
-    faces = set(face_masks)
-    covered = set()
-    for f in faces:
-        m = f
-        while m:
-            b = m & -m
-            covered.add(f ^ b)
-            m ^= b
-    used, masks = cx._reindex([f for f in faces if f not in covered])
+def _span(c: Complex, facet_masks) -> Complex:
+    """The subcomplex with the given facets (masks of c), on its own vertex
+    set."""
+    used, masks = cx._reindex(facet_masks)
     return Complex(c.labels_of(used), masks)
 
 
 def boundary_complex(c: Complex, p, verdict: ManifoldVerdict | None = None) -> BoundaryComplex:
     """The boundary subcomplex, computed two ways that must agree.
 
-    Route one: faces whose links have ball homology.  Route two: the span of
-    the (d-1)-faces lying in exactly one facet.  A mismatch raises
-    CrossCheckMismatchError.  For closed manifolds the boundary is {∅} with
-    zero components.  The result is memoized on the complex per prime, and
-    it reuses the span that the verdict built.
+    Route one: faces whose links have ball homology.  Route two: the
+    (d-1)-faces lying in exactly one facet, which must be the facets of
+    route one.  A mismatch raises CrossCheckMismatchError.  For closed
+    manifolds the boundary is {∅} with zero components.  The result is
+    memoized on the complex per prime, and it reuses the boundary complex
+    that the verdict at that prime built and analysed.
     """
     pp = _prime_of(p)
     if verdict is None:
@@ -273,8 +307,12 @@ def boundary_complex(c: Complex, p, verdict: ManifoldVerdict | None = None) -> B
 
 
 def _boundary(c: Complex, pp: int) -> BoundaryComplex:
-    classes, _ = _face_classes(c, pp)
-    ball_faces = {f for f, cls in classes.items() if cls == _BOUNDARY}
+    # the verdict at pp builds the boundary; it is memoized unless the
+    # caller's verdict came from another prime
+    verdict = c._cache.get(("verdict", pp)) or check_manifold(c, pp)
+    if not verdict.is_manifold:
+        raise InvalidParameterError(f"no boundary for status {verdict.status} at p = {pp}")
+    facets, bd = c._cache.get(("boundary_span", pp), (set(), None))
     cofacets = {}
     for f in c.facet_masks:
         m = f
@@ -283,15 +321,17 @@ def _boundary(c: Complex, pp: int) -> BoundaryComplex:
             ridge = f ^ b
             cofacets[ridge] = cofacets.get(ridge, 0) + 1
             m ^= b
-    spanned = cx._faces_by_size([r for r, n in cofacets.items() if n == 1])
-    if set().union(*spanned.values()) != ball_faces:
+    # both families are downward closed and pure of dimension d - 1, so
+    # they are equal exactly when their facets are; a 0-dimensional
+    # complex has the empty ridge, which bounds nothing
+    ridges = {r for r, n in cofacets.items() if n == 1}
+    ridges.discard(0)
+    if ridges != facets:
         raise CrossCheckMismatchError(
             "link-homology boundary disagrees with facet-count boundary"
         )
-    if not ball_faces:
+    if bd is None:
         return BoundaryComplex(cx.from_facets((), [()]), 0)
-    span = c._cache.get(("boundary_span", pp))  # built by the verdict
-    bd = Complex(*span) if span else _span(c, ball_faces)
     parts = []  # vertex masks of the components merged so far
     for f in bd.facet_masks:
         for m in [m for m in parts if m & f]:

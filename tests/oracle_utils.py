@@ -13,10 +13,11 @@ import itertools
 
 def brute_matchings(g):
     """All matchings by checking every subset of edges for pairwise
-    disjointness."""
+    disjointness (subsets of at most half the vertex count, since a larger
+    one always shares a vertex)."""
     edges = g.edges
     out = []
-    for r in range(len(edges) + 1):
+    for r in range(min(len(edges), g.vertex_count // 2) + 1):
         for combo in itertools.combinations(range(len(edges)), r):
             verts = [v for i in combo for v in edges[i]]
             if len(set(verts)) == len(verts):

@@ -88,6 +88,22 @@ def test_matchings_against_brute_force(build):
     assert gr.maximal_matchings(g) == oracle_utils.brute_maximal_matchings(g)
 
 
+@st.composite
+def _small_graphs(draw):
+    """A graph on 1-8 vertices with any edge subset, so disconnected graphs,
+    isolated vertices and edgeless graphs all occur."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    return gr.Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_graphs())
+def test_maximal_matchings_match_brute_force(g):
+    # the pruned recursion against filtering every edge subset
+    assert gr.maximal_matchings(g) == oracle_utils.brute_maximal_matchings(g)
+
+
 def test_k43_matching_counts():
     ms = gr.enumerate_matchings(gr.complete_bipartite(4, 3))
     counts = {}

@@ -3,11 +3,14 @@ import json
 import os
 import random
 
+import matchtop
+import pytest
 from matchtop import catalog
 from matchtop import complexes as cx
 from matchtop import graphs as gr
 from matchtop import homology as hm
 from matchtop import manifold as mf
+from matchtop.errors import CrossCheckMismatchError
 
 import oracle_utils
 from test_acceptance import _join_arithmetic_cases
@@ -284,12 +287,19 @@ def _distinct_links(c):
     return shapes
 
 
+def _shifted(c):
+    """A copy of c with other labels in the same order: the same shapes."""
+    return cx.from_facets([v + 100 for v in c.labels],
+                          [[v + 100 for v in f] for f in c.facets()])
+
+
 def test_one_link_analysis_per_complex(monkeypatch):
     calls = []
     real = mf._classify_link
     monkeypatch.setattr(mf, "_classify_link", lambda *a: calls.append(a) or real(*a))
     for g in (gr.spider(3), gr.complete_bipartite(4, 3),
               {e.name: e for e in catalog.exceptional_table()}["torus_disk_9e"].graph):
+        matchtop.clear_caches()  # the shape table is process-wide
         M = cx.matching_complex(g)
         assert len(mf._face_classes(M, 2)[0]) == len(M.faces()) - 1
         assert 0 < len(calls) <= len(_distinct_links(M))  # once per link shape
@@ -299,7 +309,86 @@ def test_one_link_analysis_per_complex(monkeypatch):
         mf.boundary_complex(M, 2, verdict)
         assert mf.check_manifold(M, 2) == verdict
         assert len(calls) == analysed
+        # another complex of the same shapes reuses every record
+        copy = _shifted(M)
+        assert mf.check_manifold(copy, 2).status == verdict.status
+        assert mf.classify(copy) == mf.classify(M)
+        assert len(mf._face_classes(copy, 2)[0]) == len(M.faces()) - 1
+        assert len(calls) == analysed
         calls.clear()
+
+
+def _analysis(c):
+    """Everything the link analysis decides about c, at both primes."""
+    return ([mf._face_classes(c, p) for p in (2, 3)],
+            [mf.check_manifold(c, p) for p in (2, 3)],
+            mf.classify(c))
+
+
+def test_shared_shape_table_is_order_independent():
+    # fresh complexes each run, so only the process-wide tables carry over
+    joins = [g for g, _ in _join_arithmetic_cases(face_cap=400)][::6]
+    rng = random.Random(45)
+    randoms = []
+    for _ in range(30):
+        nv = rng.randint(3, 8)
+        size = rng.randint(1, min(4, nv))
+        randoms.append((nv, [rng.sample(range(nv), size) for _ in range(rng.randint(1, 9))]))
+
+    def fresh():
+        return ([cx.matching_complex(g) for g in joins]
+                + [cx.from_facets(range(nv), facets) for nv, facets in randoms])
+
+    matchtop.clear_caches()
+    forward = [_analysis(c) for c in fresh()]
+    matchtop.clear_caches()
+    backward = [_analysis(c) for c in reversed(fresh())][::-1]
+    alone = []
+    for c in fresh():
+        matchtop.clear_caches()
+        alone.append(_analysis(c))
+    assert len(forward) == len(joins) + len(randoms) >= 40
+    assert forward == backward == alone
+    assert any(v.status == mf.STATUS_NOT_MANIFOLD for _, vs, _ in forward for v in vs)
+
+
+def test_walk_leaves_the_face_table():
+    # the table the walk leaves against the top-down closure of the facets
+    rng = random.Random(46)
+    cases = [cx.matching_complex(g) for g, _ in _join_arithmetic_cases(face_cap=400)][::4]
+    for _ in range(30):
+        nv = rng.randint(3, 9)
+        size = rng.randint(1, min(4, nv))
+        cases.append(cx.from_facets(range(nv), [rng.sample(range(nv), size)
+                                                for _ in range(rng.randint(1, 10))]))
+    for c in cases:
+        mf._face_classes(c, 2)
+        assert c.faces_by_size() == cx._faces_by_size(c.facet_masks)
+
+
+def test_one_face_table_per_complex_for_both_primes(monkeypatch):
+    built = {}
+    real = cx._faces_by_size
+
+    def counting(facet_masks):
+        key = tuple(facet_masks)
+        built[key] = built.get(key, 0) + 1
+        return real(facet_masks)
+
+    monkeypatch.setattr(cx, "_faces_by_size", counting)
+    monkeypatch.setattr(hm, "_faces_by_size", counting)
+    matchtop.clear_caches()
+    k43 = cx.matching_complex(gr.complete_bipartite(4, 3))
+    assert len(k43.facet_masks) == 24 and hm._core(k43.facet_masks) == k43.facet_masks
+    report = mf.manifold_report(k43, (2, 3))
+    assert report["class"] == "Torus" and report["cross_check_status"] == "ClosedManifold"
+    assert built.get(k43.facet_masks, 0) <= 1
+    annulus = cx.matching_complex(catalog.named_graph("annulus_8e"))
+    core = tuple(hm._core(annulus.facet_masks))  # a 4-cycle: 8 faces
+    assert sum(map(len, real(core).values())) == 8 and core != annulus.facet_masks
+    assert mf.manifold_report(annulus, (2, 3))["class"] == "Annulus"
+    assert built.get(core, 0) <= 1
+    assert built.get(annulus.facet_masks, 0) <= 1
 
 
 def _relabelled(c, rng):
@@ -358,3 +447,79 @@ def test_one_boundary_span_per_complex_and_prime(monkeypatch):
         assert sorted(built) == [2, 3]  # one cofacet cross-check per prime
         spans.clear()
         built.clear()
+
+
+def _one_cofacet_closure(c):
+    """The old second route to the boundary: every face of a (d-1)-face
+    lying in exactly one facet."""
+    count = {}
+    for f in c.facet_masks:
+        for v in range(c.vertex_count):
+            if f >> v & 1:
+                count[f ^ 1 << v] = count.get(f ^ 1 << v, 0) + 1
+    closure = cx._faces_by_size([r for r, n in count.items() if n == 1])
+    return set().union(*closure.values())
+
+
+def _points(n):
+    return cx.from_facets(range(n), [(v,) for v in range(n)])
+
+
+def test_boundary_facets_agree_with_closed_one_cofacet_ridges():
+    cases = [cx.matching_complex(g) for g, _ in _join_arithmetic_cases(face_cap=400)]
+    cases += [cx.matching_complex(catalog.named_graph(name)) for name in catalog.catalog_names()]
+    cases += [_points(1), _points(2)]
+    with_boundary = 0
+    for M in cases:
+        for p in (2, 3):
+            verdict = mf.check_manifold(M, p)
+            if not verdict.is_manifold:
+                continue
+            balls = {f for f, cls in mf._face_classes(M, p)[0].items() if cls == "B"}
+            assert _one_cofacet_closure(M) == balls
+            bd = mf.boundary_complex(M, p, verdict).complex
+            if verdict.status == mf.STATUS_WITH_BOUNDARY:
+                with_boundary += 1
+                assert {M.mask_of(f) for f in bd.facets()} == \
+                    {f for f in balls if not any(f & g == f != g for g in balls)}
+            else:
+                assert not balls and bd.is_empty_only()
+    assert with_boundary >= 100
+
+
+@pytest.mark.parametrize("build", [
+    lambda: M_of(gr.spider(3)),
+    lambda: cx.matching_complex(catalog.named_graph("annulus_8e")),
+    lambda: _points(1),
+    lambda: _points(2),
+])
+def test_boundary_cross_check_catches_a_corrupted_boundary(build):
+    M = build()
+    verdict = mf.check_manifold(M, 2)
+    facets, bd = M._cache.get(("boundary_span", 2), (set(), None))
+    if facets:  # one boundary facet marked interior
+        corrupted = set(facets)
+        corrupted.remove(min(facets))
+    else:  # a closed complex given a boundary facet
+        corrupted = {M.facet_masks[0]}
+    M._cache[("boundary_span", 2)] = (corrupted, bd)
+    with pytest.raises(CrossCheckMismatchError):
+        mf.boundary_complex(M, 2, verdict)
+
+
+RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+       (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+
+
+def test_shape_records_are_kept_per_prime():
+    # the apex link of a cone over RP^2 fails at p = 2 and is acyclic at
+    # p = 3, so a record shared between the primes would misclassify it
+    cone = [f + (6,) for f in RP2]
+    matchtop.clear_caches()
+    for p in (3, 2, 3):
+        c = cx.from_facets(range(7), cone)
+        classes = _classes_by_labels(c, p)
+        assert classes == oracle_utils.oracle_face_classes(c.facets(), p)
+        assert classes[frozenset([6])] == {2: "?", 3: "B"}[p]
+        if p == 2:
+            assert mf._face_classes(c, 2)[1][c.mask_of([6])].p == 2

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import matchtop
-from matchtop import catalog, homology
+from matchtop import catalog, homology, manifold
 from matchtop import complexes as cx
 from matchtop import graphs as gr
 from matchtop import verify
@@ -337,11 +337,11 @@ def test_clear_caches_keeps_reports():
     catalog.catalog_names()  # fills the name registry
     tables = (catalog._exceptional_graphs, catalog._disconnected_balls,
               catalog._small_basics, catalog._registry)
-    assert verify._LEVELS and homology._betti_cache
+    assert verify._LEVELS and homology._betti_cache and manifold._shapes
     for table in tables:
         assert table.cache_info().currsize > 0
     matchtop.clear_caches()
-    assert not verify._LEVELS and not homology._betti_cache
+    assert not verify._LEVELS and not homology._betti_cache and not manifold._shapes
     for table in tables:
         assert table.cache_info().currsize == 0
     assert verify.run_search(s).to_dict(include_timing=False) == before
