@@ -11,6 +11,7 @@ lists) produce the torus and the classified surfaces with boundary.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from . import graphs as gr
@@ -40,6 +41,29 @@ class BasicGraphKind:
     def is_ball_family(self) -> bool:
         return self.kind in ("P2", "Gamma", "Spider")
 
+    @property
+    def name(self) -> str:
+        """The name in a union's name: Spider(2) is P5, Spider(k) is Spk."""
+        if self.kind == "Spider":
+            return "P5" if self.legs == 2 else f"Sp{self.legs}"
+        return self.kind
+
+    @property
+    def graph(self) -> gr.Graph:
+        if self.kind == "Spider":
+            return gr.spider(self.legs)
+        return _SMALL_BASIC_GRAPHS[self.kind]()
+
+
+# in naming order; the spiders follow, by leg count
+_SMALL_BASIC_GRAPHS = {
+    "P2": lambda: gr.path(2),
+    "P3": lambda: gr.path(3),
+    "C5": lambda: gr.cycle(5),
+    "K32": lambda: gr.complete_bipartite(3, 2),
+    "Gamma": gr.banner,
+}
+
 
 def _canon(g):
     return gr.canonical_form(g)
@@ -47,13 +71,8 @@ def _canon(g):
 
 @functools.cache
 def _small_basics():
-    return {
-        _canon(gr.path(2)): BasicGraphKind("P2"),
-        _canon(gr.path(3)): BasicGraphKind("P3"),
-        _canon(gr.cycle(5)): BasicGraphKind("C5"),
-        _canon(gr.complete_bipartite(3, 2)): BasicGraphKind("K32"),
-        _canon(gr.banner()): BasicGraphKind("Gamma"),
-    }
+    kinds = [BasicGraphKind(k) for k in _SMALL_BASIC_GRAPHS]
+    return {_canon(k.graph): k for k in kinds}
 
 
 def _spider_legs(g: gr.Graph) -> int | None:
@@ -333,9 +352,6 @@ def predict(g: gr.Graph) -> Prediction:
                     "exceptional", None, entry.name, entry.expected_class,
                     2 if entry.expected_class.dimension is None else entry.expected_class.dimension,
                 )
-        for name, graph, _ in disconnected_ball_table():
-            if key == _canon(graph):
-                return Prediction("exceptional", None, name, ManifoldClass("Ball", 2), 2)
     return NO_PREDICTION
 
 
@@ -343,47 +359,70 @@ def predict(g: gr.Graph) -> Prediction:
 # expected hit sets for the exhaustive searches
 
 
+_CLOSED_LABELS = ("Sphere", "Torus")
+
+
+def _basic_unions(nu: int):
+    """Every multiset of basics, in naming order, whose matching numbers
+    add up to nu."""
+    kinds = [BasicGraphKind(k) for k in _SMALL_BASIC_GRAPHS]
+    kinds += [BasicGraphKind("Spider", k) for k in range(2, nu + 1)]
+    nus = [gr.matching_number(k.graph) for k in kinds]
+
+    def rec(start, left, acc):
+        if left == 0:
+            yield acc
+        for i in range(start, len(kinds)):
+            if nus[i] <= left:
+                yield from rec(i, left - nus[i], acc + (kinds[i],))
+
+    return rec(0, nu, ())
+
+
+def _union_name(kinds) -> str:
+    """'3P3', 'P2+C5', 'P3+P5': repeated parts counted, in naming order."""
+    parts = []
+    for name, grp in itertools.groupby(k.name for k in kinds):
+        n = len(list(grp))
+        parts.append(f"{n}{name}" if n > 1 else name)
+    return "+".join(parts)
+
+
 def expected_search_hits(target: str, max_edges: int, max_vertices: int,
                          connected_only: bool):
     """The cataloged graphs a search should find, filtered to the budget.
 
-    Returns None for targets whose expectation is computed per graph
-    (disconnected-complex)."""
-    p3 = gr.path(3)
-    if target == "1-sphere":
-        entries = [
-            ("2P3", _union(p3, p3), ManifoldClass("Sphere", 1)),
-            ("C5", gr.cycle(5), ManifoldClass("Sphere", 1)),
-            ("K32", gr.complete_bipartite(3, 2), ManifoldClass("Sphere", 1)),
-        ]
-    elif target == "2-sphere":
-        entries = [
-            ("3P3", _union(p3, p3, p3), ManifoldClass("Sphere", 2)),
-            ("P3+C5", _union(p3, gr.cycle(5)), ManifoldClass("Sphere", 2)),
-            ("P3+K32", _union(p3, gr.complete_bipartite(3, 2)), ManifoldClass("Sphere", 2)),
-        ]
-    elif target == "closed-2-manifold":
-        entries = [
-            ("3P3", _union(p3, p3, p3), ManifoldClass("Sphere", 2)),
-            ("P3+C5", _union(p3, gr.cycle(5)), ManifoldClass("Sphere", 2)),
-            ("P3+K32", _union(p3, gr.complete_bipartite(3, 2)), ManifoldClass("Sphere", 2)),
-            ("K43", gr.complete_bipartite(4, 3), ManifoldClass("Torus")),
-        ]
-    elif target in ("2-manifold-with-boundary", "connected-2-manifold-with-boundary"):
-        entries = [(e.name, e.graph, e.expected_class) for e in exceptional_table()
-                   if e.name != "K43"]
-        if not connected_only:
-            entries += [(name, g, ManifoldClass("Ball", 2))
-                        for name, g, _ in disconnected_ball_table()]
-    elif target == "disconnected-complex":
+    A manifold target is a row (d, boundary, sphere_only) of the search
+    table.  Since dim M(G) = nu(G) - 1, its candidates are the disjoint
+    unions of basics whose matching numbers add up to d + 1, each with
+    the class ``predict_for_kinds`` gives it, and in dimension 2 also the
+    exceptional graphs that are not basics themselves.  A candidate is
+    kept when its class has a boundary exactly when the target does (a
+    sphere or the torus has none) and, for sphere-only targets, when it
+    is a sphere.  Returns None for targets whose expectation is computed
+    per graph (disconnected-complex)."""
+    from .verify import _MANIFOLD_TARGETS  # verify imports this module
+
+    if target == "disconnected-complex":
         return None
-    else:
+    if target not in _MANIFOLD_TARGETS:
         raise InvalidParameterError(f"unknown search target {target!r}")
+    d, boundary, sphere_only = _MANIFOLD_TARGETS[target]
+    entries = [(_union_name(kinds), gr.disjoint_union([k.graph for k in kinds]),
+                predict_for_kinds(kinds).predicted_class)
+               for kinds in _basic_unions(d + 1)]
+    if d == 2:
+        entries += [(e.name, e.graph, e.expected_class) for e in exceptional_table()
+                    if recognize_basic(e.graph) is None]
     kept = []
     for name, g, cls in entries:
         if len(g.edges) > max_edges or g.vertex_count > max_vertices:
             continue
         if connected_only and not gr.is_connected_graph(g):
+            continue
+        if (cls.label not in _CLOSED_LABELS) != boundary:
+            continue
+        if sphere_only and cls.label != "Sphere":
             continue
         kept.append((name, g, str(cls)))
     return kept

@@ -4,9 +4,21 @@ Connected isomorphism classes are generated level by level on edge count
 (adding an edge between existing vertices or a pendant edge, with a
 canonical-deletion prefilter, then canonical-form dedupe); arbitrary graphs
 are nondecreasing multisets of connected classes, which need no further
-deduplication.  Search targets apply cheap combinatorial prefilters before
+deduplication.  Search targets apply a cheap combinatorial prefilter before
 the full homology checks, and reports compare the hit set against the
 catalog's expectations.
+
+Every target but disconnected-complex is one row of ``_MANIFOLD_TARGETS``:
+a homology manifold of dimension d, closed or with boundary, and whether
+only spheres count.  All of them run one path.  The ridge prefilter keeps a
+graph only if every facet of M(G) has d + 1 vertices and every ridge (a
+facet minus one vertex) lies in at most 2 facets: a ridge's link is a set
+of points, which has sphere or ball homology only as 2 points or 1.  A
+closed target needs every ridge in exactly 2 facets, a target with boundary
+some ridge in 1.  The survivors are checked by ``check_manifold`` at the
+search prime (status, dimension d and, for sphere-only targets, sphere
+homology), again at the cross-check prime, and named by ``classify``.  The
+expected hits are computed by the catalog from the same row.
 
 Since dim M(G) = nu(G) - 1, where nu is the matching number, a target of
 dimension d can only be hit by graphs with nu = d + 1.  The searches for
@@ -42,25 +54,16 @@ BOUNDED_SEARCH_NOTE = (
     "no claim is made about graphs beyond it"
 )
 
-_TARGET_ALIASES = {
-    "connected-2-manifold-with-boundary": "2-manifold-with-boundary",
+# name -> (dimension d, with boundary, sphere only)
+_MANIFOLD_TARGETS = {
+    "1-sphere": (1, False, True),
+    "2-sphere": (2, False, True),
+    "closed-2-manifold": (2, False, False),
+    "2-manifold-with-boundary": (2, True, False),
+    "connected-2-manifold-with-boundary": (2, True, False),
 }
 
-TARGETS = (
-    "1-sphere",
-    "2-sphere",
-    "closed-2-manifold",
-    "2-manifold-with-boundary",
-    "disconnected-complex",
-)
-
-# dim M(G) = nu(G) - 1, so a target of dimension d needs nu = d + 1
-_MATCHING_CAPS = {
-    "1-sphere": 2,
-    "2-sphere": 3,
-    "closed-2-manifold": 3,
-    "2-manifold-with-boundary": 3,
-}
+TARGETS = (*_MANIFOLD_TARGETS, "disconnected-complex")
 
 
 @dataclass(frozen=True)
@@ -87,16 +90,12 @@ class SearchSpec:
             # the same prime twice is no cross-check
             object.__setattr__(self, "cross_check_prime", None)
 
-    def normalized_target(self) -> str:
-        t = _TARGET_ALIASES.get(self.target, self.target)
-        if t not in TARGETS:
-            raise InvalidParameterError(f"unknown search target {self.target!r}")
-        return t
-
     def matching_cap(self) -> int | None:
-        """The largest matching number a hit can have, or None when the
-        target has no dimension to bound it."""
-        return _MATCHING_CAPS.get(self.normalized_target())
+        """The largest matching number a hit can have: d + 1 for a target of
+        dimension d (dim M(G) = nu(G) - 1), None for disconnected-complex,
+        which has no dimension to bound it."""
+        row = _MANIFOLD_TARGETS.get(self.target)
+        return None if row is None else row[0] + 1
 
     def to_dict(self):
         return {
@@ -347,54 +346,24 @@ def _facet_masks(g: gr.Graph):
     return out
 
 
-def _surface_prefilter(facets, closed: bool) -> bool:
-    """Necessary conditions for a pure 2-complex to be a homology surface:
-    every edge in one or two triangles, every vertex link a path or cycle."""
-    pair_count = {}
-    vertex_adj = {}
+def _ridge_prefilter(facets, d: int, boundary: bool) -> bool:
+    """Necessary conditions for a homology d-manifold, closed or with
+    boundary: every facet has d + 1 vertices, and every ridge lies in at
+    most 2 facets, in exactly 2 when closed and in 1 for some ridge with
+    boundary.  The empty ridge of a 0-dimensional complex bounds nothing
+    and is not counted."""
+    if any(f.bit_count() != d + 1 for f in facets):
+        return False
+    count = {}
     for f in facets:
-        vs = list(gr._bits(f))
-        for a, b in itertools.combinations(vs, 2):
-            pc = pair_count.get((a, b), 0) + 1
-            if pc > 2:
-                return False
-            pair_count[(a, b)] = pc
-        for v in vs:
-            vertex_adj.setdefault(v, set()).update(w for w in vs if w != v)
-    if closed and any(c != 2 for c in pair_count.values()):
-        return False
-    if not closed and all(c == 2 for c in pair_count.values()):
-        return False
-    # vertex links: degrees within the link <= 2 (== 2 when closed), connected
-    for v, nbrs in vertex_adj.items():
-        deg = {w: 0 for w in nbrs}
-        edges = []
-        for f in facets:
-            if f >> v & 1:
-                a, b = (w for w in gr._bits(f) if w != v)
-                deg[a] += 1
-                deg[b] += 1
-                edges.append((a, b))
-        if closed and any(d != 2 for d in deg.values()):
-            return False
-        if not closed and any(d > 2 for d in deg.values()):
-            return False
-        # connectivity of the link graph
-        adj = {w: set() for w in nbrs}
-        for a, b in edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        start = next(iter(nbrs))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(nbrs):
-            return False
-    return True
+        m = f
+        while m:
+            b = m & -m
+            count[f ^ b] = count.get(f ^ b, 0) + 1
+            m ^= b
+    count.pop(0, None)
+    per_ridge = set(count.values())
+    return per_ridge <= {1, 2} and (1 in per_ridge) == boundary
 
 
 def _skeleton_connected(g: gr.Graph) -> bool:
@@ -443,8 +412,6 @@ class _Evaluation:
 
 def _evaluate(g: gr.Graph, target: str, p: int, q: int | None) -> _Evaluation | None:
     """None for cheap rejections; otherwise the full verdict for a survivor."""
-    facets = _facet_masks(g)
-    sizes = {f.bit_count() for f in facets}
     if target == "disconnected-complex":
         if _skeleton_connected(g):
             return None
@@ -453,47 +420,24 @@ def _evaluate(g: gr.Graph, target: str, p: int, q: int | None) -> _Evaluation | 
         bq = betti_reduced(M, q).to_list() if q is not None else []
         return _Evaluation(True, "DisconnectedComplex", bp, bq)
 
-    if target == "1-sphere":
-        if sizes != {2}:
-            return None
-        deg = {}
-        for f in facets:
-            for v in gr._bits(f):
-                deg[v] = deg.get(v, 0) + 1
-        if len(deg) != len(g.edges) or any(d != 2 for d in deg.values()):
-            return None
-        if not _skeleton_connected(g):
-            return None
-        want_status, want_dim, want_sphere = STATUS_CLOSED, 1, True
-    elif target == "2-sphere":
-        if sizes != {3} or not _surface_prefilter(facets, closed=True):
-            return None
-        want_status, want_dim, want_sphere = STATUS_CLOSED, 2, True
-    elif target == "closed-2-manifold":
-        if sizes != {3} or not _surface_prefilter(facets, closed=True):
-            return None
-        want_status, want_dim, want_sphere = STATUS_CLOSED, 2, False
-    elif target == "2-manifold-with-boundary":
-        if sizes != {3} or not _surface_prefilter(facets, closed=False):
-            return None
-        want_status, want_dim, want_sphere = STATUS_WITH_BOUNDARY, 2, False
-    else:
-        raise InvalidParameterError(f"unknown search target {target!r}")
-
+    d, boundary, sphere_only = _MANIFOLD_TARGETS[target]
+    if not _ridge_prefilter(_facet_masks(g), d, boundary):
+        return None
+    want_status = STATUS_WITH_BOUNDARY if boundary else STATUS_CLOSED
     M = cx.matching_complex(g)
-    vp = mf.check_manifold(M, p)
-    bp = betti_reduced(M, p)
-    hit_p = vp.status == want_status and vp.dimension == want_dim
-    if hit_p and want_sphere:
-        hit_p = bp.is_sphere(want_dim)
+
+    def verdict(prime):
+        v = mf.check_manifold(M, prime)
+        b = betti_reduced(M, prime)
+        hit = v.status == want_status and v.dimension == d and (
+            not sphere_only or b.is_sphere(d))
+        return v, b, hit
+
+    vp, bp, hit_p = verdict(p)
     anomaly = None
     bq = None
     if q is not None:
-        vq = mf.check_manifold(M, q)
-        bq = betti_reduced(M, q)
-        hit_q = vq.status == want_status and vq.dimension == want_dim
-        if hit_q and want_sphere:
-            hit_q = bq.is_sphere(want_dim)
+        vq, bq, hit_q = verdict(q)
         if vp.status != vq.status or hit_p != hit_q:
             anomaly = (
                 f"verdict differs between GF({p}) ({vp.status}) and "
@@ -549,7 +493,9 @@ def run_search(spec: SearchSpec) -> SearchReport:
     """Apply the target predicate to every enumerated graph and compare the
     hits with the catalog's expectations."""
     _check_guard(spec)
-    target = spec.normalized_target()
+    target = spec.target
+    if target not in TARGETS:
+        raise InvalidParameterError(f"unknown search target {target!r}")
     q = spec.cross_check_prime
     t0 = time.perf_counter()
     hits = []

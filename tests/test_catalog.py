@@ -104,6 +104,7 @@ def test_disconnected_ball_table_verifies():
         assert str(mf.classify(M, v)) == "Ball(2)", name
         pred = catalog.predict(g)
         assert str(pred.predicted_class) == "Ball(2)", name
+        assert pred.kind == "basic", name  # unions of basics, read as such
 
 
 def test_named_graph_resolution():
@@ -128,3 +129,65 @@ def test_expected_hits_budget_filtering():
     hits = catalog.expected_search_hits("2-manifold-with-boundary", 11, 10, False)
     assert len(hits) == 18
     assert catalog.expected_search_hits("disconnected-complex", 8, 10, False) is None
+
+
+# The hand-written expectations the computed ones replaced, at full budget:
+# (name, canonical graph6, class) per target.
+_SPHERES_2 = [
+    ("3P3", "H???Xb?", "Sphere(2)"),
+    ("P3+C5", "G?Che?", "Sphere(2)"),
+    ("P3+K32", "G?B@po", "Sphere(2)"),
+]
+_WITH_BOUNDARY_2 = [
+    ("Sp3", "F@Q?w", "Ball(2)"),
+    ("annulus_8e", "F?NF_", "Annulus"),
+    ("moebius_c7", "F@Ue?", "MoebiusStrip"),
+    ("moebius_8e", "F@pTG", "MoebiusStrip"),
+    ("moebius_9e", "FHQ[o", "MoebiusStrip"),
+    ("moebius_10e", "FBY^?", "MoebiusStrip"),
+    ("torus_disk_9e", "F?]u_", "TorusMinusDisk"),
+    ("torus_disk_10e", "F?]v_", "TorusMinusDisk"),
+    ("torus_disk_11e", "F?^v_", "TorusMinusDisk"),
+    ("3P2", "E@Q?", "Ball(2)"),
+    ("2P2+P3", "F?Ce?", "Ball(2)"),
+    ("P2+P5", "F@@KO", "Ball(2)"),
+    ("P2+Gamma", "FG?[o", "Ball(2)"),
+    ("P2+2P3", "G??He?", "Ball(2)"),
+    ("P2+C5", "F_Ch_", "Ball(2)"),
+    ("P2+K32", "F_?xo", "Ball(2)"),
+    ("P3+P5", "G??XU?", "Ball(2)"),
+    ("P3+Gamma", "G??ZCo", "Ball(2)"),
+]
+PINNED_EXPECTED_HITS = {
+    "1-sphere": [
+        ("2P3", "E?N?", "Sphere(1)"),
+        ("C5", "DLo", "Sphere(1)"),
+        ("K32", "DFw", "Sphere(1)"),
+    ],
+    "2-sphere": _SPHERES_2,
+    "closed-2-manifold": _SPHERES_2 + [("K43", "F?~v_", "Torus")],
+    "2-manifold-with-boundary": _WITH_BOUNDARY_2,
+    "connected-2-manifold-with-boundary": _WITH_BOUNDARY_2,
+}
+
+
+@pytest.mark.parametrize("target", sorted(PINNED_EXPECTED_HITS))
+def test_computed_expected_hits_equal_the_pinned_lists(target):
+    pinned = [(name, g6, cls, gr.from_graph6(g6))
+              for name, g6, cls in PINNED_EXPECTED_HITS[target]]
+    for max_edges in range(1, 16):
+        for max_vertices in (6, 8, 10, 12):
+            for connected_only in (False, True):
+                want = sorted(
+                    (name, g6, cls) for name, g6, cls, g in pinned
+                    if len(g.edges) <= max_edges and g.vertex_count <= max_vertices
+                    and (gr.is_connected_graph(g) or not connected_only))
+                got = sorted((name, gr.canonical_graph6(g), cls)
+                             for name, g, cls in catalog.expected_search_hits(
+                                 target, max_edges, max_vertices, connected_only))
+                assert got == want, (max_edges, max_vertices, connected_only)
+
+
+def test_expected_hits_reject_an_unknown_target():
+    with pytest.raises(InvalidParameterError):
+        catalog.expected_search_hits("klein-bottle", 8, 10, False)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from matchtop import catalog, cli
 from matchtop import graphs as gr
 
@@ -68,6 +70,22 @@ def test_verify_match_exits_zero(capsys):
     code, data, _ = run_json(capsys, "verify", "--target", "1-sphere", "--max-edges", "6")
     assert code == 0
     assert data["verdict"] == "Match"
+
+
+@pytest.mark.parametrize("target", [
+    "1-sphere", "2-sphere", "closed-2-manifold", "2-manifold-with-boundary",
+    "connected-2-manifold-with-boundary", "disconnected-complex"])
+def test_verify_every_target_matches(capsys, target):
+    code, data, _ = run_json(capsys, "verify", "--target", target, "--max-edges", "6")
+    assert code == 0
+    assert data["verdict"] == "Match"
+    assert data["spec"]["target"] == target
+
+
+def test_verify_unknown_target_exits_one(capsys):
+    code, out, err = run_cli(capsys, "verify", "--target", "klein-bottle",
+                             "--max-edges", "6")
+    assert code == 1 and out == "" and "unknown search target" in err
 
 
 def test_verify_mismatch_exits_two(capsys, monkeypatch):

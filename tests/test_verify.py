@@ -191,7 +191,7 @@ def test_pruned_search_matches_unpruned_oracle(target, connected_only, monkeypat
     s = spec(target=target, max_edges=9, connected_only=connected_only)
     pruned = verify.run_search(s)
     with monkeypatch.context() as m:
-        m.setattr(verify, "_MATCHING_CAPS", {})  # no target is capped
+        m.setattr(verify.SearchSpec, "matching_cap", lambda self: None)  # uncapped
         oracle = verify.run_search(s)
     assert oracle.pruning is None
     assert pruned.pruning["rule"] == f"matching number <= {2 if target == '1-sphere' else 3}"
@@ -201,6 +201,59 @@ def test_pruned_search_matches_unpruned_oracle(target, connected_only, monkeypat
     for d in (a, b):
         del d["graphs_examined"], d["pruning"]
     assert a == b
+
+
+@pytest.mark.parametrize("connected_only", [False, True])
+@pytest.mark.parametrize("target", ["1-sphere", "2-sphere", "closed-2-manifold",
+                                    "2-manifold-with-boundary",
+                                    "connected-2-manifold-with-boundary"])
+def test_ridge_prefilter_matches_no_prefilter(target, connected_only, monkeypatch):
+    # every graph the prefilter rejects is rejected by check_manifold too,
+    # without an anomaly: the reports are the same
+    s = spec(target=target, max_edges=9, connected_only=connected_only)
+    filtered = verify.run_search(s)
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_ridge_prefilter", lambda facets, d, boundary: True)
+        unfiltered = verify.run_search(s)
+    assert filtered.to_dict(include_timing=False) == unfiltered.to_dict(include_timing=False)
+
+
+def test_sphere_only_targets_reject_the_torus():
+    # K43 is the only closed non-sphere surface within the search budgets,
+    # and its 12 edges lie beyond the 2-sphere search of criterion 3
+    k43 = gr.complete_bipartite(4, 3)
+    assert verify._evaluate(k43, "2-sphere", 2, 3) is None
+    torus = verify._evaluate(k43, "closed-2-manifold", 2, 3)
+    assert torus.is_hit and torus.klass == "Torus" and torus.anomaly is None
+
+
+@st.composite
+def _graphs_up_to_8(draw):
+    """A graph on 1-8 vertices with any edge subset, disconnected included."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    return n, (draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs_up_to_8())
+@example((1, []))  # M = {∅}, the (-1)-sphere
+@example((2, [(0, 1)]))  # a point: d = 0
+@example((4, [(0, 1), (1, 2), (2, 3), (0, 3)]))  # C4: two disjoint segments
+@example((5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))  # C5: a circle
+@example((7, [(i, 4 + j) for i in range(4) for j in range(3)]))  # K43: a torus
+@example((7, [(i, (i + 1) % 7) for i in range(7)]))  # C7: a Moebius strip
+@example((8, [(0, 1), (2, 3), (4, 5), (6, 7)]))  # 4P2: a 3-simplex
+@example((8, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7)]))  # P3+P2+P3: a 3-ball
+def test_ridge_prefilter_passes_every_manifold(case):
+    # the prefilter is a necessary condition in any dimension, with or
+    # without boundary, disconnected graphs included
+    n, pairs = case
+    g = gr.Graph(n, pairs)
+    v = manifold.check_manifold(cx.matching_complex(g), 2)
+    if v.is_manifold:
+        boundary = v.status == manifold.STATUS_WITH_BOUNDARY
+        assert verify._ridge_prefilter(verify._facet_masks(g), v.dimension, boundary)
 
 
 def test_pruning_entry_pinned():
