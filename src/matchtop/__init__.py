@@ -73,8 +73,8 @@ from . import catalog, homology, manifold, verify
 
 def clear_caches():
     """Empty every module-level cache: the enumerated graph classes, Betti
-    numbers, the link-shape table of the manifold analysis and the catalog
-    tables.  Results do not change; a long-lived process can call this to
+    numbers, the cores, join splits and face tables of ranked facet sets,
+    the link-shape table of the manifold analysis and the catalog tables.  Results do not change; a long-lived process can call this to
     bound its memory."""
     verify.clear_caches()
     homology.clear_caches()

@@ -57,6 +57,15 @@ def _primes(args):
     return out
 
 
+def _prime_pair(args):
+    """The analysis prime and the cross-check prime (the same one when only
+    one is given)."""
+    ps = _primes(args)
+    if len(ps) > 2:
+        raise _UsageError(f"{args.command} takes at most two distinct --p")
+    return ps[0], ps[-1]
+
+
 def _flat(prefix, value, rows):
     if isinstance(value, dict):
         for k, v in value.items():
@@ -129,10 +138,9 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_manifold(args) -> int:
+    pair = _prime_pair(args)
     g = _resolve_graph(args)
     M = cx.matching_complex(g)
-    ps = _primes(args)
-    pair = (ps[0], ps[1] if len(ps) > 1 else ps[0])
     data = mf.manifold_report(M, pair)
     data["graph6"] = gr.to_graph6(g)
     _emit(data, args)
@@ -140,10 +148,9 @@ def _cmd_manifold(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    pair = _prime_pair(args)
     g = _resolve_graph(args)
     M = cx.matching_complex(g)
-    ps = _primes(args)
-    pair = (ps[0], ps[1] if len(ps) > 1 else ps[0])
     verdict = mf.check_manifold(M, pair[0])
     _emit({
         "graph6": gr.to_graph6(g),

@@ -1,23 +1,33 @@
 """Homology-manifold recognition and classification.
 
-A pure d-complex is checked face by face: the link of every nonempty face
-must have the reduced homology of a sphere or ball of complementary
-dimension.  Faces with ball links form the boundary, which must itself be a
-closed homology manifold one dimension down.  Classification then reads off
-Betti fingerprints at two primes together with the number of boundary
-components; the surface types that actually occur are separated by that data.
+A pure d-complex is checked by the link condition: the link of every
+nonempty face must have the reduced homology of a sphere or ball of
+complementary dimension.  Faces with ball links form the boundary, which
+must itself be a closed homology manifold one dimension down.
+Classification then reads off Betti fingerprints at two primes together
+with the number of boundary components; the surface types that actually
+occur are separated by that data.
 
 Links are computed top-down: the link of σ ∪ v is the link of v inside
-the link of σ, so no face scans the facets of the whole complex.  The walk
-is memoized by link shape (the link's facets re-indexed onto positions
+the link of σ, so no face scans the facets of the whole complex.  Links
+are memoized by shape (the link's facets re-indexed onto positions
 0..k-1) in a table shared by the whole process: the children of a link
 and its class depend only on its shape, so each distinct shape is
 re-indexed and classified once per prime and process, however many faces
-and complexes have it; ``matchtop.clear_caches()`` empties the table.  The
-walk visits every nonempty face once and leaves the complex's face table
-behind, from which the homology ranks a complex that is its own core.  The
-face classes, the verdict and the boundary (a complex kept with its own
-face table) are memoized on the complex per prime, so ``check_manifold``,
+and complexes have it; ``matchtop.clear_caches()`` empties the table.
+
+The verdict is paid per shape, not per face.  Every nonempty face is a
+vertex plus a face of that vertex's link, so a shape's record keeps a
+summary over its nonempty faces built from the records of its vertex
+links: some link fails, some link is a ball, the ball faces are not
+closed under subfaces, or a maximal ball face is not a ridge in exactly
+one facet.  With no failure and no ball the complex is closed; with balls
+but none of the other three, the boundary facets are the ridges in one
+facet, and the complex has boundary when their span is closed.  Only
+otherwise, when the verdict needs a witness face, does the walk visit
+every nonempty face once; it leaves the complex's face table behind.  The
+face classes, the verdict and the boundary (a complex kept with its
+facets) are memoized on the complex per prime, so ``check_manifold``,
 ``boundary_complex``, ``classify`` and ``manifold_report`` analyse each
 complex once.
 """
@@ -97,13 +107,78 @@ def _classify_link(norm_count, norm_masks, p):
     return _FAIL, betti
 
 
-# prime -> normalized facets -> [class, betti, facets, children]: one record
-# per link shape for the whole process; emptied by clear_caches()
+# prime -> normalized facets -> [class, betti, facets, children, summary]:
+# one record per link shape for the whole process; emptied by clear_caches()
 _shapes: dict = {}
 
 
 def clear_caches():
     _shapes.clear()
+
+
+def _record(shapes, norm, k):
+    rec = shapes.get(norm)
+    if rec is None:
+        rec = shapes[norm] = [None, None, norm, [None] * k, None]
+    return rec
+
+
+def _child(shapes, rec, i, p):
+    """The child entry of a shape record for its vertex i: the record of
+    lk(i), the positions of its vertices in the parent, and the cut (how
+    many of them lie below i).  The child is classified on creation."""
+    b = 1 << i
+    used, norm = cx._reindex([f ^ b for f in rec[2] if f & b])
+    k = used.bit_count()
+    child = _record(shapes, norm, k)
+    if child[0] is None:
+        child[0], child[1] = _classify_link(k, norm, p)
+    entry = rec[3][i] = (child, bytes(graphs_mod._bits(used)), (used & (b - 1)).bit_count())
+    return entry
+
+
+def _shape_summary(rec, shapes, p):
+    """Flags over the nonempty faces σ of a shape, from its vertex links:
+    ``(fail, ball, broken, disagree, ball_vertex)``.
+
+    * fail: some lk σ is '?';
+    * ball: some lk σ is a ball;
+    * broken: some lk σ is not a ball but has a ball vertex link (the link
+      of a face one vertex larger), so the ball faces are not closed under
+      subfaces;
+    * disagree: for some σ, "lk σ is a ball with no ball vertex link" (σ
+      is a maximal ball face) differs from "lk σ is one point" (σ is a
+      ridge in exactly one facet);
+    * ball_vertex: some vertex link of the shape itself is a ball.
+
+    Every nonempty face is a vertex i plus a face τ of lk(i), with lk σ =
+    lk_{lk(i)}(τ), so the flags of a shape are those of its vertex links
+    themselves (τ = ∅) or-ed with their own summaries.  Memoized on the
+    record; it stops at the first fail or broken flag, which decides
+    nothing but "walk the faces", so the other flags may be incomplete
+    then.
+    """
+    got = rec[4]
+    if got is not None:
+        return got
+    fail = ball = broken = disagree = ball_vertex = False
+    kids = rec[3]
+    for i in range(len(kids)):
+        child = (kids[i] or _child(shapes, rec, i, p))[0]
+        if child[0] == _FAIL:
+            fail = True
+            break
+        sub = _shape_summary(child, shapes, p)
+        is_ball = child[0] == _BOUNDARY
+        fail = sub[0]
+        broken = sub[2] or (not is_ball and sub[4])
+        if fail or broken:
+            break
+        ball_vertex |= is_ball
+        ball |= is_ball or sub[1]
+        disagree |= sub[3] or (is_ball and not sub[4]) != (child[2] == (1,))
+    got = rec[4] = (fail, ball, broken, disagree, ball_vertex)
+    return got
 
 
 def _face_classes(c: Complex, p: int):
@@ -121,8 +196,8 @@ def _face_classes(c: Complex, p: int):
     The walk is memoized by link shape, in a table shared by the whole
     process.  Each distinct normalized link (its facets re-indexed onto
     positions 0..k-1) gets one record per prime: its class, its Betti
-    numbers and, filled as they are first needed, its children, one per
-    link vertex i.  A child is the shape of lk_{lk}(i), the positions of its
+    numbers, its summary (see :func:`_shape_summary`) and, filled as they
+    are first needed, its children, one per link vertex i.  A child is the shape of lk_{lk}(i), the positions of its
     vertices within the parent link, and the cut: how many of them lie below
     i.  A complex's own shape gets a record too, classified only when it
     turns up as a link.  A face carries its link's vertices as bits of the
@@ -142,28 +217,11 @@ def _face_classes(c: Complex, p: int):
     betti_of = {}
     levels = [[] for _ in range(c.dimension + 2)]  # the faces, by size
 
-    def record(norm, k):
-        rec = shapes.get(norm)
-        if rec is None:
-            rec = shapes[norm] = [None, None, norm, [None] * k]
-        return rec
-
-    def child_of(rec, i):
-        b = 1 << i
-        used, norm = cx._reindex([f ^ b for f in rec[2] if f & b])
-        k = used.bit_count()
-        child = record(norm, k)
-        if child[0] is None:
-            child[0], child[1] = _classify_link(k, norm, p)
-        entry = rec[3][i] = (child, bytes(graphs_mod._bits(used)),
-                             (used & (b - 1)).bit_count())
-        return entry
-
     def walk(face, rec, pos, start, size):
         kids = rec[3]
         level = levels[size]
         for i in range(start, len(pos)):
-            child, idx, cut = kids[i] or child_of(rec, i)
+            child, idx, cut = kids[i] or _child(shapes, rec, i, p)
             sub = face | pos[i]
             classes[sub] = cls = child[0]
             level.append(sub)
@@ -173,7 +231,7 @@ def _face_classes(c: Complex, p: int):
                 walk(sub, child, [pos[j] for j in idx], cut, size + 1)
 
     used, norm = cx._reindex(c.facet_masks)
-    walk(0, record(norm, used.bit_count()), [1 << v for v in graphs_mod._bits(used)], 0, 1)
+    walk(0, _record(shapes, norm, used.bit_count()), [1 << v for v in graphs_mod._bits(used)], 0, 1)
     del walk  # the recursive closure is a reference cycle; free it now
     if "by_size" not in c._cache:
         for level in levels:
@@ -213,6 +271,22 @@ def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
     if not cx.is_pure(c):
         return ManifoldVerdict(STATUS_NOT_PURE, c.dimension, pp)
     d = c.dimension
+    shapes = _shapes.setdefault(pp, {})
+    used, norm = cx._reindex(c.facet_masks)
+    fail, ball, broken, disagree, _ = _shape_summary(
+        _record(shapes, norm, used.bit_count()), shapes, pp)
+    if not fail and not ball:
+        return ManifoldVerdict(STATUS_CLOSED, d, pp)
+    if not (fail or broken or disagree):
+        # the ball faces are closed under subfaces and their maximal ones
+        # are the ridges in exactly one facet
+        facets = _one_cofacet_ridges(c)
+        bd = _span(c, facets)
+        c._cache[("boundary_span", pp)] = (facets, bd)
+        if check_manifold(bd, pp).status == STATUS_CLOSED:
+            return ManifoldVerdict(STATUS_WITH_BOUNDARY, d, pp)
+    # a failure, or a boundary that is not a closed manifold: walk the
+    # faces for the witness
     classes, betti_of = _face_classes(c, pp)
 
     def failed_at(mask):
@@ -282,6 +356,22 @@ def _span(c: Complex, facet_masks) -> Complex:
     return Complex(c.labels_of(used), masks)
 
 
+def _one_cofacet_ridges(c: Complex) -> set:
+    """The nonempty ridges of a pure complex that lie in exactly one facet;
+    a 0-dimensional complex has the empty ridge, which bounds nothing."""
+    cofacets = {}
+    for f in c.facet_masks:
+        m = f
+        while m:
+            b = m & -m
+            ridge = f ^ b
+            cofacets[ridge] = cofacets.get(ridge, 0) + 1
+            m ^= b
+    ridges = {r for r, n in cofacets.items() if n == 1}
+    ridges.discard(0)
+    return ridges
+
+
 def boundary_complex(c: Complex, p, verdict: ManifoldVerdict | None = None) -> BoundaryComplex:
     """The boundary subcomplex, computed two ways that must agree.
 
@@ -313,20 +403,9 @@ def _boundary(c: Complex, pp: int) -> BoundaryComplex:
     if not verdict.is_manifold:
         raise InvalidParameterError(f"no boundary for status {verdict.status} at p = {pp}")
     facets, bd = c._cache.get(("boundary_span", pp), (set(), None))
-    cofacets = {}
-    for f in c.facet_masks:
-        m = f
-        while m:
-            b = m & -m
-            ridge = f ^ b
-            cofacets[ridge] = cofacets.get(ridge, 0) + 1
-            m ^= b
     # both families are downward closed and pure of dimension d - 1, so
-    # they are equal exactly when their facets are; a 0-dimensional
-    # complex has the empty ridge, which bounds nothing
-    ridges = {r for r, n in cofacets.items() if n == 1}
-    ridges.discard(0)
-    if ridges != facets:
+    # they are equal exactly when their facets are
+    if _one_cofacet_ridges(c) != facets:
         raise CrossCheckMismatchError(
             "link-homology boundary disagrees with facet-count boundary"
         )

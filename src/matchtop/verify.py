@@ -601,8 +601,11 @@ def property_suite(seed: int, trials: int) -> dict:
     """Randomized checks of the structural facts the library leans on.
 
     Zero failures expected; any counterexample is reported with the graph6
-    string and trial number for reproduction.
+    string and trial number for reproduction.  ``trials`` must be at
+    least 1, since a suite that ran no check proves nothing.
     """
+    if trials < 1:
+        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)
     failures = []
     ran = {name: 0 for name in PROPERTY_CHECKS}

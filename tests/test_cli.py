@@ -110,6 +110,23 @@ def test_props_subcommand(capsys):
     assert data["failures"] == []
 
 
+def test_props_fewer_than_one_trial_exits_one(capsys):
+    for trials in ("0", "-3"):
+        code, out, err = run_cli(capsys, "props", "--trials", trials)
+        assert code == 1 and out == "" and "trials" in err
+
+
+@pytest.mark.parametrize("command", ["manifold", "classify"])
+def test_third_prime_exits_one(capsys, command):
+    code, out, err = run_cli(capsys, command, "--name", "K43",
+                             "--p", "2", "--p", "3", "--p", "5")
+    assert code == 1 and out == "" and "two distinct --p" in err
+    # a repeated prime is not a third one
+    code, data, _ = run_json(capsys, command, "--name", "K43",
+                             "--p", "3", "--p", "2", "--p", "3")
+    assert code == 0 and data["class"] == "Torus"
+
+
 def test_usage_errors_exit_one(capsys):
     code, _, err = run_cli(capsys, "build")
     assert code == 1 and "exactly one" in err

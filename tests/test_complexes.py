@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchtop import complexes as cx
 from matchtop import graphs as gr
@@ -237,3 +238,19 @@ def test_export_formats():
     assert "2 5" in text
     data = cx.to_json(c)
     assert '"labels": [2, 5, 7]' in data
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 1 << 70).flatmap(lambda used: st.tuples(
+    st.just(used),
+    st.lists(st.integers(0, 1 << 70).map(lambda m: m & used), min_size=1, max_size=6),
+    st.booleans())))
+def test_reindex_matches_position_list(case):
+    used, masks, give_used = case
+    if not give_used:
+        used = 0
+        for m in masks:
+            used |= m
+    positions = [i for i in range(used.bit_length()) if used >> i & 1]
+    want = sorted(sum(1 << j for j, i in enumerate(positions) if m >> i & 1) for m in masks)
+    assert cx._reindex(masks, used if give_used else 0) == (used, tuple(want))

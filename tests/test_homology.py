@@ -1,3 +1,6 @@
+import functools
+import itertools
+import operator
 import random
 
 import pytest
@@ -270,3 +273,75 @@ def test_core_keeps_sphere_joins_without_dominated_vertex():
                   [gr.path(3), gr.cycle(5), gr.complete_bipartite(3, 2)]):
         M = cx.matching_complex(gr.disjoint_union(parts))
         assert sorted(hm._core(M.facet_masks)) == sorted(M.facet_masks)
+
+
+# ---------------------------------------------------------------------------
+# ranks per join factor
+
+
+def _boundary_simplex(n):
+    return cx.from_facets(range(n), list(itertools.combinations(range(n), n - 1)))
+
+
+_TWO_POINTS = cx.from_facets(range(2), [(0,), (1,)])
+_POINT = cx.from_facets(range(1), [(0,)])
+_NON_FLAG = [_boundary_simplex(3), _boundary_simplex(4), cycle_complex(4),
+             cycle_complex(5), _TWO_POINTS]
+
+
+def _join_all(factors):
+    out = factors[0]
+    for c in factors[1:]:
+        out = cx.join(out, c)
+    return out
+
+
+_FACTOR = st.one_of(
+    st.lists(st.sets(st.integers(0, 3), min_size=1, max_size=3), min_size=1, max_size=4).map(
+        lambda facets: cx.from_facets(None, facets)),
+    st.sampled_from(_NON_FLAG))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.lists(_FACTOR, min_size=1, max_size=3).map(_join_all),
+    _FACTOR.map(lambda c: cx.join(c, _POINT)),
+    st.just(_boundary_simplex(3))))
+def test_join_factors_match_face_set_path(c):
+    core = tuple(hm._core(c.facet_masks))
+    factors = hm._join_factors(core)
+    # vertex-disjoint factors whose join is the core
+    spans = [functools.reduce(operator.or_, part) for part in factors]
+    assert sum(m.bit_count() for m in spans) == functools.reduce(operator.or_, spans).bit_count()
+    joined = [0]
+    for part in factors:
+        joined = [a | b for a in joined for b in part]
+    assert sorted(joined) == sorted(core)
+    for p in (2, 3, 5):
+        assert (hm.betti_for_facets(c.vertex_count, c.facet_masks, p)
+                == hm._betti_from_faces(hm._faces_by_size(c.facet_masks), p, c.dimension))
+
+
+def test_join_factors_peel_only_whole_components():
+    tri = _boundary_simplex(3)
+    # three one-vertex components, none a join factor on its own
+    assert hm._join_factors(tri.facet_masks) == [list(tri.facet_masks)]
+    assert len(hm._join_factors(cx.join(tri, tri).facet_masks)) == 1
+    assert len(hm._join_factors(cx.join(tri, _TWO_POINTS).facet_masks)) == 2
+    assert len(hm._join_factors(cycle_complex(4).facet_masks)) == 2  # S^0 * S^0
+    octahedron = cx.matching_complex(gr.disjoint_union([gr.path(3)] * 3))
+    assert len(hm._join_factors(octahedron.facet_masks)) == 3
+
+
+def test_each_join_factor_shape_is_ranked_once_per_prime(monkeypatch):
+    ranked = []
+    real = hm._betti_from_faces
+    monkeypatch.setattr(hm, "_betti_from_faces",
+                        lambda by_size, p, d: ranked.append(p) or real(by_size, p, d))
+    hm.clear_caches()
+    # the join of three hexagons: one factor shape, three times
+    M = cx.matching_complex(gr.disjoint_union([gr.complete_bipartite(3, 2)] * 3))
+    for p in (2, 3, 2):
+        b = hm.betti_reduced(M, p)
+        assert (b.minus_one, b.betti) == (0, (0, 0, 0, 0, 0, 1))
+    assert ranked == [2, 3]

@@ -5,6 +5,7 @@ import random
 
 import matchtop
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from matchtop import catalog
 from matchtop import complexes as cx
 from matchtop import graphs as gr
@@ -523,3 +524,118 @@ def test_shape_records_are_kept_per_prime():
         assert classes[frozenset([6])] == {2: "?", 3: "B"}[p]
         if p == 2:
             assert mf._face_classes(c, 2)[1][c.mask_of([6])].p == 2
+
+
+# ---------------------------------------------------------------------------
+# the verdict per shape against the per-face walk
+
+
+def _outcomes(c, walk, pairs=((2, 3), (3, 2))):
+    """Verdict, boundary facets and class at each (prime, cross-check prime)
+    pair; with ``walk`` the shape summary is patched to send every complex
+    through the walk."""
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        if walk:
+            mp.setattr(mf, "_shape_summary", lambda rec, shapes, p: (True,) * 5)
+        for p, q in pairs:
+            verdict = mf.check_manifold(c, p)
+            bd = None
+            if verdict.is_manifold:
+                try:
+                    got = mf.boundary_complex(c, p, verdict)
+                    bd = (got.complex.labels, got.complex.facets(), got.component_count)
+                except CrossCheckMismatchError:
+                    bd = "mismatch"
+            out.append((verdict, bd, mf.classify(c, verdict, (p, q))))
+    return out
+
+
+def test_shape_summary_matches_the_walk_on_joins_and_catalog():
+    # the criterion-6 joins at the primes criterion 6 uses, every catalog
+    # graph at both
+    cases = [(g, ((2, 3),)) for g, _ in _join_arithmetic_cases()]
+    cases += [(catalog.named_graph(name), ((2, 3), (3, 2))) for name in catalog.catalog_names()]
+    walked = 0
+    for g, pairs in cases:
+        M = cx.matching_complex(g)
+        got = _outcomes(M, False, pairs)
+        assert got == _outcomes(cx.matching_complex(g), True, pairs), gr.to_graph6(g)
+        if got[0][0].is_manifold:
+            assert ("face_classes", 2) not in M._cache  # no face was walked
+        else:
+            walked += 1
+    assert len(cases) >= 350 and walked >= 5
+
+
+# a pseudomanifold whose ball faces are not closed under subfaces: the cone
+# over an octahedron with a triangle hung at a vertex
+_OCTAHEDRON = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+_HUNG_CONE = [f + (8,) for f in _OCTAHEDRON + [(0, 6, 7)]]
+
+
+@st.composite
+def _pure_facets(draw):
+    d = draw(st.integers(0, 3))
+    n = draw(st.integers(d + 1, 8))
+    return draw(st.lists(st.sets(st.integers(0, n - 1), min_size=d + 1, max_size=d + 1),
+                         min_size=1, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pure_facets())
+@example([f + (6,) for f in RP2])  # at p = 3 an acyclic apex link that is no ball
+@example(_HUNG_CONE)
+@example([(0, 1, 2, 3), (0, 1, 4, 5)])  # two tetrahedra pinched along an edge
+def test_shape_summary_matches_the_walk_on_random_pure_complexes(facets):
+    assert (_outcomes(cx.from_facets(None, facets), walk=False)
+            == _outcomes(cx.from_facets(None, facets), walk=True))
+
+
+def test_shape_summary_flags_read_only_the_record_classes(monkeypatch):
+    # the flags depend on the classes of the vertex links alone; a
+    # classifier that calls {∅} a ball and a point a sphere breaks the
+    # closure of the ball faces of an edge: a vertex (link: a point) is
+    # not a ball face, but the edge (link: {∅}) is
+    def swapped(k, masks, p):
+        return {(0,): "B", (1,): "S"}.get(masks, "S"), None
+
+    monkeypatch.setattr(mf, "_classify_link", swapped)
+    monkeypatch.setattr(mf, "_shapes", {})
+    shapes = mf._shapes.setdefault(2, {})
+    edge = mf._record(shapes, (0b11,), 2)
+    fail, ball, broken, _, _ = mf._shape_summary(edge, shapes, 2)
+    assert (fail, broken) == (False, True)
+    # within a point, the point itself is a maximal ball face whose link
+    # {∅} is no point: the two routes to the boundary disagree
+    point = shapes[(1,)]
+    assert mf._shape_summary(point, shapes, 2) == (False, True, False, True, True)
+
+
+def test_a_face_table_per_shape_for_both_primes(monkeypatch):
+    built = {}
+    real = cx._faces_by_size
+
+    def counting(facet_masks):
+        key = tuple(facet_masks)
+        built[key] = built.get(key, 0) + 1
+        return real(facet_masks)
+
+    monkeypatch.setattr(cx, "_faces_by_size", counting)
+    monkeypatch.setattr(hm, "_faces_by_size", counting)
+    matchtop.clear_caches()
+    k43 = cx.matching_complex(gr.complete_bipartite(4, 3))
+    hexagon = cx.link(k43, k43.labels[:1]).facet_masks  # a vertex link: M(K32)
+    assert sum(map(len, real(hexagon).values())) == 12
+    assert mf.manifold_report(k43, (2, 3))["class"] == "Torus"
+    assert built[hexagon] == 1
+    assert built[k43.facet_masks] == 1
+    # the second prime of a report builds no face table at all
+    for name in ("K43", "annulus_8e", "moebius_c7", "Sp3"):
+        counts = []
+        for pair in ((2, 2), (2, 3)):
+            matchtop.clear_caches()
+            built.clear()
+            mf.manifold_report(cx.matching_complex(catalog.named_graph(name)), pair)
+            counts.append(dict(built))
+        assert counts[0] == counts[1], name

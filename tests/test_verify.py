@@ -166,6 +166,12 @@ def test_property_suite_clean():
     assert all(count == 60 for count in report["checks"].values())
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_property_suite_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(InvalidParameterError, match="trials"):
+        verify.property_suite(seed=0, trials=trials)
+
+
 def test_property_suite_deterministic():
     a = verify.property_suite(seed=123, trials=20)
     b = verify.property_suite(seed=123, trials=20)
@@ -390,11 +396,12 @@ def test_clear_caches_keeps_reports():
     catalog.catalog_names()  # fills the name registry
     tables = (catalog._exceptional_graphs, catalog._disconnected_balls,
               catalog._small_basics, catalog._registry)
-    assert verify._LEVELS and homology._betti_cache and manifold._shapes
+    caches = (verify._LEVELS, homology._betti_cache, homology._cores, manifold._shapes)
+    assert all(caches)
     for table in tables:
         assert table.cache_info().currsize > 0
     matchtop.clear_caches()
-    assert not verify._LEVELS and not homology._betti_cache and not manifold._shapes
+    assert not any(caches)
     for table in tables:
         assert table.cache_info().currsize == 0
     assert verify.run_search(s).to_dict(include_timing=False) == before
