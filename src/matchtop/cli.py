@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import catalog, complexes as cx, graphs as gr, manifold as mf, verify
-from .errors import MatchtopError
+from .errors import FormatError, MatchtopError
 from .homology import betti_reduced
 
 
@@ -44,7 +44,11 @@ def _resolve_graph(args) -> gr.Graph:
         return gr.from_graph6(args.graph6)
     if args.edges is not None:
         with open(args.edges, encoding="utf-8") as fh:
-            return gr.parse_edge_list(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{args.edges} is not UTF-8 text: {exc}") from None
+        return gr.parse_edge_list(text)
     return catalog.named_graph(args.name)
 
 
@@ -292,10 +296,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MatchtopError as exc:
+    except (OSError, MatchtopError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -211,12 +211,7 @@ def matching_complex(g: graphs_mod.Graph) -> Complex:
     """The complex whose vertices are the edges of g and whose faces are
     the matchings of g.  Isolated vertices of g contribute nothing and are
     ignored."""
-    facets = []
-    for matching in graphs_mod.maximal_matchings(g):
-        m = 0
-        for i in matching:
-            m |= 1 << i
-        facets.append(m)
+    facets = graphs_mod._maximal_matching_masks(g)
     facets.sort()
     return Complex(range(len(g.edges)), facets)
 

@@ -225,8 +225,9 @@ def enumerate_matchings(g: Graph):
     return out
 
 
-def maximal_matchings(g: Graph):
-    """Matchings that no edge of g can extend, by size then lex order.
+def _maximal_matching_masks(g: Graph):
+    """The matchings that no edge of g can extend, as edge bitmasks, in
+    depth-first order.
 
     A branch may add only free edges from ``start`` on, so a free edge
     below ``start`` none of whose conflicting edges is still addable can
@@ -234,8 +235,7 @@ def maximal_matchings(g: Graph):
     ends there.
     """
     conf = g.edge_conflicts()
-    m = len(g.edges)
-    full = (1 << m) - 1
+    full = (1 << len(g.edges)) - 1
     out = []
 
     def rec(start, chosen, blocked):
@@ -250,26 +250,31 @@ def maximal_matchings(g: Graph):
             if not conf[b.bit_length() - 1] & addable:
                 return
             low ^= b
-        for i in range(start, m):
-            b = 1 << i
-            if not blocked & b:
-                rec(i + 1, chosen + (i,), blocked | conf[i])
+        while addable:
+            b = addable & -addable
+            i = b.bit_length() - 1
+            rec(i + 1, chosen | b, blocked | conf[i])
+            addable ^= b
 
-    if m == 0:
-        return [()]
-    rec(0, (), 0)
+    rec(0, 0, 0)
+    return out
+
+
+def maximal_matchings(g: Graph):
+    """Matchings that no edge of g can extend, by size then lex order."""
+    out = [tuple(_bits(m)) for m in _maximal_matching_masks(g)]
     out.sort(key=lambda t: (len(t), t))
     return out
 
 
 def matching_number(g: Graph) -> int:
     """Size of a maximum matching (0 for a graph without edges)."""
-    return max(len(t) for t in maximal_matchings(g))
+    return max(m.bit_count() for m in _maximal_matching_masks(g))
 
 
 def is_equimatchable(g: Graph) -> bool:
     """True when every maximal matching has the same size."""
-    sizes = {len(t) for t in maximal_matchings(g)}
+    sizes = {m.bit_count() for m in _maximal_matching_masks(g)}
     return len(sizes) <= 1
 
 

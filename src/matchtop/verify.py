@@ -2,11 +2,12 @@
 
 Connected isomorphism classes are generated level by level on edge count
 (adding an edge between existing vertices or a pendant edge, with a
-canonical-deletion prefilter, then canonical-form dedupe); arbitrary graphs
-are nondecreasing multisets of connected classes, which need no further
-deduplication.  Search targets apply a cheap combinatorial prefilter before
-the full homology checks, and reports compare the hit set against the
-catalog's expectations.
+canonical-deletion prefilter, then a canonical-form dedupe among the
+children that share an invariant); arbitrary graphs are nondecreasing
+multisets of connected classes, which need no further deduplication.
+Search targets apply a cheap combinatorial prefilter before the full
+homology checks, and reports compare the hit set against the catalog's
+expectations.
 
 Every target but disconnected-complex is one row of ``_MANIFOLD_TARGETS``:
 a homology manifold of dimension d, closed or with boundary, and whether
@@ -136,13 +137,13 @@ def _free_pairs(g: gr.Graph, nu: int):
     of g (of size nu) covers neither u nor w.  The masks include the vertex
     n = g.vertex_count a pendant edge would add, which no matching covers."""
     full = (1 << (g.vertex_count + 1)) - 1
+    ends = [1 << u | 1 << v for u, v in g.edges]
     out = [0] * (g.vertex_count + 1)
-    for matching in gr.maximal_matchings(g):
-        if len(matching) == nu:
+    for matching in gr._maximal_matching_masks(g):
+        if matching.bit_count() == nu:
             free = full
-            for i in matching:
-                u, v = g.edges[i]
-                free &= ~(1 << u | 1 << v)
+            for i in gr._bits(matching):
+                free &= ~ends[i]
             for u in gr._bits(free):
                 out[u] |= free
     return out
@@ -164,6 +165,16 @@ def _joined_without(adj, a: int, b: int) -> bool:
     return False
 
 
+def _neighbour_sum(deg, a: int) -> int:
+    """The sum of ``deg`` over the vertices of the mask ``a``."""
+    s = 0
+    while a:
+        b = a & -a
+        s += deg[b.bit_length() - 1]
+        a ^= b
+    return s
+
+
 def _is_canonical_deletion(adj, u: int, v: int) -> bool:
     """Whether the edge (u, v) of the connected graph with adjacency masks
     ``adj`` is removable and ranks highest among its removable edges.
@@ -179,7 +190,7 @@ def _is_canonical_deletion(adj, u: int, v: int) -> bool:
     def end(w):
         s = nsum.get(w)
         if s is None:
-            s = nsum[w] = sum(deg[x] for x in gr._bits(adj[w]))
+            s = nsum[w] = _neighbour_sum(deg, adj[w])
         return deg[w], s
 
     def key(a, b):
@@ -202,6 +213,23 @@ def _is_canonical_deletion(adj, u: int, v: int) -> bool:
     return True
 
 
+def _invariant(adj) -> int:
+    """An isomorphism invariant of the graph with adjacency masks ``adj``:
+    the sorted multiset of (degree, sum of neighbour degrees) over its
+    vertices, packed into one integer.
+
+    Both numbers are at most 2m, so one width w = (2m).bit_length() holds
+    either, and the packing is injective among graphs with m edges and no
+    isolated vertex.  An isolated vertex packs as a leading zero and leaves
+    the key unchanged."""
+    deg = [a.bit_count() for a in adj]
+    w = sum(deg).bit_length()
+    key = 0
+    for e in sorted(d << w | _neighbour_sum(deg, a) for d, a in zip(deg, adj)):
+        key = key << 2 * w | e
+    return key
+
+
 def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
     lv = _LEVELS.get((max_vertices, cap))
     if lv is None:
@@ -209,7 +237,10 @@ def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
             [[], [gr.path(2)]], [[], [0 if cap is None else 1]], [0, 0])
     levels = lv.graphs
     while len(levels) <= max_edges:
-        seen = {}
+        # (invariant, canonical form) -> (child, nu); a child whose invariant
+        # no other child has shared yet sits under the empty form
+        classes = {}
+        shared = set()
         pruned = 0
         for g, nu in zip(levels[-1], lv.nu[-1]):
             n = g.vertex_count
@@ -233,18 +264,23 @@ def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
                         child_nu += 1
                     adj[u] ^= 1 << v
                     adj[v] ^= 1 << u
-                    keep = _is_canonical_deletion(adj, u, v)
+                    inv = _invariant(adj) if _is_canonical_deletion(adj, u, v) else None
                     adj[u] ^= 1 << v
                     adj[v] ^= 1 << u
-                    if not keep:
+                    if inv is None:
                         continue
-                    child = gr.Graph(n + (v == n), g.edges + ((u, v),))
-                    key = gr.canonical_form(child, max_vertices)
-                    if key not in seen:
-                        seen[key] = (child, child_nu)
-        keys = sorted(seen)
-        levels.append([seen[k][0] for k in keys])
-        lv.nu.append([seen[k][1] for k in keys])
+                    child = (gr.Graph(n + (v == n), g.edges + ((u, v),)), child_nu)
+                    if inv not in shared:
+                        first = classes.pop((inv, b""), None)
+                        if first is None:
+                            classes[inv, b""] = child
+                            continue
+                        shared.add(inv)
+                        classes[inv, gr.canonical_form(first[0], max_vertices)] = first
+                    classes.setdefault((inv, gr.canonical_form(child[0], max_vertices)), child)
+        keys = sorted(classes)
+        levels.append([classes[k][0] for k in keys])
+        lv.nu.append([classes[k][1] for k in keys])
         lv.pruned.append(pruned)
     return lv
 
@@ -279,6 +315,18 @@ def connected_graph_classes(max_edges: int, max_vertices: int,
     level m.  The isomorphism carries e to an addition on P whose child is
     C, and the key and removability are invariants, so that addition ranks
     highest in its child and passes.
+
+    A child that passes is filed under ``_invariant``, the sorted multiset
+    of (degree, sum of neighbour degrees) over its vertices.  Only when a
+    second child joins a bucket are the bucket's children canonicalized and
+    deduplicated by form, the first child of each form kept.  This is
+    exact: isomorphic children have equal invariants, so every repeat of a
+    child lands in the child's own bucket, and a child still alone when
+    the level ends is a class of its own that needs no canonical form.  A
+    level is ordered by (invariant, form), the form empty for a lone child.
+    Under a cap, a bucket may lose its children above the cap and keep a
+    lone child without a form; nothing else within the cap shares that
+    invariant, so the capped order is still the uncapped one restricted.
     """
     return _levels(max_edges, max_vertices, matching_cap).graphs[: max_edges + 1]
 
@@ -334,16 +382,6 @@ def clear_caches():
 
 # ---------------------------------------------------------------------------
 # target predicates
-
-
-def _facet_masks(g: gr.Graph):
-    out = []
-    for matching in gr.maximal_matchings(g):
-        m = 0
-        for i in matching:
-            m |= 1 << i
-        out.append(m)
-    return out
 
 
 def _ridge_prefilter(facets, d: int, boundary: bool) -> bool:
@@ -421,7 +459,7 @@ def _evaluate(g: gr.Graph, target: str, p: int, q: int | None) -> _Evaluation | 
         return _Evaluation(True, "DisconnectedComplex", bp, bq)
 
     d, boundary, sphere_only = _MANIFOLD_TARGETS[target]
-    if not _ridge_prefilter(_facet_masks(g), d, boundary):
+    if not _ridge_prefilter(gr._maximal_matching_masks(g), d, boundary):
         return None
     want_status = STATUS_WITH_BOUNDARY if boundary else STATUS_CLOSED
     M = cx.matching_complex(g)

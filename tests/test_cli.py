@@ -168,6 +168,23 @@ def test_edge_file_input(tmp_path, capsys):
     assert code == 1 and "line 2" in err
 
 
+def test_unreadable_edge_file_exits_one(tmp_path, capsys):
+    # a directory, a missing file and non-UTF-8 bytes are input errors
+    latin = tmp_path / "latin1.txt"
+    latin.write_bytes(b"2 1\n0 1 \xe9\n")
+    for path in (tmp_path, tmp_path / "missing.txt", latin):
+        code, out, err = run_cli(capsys, "build", "--edges", str(path))
+        assert code == 1 and out == "" and err.startswith("error: ")
+        assert "Traceback" not in err
+    _, _, err = run_cli(capsys, "build", "--edges", str(latin))
+    assert "UTF-8" in err
+
+
+def test_out_flag_to_a_directory_exits_one(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "build", "--name", "K32", "--out", str(tmp_path))
+    assert code == 1 and err.startswith("error: ")
+
+
 def test_table_format_carries_same_data(capsys):
     code, data, _ = run_json(capsys, "classify", "--name", "C7")
     code2, out, _ = run_cli(capsys, "classify", "--name", "C7", "--format", "table")

@@ -101,7 +101,10 @@ def _small_graphs(draw):
 @given(_small_graphs())
 def test_maximal_matchings_match_brute_force(g):
     # the pruned recursion against filtering every edge subset
-    assert gr.maximal_matchings(g) == oracle_utils.brute_maximal_matchings(g)
+    brute = oracle_utils.brute_maximal_matchings(g)
+    assert gr.maximal_matchings(g) == brute
+    masks = gr._maximal_matching_masks(g)
+    assert sorted(masks) == sorted(sum(1 << i for i in m) for m in brute)
 
 
 def test_k43_matching_counts():

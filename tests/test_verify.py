@@ -259,7 +259,7 @@ def test_ridge_prefilter_passes_every_manifold(case):
     v = manifold.check_manifold(cx.matching_complex(g), 2)
     if v.is_manifold:
         boundary = v.status == manifold.STATUS_WITH_BOUNDARY
-        assert verify._ridge_prefilter(verify._facet_masks(g), v.dimension, boundary)
+        assert verify._ridge_prefilter(gr._maximal_matching_masks(g), v.dimension, boundary)
 
 
 def test_pruning_entry_pinned():
@@ -298,8 +298,10 @@ def test_prefilter_matches_dedupe_only_oracle(monkeypatch):
     verify.clear_caches()
     try:
         with monkeypatch.context() as m:
-            # every child reaches the canonical-form dedupe
+            # every child reaches the canonical-form dedupe, and shares one
+            # invariant bucket with every other child of its level
             m.setattr(verify, "_is_canonical_deletion", lambda adj, u, v: True)
+            m.setattr(verify, "_invariant", lambda adj: 0)
             oracle_levels = [_level_forms(verify.connected_graph_classes(e, 10, cap))
                              for e, cap in budgets]
             oracle_reports = [verify.run_search(s).to_dict(include_timing=False)
@@ -354,9 +356,30 @@ def test_prefilter_canonicalizes_each_class_about_once(monkeypatch):
         m.setattr(gr, "canonical_form", counting)
         levels = verify.connected_graph_classes(11, 10, 3)
     # 2,065 classes; without the prefilter all 20,182 children within the
-    # cap are canonicalized
+    # cap are canonicalized, and without the invariant buckets the 2,711
+    # children that pass it
     assert sum(map(len, levels)) == 2065
-    assert calls < 3000
+    assert calls <= 1200
+
+
+@st.composite
+def _graph_perm(draw):
+    n, pairs = draw(_graphs_up_to_8())
+    return gr.Graph(n, pairs), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_perm())
+# neighbour sums of 256, beyond one byte per vertex
+@example((gr.complete(17), list(range(16, -1, -1))))
+@example((gr.star(18), [18] + list(range(18))))  # 19 vertices
+def test_invariant_unchanged_by_relabelling(case):
+    g, perm = case
+    inv = verify._invariant(list(g.adj))
+    assert inv == verify._invariant(list(gr.relabel(g, perm).adj))
+    # the generator passes the spare slot of a non-pendant child as an
+    # isolated vertex
+    assert inv == verify._invariant(list(g.adj) + [0])
 
 
 def test_cross_check_prime_equal_to_p_is_no_cross_check():
