@@ -102,7 +102,9 @@ def _graph_summary(g: gr.Graph) -> dict:
         "edges": len(g.edges),
         "edge_list": [list(e) for e in g.edges],
         "graph6": gr.to_graph6(g),
-        "canonical_graph6": gr.canonical_graph6(g),
+        # null above the cap: every catalog graph still builds
+        "canonical_graph6": gr.canonical_graph6(g)
+        if g.vertex_count <= gr.CANONICAL_VERTEX_CAP else None,
         "connected": gr.is_connected_graph(g),
         "has_isolated_vertices": g.has_isolated_vertices,
     }

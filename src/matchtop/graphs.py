@@ -419,13 +419,13 @@ def canonical_form(g: Graph, max_vertices: int = CANONICAL_VERTEX_CAP,
     """Canonical byte string, equal exactly for isomorphic graphs.
 
     The result is the graph6 encoding of the canonically labeled graph: the
-    least upper-triangle bit string over the labelings explored.  Branching
+    least upper-triangle bit string over the leaves explored.  Branching
     happens only inside the first non-singleton cell of the refined
-    partition, on one vertex per twin class within that cell, and branches
-    whose determined bit prefix already exceeds the best known string are
-    cut.  ``initial_classes`` optionally assigns an integer color per
-    vertex; only same-colored vertices may then be exchanged (used for
-    canonicalizing vertex/facet incidence graphs).
+    partition, on one vertex per twin class within that cell, and each leaf
+    (a discrete partition) is compared in full.  ``initial_classes``
+    optionally assigns an integer color per vertex; only same-colored
+    vertices may then be exchanged (used for canonicalizing vertex/facet
+    incidence graphs).
 
     The colors order the labeling but are not encoded in the bytes, so the
     forms of two differently colored graphs can coincide (a star whose
@@ -455,60 +455,26 @@ def canonical_form(g: Graph, max_vertices: int = CANONICAL_VERTEX_CAP,
                 closed_rep.setdefault(adj[v] | 1 << v, v)) for v in range(n)]
     best = None
 
-    def descend(cells, prefix_len, bits, tight):
+    def descend(cells):
         nonlocal best
-        split_at = None
-        for i, cell in enumerate(cells):
-            if len(cell) > 1:
-                split_at = i
-                break
-        # extend the determined bit prefix over newly fixed positions
-        fixed = len(cells) if split_at is None else split_at
-        base = len(bits)
-        for j in range(prefix_len, fixed):
-            aj = adj[cells[j][0]]
-            for i in range(j):
-                b = aj >> cells[i][0] & 1
-                if tight and best is not None:
-                    bb = best[len(bits)]
-                    if b > bb:
-                        del bits[base:]
-                        return
-                    if b < bb:
-                        tight = False
-                bits.append(b)
+        split_at = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
         if split_at is None:
+            order = [cell[0] for cell in cells]
+            bits = [adj[w] >> order[i] & 1 for j, w in enumerate(order) for i in range(j)]
             if best is None or bits < best:
-                best = bits[:]
-            del bits[base:]
+                best = bits
             return
         cell = cells[split_at]
-        prefix = [c[0] for c in cells[:split_at]]
-        shift = len(prefix) - 1
-        keyed = sorted(
-            (sum((adj[v] >> p & 1) << (shift - i) for i, p in enumerate(prefix)), v)
-            for v in cell
-        )
         branched = set()
-        for key, v in keyed:
+        for v in cell:
             if twin[v] in branched:
                 continue  # same subtree as the twin already branched on
             branched.add(twin[v])
-            if tight and best is not None:
-                # the candidate's own column is determined before refining;
-                # in sorted order the first too-large key ends the loop
-                limit = len(bits)
-                best_col = 0
-                for i in range(split_at):
-                    best_col = best_col << 1 | best[limit + i]
-                if key > best_col:
-                    break
             nc = cells[:split_at] + [[v], [w for w in cell if w != v]] \
                 + cells[split_at + 1:]
-            descend(_equitable_refinement(adj, nc), fixed, bits, tight)
-        del bits[base:]
+            descend(_equitable_refinement(adj, nc))
 
-    descend(cells, 0, [], True)
+    descend(cells)
     return _g6_header(n) + _pack6(best)
 
 
@@ -539,7 +505,9 @@ def from_graph6(s: str) -> Graph:
     data = s.strip()
     if data.startswith(">>graph6<<"):
         data = data[10:]
-    raw = data.encode("ascii", errors="replace")
+    if not data.isascii():
+        raise FormatError("graph6 string has non-ASCII characters")
+    raw = data.encode("ascii")
     if not raw:
         raise FormatError("empty graph6 string")
     pos = 0

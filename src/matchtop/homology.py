@@ -22,7 +22,7 @@ number of their restrictions to the rest; components that do not split
 stay together as one factor.  Each factor is re-indexed and ranked once
 per shape and prime in the process.  A core that is no join is ranked
 from its face table, which for a complex that is its own core is the
-complex's own, perhaps left by the link walk of :mod:`matchtop.manifold`.
+complex's own, ``Complex.faces_by_size()``.
 The split and the table are keyed by the facets alone (or kept on the
 complex), so the second prime reads the first one's.
 On the 130-case join-arith benchmark the split cut the faces ranked per

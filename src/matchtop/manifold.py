@@ -25,11 +25,10 @@ one facet.  With no failure and no ball the complex is closed; with balls
 but none of the other three, the boundary facets are the ridges in one
 facet, and the complex has boundary when their span is closed.  Only
 otherwise, when the verdict needs a witness face, does the walk visit
-every nonempty face once; it leaves the complex's face table behind.  The
-face classes, the verdict and the boundary (a complex kept with its
-facets) are memoized on the complex per prime, so ``check_manifold``,
-``boundary_complex``, ``classify`` and ``manifold_report`` analyse each
-complex once.
+every nonempty face once.  The face classes, the verdict and the boundary
+(a complex kept with its facets) are memoized on the complex per prime, so
+``check_manifold``, ``boundary_complex``, ``classify`` and
+``manifold_report`` analyse each complex once.
 """
 
 from __future__ import annotations
@@ -190,8 +189,7 @@ def _face_classes(c: Complex, p: int):
     top-down, depth first: lk(σ ∪ v) = lk_{lk σ}(v), so the facets of
     lk(σ ∪ v) are the facets of lk σ that contain v, with v removed.  A
     face is extended only by link vertices above its top vertex, so each
-    face is visited once, and the walk leaves the face table of c in
-    ``c.faces_by_size()``.
+    face is visited once.
 
     The walk is memoized by link shape, in a table shared by the whole
     process.  Each distinct normalized link (its facets re-indexed onto
@@ -215,28 +213,21 @@ def _face_classes(c: Complex, p: int):
     shapes = _shapes.setdefault(p, {})
     classes = {}
     betti_of = {}
-    levels = [[] for _ in range(c.dimension + 2)]  # the faces, by size
 
-    def walk(face, rec, pos, start, size):
+    def walk(face, rec, pos, start):
         kids = rec[3]
-        level = levels[size]
         for i in range(start, len(pos)):
             child, idx, cut = kids[i] or _child(shapes, rec, i, p)
             sub = face | pos[i]
             classes[sub] = cls = child[0]
-            level.append(sub)
             if cls == _FAIL:
                 betti_of[sub] = child[1]
             if cut < len(idx):
-                walk(sub, child, [pos[j] for j in idx], cut, size + 1)
+                walk(sub, child, [pos[j] for j in idx], cut)
 
     used, norm = cx._reindex(c.facet_masks)
-    walk(0, _record(shapes, norm, used.bit_count()), [1 << v for v in graphs_mod._bits(used)], 0, 1)
+    walk(0, _record(shapes, norm, used.bit_count()), [1 << v for v in graphs_mod._bits(used)], 0)
     del walk  # the recursive closure is a reference cycle; free it now
-    if "by_size" not in c._cache:
-        for level in levels:
-            level.sort()
-        c._cache["by_size"] = {s: level for s, level in enumerate(levels) if level}
     got = (classes, betti_of)
     c._cache[key] = got
     return got

@@ -92,6 +92,13 @@ def twin_rich_graphs(max_n):
                      _random_graph(max_n))
 
 
+_PETERSEN = gr.Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                     + [(i, 5 + i) for i in range(5)])
+_CUBE = gr.Graph(8, [(u, u ^ 1 << k) for u in range(8) for k in range(3) if u < u ^ 1 << k])
+_C10_1_3 = gr.Graph(10, [(i, (i + s) % 10) for i in range(10) for s in (1, 3)])
+
+
 @st.composite
 def _graph_perm_colors(draw):
     g = draw(twin_rich_graphs(10))
@@ -105,6 +112,12 @@ def _graph_perm_colors(draw):
 @given(_graph_perm_colors())
 @example((gr.disjoint_union([gr.cycle(3), gr.cycle(4)]), list(range(6, -1, -1)), [0] * 7))
 @example((gr.disjoint_union([gr.star(3), gr.cycle(4)]), list(range(7, -1, -1)), [0] * 8))
+# twin-free and vertex-transitive: refinement splits nothing, so these keep
+# the most leaves
+@example((_PETERSEN, list(range(9, -1, -1)), [0] * 10))
+@example((gr.disjoint_union([gr.cycle(5), gr.cycle(5)]), list(range(9, -1, -1)), [0] * 10))
+@example((_CUBE, list(range(7, -1, -1)), [0] * 8))
+@example((_C10_1_3, list(range(9, -1, -1)), [0] * 10))
 def test_canonical_form_relabeling_invariance_twin_rich(case):
     g, perm, colors = case
     h = gr.relabel(g, perm)

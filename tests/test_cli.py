@@ -31,6 +31,17 @@ def test_build_json_fields(capsys):
     assert data["matching_complex"]["f_vector"] == [6, 6]
 
 
+def test_build_every_catalog_name(capsys):
+    for name in catalog.catalog_names():
+        code, data, err = run_json(capsys, "build", "--name", name)
+        assert code == 0, (name, err)
+        over_cap = data["vertices"] > gr.CANONICAL_VERTEX_CAP
+        assert (data["canonical_graph6"] is None) == over_cap, name
+    # the canonical form itself keeps the cap
+    code, _, err = run_cli(capsys, "build", "--name", "sp5", "--emit-graph6")
+    assert code == 1 and "canonicalization cap" in err
+
+
 def test_homology_c7_moebius_fingerprint(capsys):
     code, data, _ = run_json(capsys, "homology", "--name", "C7-matching", "--p", "3")
     assert code == 0
@@ -135,6 +146,8 @@ def test_usage_errors_exit_one(capsys):
     code, _, err = run_cli(capsys, "build", "--name", "not-a-graph")
     assert code == 1 and "unknown graph name" in err
     code, _, err = run_cli(capsys, "build", "--graph6", "!!!")
+    assert code == 1
+    code, _, err = run_cli(capsys, "build", "--graph6", "é")
     assert code == 1
 
 

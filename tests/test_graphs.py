@@ -258,6 +258,10 @@ def test_graph6_known_values():
         gr.from_graph6("")
     with pytest.raises(FormatError):
         gr.from_graph6("D")  # truncated payload
+    # non-ASCII characters are rejected, not read as '?' (graph6 value 0)
+    for s in ("é", "Aé", "C~é", "Dh\u00e9"):
+        with pytest.raises(FormatError):
+            gr.from_graph6(s)
 
 
 def test_edge_list_round_trip_and_errors():

@@ -353,8 +353,13 @@ def test_shared_shape_table_is_order_independent():
     assert any(v.status == mf.STATUS_NOT_MANIFOLD for _, vs, _ in forward for v in vs)
 
 
-def test_walk_leaves_the_face_table():
-    # the table the walk leaves against the top-down closure of the facets
+def test_only_faces_by_size_builds_a_face_table(monkeypatch):
+    # the walk builds no face table; Complex.faces_by_size() builds it once,
+    # through complexes._faces_by_size
+    built = []
+    real = cx._faces_by_size
+    monkeypatch.setattr(cx, "_faces_by_size",
+                        lambda facet_masks: built.append(tuple(facet_masks)) or real(facet_masks))
     rng = random.Random(46)
     cases = [cx.matching_complex(g) for g, _ in _join_arithmetic_cases(face_cap=400)][::4]
     for _ in range(30):
@@ -364,7 +369,11 @@ def test_walk_leaves_the_face_table():
                                                 for _ in range(rng.randint(1, 10))]))
     for c in cases:
         mf._face_classes(c, 2)
-        assert c.faces_by_size() == cx._faces_by_size(c.facet_masks)
+        assert "by_size" not in c._cache
+        built.clear()
+        assert c.faces_by_size() == real(c.facet_masks)
+        c.faces_by_size()
+        assert built == [tuple(c.facet_masks)]
 
 
 def test_one_face_table_per_complex_for_both_primes(monkeypatch):
