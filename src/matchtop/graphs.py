@@ -33,7 +33,7 @@ class Graph:
     def __init__(self, vertex_count: int, pairs):
         if vertex_count < 0:
             raise InvalidParameterError("vertex_count must be >= 0")
-        seen = set()
+        adj = [0] * vertex_count
         norm = []
         for u, v in pairs:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
@@ -44,19 +44,16 @@ class Graph:
                 raise LoopEdgeError(f"loop at vertex {u}")
             if u > v:
                 u, v = v, u
-            if (u, v) in seen:
+            if adj[u] >> v & 1:
                 raise DuplicateEdgeError(f"edge ({u}, {v}) given twice")
-            seen.add((u, v))
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
             norm.append((u, v))
         norm.sort()
         self.vertex_count = vertex_count
         self.edges = tuple(norm)
-        adj = [0] * vertex_count
-        for u, v in norm:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
         self.adj = tuple(adj)
-        self.has_isolated_vertices = any(a == 0 for a in adj)
+        self.has_isolated_vertices = not all(adj)
         self._conflicts = None
 
     @property
@@ -437,6 +434,9 @@ def canonical_form(g: Graph, max_vertices: int = CANONICAL_VERTEX_CAP,
     n = g.vertex_count
     if n > max_vertices:
         raise TooLargeError(f"{n} vertices exceeds canonicalization cap {max_vertices}")
+    if initial_classes is not None and len(initial_classes) != n:
+        raise InvalidParameterError(
+            f"{len(initial_classes)} colors given for {n} vertices")
     if n == 0:
         return _g6_header(0)
     adj = g.adj

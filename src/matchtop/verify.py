@@ -149,85 +149,84 @@ def _free_pairs(g: gr.Graph, nu: int):
     return out
 
 
-def _joined_without(adj, a: int, b: int) -> bool:
-    """Whether b is reachable from a without the edge (a, b): the edge is
-    then not a bridge."""
-    seen = 1 << a
-    frontier = adj[a] & ~(1 << b)
-    while frontier:
-        seen |= frontier
-        if seen >> b & 1:
-            return True
-        nxt = 0
-        for w in gr._bits(frontier):
-            nxt |= adj[w]
-        frontier = nxt & ~seen
-    return False
+class _Parent:
+    """A connected class as ``_canonical_child`` reads it, computed once
+    for all its children: degrees, neighbour lists, the leaf mask, vertex
+    keys at the children's width, and each edge's bridge side on first use."""
 
+    __slots__ = ("n", "adj", "edges", "deg", "nbrs", "w", "key", "leaves", "sides")
 
-def _neighbour_sum(deg, a: int) -> int:
-    """The sum of ``deg`` over the vertices of the mask ``a``."""
-    s = 0
-    while a:
-        b = a & -a
-        s += deg[b.bit_length() - 1]
-        a ^= b
-    return s
+    def __init__(self, g: gr.Graph):
+        self.n = g.vertex_count
+        self.adj = g.adj
+        self.edges = g.edges
+        # the slot n is the vertex a pendant edge would add
+        self.deg = deg = [a.bit_count() for a in g.adj] + [0]
+        self.nbrs = nbrs = [list(gr._bits(a)) for a in g.adj] + [[]]
+        self.w = w = (2 * len(g.edges) + 2).bit_length()
+        self.key = [d << w | sum(deg[x] for x in nb) for d, nb in zip(deg, nbrs)]
+        self.leaves = sum(1 << x for x, d in enumerate(deg) if d == 1)
+        self.sides = [None] * len(g.edges)
 
-
-def _is_canonical_deletion(adj, u: int, v: int) -> bool:
-    """Whether the edge (u, v) of the connected graph with adjacency masks
-    ``adj`` is removable and ranks highest among its removable edges.
-
-    The removable edges are the pendant edges, or the non-bridges when there
-    is no pendant edge: the two moves of ``connected_graph_classes`` undone.
-    An edge ranks by the sorted pair of (degree, sum of neighbour degrees)
-    over its two ends, which an isomorphism carries along with the edge.
-    Isolated vertices in ``adj`` are ignored."""
-    deg = [a.bit_count() for a in adj]
-    nsum = {}
-
-    def end(w):
-        s = nsum.get(w)
+    def side(self, i: int) -> int:
+        """For a bridge i = (a, b), the vertices reachable from a without
+        it; 0 when the edge is no bridge."""
+        s = self.sides[i]
         if s is None:
-            s = nsum[w] = _neighbour_sum(deg, adj[w])
-        return deg[w], s
-
-    def key(a, b):
-        ka, kb = end(a), end(b)
-        return (ka, kb) if ka <= kb else (kb, ka)
-
-    if 1 in deg:
-        if deg[u] != 1 and deg[v] != 1:
-            return False
-        top = key(u, v)
-        return all(key(w, adj[w].bit_length() - 1) <= top
-                   for w, d in enumerate(deg) if d == 1)
-    if not _joined_without(adj, u, v):
-        return False
-    top = key(u, v)
-    for a in range(len(adj)):
-        for b in gr._bits(adj[a] >> a + 1 << a + 1):
-            if key(a, b) > top and _joined_without(adj, a, b):
-                return False
-    return True
+            adj = self.adj
+            a, b = self.edges[i]
+            s = 1 << a
+            frontier = adj[a] & ~(1 << b)
+            while frontier:
+                s |= frontier
+                nxt = 0
+                for x in gr._bits(frontier):
+                    nxt |= adj[x]
+                frontier = nxt & ~s
+            s = self.sides[i] = 0 if s >> b & 1 else s
+        return s
 
 
-def _invariant(adj) -> int:
-    """An isomorphism invariant of the graph with adjacency masks ``adj``:
-    the sorted multiset of (degree, sum of neighbour degrees) over its
-    vertices, packed into one integer.
-
-    Both numbers are at most 2m, so one width w = (2m).bit_length() holds
-    either, and the packing is injective among graphs with m edges and no
-    isolated vertex.  An isolated vertex packs as a leading zero and leaves
-    the key unchanged."""
-    deg = [a.bit_count() for a in adj]
-    w = sum(deg).bit_length()
-    key = 0
-    for e in sorted(d << w | _neighbour_sum(deg, a) for d, a in zip(deg, adj)):
-        key = key << 2 * w | e
-    return key
+def _canonical_child(p: _Parent, u: int, v: int) -> int | None:
+    """The invariant of the child that adds (u, v) to ``p``, or None when
+    (u, v) is not the child's canonical deletion (see
+    ``connected_graph_classes``)."""
+    n = p.n
+    if v < n and p.leaves & ~(1 << u | 1 << v):
+        return None  # a parent leaf survives, and (u, v) is no pendant edge
+    w = p.w
+    deg = p.deg
+    key = p.key.copy()
+    key[u] += (1 << w) + deg[v] + 1
+    key[v] += (1 << w) + deg[u] + 1
+    for x in p.nbrs[u]:
+        key[x] += 1
+    for x in p.nbrs[v]:
+        key[x] += 1
+    w2 = 2 * w
+    ku, kv = key[u], key[v]
+    top = ku << w2 | kv if ku <= kv else kv << w2 | ku
+    if v == n:
+        # the pendant edges are the new one and those of the parent's
+        # leaves other than u
+        for a in gr._bits(p.leaves & ~(1 << u)):
+            ka, kb = key[a], key[p.nbrs[a][0]]
+            if (ka << w2 | kb if ka <= kb else kb << w2 | ka) > top:
+                return None
+    else:
+        # no leaf, and (u, v) closes a cycle through every parent bridge
+        # with u and v on different sides: the bridges of the child are the
+        # others
+        for i, (a, b) in enumerate(p.edges):
+            ka, kb = key[a], key[b]
+            if (ka << w2 | kb if ka <= kb else kb << w2 | ka) > top:
+                s = p.side(i)
+                if not s or (s >> u ^ s >> v) & 1:
+                    return None
+    inv = 0
+    for k in sorted(key):
+        inv = inv << w2 | k
+    return inv
 
 
 def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
@@ -249,7 +248,7 @@ def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
             # adding (u, v) raises nu by one exactly when some maximum
             # matching misses both u and v
             free = _free_pairs(g, nu) if cap is not None else None
-            adj = list(g.adj) + [0]
+            parent = _Parent(g)
             for u in range(n):
                 au = g.adj[u]
                 fu = free[u] if free is not None else 0
@@ -262,11 +261,7 @@ def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
                             pruned += 1
                             continue
                         child_nu += 1
-                    adj[u] ^= 1 << v
-                    adj[v] ^= 1 << u
-                    inv = _invariant(adj) if _is_canonical_deletion(adj, u, v) else None
-                    adj[u] ^= 1 << v
-                    adj[v] ^= 1 << u
+                    inv = _canonical_child(parent, u, v)
                     if inv is None:
                         continue
                     child = (gr.Graph(n + (v == n), g.edges + ((u, v),)), child_nu)
@@ -303,9 +298,9 @@ def connected_graph_classes(max_edges: int, max_vertices: int,
     within it.
 
     A child is canonicalized only when its added edge passes
-    ``_is_canonical_deletion``: it is removable (a pendant edge, or a
-    non-bridge when the child has no pendant edge) and its isomorphism-
-    invariant key ranks highest among the child's removable edges (McKay,
+    ``_canonical_child``: it is removable (a pendant edge, or a non-bridge
+    when the child has no pendant edge) and its isomorphism-invariant key
+    ranks highest among the child's removable edges (McKay,
     "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Most
     children of a class are rejected there, and the canonical-form dedupe
     removes the rest of the repeats.  The prefilter loses no class: a class
@@ -316,8 +311,21 @@ def connected_graph_classes(max_edges: int, max_vertices: int,
     C, and the key and removability are invariants, so that addition ranks
     highest in its child and passes.
 
-    A child that passes is filed under ``_invariant``, the sorted multiset
-    of (degree, sum of neighbour degrees) over its vertices.  Only when a
+    The test reads state computed once per parent.  A vertex's key is
+    ``degree << w | sum of neighbour degrees``, w = (2m).bit_length() for
+    the child's m edges; both numbers are at most 2m.  Adding (u, v)
+    changes only the keys near it: u gains one degree and deg v + 1 of
+    neighbour sum (v likewise), and each neighbour of u or of v gains 1.
+    Only u and v change degree, so the child has a leaf unless every parent
+    leaf is u or v, and a child with a leaf passes only by a pendant edge
+    to the new vertex.  An edge between parent vertices is no bridge, the
+    parent being connected, and a parent edge ab is a bridge of the child
+    exactly when it is one of the parent whose side (the vertices reachable
+    from a without ab) holds both of u and v or neither; otherwise (u, v)
+    closes a cycle through it.
+
+    A child that passes is filed under its invariant, the sorted multiset
+    of its vertex keys packed into one integer.  Only when a
     second child joins a bucket are the bucket's children canonicalized and
     deduplicated by form, the first child of each form kept.  This is
     exact: isomorphic children have equal invariants, so every repeat of a

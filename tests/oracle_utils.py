@@ -158,3 +158,58 @@ def labeled_graphs_on(n):
     pairs = list(itertools.combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
         yield tuple(p for i, p in enumerate(pairs) if bits >> i & 1)
+
+
+def _bit_list(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _joined_without(adj, a, b):
+    """Whether b is reachable from a without the edge (a, b): the edge is
+    then not a bridge."""
+    seen = {a}
+    stack = [a]
+    while stack:
+        x = stack.pop()
+        for y in _bit_list(adj[x]):
+            if {x, y} != {a, b} and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return b in seen
+
+
+def _vertex_keys(adj):
+    """Per vertex, the pair (degree, sum of neighbour degrees)."""
+    deg = [a.bit_count() for a in adj]
+    return [(deg[x], sum(deg[y] for y in _bit_list(a))) for x, a in enumerate(adj)]
+
+
+def is_canonical_deletion(adj, u, v):
+    """Whether the edge (u, v) of the connected graph with adjacency masks
+    ``adj`` is removable and ranks highest among its removable edges, every
+    degree, neighbour sum and bridge recomputed from scratch.
+
+    The removable edges are the pendant edges, or the non-bridges when there
+    is no pendant edge.  An edge ranks by the sorted pair of (degree, sum of
+    neighbour degrees) over its two ends.  Isolated vertices are ignored."""
+    keys = _vertex_keys(adj)
+    edges = [(a, b) for a in range(len(adj)) for b in _bit_list(adj[a]) if a < b]
+    pendant = [e for e in edges if 1 in (keys[e[0]][0], keys[e[1]][0])]
+    removable = pendant or [e for e in edges if _joined_without(adj, *e)]
+    if (min(u, v), max(u, v)) not in removable:
+        return False
+    top = sorted((keys[u], keys[v]))
+    return all(sorted((keys[a], keys[b])) <= top for a, b in removable)
+
+
+def degree_invariant(adj):
+    """The sorted multiset of (degree, sum of neighbour degrees) over the
+    vertices of the graph with adjacency masks ``adj``, packed into one
+    integer of 2w bits per vertex with w = (2m).bit_length(); an isolated
+    vertex packs as a leading zero."""
+    keys = _vertex_keys(adj)
+    w = sum(d for d, _ in keys).bit_length()
+    out = 0
+    for d, s in sorted(keys):
+        out = out << 2 * w | d << w | s
+    return out

@@ -5,11 +5,13 @@ search branches on one vertex per twin class."""
 import hashlib
 import itertools
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from matchtop import complexes as cx
 from matchtop import graphs as gr
 from matchtop import verify
+from matchtop.errors import InvalidParameterError
 
 import oracle_utils
 
@@ -180,6 +182,16 @@ def test_matching_number_is_the_largest_matching(g):
 
 # ---------------------------------------------------------------------------
 # colored forms
+
+
+def test_color_list_of_the_wrong_length_rejected():
+    # too few colors would label only part of C4, too many would index
+    # past its vertices
+    c4 = gr.cycle(4)
+    for count in (3, 5):
+        with pytest.raises(InvalidParameterError):
+            gr.canonical_form(c4, initial_classes=[0] * count)
+    assert gr.canonical_form(c4, initial_classes=[0] * 4) == gr.canonical_form(c4)
 
 
 def test_colored_forms_collide_but_incidence_keys_carry_the_counts():

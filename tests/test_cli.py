@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -234,3 +238,14 @@ def test_manifold_one_prime_reports_no_cross_check(capsys):
     code, data, _ = run_json(capsys, "manifold", "--name", "K43")
     assert [b["p"] for b in data["betti"]] == [2, 3]
     assert data["cross_check_status"] == "ClosedManifold"
+
+
+def test_python_dash_m_runs_without_an_install():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "matchtop", "verify", "--target", "1-sphere",
+         "--max-edges", "4"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "Match"

@@ -300,8 +300,7 @@ def test_prefilter_matches_dedupe_only_oracle(monkeypatch):
         with monkeypatch.context() as m:
             # every child reaches the canonical-form dedupe, and shares one
             # invariant bucket with every other child of its level
-            m.setattr(verify, "_is_canonical_deletion", lambda adj, u, v: True)
-            m.setattr(verify, "_invariant", lambda adj: 0)
+            m.setattr(verify, "_canonical_child", lambda parent, u, v: 0)
             oracle_levels = [_level_forms(verify.connected_graph_classes(e, 10, cap))
                              for e, cap in budgets]
             oracle_reports = [verify.run_search(s).to_dict(include_timing=False)
@@ -316,15 +315,21 @@ def test_prefilter_matches_dedupe_only_oracle(monkeypatch):
 
 
 @st.composite
-def _connected_edge_perm(draw):
+def _connected(draw, max_extra=None):
     n = draw(st.integers(2, 8))
     # a random spanning tree plus random further edges
     tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     rest = [p for p in itertools.combinations(range(n), 2) if p not in tree]
-    extra = draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
-    g = gr.Graph(n, tree + extra)
+    extra = (draw(st.lists(st.sampled_from(rest), unique=True, max_size=max_extra))
+             if rest else [])
+    return gr.Graph(n, tree + extra)
+
+
+@st.composite
+def _connected_edge_perm(draw):
+    g = draw(_connected())
     edge = draw(st.sampled_from(g.edges))
-    perm = draw(st.permutations(range(n)))
+    perm = draw(st.permutations(range(g.vertex_count)))
     return g, edge, perm
 
 
@@ -336,10 +341,33 @@ def _connected_edge_perm(draw):
 def test_canonical_deletion_invariant_under_relabelling(case):
     g, (u, v), perm = case
     h = gr.relabel(g, perm)
-    assert (verify._is_canonical_deletion(list(g.adj), u, v)
-            == verify._is_canonical_deletion(list(h.adj), perm[u], perm[v]))
+    assert (oracle_utils.is_canonical_deletion(list(g.adj), u, v)
+            == oracle_utils.is_canonical_deletion(list(h.adj), perm[u], perm[v]))
     # some removable edge ranks highest, so every class has a parent
-    assert any(verify._is_canonical_deletion(list(g.adj), a, b) for a, b in g.edges)
+    assert any(oracle_utils.is_canonical_deletion(list(g.adj), a, b) for a, b in g.edges)
+
+
+@settings(max_examples=300, deadline=None)
+# few edges beyond a spanning tree, so that bridges and leaves are common
+@given(_connected(max_extra=3), st.booleans())
+# a triangle with a path 0-3-5-4: adding (3, 4) makes two triangles joined
+# by the bridge (0, 3), which has top key and stays a bridge
+@example(gr.Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 5), (4, 5)]), True)
+def test_per_parent_verdicts_match_the_oracle(g, room):
+    # every addition the generator makes to a connected parent, the pendant
+    # slot v == n included unless the parent is at the vertex budget
+    n = g.vertex_count
+    parent = verify._Parent(g)
+    for u in range(n):
+        for v in range(u + 1, n + 1 if room else n):
+            if g.has_edge(u, v):
+                continue
+            adj = list(g.adj) + [0]
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            want = (oracle_utils.degree_invariant(adj)
+                    if oracle_utils.is_canonical_deletion(adj, u, v) else None)
+            assert verify._canonical_child(parent, u, v) == want, (u, v)
 
 
 def test_prefilter_canonicalizes_each_class_about_once(monkeypatch):
@@ -375,11 +403,11 @@ def _graph_perm(draw):
 @example((gr.star(18), [18] + list(range(18))))  # 19 vertices
 def test_invariant_unchanged_by_relabelling(case):
     g, perm = case
-    inv = verify._invariant(list(g.adj))
-    assert inv == verify._invariant(list(gr.relabel(g, perm).adj))
-    # the generator passes the spare slot of a non-pendant child as an
+    inv = oracle_utils.degree_invariant(list(g.adj))
+    assert inv == oracle_utils.degree_invariant(list(gr.relabel(g, perm).adj))
+    # the generator keeps the spare slot of a non-pendant child as an
     # isolated vertex
-    assert inv == verify._invariant(list(g.adj) + [0])
+    assert inv == oracle_utils.degree_invariant(list(g.adj) + [0])
 
 
 def test_cross_check_prime_equal_to_p_is_no_cross_check():
