@@ -38,10 +38,6 @@ class BasicGraphKind:
         return None
 
     @property
-    def is_ball_family(self) -> bool:
-        return self.kind in ("P2", "Gamma", "Spider")
-
-    @property
     def name(self) -> str:
         """The name in a union's name: Spider(2) is P5, Spider(k) is Spk."""
         if self.kind == "Spider":

@@ -56,10 +56,6 @@ class Graph:
         self.has_isolated_vertices = not all(adj)
         self._conflicts = None
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 

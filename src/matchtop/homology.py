@@ -97,9 +97,12 @@ class BettiVector:
         return 0
 
     def is_sphere(self, d: int) -> bool:
-        if self.minus_one != (1 if d == -1 else 0):
-            return False
-        return all(v == (1 if k == d else 0) for k, v in enumerate(self.betti))
+        """beta_d = 1 and every other reduced Betti number 0; d = -1 is
+        {∅}.  A d outside the vector is no sphere: its beta_d is 0."""
+        if d == -1:
+            return self.minus_one == 1 and not any(self.betti)
+        return (self.minus_one == 0 and 0 <= d < len(self.betti)
+                and all(v == (1 if k == d else 0) for k, v in enumerate(self.betti)))
 
     def is_ball(self) -> bool:
         return self.minus_one == 0 and all(v == 0 for v in self.betti)

@@ -19,16 +19,14 @@ and complexes have it; ``matchtop.clear_caches()`` empties the table.
 The verdict is paid per shape, not per face.  Every nonempty face is a
 vertex plus a face of that vertex's link, so a shape's record keeps a
 summary over its nonempty faces built from the records of its vertex
-links: some link fails, some link is a ball, the ball faces are not
-closed under subfaces, or a maximal ball face is not a ridge in exactly
-one facet.  With no failure and no ball the complex is closed; with balls
-but none of the other three, the boundary facets are the ridges in one
-facet, and the complex has boundary when their span is closed.  Only
-otherwise, when the verdict needs a witness face, does the walk visit
-every nonempty face once.  The face classes, the verdict and the boundary
-(a complex kept with its facets) are memoized on the complex per prime, so
-``check_manifold``, ``boundary_complex``, ``classify`` and
-``manifold_report`` analyse each complex once.
+links: the least size of a face whose link fails, whether some link is a
+ball, and whether the maximal ball faces differ from the ridges in exactly
+one facet.  No face is visited: a failing complex finds its least failing
+face by descending through the records, a closed one has no ball, and the
+boundary of any other is spanned by the ridges in one facet.  The verdict
+and the boundary (a complex kept with its facets) are memoized on the
+complex per prime, so ``check_manifold``, ``boundary_complex``,
+``classify`` and ``manifold_report`` analyse each complex once.
 """
 
 from __future__ import annotations
@@ -83,7 +81,7 @@ NOT_MANIFOLD_CLASS = ManifoldClass("NotManifold")
 
 
 # ---------------------------------------------------------------------------
-# face-by-face link analysis
+# link analysis per shape
 
 _INTERIOR = "S"
 _BOUNDARY = "B"
@@ -124,117 +122,90 @@ def _record(shapes, norm, k):
 
 def _child(shapes, rec, i, p):
     """The child entry of a shape record for its vertex i: the record of
-    lk(i), the positions of its vertices in the parent, and the cut (how
-    many of them lie below i).  The child is classified on creation."""
+    lk(i) and the positions of its vertices in the parent.  The child is
+    classified on creation."""
     b = 1 << i
     used, norm = cx._reindex([f ^ b for f in rec[2] if f & b])
     k = used.bit_count()
     child = _record(shapes, norm, k)
     if child[0] is None:
         child[0], child[1] = _classify_link(k, norm, p)
-    entry = rec[3][i] = (child, bytes(graphs_mod._bits(used)), (used & (b - 1)).bit_count())
+    entry = rec[3][i] = (child, bytes(graphs_mod._bits(used)))
     return entry
 
 
 def _shape_summary(rec, shapes, p):
-    """Flags over the nonempty faces σ of a shape, from its vertex links:
-    ``(fail, ball, broken, disagree, ball_vertex)``.
+    """The summary of a shape over its nonempty faces σ, from its vertex
+    links: ``(fail, ball, disagree, ball_vertex)``.
 
-    * fail: some lk σ is '?';
+    * fail: the least size of a σ whose link is '?', 0 when there is none;
     * ball: some lk σ is a ball;
-    * broken: some lk σ is not a ball but has a ball vertex link (the link
-      of a face one vertex larger), so the ball faces are not closed under
-      subfaces;
     * disagree: for some σ, "lk σ is a ball with no ball vertex link" (σ
       is a maximal ball face) differs from "lk σ is one point" (σ is a
       ridge in exactly one facet);
     * ball_vertex: some vertex link of the shape itself is a ball.
 
     Every nonempty face is a vertex i plus a face τ of lk(i), with lk σ =
-    lk_{lk(i)}(τ), so the flags of a shape are those of its vertex links
-    themselves (τ = ∅) or-ed with their own summaries.  Memoized on the
-    record; it stops at the first fail or broken flag, which decides
-    nothing but "walk the faces", so the other flags may be incomplete
-    then.
+    lk_{lk(i)}(τ), so the summary of a shape is read off its vertex links
+    themselves (τ = ∅, size 1) and their own summaries (size + 1).
+    Memoized on the record; it stops at the first vertex link that fails,
+    so the other flags are complete only when fail is 0.  They are read
+    only then.
+
+    Without a failing face the ball faces are closed under subfaces, so
+    the maximal ones span the boundary.  Lemma: if no nonempty face of a
+    pure complex has a failing link at p, and τ is a nonempty face whose
+    link L, of dimension k, has sphere homology, then no vertex of L has a
+    ball link in L (lk_L(w) = lk(τ ∪ w)).  For k = 0, L is two points and
+    each lk_L(w) is {∅}, a (-1)-sphere.  For k ≥ 1, the ridge links of L
+    have one or two points and every other link of L is connected, so L
+    is strongly connected and a nonzero top cycle z has every coefficient
+    nonzero; no ridge of L lies in only one facet.  For a vertex w of L
+    the facets of z through w, with w deleted, form a nonzero (k-1)-cycle
+    of lk_L(w), which is therefore not acyclic.
     """
     got = rec[4]
     if got is not None:
         return got
-    fail = ball = broken = disagree = ball_vertex = False
+    fail = 0
+    ball = disagree = ball_vertex = False
     kids = rec[3]
     for i in range(len(kids)):
         child = (kids[i] or _child(shapes, rec, i, p))[0]
         if child[0] == _FAIL:
-            fail = True
+            fail = 1
             break
         sub = _shape_summary(child, shapes, p)
+        if sub[0] and (not fail or sub[0] < fail):
+            fail = sub[0] + 1
         is_ball = child[0] == _BOUNDARY
-        fail = sub[0]
-        broken = sub[2] or (not is_ball and sub[4])
-        if fail or broken:
-            break
         ball_vertex |= is_ball
         ball |= is_ball or sub[1]
-        disagree |= sub[3] or (is_ball and not sub[4]) != (child[2] == (1,))
-    got = rec[4] = (fail, ball, broken, disagree, ball_vertex)
+        disagree |= sub[2] or (is_ball and not sub[3]) != (child[2] == (1,))
+    got = rec[4] = (fail, ball, disagree, ball_vertex)
     return got
 
 
-def _face_classes(c: Complex, p: int):
-    """Map each nonempty face mask of a pure complex to 'S'/'B'/'?' by its
-    link homology.
+def _least_failing_face(rec, size, pos):
+    """``(mask, betti)`` of the least failing face of a shape by labels,
+    given its least failing size and the masks of its positions.
 
-    Returns ``(classes, betti_of)``, the second holding the link Betti
-    numbers of the failing faces; memoized on the complex.  Links are built
-    top-down, depth first: lk(σ ∪ v) = lk_{lk σ}(v), so the facets of
-    lk(σ ∪ v) are the facets of lk σ that contain v, with v removed.  A
-    face is extended only by link vertices above its top vertex, so each
-    face is visited once.
-
-    The walk is memoized by link shape, in a table shared by the whole
-    process.  Each distinct normalized link (its facets re-indexed onto
-    positions 0..k-1) gets one record per prime: its class, its Betti
-    numbers, its summary (see :func:`_shape_summary`) and, filled as they
-    are first needed, its children, one per link vertex i.  A child is the shape of lk_{lk}(i), the positions of its
-    vertices within the parent link, and the cut: how many of them lie below
-    i.  A complex's own shape gets a record too, classified only when it
-    turns up as a link.  A face carries its link's vertices as bits of the
-    complex, so visiting a child is a lookup and a list of bits.  This is
-    exact: the children of a link depend only on its shape, re-indexing
-    keeps the vertex order, so "only link vertices above the top vertex"
-    becomes "only child positions from the cut on", and a record's class
-    depends on nothing but its facets.  Re-indexing and classification thus
-    run once per shape and prime in the process, not once per face.
-    """
-    key = ("face_classes", p)
-    got = c._cache.get(key)
-    if got is not None:
-        return got
-    shapes = _shapes.setdefault(p, {})
-    classes = {}
-    betti_of = {}
-
-    def walk(face, rec, pos, start):
-        kids = rec[3]
-        for i in range(start, len(pos)):
-            child, idx, cut = kids[i] or _child(shapes, rec, i, p)
-            sub = face | pos[i]
-            classes[sub] = cls = child[0]
-            if cls == _FAIL:
-                betti_of[sub] = child[1]
-            if cut < len(idx):
-                walk(sub, child, [pos[j] for j in idx], cut)
-
-    used, norm = cx._reindex(c.facet_masks)
-    walk(0, _record(shapes, norm, used.bit_count()), [1 << v for v in graphs_mod._bits(used)], 0)
-    del walk  # the recursive closure is a reference cycle; free it now
-    got = (classes, betti_of)
-    c._cache[key] = got
-    return got
-
-
-def _face_sort_key(c: Complex, mask: int):
-    return (mask.bit_count(), c.labels_of(mask))
+    Labels are in position order, so least by labels is least by
+    positions.  The descent takes the least vertex i whose link fails
+    (size 1) or has least failing size size - 1, and continues in lk(i):
+    a vertex below i lies in no failing face of this size, and a failing
+    face of lk(i) with a vertex below i would give one that does.  The
+    summaries read here were all computed, as no vertex link before the
+    chosen one fails."""
+    face = 0
+    while True:
+        for i, (child, idx) in enumerate(rec[3]):
+            if child[0] == _FAIL if size == 1 else child[4][0] == size - 1:
+                break
+        face |= pos[i]
+        if size == 1:
+            return face, child[1]
+        rec, size, pos = child, size - 1, [pos[j] for j in idx]
 
 
 def check_manifold(c: Complex, p) -> ManifoldVerdict:
@@ -245,6 +216,11 @@ def check_manifold(c: Complex, p) -> ManifoldVerdict:
     with ball links (plus ∅) must form a closed homology manifold one
     dimension lower.  Non-pure input short-circuits to NotPure.  The
     verdict is memoized on the complex.
+
+    The witness of a non-manifold is its least face (by size, then labels)
+    whose link fails.  With none, it is the boundary's own witness when the
+    maximal ball faces are the ridges in one facet, and otherwise the least
+    vertex whose link is a ball.
     """
     pp = _prime_of(p)
     key = ("verdict", pp)
@@ -264,80 +240,30 @@ def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
     d = c.dimension
     shapes = _shapes.setdefault(pp, {})
     used, norm = cx._reindex(c.facet_masks)
-    fail, ball, broken, disagree, _ = _shape_summary(
-        _record(shapes, norm, used.bit_count()), shapes, pp)
-    if not fail and not ball:
+    rec = _record(shapes, norm, used.bit_count())
+    fail, ball, disagree, _ = _shape_summary(rec, shapes, pp)
+    pos = [1 << v for v in graphs_mod._bits(used)]
+    if fail:
+        face, betti = _least_failing_face(rec, fail, pos)
+        return ManifoldVerdict(STATUS_NOT_MANIFOLD, d, pp, c.labels_of(face), betti)
+    if not ball:
         return ManifoldVerdict(STATUS_CLOSED, d, pp)
-    if not (fail or broken or disagree):
-        # the ball faces are closed under subfaces and their maximal ones
-        # are the ridges in exactly one facet
+    if not disagree:
+        # the ball faces are closed under subfaces (the lemma of
+        # _shape_summary) and their maximal ones are the ridges in exactly
+        # one facet
         facets = _one_cofacet_ridges(c)
         bd = _span(c, facets)
         c._cache[("boundary_span", pp)] = (facets, bd)
-        if check_manifold(bd, pp).status == STATUS_CLOSED:
+        sub = check_manifold(bd, pp)
+        if sub.status == STATUS_CLOSED:
             return ManifoldVerdict(STATUS_WITH_BOUNDARY, d, pp)
-    # a failure, or a boundary that is not a closed manifold: walk the
-    # faces for the witness
-    classes, betti_of = _face_classes(c, pp)
-
-    def failed_at(mask):
-        return ManifoldVerdict(
-            STATUS_NOT_MANIFOLD, d, pp,
-            witness_face=c.labels_of(mask),
-            witness_betti=betti_reduced(cx.link(c, c.labels_of(mask)), pp),
-        )
-
-    failures = [f for f, cls in classes.items() if cls == _FAIL]
-    if failures:
-        worst = min(failures, key=lambda m: _face_sort_key(c, m))
-        return ManifoldVerdict(
-            STATUS_NOT_MANIFOLD, d, pp,
-            witness_face=c.labels_of(worst),
-            witness_betti=betti_of[worst],
-        )
-    boundary = {f for f, cls in classes.items() if cls == _BOUNDARY}
-    if not boundary:
-        return ManifoldVerdict(STATUS_CLOSED, d, pp)
-    covered = set()  # the codimension-1 subfaces of the boundary faces
-    add = covered.add
-    for f in boundary:
-        m = f
-        while m:
-            b = m & -m
-            add(f ^ b)
-            m ^= b
-    covered.discard(0)
-    if not covered <= boundary:
-        # the boundary faces must be closed under taking subfaces; the
-        # first face (by size, then mask) with a missing subface is the
-        # witness
-        for f in sorted(boundary, key=lambda m: (m.bit_count(), m)):
-            m = f
-            while m:
-                b = m & -m
-                if f ^ b and f ^ b not in boundary:
-                    return failed_at(f ^ b)
-                m ^= b
-    # a face of a downward-closed set is maximal exactly when it is not a
-    # codimension-1 subface of another; the boundary complex is kept with
-    # its facets on c, so its face table serves classify too
-    facets = boundary - covered
-    bd = _span(c, facets)
-    c._cache[("boundary_span", pp)] = (facets, bd)
-    if bd.dimension != d - 1 and d >= 1:
-        return failed_at(min(boundary, key=lambda m: _face_sort_key(c, m)))
-    sub = check_manifold(bd, pp)
-    if sub.status == STATUS_CLOSED:
-        return ManifoldVerdict(STATUS_WITH_BOUNDARY, d, pp)
-    if sub.witness_face is None:
-        # the boundary failed structurally (e.g. not pure); point at the
-        # least boundary face instead
-        return failed_at(min(boundary, key=lambda m: _face_sort_key(c, m)))
-    return ManifoldVerdict(
-        STATUS_NOT_MANIFOLD, d, pp,
-        witness_face=sub.witness_face,
-        witness_betti=sub.witness_betti,
-    )
+        if sub.witness_face is not None:
+            return ManifoldVerdict(STATUS_NOT_MANIFOLD, d, pp, sub.witness_face, sub.witness_betti)
+    # a boundary with boundary, or a maximal ball face below the ridges: the
+    # least ball face, a vertex as the ball faces are closed under subfaces
+    i, child = next((i, child) for i, (child, _) in enumerate(rec[3]) if child[0] == _BOUNDARY)
+    return ManifoldVerdict(STATUS_NOT_MANIFOLD, d, pp, c.labels_of(pos[i]), child[1])
 
 
 def _span(c: Complex, facet_masks) -> Complex:
@@ -390,7 +316,7 @@ def boundary_complex(c: Complex, p, verdict: ManifoldVerdict | None = None) -> B
 def _boundary(c: Complex, pp: int) -> BoundaryComplex:
     # the verdict at pp builds the boundary; it is memoized unless the
     # caller's verdict came from another prime
-    verdict = c._cache.get(("verdict", pp)) or check_manifold(c, pp)
+    verdict = check_manifold(c, pp)
     if not verdict.is_manifold:
         raise InvalidParameterError(f"no boundary for status {verdict.status} at p = {pp}")
     facets, bd = c._cache.get(("boundary_span", pp), (set(), None))

@@ -600,7 +600,7 @@ def run_search(spec: SearchSpec) -> SearchReport:
         hit["edges"] = len(g.edges)
         hit_dicts.append(hit)
     expected_dicts = [
-        {"name": name, "graph6": key.decode(), "class": cls if isinstance(cls, str) else str(cls)}
+        {"name": name, "graph6": key.decode(), "class": cls}
         for key, (name, g, cls) in sorted(expected_map.items())
     ]
     elapsed = int((time.perf_counter() - t0) * 1000)

@@ -213,3 +213,53 @@ def degree_invariant(adj):
     for d, s in sorted(keys):
         out = out << 2 * w | d << w | s
     return out
+
+
+def oracle_verdict(facets, p):
+    """``(status, dimension, witness face, witness link Betti numbers)`` of
+    the complex with these facets (label tuples), from the link class of
+    every nonempty face (:func:`oracle_face_classes`).
+
+    The witness of a non-manifold is, by the first rule that applies: the
+    least failing face by (size, labels); the first subface missing from
+    the ball faces (taken by size, then by position mask, with subfaces
+    dropping the least vertex first); the least ball face by (size,
+    labels) when the maximal ball faces are not all ridges; the boundary's
+    own witness; the least ball face when the boundary has none.  The
+    Betti numbers are (beta_-1, [beta_0, ...]) of the witness's link.
+    """
+    facets = [tuple(sorted(f)) for f in facets]
+    sizes = {len(f) for f in facets}
+    d = max(sizes) - 1
+    if len(sizes) > 1:
+        return "NotPure", d, None, None
+    if d == -1:
+        return "ClosedManifold", -1, None, None
+    classes = oracle_face_classes(facets, p)
+
+    def least(faces):
+        return min(faces, key=lambda f: (len(f), sorted(f)))
+
+    def failed_at(face):
+        link = [tuple(sorted(set(f) - face)) for f in facets if face <= set(f)]
+        return "NotManifold", d, tuple(sorted(face)), oracle_betti(link, p)
+
+    failing = [f for f, cls in classes.items() if cls == "?"]
+    if failing:
+        return failed_at(least(failing))
+    balls = {f for f, cls in classes.items() if cls == "B"}
+    if not balls:
+        return "ClosedManifold", d, None, None
+    for f in sorted(balls, key=lambda f: (len(f), sorted(f, reverse=True))):
+        for v in sorted(f):
+            if len(f) > 1 and f - {v} not in balls:
+                return failed_at(f - {v})
+    maximal = [f for f in balls if not any(f < g for g in balls)]
+    if any(len(f) != d for f in maximal):
+        return failed_at(least(balls))
+    sub = oracle_verdict(maximal, p)
+    if sub[0] == "ClosedManifold":
+        return "ManifoldWithBoundary", d, None, None
+    if sub[2] is None:
+        return failed_at(least(balls))
+    return ("NotManifold", d) + sub[2:]

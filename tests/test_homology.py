@@ -97,6 +97,20 @@ def test_sphere_and_ball_predicates():
     assert not hm.has_sphere_homology(cx.from_facets([], []), -1, 2)
 
 
+def test_no_sphere_above_the_dimension():
+    # beta_d of a d outside the Betti vector is 0, so no acyclic complex is
+    # a sphere there
+    point = cx.from_facets([0], [(0,)])
+    triangle = cx.from_facets(range(3), [(0, 1, 2)])
+    for c in (point, triangle):
+        for d in (-2, c.dimension + 1, 4, 5):
+            assert not hm.has_sphere_homology(c, d, 2)
+    assert not hm.BettiVector(2, 0, (0, 0)).is_sphere(3)
+    assert not hm.BettiVector(2, 1, ()).is_sphere(0)
+    assert hm.BettiVector(3, 0, (0, 1)).is_sphere(1)
+    assert hm.has_sphere_homology(cx.from_facets(range(2), [(0,), (1,)]), 0, 2)
+
+
 def test_euler_poincare_consistency():
     rng = random.Random(22)
     for _ in range(40):

@@ -175,11 +175,12 @@ def test_closed_manifolds_have_no_proper_closed_subcomplex():
 
 
 def test_face_class_cache_consistency():
-    # the same complex analyzed twice gives identical tables
+    # the same complex read off the shape records twice gives identical
+    # tables, and a fresh copy of it the same table again
     M = M_of(gr.complete_bipartite(4, 3))
-    first = mf._face_classes(M, 2)[0]
-    second = mf._face_classes(M, 2)[0]
-    assert first == second
+    first = _record_classes(M, 2)
+    assert _record_classes(M, 2) == first == _record_classes(M_of(gr.complete_bipartite(4, 3)), 2)
+    assert len(first) == len(M.faces()) - 1
     assert all(v == "S" for v in first.values())
 
 
@@ -251,8 +252,27 @@ def test_reports_match_golden_for_every_catalog_name():
     assert hashlib.sha256(text.encode()).hexdigest().startswith("f34b32fa9976928d")
 
 
+def _record_classes(c, p):
+    """{face mask: class} for every nonempty face of a pure complex, read
+    off the shape records: a face is a vertex i of the complex's shape plus
+    a face of lk(i) above i, whose class is that of its link's record."""
+    shapes = mf._shapes.setdefault(p, {})
+    classes = {}
+
+    def expand(face, rec, pos, start):
+        for i in range(start, len(pos)):
+            child, idx = rec[3][i] or mf._child(shapes, rec, i, p)
+            classes[face | pos[i]] = child[0]
+            expand(face | pos[i], child, [pos[j] for j in idx], sum(j < i for j in idx))
+
+    used, norm = cx._reindex(c.facet_masks)
+    pos = [1 << v for v in range(c.vertex_count) if used >> v & 1]
+    expand(0, mf._record(shapes, norm, used.bit_count()), pos, 0)
+    return classes
+
+
 def _classes_by_labels(c, p):
-    return {frozenset(c.labels_of(m)): cls for m, cls in mf._face_classes(c, p)[0].items()}
+    return {frozenset(c.labels_of(m)): cls for m, cls in _record_classes(c, p).items()}
 
 
 def test_face_classes_match_facet_scan_oracle_on_joins():
@@ -302,7 +322,7 @@ def test_one_link_analysis_per_complex(monkeypatch):
               {e.name: e for e in catalog.exceptional_table()}["torus_disk_9e"].graph):
         matchtop.clear_caches()  # the shape table is process-wide
         M = cx.matching_complex(g)
-        assert len(mf._face_classes(M, 2)[0]) == len(M.faces()) - 1
+        assert len(_record_classes(M, 2)) == len(M.faces()) - 1
         assert 0 < len(calls) <= len(_distinct_links(M))  # once per link shape
         verdict = mf.check_manifold(M, 2)
         analysed = len(calls)
@@ -314,14 +334,14 @@ def test_one_link_analysis_per_complex(monkeypatch):
         copy = _shifted(M)
         assert mf.check_manifold(copy, 2).status == verdict.status
         assert mf.classify(copy) == mf.classify(M)
-        assert len(mf._face_classes(copy, 2)[0]) == len(M.faces()) - 1
+        assert len(_record_classes(copy, 2)) == len(M.faces()) - 1
         assert len(calls) == analysed
         calls.clear()
 
 
 def _analysis(c):
     """Everything the link analysis decides about c, at both primes."""
-    return ([mf._face_classes(c, p) for p in (2, 3)],
+    return ([_record_classes(c, p) for p in (2, 3)],
             [mf.check_manifold(c, p) for p in (2, 3)],
             mf.classify(c))
 
@@ -354,8 +374,9 @@ def test_shared_shape_table_is_order_independent():
 
 
 def test_only_faces_by_size_builds_a_face_table(monkeypatch):
-    # the walk builds no face table; Complex.faces_by_size() builds it once,
-    # through complexes._faces_by_size
+    # the verdict builds no face table of the complex;
+    # Complex.faces_by_size() builds it once, through
+    # complexes._faces_by_size
     built = []
     real = cx._faces_by_size
     monkeypatch.setattr(cx, "_faces_by_size",
@@ -368,7 +389,7 @@ def test_only_faces_by_size_builds_a_face_table(monkeypatch):
         cases.append(cx.from_facets(range(nv), [rng.sample(range(nv), size)
                                                 for _ in range(rng.randint(1, 10))]))
     for c in cases:
-        mf._face_classes(c, 2)
+        mf.check_manifold(c, 2)
         assert "by_size" not in c._cache
         built.clear()
         assert c.faces_by_size() == real(c.facet_masks)
@@ -485,7 +506,7 @@ def test_boundary_facets_agree_with_closed_one_cofacet_ridges():
             verdict = mf.check_manifold(M, p)
             if not verdict.is_manifold:
                 continue
-            balls = {f for f, cls in mf._face_classes(M, p)[0].items() if cls == "B"}
+            balls = {f for f, cls in _record_classes(M, p).items() if cls == "B"}
             assert _one_cofacet_closure(M) == balls
             bd = mf.boundary_complex(M, p, verdict).complex
             if verdict.status == mf.STATUS_WITH_BOUNDARY:
@@ -531,56 +552,58 @@ def test_shape_records_are_kept_per_prime():
         classes = _classes_by_labels(c, p)
         assert classes == oracle_utils.oracle_face_classes(c.facets(), p)
         assert classes[frozenset([6])] == {2: "?", 3: "B"}[p]
+        verdict = mf.check_manifold(c, p)
         if p == 2:
-            assert mf._face_classes(c, 2)[1][c.mask_of([6])].p == 2
+            assert verdict.witness_face == (6,) and verdict.witness_betti.p == 2
+        else:
+            assert verdict.witness_face == (0,)  # the least ball vertex
 
 
 # ---------------------------------------------------------------------------
-# the verdict per shape against the per-face walk
+# the verdict per shape against the facet-scan verdict
 
 
-def _outcomes(c, walk, pairs=((2, 3), (3, 2))):
-    """Verdict, boundary facets and class at each (prime, cross-check prime)
-    pair; with ``walk`` the shape summary is patched to send every complex
-    through the walk."""
-    out = []
-    with pytest.MonkeyPatch.context() as mp:
-        if walk:
-            mp.setattr(mf, "_shape_summary", lambda rec, shapes, p: (True,) * 5)
-        for p, q in pairs:
-            verdict = mf.check_manifold(c, p)
-            bd = None
-            if verdict.is_manifold:
-                try:
-                    got = mf.boundary_complex(c, p, verdict)
-                    bd = (got.complex.labels, got.complex.facets(), got.component_count)
-                except CrossCheckMismatchError:
-                    bd = "mismatch"
-            out.append((verdict, bd, mf.classify(c, verdict, (p, q))))
-    return out
+def _matches_oracle(c, p):
+    """The verdict of c at p, asserted equal to ``oracle_verdict``."""
+    verdict = mf.check_manifold(c, p)
+    b = verdict.witness_betti
+    assert verdict.p == p and (b is None or b.p == p)
+    got = (verdict.status, verdict.dimension, verdict.witness_face,
+           None if b is None else (b.minus_one, list(b.betti)))
+    assert got == oracle_utils.oracle_verdict(c.facets(), p)
+    return verdict
 
 
-def test_shape_summary_matches_the_walk_on_joins_and_catalog():
-    # the criterion-6 joins at the primes criterion 6 uses, every catalog
-    # graph at both
-    cases = [(g, ((2, 3),)) for g, _ in _join_arithmetic_cases()]
-    cases += [(catalog.named_graph(name), ((2, 3), (3, 2))) for name in catalog.catalog_names()]
-    walked = 0
-    for g, pairs in cases:
+def test_verdict_matches_the_oracle_verdict_on_joins_and_catalog():
+    # the small criterion-6 joins at the prime criterion 6 uses, every
+    # catalog graph at both
+    cases = [(g, (2,)) for g, _ in _join_arithmetic_cases(face_cap=400)]
+    cases += [(catalog.named_graph(name), (2, 3)) for name in catalog.catalog_names()]
+    failed = 0
+    for g, primes in cases:
         M = cx.matching_complex(g)
-        got = _outcomes(M, False, pairs)
-        assert got == _outcomes(cx.matching_complex(g), True, pairs), gr.to_graph6(g)
-        if got[0][0].is_manifold:
-            assert ("face_classes", 2) not in M._cache  # no face was walked
-        else:
-            walked += 1
-    assert len(cases) >= 350 and walked >= 5
+        for p in primes:
+            failed += _matches_oracle(M, p).status == mf.STATUS_NOT_MANIFOLD
+    assert len(cases) >= 150 and failed >= 5
 
 
 # a pseudomanifold whose ball faces are not closed under subfaces: the cone
 # over an octahedron with a triangle hung at a vertex
 _OCTAHEDRON = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
 _HUNG_CONE = [f + (8,) for f in _OCTAHEDRON + [(0, 6, 7)]]
+_CONE_RP2 = [f + (6,) for f in RP2]  # at p = 3 an acyclic apex link that is no ball
+_SUSPENSION_RP2 = [f + (a,) for f in RP2 for a in (6, 7)]
+# the least failing face is the edge (5, 6), whose link is two edges; vertex
+# 0 lies only in a larger failing face, the triangle (0, 1, 2) in three
+# tetrahedra
+_FAILS_ABOVE_A_LARGER_FAILURE = [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 11),
+                                 (5, 6, 7, 8), (5, 6, 9, 10)]
+# the cone over RP^2 x I (each prism abc x {0, 1} cut into three tetrahedra
+# by the vertex order): at p = 3 every link is a sphere or acyclic and the
+# maximal ball faces are the ridges in one facet, but the boundary fails
+# at the apex, whose link there is two copies of RP^2
+_CONE_RP2_X_I = [t + (12,) for a, b, c in map(sorted, RP2)
+                 for t in ((a, b, c, c + 6), (a, b, b + 6, c + 6), (a, a + 6, b + 6, c + 6))]
 
 
 @st.composite
@@ -593,19 +616,46 @@ def _pure_facets(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_pure_facets())
-@example([f + (6,) for f in RP2])  # at p = 3 an acyclic apex link that is no ball
+@example(_CONE_RP2)
+@example(_SUSPENSION_RP2)
 @example(_HUNG_CONE)
+@example(_FAILS_ABOVE_A_LARGER_FAILURE)
+@example(_CONE_RP2_X_I)
 @example([(0, 1, 2, 3), (0, 1, 4, 5)])  # two tetrahedra pinched along an edge
-def test_shape_summary_matches_the_walk_on_random_pure_complexes(facets):
-    assert (_outcomes(cx.from_facets(None, facets), walk=False)
-            == _outcomes(cx.from_facets(None, facets), walk=True))
+def test_verdict_matches_the_oracle_verdict_on_random_pure_complexes(facets):
+    for p in (2, 3, 5):
+        _matches_oracle(cx.from_facets(None, facets), p)
+
+
+@st.composite
+def _coned_facets(draw):
+    facets = [tuple(f) for f in draw(_pure_facets())]
+    apexes = draw(st.sampled_from([(), (8,), (8, 9)]))  # none, a cone, a suspension
+    return [f + (a,) for f in facets for a in apexes] if apexes else facets
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coned_facets())
+@example(_CONE_RP2)
+@example(_SUSPENSION_RP2)
+@example(_HUNG_CONE)
+@example(_CONE_RP2_X_I)
+def test_ball_faces_are_closed_without_a_failing_link(facets):
+    # the lemma of _shape_summary: without a failing link, every subface of
+    # a ball face is a ball face
+    for p in (2, 3, 5):
+        classes = oracle_utils.oracle_face_classes(facets, p)
+        if "?" in classes.values():
+            continue
+        balls = {f for f, cls in classes.items() if cls == "B"}
+        assert all(f - {v} in balls for f in balls if len(f) > 1 for v in f)
 
 
 def test_shape_summary_flags_read_only_the_record_classes(monkeypatch):
-    # the flags depend on the classes of the vertex links alone; a
-    # classifier that calls {∅} a ball and a point a sphere breaks the
-    # closure of the ball faces of an edge: a vertex (link: a point) is
-    # not a ball face, but the edge (link: {∅}) is
+    # the summary depends on the classes of the vertex links alone.  A
+    # classifier that calls {∅} a ball and a point a sphere makes the
+    # vertex of a point a maximal ball face whose link {∅} is no point:
+    # the two routes to the boundary disagree
     def swapped(k, masks, p):
         return {(0,): "B", (1,): "S"}.get(masks, "S"), None
 
@@ -613,12 +663,38 @@ def test_shape_summary_flags_read_only_the_record_classes(monkeypatch):
     monkeypatch.setattr(mf, "_shapes", {})
     shapes = mf._shapes.setdefault(2, {})
     edge = mf._record(shapes, (0b11,), 2)
-    fail, ball, broken, _, _ = mf._shape_summary(edge, shapes, 2)
-    assert (fail, broken) == (False, True)
-    # within a point, the point itself is a maximal ball face whose link
-    # {∅} is no point: the two routes to the boundary disagree
-    point = shapes[(1,)]
-    assert mf._shape_summary(point, shapes, 2) == (False, True, False, True, True)
+    assert mf._shape_summary(edge, shapes, 2) == (0, True, True, False)
+    assert mf._shape_summary(shapes[(1,)], shapes, 2) == (0, True, True, True)
+    # one that calls {∅} failing fails the vertex of a point (size 1) and
+    # so the edge itself (size 2), the least failing face of an edge
+    monkeypatch.setattr(mf, "_classify_link", lambda k, masks, p: ("?" if masks == (0,) else "S", masks))
+    monkeypatch.setattr(mf, "_shapes", {})
+    verdict = mf.check_manifold(cx.from_facets(None, [(4, 7)]), 2)
+    assert (verdict.witness_face, verdict.witness_betti) == ((4, 7), (0,))
+    assert mf._shapes[2][(0b11,)][4][0] == 2 and mf._shapes[2][(1,)][4][0] == 1
+
+
+def test_witness_faces_are_least_by_position_and_by_labels():
+    # the descent picks the least face by positions; every constructor
+    # keeps labels in position order, so that is the least by labels
+    rng = random.Random(47)
+    complexes = []
+    for _ in range(40):
+        labels = rng.sample(range(-50, 50), rng.randint(3, 8))
+        size = rng.randint(1, min(4, len(labels)))
+        facets = [rng.sample(labels, size) for _ in range(rng.randint(1, 8))]
+        c = cx.from_facets(labels, facets)
+        complexes += [c, cx.from_facets(None, facets)]
+        face = c.labels_of(c.facet_masks[0])
+        complexes += [cx.link(c, face[:1]), cx.link(c, face), cx.join(c, complexes[-1]),
+                      cx.induced_subcomplex(c, rng.sample(labels, len(labels) // 2 + 1)),
+                      cx.skeleton(c, rng.randint(0, c.dimension)),
+                      mf._span(c, rng.sample(c.facet_masks, 1 + len(c.facet_masks) // 2))]
+    for name in catalog.catalog_names():
+        complexes.append(cx.matching_complex(catalog.named_graph(name)))
+    for c in complexes:
+        assert list(c.labels) == sorted(c.labels)
+    assert len(complexes) > 300
 
 
 def test_a_face_table_per_shape_for_both_primes(monkeypatch):
