@@ -61,14 +61,10 @@ _SMALL_BASIC_GRAPHS = {
 }
 
 
-def _canon(g):
-    return gr.canonical_form(g)
-
-
 @functools.cache
 def _small_basics():
     kinds = [BasicGraphKind(k) for k in _SMALL_BASIC_GRAPHS]
-    return {_canon(k.graph): k for k in kinds}
+    return {gr.canonical_form(k.graph): k for k in kinds}
 
 
 def _spider_legs(g: gr.Graph) -> int | None:
@@ -104,7 +100,7 @@ def recognize_basic(g: gr.Graph) -> BasicGraphKind | None:
     if not gr.is_connected_graph(g):
         raise InvalidParameterError("recognize_basic expects a connected graph")
     if len(g.edges) <= 6 and g.vertex_count <= 6:
-        kind = _small_basics().get(_canon(g))
+        kind = _small_basics().get(gr.canonical_form(g))
         if kind is not None:
             return kind
     k = _spider_legs(g)
@@ -341,9 +337,9 @@ def predict(g: gr.Graph) -> Prediction:
     if kinds is not None:
         return predict_for_kinds(kinds)
     if g.vertex_count <= gr.CANONICAL_VERTEX_CAP:
-        key = _canon(g)
+        key = gr.canonical_form(g)
         for entry in exceptional_table():
-            if key == _canon(entry.graph):
+            if key == gr.canonical_form(entry.graph):
                 return Prediction(
                     "exceptional", None, entry.name, entry.expected_class,
                     2 if entry.expected_class.dimension is None else entry.expected_class.dimension,

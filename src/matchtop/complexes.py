@@ -140,6 +140,21 @@ def _faces_by_size(facet_masks) -> dict:
     return out
 
 
+def _ridge_cofacets(facet_masks) -> dict:
+    """``{ridge: number of facets through it}`` over the nonempty ridges,
+    the faces one vertex short of a facet.  The empty ridge of a
+    0-dimensional complex bounds nothing and is not counted."""
+    count = {}
+    for f in facet_masks:
+        m = f
+        while m:
+            b = m & -m
+            count[f ^ b] = count.get(f ^ b, 0) + 1
+            m ^= b
+    count.pop(0, None)
+    return count
+
+
 def _maximal(masks):
     """Inclusion-maximal masks, sorted; absorbs duplicates."""
     by_size = {}
@@ -229,7 +244,9 @@ def link(c: Complex, face_labels) -> Complex:
         raise FaceNotInComplexError(f"{tuple(face_labels)} is not a face")
     if mask == 0:
         return c
-    used, masks = _reindex(_maximal(f & ~mask for f in c.facet_masks if f & mask == mask))
+    # every Complex holds an antichain of facets, and the facets F through
+    # the face, less the face, are one too: F - σ ⊆ G - σ gives F ⊆ G
+    used, masks = _reindex([f & ~mask for f in c.facet_masks if f & mask == mask])
     return Complex(c.labels_of(used), masks)
 
 
@@ -490,8 +507,13 @@ def are_isomorphic(c1: Complex, c2: Complex) -> bool:
 
 def _incidence_canon(c: Complex) -> bytes:
     """A complete isomorphism invariant: the vertex and facet counts, then
-    the colored canonical form of the vertex/facet incidence graph (whose
-    bytes alone do not encode the color class sizes)."""
+    the colored canonical form of the vertex/facet incidence graph.
+
+    The colors order the labeling but are not encoded in the form's bytes,
+    so the forms of two differently colored graphs can coincide (a star
+    whose leaves are split between two colors gives the same bytes for
+    every split).  Equal forms mean isomorphic colored graphs only when the
+    color class sizes agree, which is why the key starts with them."""
     n = c.vertex_count
     nf = len(c.facet_masks)
     if n + nf > FACE_VERTEX_CAP:
@@ -502,8 +524,7 @@ def _incidence_canon(c: Complex) -> bytes:
             pairs.append((p, n + j))
     g = graphs_mod.Graph(n + nf, pairs)
     colors = [0] * n + [1] * nf
-    return b"%d,%d:" % (n, nf) + graphs_mod.canonical_form(
-        g, max_vertices=n + nf, initial_classes=colors)
+    return b"%d,%d:" % (n, nf) + graphs_mod._canonical_form(g, n + nf, colors)
 
 
 # ---------------------------------------------------------------------------

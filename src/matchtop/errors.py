@@ -58,7 +58,3 @@ class BadDimensionError(MatchtopError):
 
 class GuardExceededError(MatchtopError):
     """A search budget exceeds the runtime guard and --force was not given."""
-
-
-class CrossCheckMismatchError(MatchtopError):
-    """The two boundary criteria disagree; a bug or a pathological complex."""

@@ -407,40 +407,36 @@ def _g6_header(n: int) -> bytes:
     raise FormatError(f"graph too large for graph6: {n} vertices")
 
 
-def canonical_form(g: Graph, max_vertices: int = CANONICAL_VERTEX_CAP,
-                   initial_classes=None) -> bytes:
+def canonical_form(g: Graph, max_vertices: int = CANONICAL_VERTEX_CAP) -> bytes:
     """Canonical byte string, equal exactly for isomorphic graphs.
 
     The result is the graph6 encoding of the canonically labeled graph: the
     least upper-triangle bit string over the leaves explored.  Branching
     happens only inside the first non-singleton cell of the refined
     partition, on one vertex per twin class within that cell, and each leaf
-    (a discrete partition) is compared in full.  ``initial_classes``
-    optionally assigns an integer color per vertex; only same-colored
-    vertices may then be exchanged (used for canonicalizing vertex/facet
-    incidence graphs).
-
-    The colors order the labeling but are not encoded in the bytes, so the
-    forms of two differently colored graphs can coincide (a star whose
-    leaves are split between two colors gives the same bytes for every
-    split).  Equal forms mean isomorphic colored graphs only for inputs
-    whose color class sizes are already known to agree; callers comparing
-    colored forms must key on those sizes as well.
+    (a discrete partition) is compared in full.
     """
+    return _canonical_form(g, max_vertices)
+
+
+def _canonical_form(g: Graph, max_vertices: int, colors=None) -> bytes:
+    """:func:`canonical_form`, where ``colors`` optionally assigns an
+    integer color per vertex and only same-colored vertices may then be
+    exchanged.  The colors are not encoded in the bytes; see
+    ``complexes._incidence_canon``, the one caller that passes them."""
     n = g.vertex_count
     if n > max_vertices:
         raise TooLargeError(f"{n} vertices exceeds canonicalization cap {max_vertices}")
-    if initial_classes is not None and len(initial_classes) != n:
-        raise InvalidParameterError(
-            f"{len(initial_classes)} colors given for {n} vertices")
+    if colors is not None and len(colors) != n:
+        raise InvalidParameterError(f"{len(colors)} colors given for {n} vertices")
     if n == 0:
         return _g6_header(0)
     adj = g.adj
-    if initial_classes is None:
+    if colors is None:
         cells = [list(range(n))]
     else:
         buckets = {}
-        for v, c in enumerate(initial_classes):
+        for v, c in enumerate(colors):
             buckets.setdefault(c, []).append(v)
         cells = [buckets[c] for c in sorted(buckets)]
     cells = _equitable_refinement(adj, cells)

@@ -23,10 +23,12 @@ links: the least size of a face whose link fails, whether some link is a
 ball, and whether the maximal ball faces differ from the ridges in exactly
 one facet.  No face is visited: a failing complex finds its least failing
 face by descending through the records, a closed one has no ball, and the
-boundary of any other is spanned by the ridges in one facet.  The verdict
-and the boundary (a complex kept with its facets) are memoized on the
-complex per prime, so ``check_manifold``, ``boundary_complex``,
-``classify`` and ``manifold_report`` analyse each complex once.
+boundary of any other is spanned by the ridges in one facet, read off the
+one ridge count ``complexes._ridge_cofacets``.  The verdict is memoized on
+the complex per prime, and a manifold with boundary keeps there the
+boundary it proved closed, with its component count, so
+``check_manifold``, ``boundary_complex``, ``classify`` and
+``manifold_report`` analyse each complex once.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from . import complexes as cx
 from . import graphs as graphs_mod
 from .complexes import Complex
-from .errors import CrossCheckMismatchError, InvalidParameterError
+from .errors import InvalidParameterError
 from .homology import BettiVector, _prime_of, betti_for_facets, betti_reduced
 
 STATUS_NOT_PURE = "NotPure"
@@ -252,11 +254,16 @@ def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
         # the ball faces are closed under subfaces (the lemma of
         # _shape_summary) and their maximal ones are the ridges in exactly
         # one facet
-        facets = _one_cofacet_ridges(c)
-        bd = _span(c, facets)
-        c._cache[("boundary_span", pp)] = (facets, bd)
+        bd = _span(c, [r for r, n in cx._ridge_cofacets(c.facet_masks).items() if n == 1])
         sub = check_manifold(bd, pp)
         if sub.status == STATUS_CLOSED:
+            parts = []  # vertex masks of the components merged so far
+            for f in bd.facet_masks:
+                for m in [m for m in parts if m & f]:
+                    parts.remove(m)
+                    f |= m
+                parts.append(f)
+            c._cache[("boundary", pp)] = BoundaryComplex(bd, len(parts))
             return ManifoldVerdict(STATUS_WITH_BOUNDARY, d, pp)
         if sub.witness_face is not None:
             return ManifoldVerdict(STATUS_NOT_MANIFOLD, d, pp, sub.witness_face, sub.witness_betti)
@@ -273,68 +280,24 @@ def _span(c: Complex, facet_masks) -> Complex:
     return Complex(c.labels_of(used), masks)
 
 
-def _one_cofacet_ridges(c: Complex) -> set:
-    """The nonempty ridges of a pure complex that lie in exactly one facet;
-    a 0-dimensional complex has the empty ridge, which bounds nothing."""
-    cofacets = {}
-    for f in c.facet_masks:
-        m = f
-        while m:
-            b = m & -m
-            ridge = f ^ b
-            cofacets[ridge] = cofacets.get(ridge, 0) + 1
-            m ^= b
-    ridges = {r for r, n in cofacets.items() if n == 1}
-    ridges.discard(0)
-    return ridges
-
-
 def boundary_complex(c: Complex, p, verdict: ManifoldVerdict | None = None) -> BoundaryComplex:
-    """The boundary subcomplex, computed two ways that must agree.
+    """The boundary of a homology manifold: the subcomplex spanned by its
+    ridges in exactly one facet, which are its maximal faces with ball
+    links, and the number of its components.
 
-    Route one: faces whose links have ball homology.  Route two: the
-    (d-1)-faces lying in exactly one facet, which must be the facets of
-    route one.  A mismatch raises CrossCheckMismatchError.  For closed
-    manifolds the boundary is {∅} with zero components.  The result is
-    memoized on the complex per prime, and it reuses the boundary complex
-    that the verdict at that prime built and analysed.
+    The verdict at p built the boundary and kept it on the complex; a
+    closed manifold's boundary is {∅} with zero components.  Raises when
+    the caller's verdict, or the verdict at p, is not a manifold.
     """
     pp = _prime_of(p)
     if verdict is None:
         verdict = check_manifold(c, pp)
     if not verdict.is_manifold:
         raise InvalidParameterError(f"no boundary for status {verdict.status}")
-    if verdict.dimension == -1:
-        return BoundaryComplex(cx.from_facets((), [()]), 0)
-    key = ("boundary", pp)
-    got = c._cache.get(key)
-    if got is None:
-        got = c._cache[key] = _boundary(c, pp)
-    return got
-
-
-def _boundary(c: Complex, pp: int) -> BoundaryComplex:
-    # the verdict at pp builds the boundary; it is memoized unless the
-    # caller's verdict came from another prime
-    verdict = check_manifold(c, pp)
-    if not verdict.is_manifold:
-        raise InvalidParameterError(f"no boundary for status {verdict.status} at p = {pp}")
-    facets, bd = c._cache.get(("boundary_span", pp), (set(), None))
-    # both families are downward closed and pure of dimension d - 1, so
-    # they are equal exactly when their facets are
-    if _one_cofacet_ridges(c) != facets:
-        raise CrossCheckMismatchError(
-            "link-homology boundary disagrees with facet-count boundary"
-        )
-    if bd is None:
-        return BoundaryComplex(cx.from_facets((), [()]), 0)
-    parts = []  # vertex masks of the components merged so far
-    for f in bd.facet_masks:
-        for m in [m for m in parts if m & f]:
-            parts.remove(m)
-            f |= m
-        parts.append(f)
-    return BoundaryComplex(bd, len(parts))
+    own = check_manifold(c, pp)
+    if not own.is_manifold:
+        raise InvalidParameterError(f"no boundary for status {own.status} at p = {pp}")
+    return c._cache.get(("boundary", pp)) or BoundaryComplex(cx.from_facets((), [()]), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -396,19 +396,10 @@ def _ridge_prefilter(facets, d: int, boundary: bool) -> bool:
     """Necessary conditions for a homology d-manifold, closed or with
     boundary: every facet has d + 1 vertices, and every ridge lies in at
     most 2 facets, in exactly 2 when closed and in 1 for some ridge with
-    boundary.  The empty ridge of a 0-dimensional complex bounds nothing
-    and is not counted."""
+    boundary."""
     if any(f.bit_count() != d + 1 for f in facets):
         return False
-    count = {}
-    for f in facets:
-        m = f
-        while m:
-            b = m & -m
-            count[f ^ b] = count.get(f ^ b, 0) + 1
-            m ^= b
-    count.pop(0, None)
-    per_ridge = set(count.values())
+    per_ridge = set(cx._ridge_cofacets(facets).values())
     return per_ridge <= {1, 2} and (1 in per_ridge) == boundary
 
 

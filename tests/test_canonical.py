@@ -20,6 +20,11 @@ CONNECTED_CLASS_COUNTS = [1, 1, 3, 5, 12, 30, 79, 227, 710, 2087]
 CANONICAL_DIGEST = "b953ce0013c8b45390382dd42385f0af2784d9ff8c0a49f52db65e00f172d3c3"
 
 
+def _colored(g, colors):
+    """The colored canonical form that ``complexes._incidence_canon`` keys on."""
+    return gr._canonical_form(g, gr.CANONICAL_VERTEX_CAP, colors)
+
+
 def test_connected_class_counts_and_canonical_bytes_pinned():
     levels = verify.connected_graph_classes(10, 10)
     assert [len(level) for level in levels[1:]] == CONNECTED_CLASS_COUNTS
@@ -34,7 +39,7 @@ def test_connected_class_counts_and_canonical_bytes_pinned():
         for form in level:
             g = gr.from_graph6(form.decode())
             colors = [v % 2 for v in range(g.vertex_count)]
-            h.update(gr.canonical_form(g, initial_classes=colors) + b"\n")
+            h.update(_colored(g, colors) + b"\n")
     assert h.hexdigest() == CANONICAL_DIGEST
 
 
@@ -127,8 +132,7 @@ def test_canonical_form_relabeling_invariance_twin_rich(case):
     moved = [0] * g.vertex_count
     for v, c in enumerate(colors):
         moved[perm[v]] = c
-    assert (gr.canonical_form(h, initial_classes=moved)
-            == gr.canonical_form(g, initial_classes=colors))
+    assert _colored(h, moved) == _colored(g, colors)
 
 
 @settings(max_examples=150, deadline=None)
@@ -148,11 +152,11 @@ def test_differently_colored_twins_not_merged():
         forms = set()
         for a in range(k + 1):
             colors = [1] + [0] * a + [2] * (k - a)
-            form = gr.canonical_form(g, initial_classes=colors)
+            form = _colored(g, colors)
             forms.add(form)
             # which leaves carry which color does not matter
             shuffled = [1] + [2] * (k - a) + [0] * a
-            assert gr.canonical_form(g, initial_classes=shuffled) == form
+            assert _colored(g, shuffled) == form
         assert len(forms) == k + 1
 
 
@@ -190,8 +194,8 @@ def test_color_list_of_the_wrong_length_rejected():
     c4 = gr.cycle(4)
     for count in (3, 5):
         with pytest.raises(InvalidParameterError):
-            gr.canonical_form(c4, initial_classes=[0] * count)
-    assert gr.canonical_form(c4, initial_classes=[0] * 4) == gr.canonical_form(c4)
+            _colored(c4, [0] * count)
+    assert _colored(c4, [0] * 4) == gr.canonical_form(c4)
 
 
 def test_colored_forms_collide_but_incidence_keys_carry_the_counts():
@@ -201,7 +205,7 @@ def test_colored_forms_collide_but_incidence_keys_carry_the_counts():
     # the bytes are the same for every a.
     k = 4
     g = gr.Graph(k + 1, [(v, k) for v in range(k)])
-    forms = {gr.canonical_form(g, initial_classes=[0] * a + [1] * (k + 1 - a))
+    forms = {_colored(g, [0] * a + [1] * (k + 1 - a))
              for a in range(1, k + 1)}
     assert len(forms) == 1
     # The star with a = k is the incidence graph of a (k-1)-simplex.  Its

@@ -11,7 +11,7 @@ from matchtop import complexes as cx
 from matchtop import graphs as gr
 from matchtop import homology as hm
 from matchtop import manifold as mf
-from matchtop.errors import CrossCheckMismatchError
+from matchtop.errors import InvalidParameterError
 
 import oracle_utils
 from test_acceptance import _join_arithmetic_cases
@@ -141,7 +141,20 @@ def test_boundary_cross_check_runs_clean():
     for entry in catalog.exceptional_table():
         M = cx.matching_complex(entry.graph)
         v = mf.check_manifold(M, 2)
-        mf.boundary_complex(M, 2, v)  # CrossCheckMismatchError would fail this
+        bd = mf.boundary_complex(M, 2, v)
+        assert bd.complex.is_empty_only() == (v.status == mf.STATUS_CLOSED)
+
+
+def test_boundary_complex_needs_a_manifold():
+    pinched = M_of(gr.star(3), gr.path(2))
+    ball = M_of(gr.spider(3))
+    with pytest.raises(InvalidParameterError, match="NotManifold$"):
+        mf.boundary_complex(pinched, 2)
+    with pytest.raises(InvalidParameterError, match="NotManifold$"):
+        mf.boundary_complex(ball, 2, mf.check_manifold(pinched, 2))
+    # a manifold verdict does not stand in for the verdict at p
+    with pytest.raises(InvalidParameterError, match="at p = 3"):
+        mf.boundary_complex(pinched, 3, mf.check_manifold(ball, 2))
 
 
 def test_join_rule_for_spheres_and_balls():
@@ -460,10 +473,10 @@ def test_shared_link_shapes_match_oracle_under_relabelling():
 
 
 def test_one_boundary_span_per_complex_and_prime(monkeypatch):
-    spans, built = [], []
-    real_span, real_boundary = mf._span, mf._boundary
+    spans, counted = [], []
+    real_span, real_count = mf._span, cx._ridge_cofacets
     monkeypatch.setattr(mf, "_span", lambda c, f: spans.append(c) or real_span(c, f))
-    monkeypatch.setattr(mf, "_boundary", lambda c, p: built.append(p) or real_boundary(c, p))
+    monkeypatch.setattr(cx, "_ridge_cofacets", lambda f: counted.append(f) or real_count(f))
     table = {e.name: e for e in catalog.exceptional_table()}
     for g in (gr.spider(3), table["annulus_8e"].graph, table["moebius_c7"].graph):
         M = cx.matching_complex(g)
@@ -475,14 +488,14 @@ def test_one_boundary_span_per_complex_and_prime(monkeypatch):
             mf.manifold_report(M, (2, 3))
             mf.manifold_report(M, (3, 2))
         assert len(spans) == 2 and all(c is M for c in spans)  # one per prime
-        assert sorted(built) == [2, 3]  # one cofacet cross-check per prime
+        assert counted == [M.facet_masks] * 2  # one ridge count per prime
         spans.clear()
-        built.clear()
+        counted.clear()
 
 
 def _one_cofacet_closure(c):
-    """The old second route to the boundary: every face of a (d-1)-face
-    lying in exactly one facet."""
+    """A second route to the ball faces: every face of a (d-1)-face lying
+    in exactly one facet, the ridges counted here by vertex position."""
     count = {}
     for f in c.facet_masks:
         for v in range(c.vertex_count):
@@ -496,11 +509,27 @@ def _points(n):
     return cx.from_facets(range(n), [(v,) for v in range(n)])
 
 
+def _assert_boundary(M, p, balls):
+    """The boundary of the manifold M at p against its ball faces (label
+    sets): its facets are the maximal ones, {∅} when there is none, and
+    its component count is that of its 1-skeleton."""
+    bd = mf.boundary_complex(M, p, mf.check_manifold(M, p))
+    comps, isolated = gr.connected_components(cx.one_skeleton(bd.complex))
+    assert bd.component_count == len(comps) + len(isolated)
+    if balls:
+        assert {frozenset(f) for f in bd.complex.facets()} == \
+            {f for f in balls if not any(f < g for g in balls)}
+    else:
+        assert bd.complex.is_empty_only() and bd.component_count == 0
+    return bd.component_count
+
+
 def test_boundary_facets_agree_with_closed_one_cofacet_ridges():
     cases = [cx.matching_complex(g) for g, _ in _join_arithmetic_cases(face_cap=400)]
     cases += [cx.matching_complex(catalog.named_graph(name)) for name in catalog.catalog_names()]
     cases += [_points(1), _points(2)]
     with_boundary = 0
+    components = set()
     for M in cases:
         for p in (2, 3):
             verdict = mf.check_manifold(M, p)
@@ -508,34 +537,9 @@ def test_boundary_facets_agree_with_closed_one_cofacet_ridges():
                 continue
             balls = {f for f, cls in _record_classes(M, p).items() if cls == "B"}
             assert _one_cofacet_closure(M) == balls
-            bd = mf.boundary_complex(M, p, verdict).complex
-            if verdict.status == mf.STATUS_WITH_BOUNDARY:
-                with_boundary += 1
-                assert {M.mask_of(f) for f in bd.facets()} == \
-                    {f for f in balls if not any(f & g == f != g for g in balls)}
-            else:
-                assert not balls and bd.is_empty_only()
-    assert with_boundary >= 100
-
-
-@pytest.mark.parametrize("build", [
-    lambda: M_of(gr.spider(3)),
-    lambda: cx.matching_complex(catalog.named_graph("annulus_8e")),
-    lambda: _points(1),
-    lambda: _points(2),
-])
-def test_boundary_cross_check_catches_a_corrupted_boundary(build):
-    M = build()
-    verdict = mf.check_manifold(M, 2)
-    facets, bd = M._cache.get(("boundary_span", 2), (set(), None))
-    if facets:  # one boundary facet marked interior
-        corrupted = set(facets)
-        corrupted.remove(min(facets))
-    else:  # a closed complex given a boundary facet
-        corrupted = {M.facet_masks[0]}
-    M._cache[("boundary_span", 2)] = (corrupted, bd)
-    with pytest.raises(CrossCheckMismatchError):
-        mf.boundary_complex(M, 2, verdict)
+            components.add(_assert_boundary(M, p, {frozenset(M.labels_of(f)) for f in balls}))
+            with_boundary += verdict.status == mf.STATUS_WITH_BOUNDARY
+    assert with_boundary >= 100 and {0, 1, 2} <= components
 
 
 RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
@@ -649,6 +653,27 @@ def test_ball_faces_are_closed_without_a_failing_link(facets):
             continue
         balls = {f for f, cls in classes.items() if cls == "B"}
         assert all(f - {v} in balls for f in balls if len(f) > 1 for v in f)
+
+
+# an annulus (boundary: two triangles) and the 5-vertex Moebius strip
+# (boundary: one pentagon)
+_ANNULUS = [(0, 1, 3), (1, 3, 4), (1, 2, 4), (2, 4, 5), (0, 2, 5), (0, 3, 5)]
+_MOEBIUS = [(i, (i + 1) % 5, (i + 2) % 5) for i in range(5)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coned_facets())
+@example(_ANNULUS)
+@example(_MOEBIUS)
+@example([(0, 1), (2, 3)])  # two segments: four boundary points
+@example([(0, 1, 2, 3), (4, 5, 6, 7)])  # boundary: two 2-spheres
+@example(_CONE_RP2_X_I)
+def test_boundary_facets_are_the_oracle_maximal_ball_faces_on_random_pure_complexes(facets):
+    c = cx.from_facets(None, facets)
+    for p in (2, 3, 5):
+        if mf.check_manifold(c, p).is_manifold:
+            classes = oracle_utils.oracle_face_classes(c.facets(), p)
+            _assert_boundary(c, p, {f for f, cls in classes.items() if cls == "B"})
 
 
 def test_shape_summary_flags_read_only_the_record_classes(monkeypatch):
