@@ -337,6 +337,21 @@ def is_connected_graph(g: Graph) -> bool:
 # of the vertices (iterated neighbor-count splitting, seeded by degrees) and
 # branches only inside the first non-singleton cell.
 #
+# Refinement runs in whole passes.  A pass splits every cell by its vertices'
+# neighbor counts in the fresh cells: every cell on the first pass, the
+# individualized vertex and the rest of its old cell after branching, and
+# afterwards the pieces of the cells the previous pass split.  That is exact,
+# and it orders the pieces as counting against every cell would: within any
+# cell, the counts against a cell the previous pass did not split are
+# already equal (the previous pass split by them), so they neither split a
+# cell nor order its pieces.  A vertex's counts are packed into one integer,
+# one field of n.bit_length() bits per fresh cell, the first fresh cell
+# highest, so the integer order is the order of the count tuples; they are
+# accumulated over the fresh cells' neighbor lists, so a pass costs the
+# degrees of the fresh cells.  A splitting queue that refines against one
+# cell at a time (McKay & Piperno 2014) would reach the same partition with
+# its cells in another order, and so other canonical bytes.
+#
 # Within that cell it branches on one vertex per twin class.  Two vertices
 # are twins when they have the same neighbors apart from each other (equal
 # open or equal closed neighborhoods).  Swapping two twins is an automorphism
@@ -346,57 +361,49 @@ def is_connected_graph(g: Graph) -> bool:
 # leaf string.  Skipping the second subtree therefore leaves the minimum, and
 # the canonical form, unchanged, while stars and complete bipartite graphs no
 # longer cost a factorial number of leaves.
+#
+# A leaf (a discrete partition, read as a labeling) is compared as one
+# integer: its upper-triangle bit string, column by column with row 0
+# highest.  The strings all have n(n-1)/2 bits, so the least integer is the
+# least string; only the winner is packed to graph6.
 
 
-def _cell_masks(cells):
-    out = []
-    for cell in cells:
-        m = 0
-        for v in cell:
-            m |= 1 << v
-        out.append(m)
-    return out
-
-
-def _equitable_refinement(adj, cells):
-    while True:
-        masks = _cell_masks(cells)
+def _equitable_refinement(nbrs, cells, fresh):
+    """Refine the ordered partition ``cells`` until a pass splits nothing;
+    ``fresh`` lists the cells whose counts may still split another cell."""
+    n = len(nbrs)
+    width = n.bit_length()
+    while fresh:
+        count = [0] * n
+        one = 1 << width * len(fresh)
+        for cell in fresh:
+            one >>= width
+            for u in cell:
+                for w in nbrs[u]:
+                    count[w] += one
         new_cells = []
-        changed = False
+        fresh = []
         for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            buckets = {}
-            for v in cell:
-                a = adj[v]
-                sig = tuple((a & m).bit_count() for m in masks)
-                buckets.setdefault(sig, []).append(v)
-            if len(buckets) == 1:
-                new_cells.append(cell)
-            else:
-                changed = True
-                for sig in sorted(buckets):
-                    new_cells.append(buckets[sig])
-        if not changed:
-            return new_cells
+            if len(cell) > 1:
+                keys = {count[v] for v in cell}
+                if len(keys) > 1:
+                    for key in sorted(keys):
+                        piece = [v for v in cell if count[v] == key]
+                        new_cells.append(piece)
+                        fresh.append(piece)
+                    continue
+            new_cells.append(cell)
+        if len(new_cells) == n:
+            return new_cells  # discrete: nothing left to split
         cells = new_cells
+    return cells
 
 
-def _pack6(bits) -> bytes:
-    out = bytearray()
-    acc = 0
-    k = 0
-    for b in bits:
-        acc = acc << 1 | b
-        k += 1
-        if k == 6:
-            out.append(acc + 63)
-            acc = 0
-            k = 0
-    if k:
-        out.append((acc << (6 - k)) + 63)
-    return bytes(out)
+def _pack6(bits: str) -> bytes:
+    """The graph6 payload of a string of '0' and '1': six bits per byte,
+    the last byte padded with zeros."""
+    bits += "0" * (-len(bits) % 6)
+    return bytes(int(bits[i:i + 6], 2) + 63 for i in range(0, len(bits), 6))
 
 
 def _g6_header(n: int) -> bytes:
@@ -413,8 +420,9 @@ def canonical_form(g: Graph, max_vertices: int = CANONICAL_VERTEX_CAP) -> bytes:
     The result is the graph6 encoding of the canonically labeled graph: the
     least upper-triangle bit string over the leaves explored.  Branching
     happens only inside the first non-singleton cell of the refined
-    partition, on one vertex per twin class within that cell, and each leaf
-    (a discrete partition) is compared in full.
+    partition, on one vertex per twin class within that cell.  Refinement
+    counts neighbors only in the cells the previous pass split, and each
+    leaf (a discrete partition) is compared in full, as one integer.
     """
     return _canonical_form(g, max_vertices)
 
@@ -432,6 +440,11 @@ def _canonical_form(g: Graph, max_vertices: int, colors=None) -> bytes:
     if n == 0:
         return _g6_header(0)
     adj = g.adj
+    edges = g.edges
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     if colors is None:
         cells = [list(range(n))]
     else:
@@ -439,35 +452,45 @@ def _canonical_form(g: Graph, max_vertices: int, colors=None) -> bytes:
         for v, c in enumerate(colors):
             buckets.setdefault(c, []).append(v)
         cells = [buckets[c] for c in sorted(buckets)]
-    cells = _equitable_refinement(adj, cells)
+    cells = _equitable_refinement(nbrs, cells, cells)
     # twin[v]: least vertex with the same open or the same closed neighborhood
     # (a vertex has nontrivial twins of at most one of the two kinds)
     open_rep, closed_rep = {}, {}
     twin = [min(open_rep.setdefault(adj[v], v),
                 closed_rep.setdefault(adj[v] | 1 << v, v)) for v in range(n)]
-    best = None
+    # the bit of the pair at positions i < j sits at top[j] - i
+    length = n * (n - 1) // 2
+    top = [length - 1 - j * (j - 1) // 2 for j in range(n)]
+    pos = [0] * n
+    best = 1 << length  # above every leaf
 
     def descend(cells):
         nonlocal best
-        split_at = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
-        if split_at is None:
-            order = [cell[0] for cell in cells]
-            bits = [adj[w] >> order[i] & 1 for j, w in enumerate(order) for i in range(j)]
-            if best is None or bits < best:
-                best = bits
+        for split_at, cell in enumerate(cells):
+            if len(cell) > 1:
+                break
+        else:
+            for i, cell in enumerate(cells):
+                pos[cell[0]] = i
+            leaf = 0
+            for u, v in edges:
+                i, j = pos[u], pos[v]
+                leaf |= 1 << (top[j] - i if i < j else top[i] - j)
+            if leaf < best:
+                best = leaf
             return
-        cell = cells[split_at]
         branched = set()
         for v in cell:
             if twin[v] in branched:
                 continue  # same subtree as the twin already branched on
             branched.add(twin[v])
-            nc = cells[:split_at] + [[v], [w for w in cell if w != v]] \
-                + cells[split_at + 1:]
-            descend(_equitable_refinement(adj, nc))
+            rest = [w for w in cell if w != v]
+            descend(_equitable_refinement(
+                nbrs, cells[:split_at] + [[v], rest] + cells[split_at + 1:], [[v], rest]))
 
     descend(cells)
-    return _g6_header(n) + _pack6(best)
+    # the leading 1 keeps the leading zeros of the string
+    return _g6_header(n) + _pack6(bin(best | 1 << length)[3:])
 
 
 def canonical_graph6(g: Graph, max_vertices: int = CANONICAL_VERTEX_CAP) -> str:
@@ -485,11 +508,8 @@ def are_isomorphic(g1: Graph, g2: Graph, max_vertices: int = CANONICAL_VERTEX_CA
 
 
 def to_graph6(g: Graph) -> str:
-    bits = []
-    for j in range(1, g.vertex_count):
-        aj = g.adj[j]
-        for i in range(j):
-            bits.append(aj >> i & 1)
+    bits = "".join("01"[g.adj[j] >> i & 1]
+                   for j in range(1, g.vertex_count) for i in range(j))
     return (_g6_header(g.vertex_count) + _pack6(bits)).decode("ascii")
 
 

@@ -30,6 +30,15 @@ budget, since nu adds up over components.  The disconnected-complex search
 has no dimension and enumerates everything; that uncapped enumeration is
 also the oracle the pruned searches are tested against.
 
+The disconnected-complex search counts a graph with two or more components
+as examined and rejects it from its component list, before any union is
+built.  The rejection is exact.  M(G + H) is the join M(G) * M(H), and a
+join of two nonempty complexes is connected: two vertices of one factor
+are both joined to any vertex of the other.  Nor does ``_expects_disconnected``
+predict a union disconnected: no edge of one component meets an edge of
+another, so no edge meets every other edge, and the one union on 4
+vertices, 2K2, has 2 edges, not the 4 of C4 or the 6 of K4.
+
 A bounded search only confirms a classification within its edge/vertex
 budget; nothing is claimed about larger graphs.
 """
@@ -342,12 +351,26 @@ def connected_graph_classes(max_edges: int, max_vertices: int,
 def enumerate_graphs(spec: SearchSpec, matching_cap: int | None = None):
     """Every isomorphism class of graphs without isolated vertices, with at
     most max_edges edges and max_vertices vertices, exactly once; with a
-    ``matching_cap``, only those whose matching number is at most the cap."""
+    ``matching_cap``, only those whose matching number is at most the cap.
+
+    A class with two or more components is the disjoint union of its
+    component multiset.  ``run_search`` reads the multisets themselves: the
+    disconnected-complex search rejects every multiset of two or more
+    components without building its union, whose matching complex is a join
+    of nonempty complexes and so connected (see the module docstring)."""
     _check_guard(spec)
+    for comps in _component_multisets(spec, matching_cap):
+        yield gr.disjoint_union(comps) if len(comps) > 1 else comps[0]
+
+
+def _component_multisets(spec: SearchSpec, matching_cap: int | None):
+    """The classes of :func:`enumerate_graphs` as nondecreasing tuples of
+    connected classes (one class each when ``connected_only``)."""
     levels = connected_graph_classes(spec.max_edges, spec.max_vertices, matching_cap)
     comps = [g for level in levels[1:] for g in level]
     if spec.connected_only:
-        yield from comps
+        for g in comps:
+            yield (g,)
         return
     # matching numbers add up over components (uncapped, all are 0)
     nus = _LEVELS[(spec.max_vertices, matching_cap)].nu
@@ -362,7 +385,7 @@ def enumerate_graphs(spec: SearchSpec, matching_cap: int | None = None):
             if g.vertex_count > verts_left or comp_nu[idx] > nu_left:
                 continue
             cur = acc + (g,)
-            yield gr.disjoint_union(cur) if len(cur) > 1 else g
+            yield cur
             yield from rec(idx, edges_left - len(g.edges),
                            verts_left - g.vertex_count, nu_left - comp_nu[idx], cur)
 
@@ -539,8 +562,11 @@ def run_search(spec: SearchSpec) -> SearchReport:
     anomalies = []
     examined = 0
     predicted_disconnected = {}
-    for g in enumerate_graphs(spec, spec.matching_cap()):
+    for comps in _component_multisets(spec, spec.matching_cap()):
         examined += 1
+        if len(comps) > 1 and target == "disconnected-complex":
+            continue  # a join of nonempty complexes; see the module docstring
+        g = gr.disjoint_union(comps) if len(comps) > 1 else comps[0]
         canon = None
         if target == "disconnected-complex" and _expects_disconnected(g):
             canon = gr.canonical_form(g, spec.max_vertices)

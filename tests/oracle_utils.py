@@ -3,7 +3,8 @@
 Nothing here shares code with the package internals: matchings come from
 filtering all edge subsets, faces from powersets of facets, ranks from a
 naive dense elimination, links from scanning every facet, and canonical
-forms from trying every vertex permutation.
+forms from trying every vertex permutation (or, for the fast search's
+exact bytes, from the search as first written).
 """
 
 from __future__ import annotations
@@ -151,6 +152,62 @@ def brute_canonical(g):
         if best is None or bits < best:
             best = bits
     return (n, best)
+
+
+def oracle_canonical_form(g, colors=None):
+    """The canonical graph6 bytes by the search of ``graphs._canonical_form``
+    as first written: every pass splits each cell by the tuple of its
+    vertices' neighbour counts in every cell, and each leaf is compared as a
+    list of bits.  The same partitions, twin rule and leaf order, so the
+    same bytes, with none of the fast path's packing."""
+    n = g.vertex_count
+    adj = g.adj
+
+    def refine(cells):
+        while True:
+            masks = [sum(1 << v for v in cell) for cell in cells]
+            new_cells = []
+            for cell in cells:
+                buckets = {}
+                for v in cell:
+                    sig = tuple((adj[v] & m).bit_count() for m in masks)
+                    buckets.setdefault(sig, []).append(v)
+                new_cells.extend(buckets[sig] for sig in sorted(buckets))
+            if len(new_cells) == len(cells):
+                return new_cells
+            cells = new_cells
+
+    if colors is None:
+        colors = [0] * n
+    cells = refine([[v for v in range(n) if colors[v] == c] for c in sorted(set(colors))])
+    twin = []
+    for v in range(n):
+        twin.append(min(w for w in range(n)
+                        if adj[w] == adj[v] or adj[w] | 1 << w == adj[v] | 1 << v))
+    best = None
+
+    def descend(cells):
+        nonlocal best
+        split = [i for i, cell in enumerate(cells) if len(cell) > 1]
+        if not split:
+            order = [cell[0] for cell in cells]
+            bits = [adj[order[j]] >> order[i] & 1 for j in range(n) for i in range(j)]
+            if best is None or bits < best:
+                best = bits
+            return
+        i = split[0]
+        branched = set()
+        for v in cells[i]:
+            if twin[v] not in branched:
+                branched.add(twin[v])
+                rest = [w for w in cells[i] if w != v]
+                descend(refine(cells[:i] + [[v], rest] + cells[i + 1:]))
+
+    descend(cells)
+    bits = best + [0] * (-len(best) % 6)
+    payload = bytes(63 + int("".join(map(str, bits[k:k + 6])), 2)
+                    for k in range(0, len(bits), 6))
+    return bytes([63 + n]) + payload
 
 
 def labeled_graphs_on(n):

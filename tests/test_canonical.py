@@ -1,6 +1,7 @@
-"""Canonical forms: pinned bytes and class counts, and invariance on
-twin-rich graphs (stars, complete and complete bipartite graphs), where the
-search branches on one vertex per twin class."""
+"""Canonical forms: pinned bytes and class counts, invariance on twin-rich
+graphs (stars, complete and complete bipartite graphs), where the search
+branches on one vertex per twin class, and the bytes of the search as first
+written."""
 
 import hashlib
 import itertools
@@ -133,6 +134,34 @@ def test_canonical_form_relabeling_invariance_twin_rich(case):
     for v, c in enumerate(colors):
         moved[perm[v]] = c
     assert _colored(h, moved) == _colored(g, colors)
+
+
+@st.composite
+def _graph_maybe_colored(draw):
+    g = draw(twin_rich_graphs(12))
+    n = g.vertex_count
+    colors = draw(st.none() | st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return g, colors
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_maybe_colored())
+# twins: the leaves of a star, both sides of K33
+@example((gr.star(6), None))
+@example((gr.complete_bipartite(3, 3), None))
+@example((gr.complete_bipartite(3, 3), [0, 1, 1, 0, 0, 1]))
+# a symmetric union that twins do not prune
+@example((gr.disjoint_union([gr.path(3)] * 3), None))
+# many refinement passes
+@example((gr.path(10), None))
+@example((gr.path(10), [1] * 5 + [0] * 5))
+# regular: refinement splits nothing
+@example((_PETERSEN, None))
+def test_canonical_form_matches_the_every_cell_oracle(case):
+    # the packed counts against fresh cells and the integer leaves give the
+    # bytes of tuples against every cell and list-of-bits leaves
+    g, colors = case
+    assert gr._canonical_form(g, 12, colors) == oracle_utils.oracle_canonical_form(g, colors)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -370,24 +371,72 @@ def test_per_parent_verdicts_match_the_oracle(g, room):
             assert verify._canonical_child(parent, u, v) == want, (u, v)
 
 
-def test_prefilter_canonicalizes_each_class_about_once(monkeypatch):
-    calls = 0
-    real = gr.canonical_form
+def _counting(monkeypatch, name):
+    calls = [0]
+    real = getattr(gr, name)
 
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
+    def counted(*args, **kwargs):
+        calls[0] += 1
         return real(*args, **kwargs)
 
+    monkeypatch.setattr(gr, name, counted)
+    return calls
+
+
+def test_prefilter_canonicalizes_each_class_about_once(monkeypatch):
+    forms = _counting(monkeypatch, "canonical_form")
     verify.clear_caches()
-    with monkeypatch.context() as m:
-        m.setattr(gr, "canonical_form", counting)
-        levels = verify.connected_graph_classes(11, 10, 3)
+    levels = verify.connected_graph_classes(11, 10, 3)
     # 2,065 classes; without the prefilter all 20,182 children within the
     # cap are canonicalized, and without the invariant buckets the 2,711
     # children that pass it
     assert sum(map(len, levels)) == 2065
-    assert calls <= 1200
+    assert forms[0] == 1161
+
+
+_CLASSES_TO_6 = [g for level in verify.connected_graph_classes(6, 10) for g in level]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_CLASSES_TO_6), min_size=2, max_size=3))
+@example([gr.path(2), gr.path(2)])  # 2K2, the one union on 4 vertices
+@example([gr.path(3), gr.path(2)])
+@example([gr.complete(4), gr.cycle(4), gr.star(3)])
+def test_search_rejects_every_union_exactly(parts):
+    # the disconnected-complex search rejects such a union unbuilt; these
+    # are the checks it would have run, and the complex they stand for
+    g = gr.disjoint_union(parts)
+    assert verify._skeleton_connected(g)
+    assert not verify._expects_disconnected(g)
+    assert cx.is_connected(cx.matching_complex(g))
+
+
+# sha256 of run_search(...).to_json(include_timing=False)
+REPORT_DIGESTS = {
+    ("closed-2-manifold", 11):
+        "f09226d370a219224c9be0ea2aa5dfb8150f9e31e8ab019c3daa2963dde15113",
+    ("disconnected-complex", 9):
+        "21ef881f34cd05c7bc9d05aad2e8d25585d855fa0cd456438a0183c6d8b67157",
+}
+
+
+@pytest.mark.parametrize("target,max_edges", sorted(REPORT_DIGESTS))
+def test_search_reports_pinned(target, max_edges):
+    report = verify.run_search(spec(target=target, max_edges=max_edges))
+    digest = hashlib.sha256(report.to_json(include_timing=False).encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[target, max_edges]
+
+
+def test_search_call_counts_pinned(monkeypatch):
+    forms = _counting(monkeypatch, "canonical_form")
+    unions = _counting(monkeypatch, "disjoint_union")
+    verify.clear_caches()
+    report = verify.run_search(spec(target="disconnected-complex", max_edges=9))
+    # 888 forms build the levels to 9 edges, 56 key the hits and predictions;
+    # every multiset of two or more components is rejected unbuilt
+    assert forms[0] == 944
+    assert unions[0] == 0
+    assert report.graphs_examined == 1807
 
 
 @st.composite
