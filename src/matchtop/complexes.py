@@ -302,16 +302,26 @@ def euler_characteristic(c: Complex) -> int:
 # 1-skeleton, flagness, induced paths
 
 
+def _near(facet_masks, n: int) -> list:
+    """For each of the n vertex positions, the union of the facets through
+    it: the vertex's closed neighbourhood in the 1-skeleton, 0 when no facet
+    uses it."""
+    near = [0] * n
+    for f in facet_masks:
+        for v in graphs_mod._bits(f):
+            near[v] |= f
+    return near
+
+
 def one_skeleton(c: Complex) -> graphs_mod.Graph:
-    """The vertices and edges of c, as a graph on vertex positions."""
+    """The vertices and edges of c, as a graph on vertex positions.  Two
+    vertices span an edge when some facet holds both, so the edges are read
+    off :func:`_near`, not off the face table."""
     if c.is_void:
         raise VoidComplexError("skeleton of the void complex")
-    pairs = []
-    for m in c.faces_by_size().get(2, ()):
-        b = m & -m
-        u = b.bit_length() - 1
-        v = (m ^ b).bit_length() - 1
-        pairs.append((u, v))
+    near = _near(c.facet_masks, c.vertex_count)
+    # -(2 << u) keeps the positions above u, so each pair comes once
+    pairs = [(u, v) for u, m in enumerate(near) for v in graphs_mod._bits(m & -(2 << u))]
     return graphs_mod.Graph(c.vertex_count, pairs)
 
 

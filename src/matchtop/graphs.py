@@ -102,6 +102,19 @@ def _bits(mask: int):
         mask ^= b
 
 
+def _reach(adj, frontier: int, seen: int = 0) -> int:
+    """The mask of the vertices reachable from the mask ``frontier`` over the
+    adjacency masks ``adj``, ``frontier`` and ``seen`` included; the
+    vertices in ``seen`` are not expanded."""
+    while frontier:
+        seen |= frontier
+        nxt = 0
+        for x in _bits(frontier):
+            nxt |= adj[x]
+        frontier = nxt & ~seen
+    return seen
+
+
 # ---------------------------------------------------------------------------
 # named families
 
@@ -190,14 +203,6 @@ def _matching_mask(g: Graph, edge_indices) -> int:
         if conf[i] & mask & ~(1 << i):
             raise NotAMatchingError(f"edge {i} is incident to another chosen edge")
     return mask
-
-
-def is_matching(g: Graph, edge_indices) -> bool:
-    try:
-        _matching_mask(g, edge_indices)
-    except NotAMatchingError:
-        return False
-    return True
 
 
 def enumerate_matchings(g: Graph):
@@ -295,38 +300,26 @@ def subgraph_avoiding(g: Graph, matching):
 def connected_components(g: Graph):
     """Components as graphs (ordered by their sorted vertex sets) plus the
     list of isolated vertices."""
-    seen = [False] * g.vertex_count
     comps = []
     isolated = []
-    for v0 in range(g.vertex_count):
-        if seen[v0]:
+    seen = 0
+    for v in range(g.vertex_count):
+        if seen >> v & 1:
             continue
-        if g.adj[v0] == 0:
-            seen[v0] = True
-            isolated.append(v0)
+        if g.adj[v] == 0:
+            isolated.append(v)
             continue
-        stack = [v0]
-        seen[v0] = True
-        verts = []
-        while stack:
-            v = stack.pop()
-            verts.append(v)
-            for w in _bits(g.adj[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        verts.sort()
-        vmap = {v: j for j, v in enumerate(verts)}
-        vset = set(verts)
-        pairs = [(vmap[u], vmap[v]) for (u, v) in g.edges if u in vset]
-        comps.append((tuple(verts), Graph(len(verts), pairs)))
-    comps.sort(key=lambda t: t[0])
-    return [c for _, c in comps], isolated
+        comp = _reach(g.adj, 1 << v)
+        seen |= comp
+        vmap = {u: j for j, u in enumerate(_bits(comp))}
+        pairs = [(vmap[u], vmap[w]) for (u, w) in g.edges if comp >> u & 1]
+        comps.append(Graph(len(vmap), pairs))
+    return comps, isolated
 
 
 def is_connected_graph(g: Graph) -> bool:
-    comps, isolated = connected_components(g)
-    return len(comps) + len(isolated) == 1
+    n = g.vertex_count
+    return n > 0 and _reach(g.adj, 1) == (1 << n) - 1
 
 
 # ---------------------------------------------------------------------------

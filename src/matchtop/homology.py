@@ -41,8 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import Complex, _faces_by_size, _maximal, _reindex
+from .complexes import Complex, _faces_by_size, _maximal, _near, _reindex
 from .errors import BadDimensionError, InvalidParameterError, VoidComplexError
+from .graphs import _reach
 
 
 def _is_prime(p: int) -> bool:
@@ -318,26 +319,18 @@ def _join_factors(facet_masks) -> list:
     number is the product of the two numbers of restrictions; the
     components that do not split stay together as one factor.  ∂Δ² has
     three one-vertex components, none of which splits, so it is one factor.
+    A vertex's neighbours in that graph are the used vertices outside
+    ``complexes._near`` of it, and each component is one ``graphs._reach``.
     """
     used = 0
-    near = {}  # vertex bit -> the vertices sharing a facet with it
     for f in facet_masks:
         used |= f
-        m = f
-        while m:
-            b = m & -m
-            near[b] = near.get(b, 0) | f
-            m ^= b
+    apart = [used & ~m for m in _near(facet_masks, used.bit_length())]
     factors = []
     rest = list(facet_masks)
     left = used
     while left:
-        comp = frontier = left & -left
-        while frontier:
-            b = frontier & -frontier
-            new = used & ~near[b] & ~comp
-            comp |= new
-            frontier = (frontier ^ b) | new
+        comp = _reach(apart, left & -left)
         if comp == used:  # one component: no split
             break
         left &= ~comp

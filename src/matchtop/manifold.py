@@ -26,9 +26,10 @@ face by descending through the records, a closed one has no ball, and the
 boundary of any other is spanned by the ridges in one facet, read off the
 one ridge count ``complexes._ridge_cofacets``.  The verdict is memoized on
 the complex per prime, and a manifold with boundary keeps there the
-boundary it proved closed, with its component count, so
-``check_manifold``, ``boundary_complex``, ``classify`` and
-``manifold_report`` analyse each complex once.
+boundary it proved closed, with its component count (the reachability
+classes of ``graphs._reach`` over the boundary's ``complexes._near``
+neighbourhoods), so ``check_manifold``, ``boundary_complex``,
+``classify`` and ``manifold_report`` analyse each complex once.
 """
 
 from __future__ import annotations
@@ -257,13 +258,12 @@ def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
         bd = _span(c, [r for r, n in cx._ridge_cofacets(c.facet_masks).items() if n == 1])
         sub = check_manifold(bd, pp)
         if sub.status == STATUS_CLOSED:
-            parts = []  # vertex masks of the components merged so far
-            for f in bd.facet_masks:
-                for m in [m for m in parts if m & f]:
-                    parts.remove(m)
-                    f |= m
-                parts.append(f)
-            c._cache[("boundary", pp)] = BoundaryComplex(bd, len(parts))
+            near = cx._near(bd.facet_masks, bd.vertex_count)
+            parts, left = 0, (1 << bd.vertex_count) - 1
+            while left:
+                left &= ~graphs_mod._reach(near, left & -left)
+                parts += 1
+            c._cache[("boundary", pp)] = BoundaryComplex(bd, parts)
             return ManifoldVerdict(STATUS_WITH_BOUNDARY, d, pp)
         if sub.witness_face is not None:
             return ManifoldVerdict(STATUS_NOT_MANIFOLD, d, pp, sub.witness_face, sub.witness_betti)

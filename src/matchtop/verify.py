@@ -87,6 +87,8 @@ class SearchSpec:
     force: bool = False
 
     def __post_init__(self):
+        if self.target not in TARGETS:
+            raise InvalidParameterError(f"unknown search target {self.target!r}")
         if self.max_edges < 1:
             raise InvalidParameterError(f"max_edges must be >= 1, got {self.max_edges}")
         if self.max_vertices < 2:
@@ -182,16 +184,8 @@ class _Parent:
         it; 0 when the edge is no bridge."""
         s = self.sides[i]
         if s is None:
-            adj = self.adj
             a, b = self.edges[i]
-            s = 1 << a
-            frontier = adj[a] & ~(1 << b)
-            while frontier:
-                s |= frontier
-                nxt = 0
-                for x in gr._bits(frontier):
-                    nxt |= adj[x]
-                frontier = nxt & ~s
+            s = gr._reach(self.adj, self.adj[a] & ~(1 << b), 1 << a)
             s = self.sides[i] = 0 if s >> b & 1 else s
         return s
 
@@ -431,17 +425,8 @@ def _skeleton_connected(g: gr.Graph) -> bool:
     m = len(g.edges)
     if m <= 1:
         return True
-    conf = g.edge_conflicts()
     full = (1 << m) - 1
-    seen = 1
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        compatible = full & ~conf[i] & ~seen
-        for j in gr._bits(compatible):
-            seen |= 1 << j
-            frontier.append(j)
-    return seen == full
+    return gr._reach([full ^ c for c in g.edge_conflicts()], 1) == full
 
 
 def _expects_disconnected(g: gr.Graph) -> bool:
@@ -554,8 +539,6 @@ def run_search(spec: SearchSpec) -> SearchReport:
     hits with the catalog's expectations."""
     _check_guard(spec)
     target = spec.target
-    if target not in TARGETS:
-        raise InvalidParameterError(f"unknown search target {target!r}")
     q = spec.cross_check_prime
     t0 = time.perf_counter()
     hits = []

@@ -217,6 +217,34 @@ def labeled_graphs_on(n):
         yield tuple(p for i, p in enumerate(pairs) if bits >> i & 1)
 
 
+def oracle_components(n, edges):
+    """The vertex sets of the components of the graph on range(n) with the
+    given edges, as sorted lists in order of their least vertex: one set
+    per vertex, merged across each edge."""
+    parts = [{v} for v in range(n)]
+    for u, v in edges:
+        pu = next(p for p in parts if u in p)
+        pv = next(p for p in parts if v in p)
+        if pu is not pv:
+            parts.remove(pv)
+            pu |= pv
+    return sorted(sorted(p) for p in parts)
+
+
+def oracle_reachable(edges, start):
+    """The set of vertices joined to ``start`` by the given edges: grown by
+    whole passes over the edge list until a pass adds nothing."""
+    got = {start}
+    grown = True
+    while grown:
+        grown = False
+        for u, v in edges:
+            if (u in got) != (v in got):
+                got |= {u, v}
+                grown = True
+    return got
+
+
 def _bit_list(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 

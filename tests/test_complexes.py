@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matchtop import complexes as cx
 from matchtop import graphs as gr
@@ -172,6 +172,35 @@ def test_connectivity_and_diameter():
             continue
         assert cx.diameter(M) <= 4
         checked += 1
+
+
+@st.composite
+def _complexes(draw):
+    """A complex on 0-8 labels from random faces, so unused labels, {∅}
+    and faces that are not maximal all occur."""
+    n = draw(st.integers(0, 8))
+    faces = draw(st.lists(st.sets(st.integers(0, n - 1), max_size=4) if n else st.just(set()),
+                          min_size=1, max_size=6))
+    return cx.from_facets(range(n), faces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_complexes())
+@example(cx.from_facets(range(3), [()]))
+@example(cx.from_facets(range(5), [(0, 1, 2), (2, 4)]))
+def test_one_skeleton_matches_the_face_table(c):
+    pairs = [tuple(gr._bits(m)) for m in cx._faces_by_size(c.facet_masks).get(2, ())]
+    assert cx.one_skeleton(c) == gr.Graph(c.vertex_count, pairs)
+
+
+def test_skeleton_questions_build_no_face_table():
+    # the 1-skeleton comes off the facets, so none of these needs the faces
+    M = cx.matching_complex(gr.disjoint_union([gr.complete_bipartite(4, 3), gr.path(3)]))
+    cx.is_connected(M)
+    cx.diameter(M)
+    cx.is_flag(M)
+    cx.has_induced_path6(M)
+    assert "by_size" not in M._cache
 
 
 def test_induced_path6():

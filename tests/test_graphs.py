@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matchtop import graphs as gr
 from matchtop.errors import (
@@ -89,10 +89,10 @@ def test_matchings_against_brute_force(build):
 
 
 @st.composite
-def _small_graphs(draw):
-    """A graph on 1-8 vertices with any edge subset, so disconnected graphs,
-    isolated vertices and edgeless graphs all occur."""
-    n = draw(st.integers(1, 8))
+def _small_graphs(draw, n_min=1, n_max=8):
+    """A graph on n_min to n_max vertices with any edge subset, so
+    disconnected graphs, isolated vertices and edgeless graphs all occur."""
+    n = draw(st.integers(n_min, n_max))
     pairs = [(u, v) for v in range(n) for u in range(v)]
     return gr.Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
 
@@ -193,6 +193,23 @@ def test_connected_components():
     assert sorted(len(c.edges) for c in comps) == [1, 5]
     comps, isolated = gr.connected_components(gr.Graph(3, [(0, 2)]))
     assert isolated == [1] and len(comps) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_graphs(0, 9))
+@example(gr.Graph(0, []))
+@example(gr.Graph(1, []))
+@example(gr.Graph(5, [(0, 4), (1, 3)]))
+def test_components_match_the_merging_oracle(g):
+    parts = oracle_utils.oracle_components(g.vertex_count, g.edges)
+    comps, isolated = gr.connected_components(g)
+    assert isolated == [p[0] for p in parts if len(p) == 1]
+    expected = []
+    for part in (p for p in parts if len(p) > 1):
+        idx = {v: j for j, v in enumerate(part)}
+        expected.append(gr.Graph(len(part), [(idx[u], idx[v]) for u, v in g.edges if u in idx]))
+    assert comps == expected
+    assert gr.is_connected_graph(g) == (len(parts) == 1)
 
 
 def test_canonical_form_examples():

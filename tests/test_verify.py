@@ -111,6 +111,12 @@ def test_unknown_target_rejected():
         verify.run_search(spec(target="klein-bottle"))
 
 
+def test_spec_with_unknown_target_rejected():
+    # before any graph is enumerated or a cap read off the target
+    with pytest.raises(InvalidParameterError, match="unknown search target"):
+        verify.SearchSpec("klein-bottle", max_edges=3)
+
+
 def test_search_one_sphere_small_budget():
     report = verify.run_search(spec(max_edges=5))
     assert report.verdict == "Match"
@@ -369,6 +375,24 @@ def test_per_parent_verdicts_match_the_oracle(g, room):
             want = (oracle_utils.degree_invariant(adj)
                     if oracle_utils.is_canonical_deletion(adj, u, v) else None)
             assert verify._canonical_child(parent, u, v) == want, (u, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_connected(max_extra=3))
+@example(gr.Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]))
+def test_bridge_sides_match_the_oracle(g):
+    # the side of edge (a, b) is what a reaches without it, 0 exactly when
+    # b is among that
+    parent = verify._Parent(g)
+    for i, (a, b) in enumerate(g.edges):
+        got = oracle_utils.oracle_reachable(g.edges[:i] + g.edges[i + 1:], a)
+        assert parent.side(i) == (0 if b in got else sum(1 << x for x in got))
+
+
+def test_skeleton_connected_matches_the_complex():
+    for level in verify.connected_graph_classes(7, 10):
+        for g in level:
+            assert verify._skeleton_connected(g) == cx.is_connected(cx.matching_complex(g))
 
 
 def _counting(monkeypatch, name):
