@@ -68,29 +68,24 @@ def _small_basics():
 
 
 def _spider_legs(g: gr.Graph) -> int | None:
-    """k if g is a spider with k length-2 legs (k >= 2), else None."""
+    """k if the connected graph g is a spider with k length-2 legs (k >= 2),
+    else None.
+
+    Such a g has n = 2k + 1 vertices, n - 1 edges, one vertex of degree k,
+    k of degree 2 and k leaves, each leaf next to a vertex of degree 2; and
+    these make g a spider.  Two leaves next to one vertex of degree 2 would
+    be a component of their own, so the k leaf edges take one end of each
+    vertex of degree 2, and the k edges of the centre take the other."""
     n = g.vertex_count
-    if n < 5 or n % 2 == 0 or len(g.edges) != n - 1:
-        return None
     k = (n - 1) // 2
-    for center in range(n):
-        if g.degree(center) != k:
-            continue
-        tips = set()
-        ok = True
-        for mid in g.neighbors(center):
-            if g.degree(mid) != 2:
-                ok = False
-                break
-            others = [w for w in g.neighbors(mid) if w != center]
-            tip = others[0]
-            if g.degree(tip) != 1:
-                ok = False
-                break
-            tips.add(tip)
-        if ok and len(tips) == k:
-            return k
-    return None
+    if k < 2 or n != 2 * k + 1 or len(g.edges) != n - 1:
+        return None
+    deg = [a.bit_count() for a in g.adj]
+    if sorted(deg) != [1] * k + [2] * k + [k]:
+        return None
+    if any(deg[a.bit_length() - 1] != 2 for a, d in zip(g.adj, deg) if d == 1):
+        return None
+    return k
 
 
 def recognize_basic(g: gr.Graph) -> BasicGraphKind | None:
@@ -104,7 +99,7 @@ def recognize_basic(g: gr.Graph) -> BasicGraphKind | None:
         if kind is not None:
             return kind
     k = _spider_legs(g)
-    if k is not None and k >= 2:
+    if k is not None:
         return BasicGraphKind("Spider", k)
     return None
 
@@ -351,6 +346,16 @@ def predict(g: gr.Graph) -> Prediction:
 # expected hit sets for the exhaustive searches
 
 
+# the search targets with a manifold of dimension d as hits:
+# name -> (dimension d, with boundary, sphere only)
+_MANIFOLD_TARGETS = {
+    "1-sphere": (1, False, True),
+    "2-sphere": (2, False, True),
+    "closed-2-manifold": (2, False, False),
+    "2-manifold-with-boundary": (2, True, False),
+    "connected-2-manifold-with-boundary": (2, True, False),
+}
+
 _CLOSED_LABELS = ("Sphere", "Torus")
 
 
@@ -393,8 +398,6 @@ def expected_search_hits(target: str, max_edges: int, max_vertices: int,
     sphere or the torus has none) and, for sphere-only targets, when it
     is a sphere.  Returns None for targets whose expectation is computed
     per graph (disconnected-complex)."""
-    from .verify import _MANIFOLD_TARGETS  # verify imports this module
-
     if target == "disconnected-complex":
         return None
     if target not in _MANIFOLD_TARGETS:

@@ -9,17 +9,18 @@ Search targets apply a cheap combinatorial prefilter before the full
 homology checks, and reports compare the hit set against the catalog's
 expectations.
 
-Every target but disconnected-complex is one row of ``_MANIFOLD_TARGETS``:
-a homology manifold of dimension d, closed or with boundary, and whether
-only spheres count.  All of them run one path.  The ridge prefilter keeps a
-graph only if every facet of M(G) has d + 1 vertices and every ridge (a
-facet minus one vertex) lies in at most 2 facets: a ridge's link is a set
-of points, which has sphere or ball homology only as 2 points or 1.  A
-closed target needs every ridge in exactly 2 facets, a target with boundary
-some ridge in 1.  The survivors are checked by ``check_manifold`` at the
-search prime (status, dimension d and, for sphere-only targets, sphere
-homology), again at the cross-check prime, and named by ``classify``.  The
-expected hits are computed by the catalog from the same row.
+Every target but disconnected-complex is one row of the catalog's
+``_MANIFOLD_TARGETS``: a homology manifold of dimension d, closed or with
+boundary, and whether only spheres count.  All of them run one path.  The
+ridge prefilter keeps a graph only if every facet of M(G) has d + 1
+vertices and every ridge (a facet minus one vertex) lies in at most 2
+facets: a ridge's link is a set of points, which has sphere or ball
+homology only as 2 points or 1.  A closed target needs every ridge in
+exactly 2 facets, a target with boundary some ridge in 1.  The survivors
+are checked by ``check_manifold`` at the search prime (status, dimension d
+and, for sphere-only targets, sphere homology), again at the cross-check
+prime, and named by ``classify``.  The expected hits are computed by the
+catalog from the same row.
 
 Since dim M(G) = nu(G) - 1, where nu is the matching number, a target of
 dimension d can only be hit by graphs with nu = d + 1.  The searches for
@@ -29,6 +30,14 @@ they are canonicalized, and the components of a disjoint union share the
 budget, since nu adds up over components.  The disconnected-complex search
 has no dimension and enumerates everything; that uncapped enumeration is
 also the oracle the pruned searches are tested against.
+
+If nu(G) >= 3, then M(G) is connected.  The edges of a maximum matching
+are pairwise disjoint, so they span a clique of the 1-skeleton, and any
+other edge meets at most two of them, one per endpoint, so it is adjacent
+to a third.  Two consequences: every graph ``_expects_disconnected``
+predicts has nu <= 2, and every manifold hit of dimension >= 2 is
+connected, which is why connected-2-manifold-with-boundary is an exact
+alias of 2-manifold-with-boundary.
 
 The disconnected-complex search counts a graph with two or more components
 as examined and rejects it from its component list, before any union is
@@ -49,7 +58,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from . import catalog, complexes as cx, graphs as gr, manifold as mf
 from .errors import GuardExceededError, InvalidParameterError
@@ -64,16 +73,12 @@ BOUNDED_SEARCH_NOTE = (
     "no claim is made about graphs beyond it"
 )
 
-# name -> (dimension d, with boundary, sphere only)
-_MANIFOLD_TARGETS = {
-    "1-sphere": (1, False, True),
-    "2-sphere": (2, False, True),
-    "closed-2-manifold": (2, False, False),
-    "2-manifold-with-boundary": (2, True, False),
-    "connected-2-manifold-with-boundary": (2, True, False),
-}
+TARGETS = (*catalog._MANIFOLD_TARGETS, "disconnected-complex")
 
-TARGETS = (*_MANIFOLD_TARGETS, "disconnected-complex")
+
+def _require_int(name: str, value, least: int):
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -89,11 +94,8 @@ class SearchSpec:
     def __post_init__(self):
         if self.target not in TARGETS:
             raise InvalidParameterError(f"unknown search target {self.target!r}")
-        if self.max_edges < 1:
-            raise InvalidParameterError(f"max_edges must be >= 1, got {self.max_edges}")
-        if self.max_vertices < 2:
-            raise InvalidParameterError(
-                f"max_vertices must be >= 2, got {self.max_vertices}")
+        _require_int("max_edges", self.max_edges, 1)
+        _require_int("max_vertices", self.max_vertices, 2)
         # a non-prime fails here, before any graph is enumerated
         FieldPrime(self.p)
         if self.cross_check_prime is not None:
@@ -106,18 +108,11 @@ class SearchSpec:
         """The largest matching number a hit can have: d + 1 for a target of
         dimension d (dim M(G) = nu(G) - 1), None for disconnected-complex,
         which has no dimension to bound it."""
-        row = _MANIFOLD_TARGETS.get(self.target)
+        row = catalog._MANIFOLD_TARGETS.get(self.target)
         return None if row is None else row[0] + 1
 
     def to_dict(self):
-        return {
-            "target": self.target,
-            "max_edges": self.max_edges,
-            "max_vertices": self.max_vertices,
-            "connected_only": self.connected_only,
-            "p": self.p,
-            "cross_check_prime": self.cross_check_prime,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "force"}
 
 
 def _check_guard(spec: SearchSpec):
@@ -360,15 +355,14 @@ def enumerate_graphs(spec: SearchSpec, matching_cap: int | None = None):
 def _component_multisets(spec: SearchSpec, matching_cap: int | None):
     """The classes of :func:`enumerate_graphs` as nondecreasing tuples of
     connected classes (one class each when ``connected_only``)."""
-    levels = connected_graph_classes(spec.max_edges, spec.max_vertices, matching_cap)
-    comps = [g for level in levels[1:] for g in level]
+    lv = _levels(spec.max_edges, spec.max_vertices, matching_cap)
+    comps = [g for level in lv.graphs[1: spec.max_edges + 1] for g in level]
     if spec.connected_only:
         for g in comps:
             yield (g,)
         return
     # matching numbers add up over components (uncapped, all are 0)
-    nus = _LEVELS[(spec.max_vertices, matching_cap)].nu
-    comp_nu = [nu for level in nus[1: spec.max_edges + 1] for nu in level]
+    comp_nu = [nu for level in lv.nu[1: spec.max_edges + 1] for nu in level]
     nu_budget = matching_cap or 0
 
     def rec(start, edges_left, verts_left, nu_left, acc):
@@ -446,26 +440,26 @@ def _expects_disconnected(g: gr.Graph) -> bool:
     return False
 
 
-@dataclass
-class _Evaluation:
-    is_hit: bool
-    klass: str = ""
-    betti_p: list = field(default_factory=list)
-    betti_q: list = field(default_factory=list)
-    anomaly: str | None = None
+def _entry(klass: str, M: cx.Complex, p: int, q: int | None) -> dict:
+    """A hit's report fields: its class, then its reduced Betti numbers at
+    p and, when cross-checked, at q."""
+    entry = {"class": klass, f"betti_p{p}": betti_reduced(M, p).to_list()}
+    if q is not None:
+        entry[f"betti_p{q}"] = betti_reduced(M, q).to_list()
+    return entry
 
 
-def _evaluate(g: gr.Graph, target: str, p: int, q: int | None) -> _Evaluation | None:
-    """None for cheap rejections; otherwise the full verdict for a survivor."""
+def _evaluate(g: gr.Graph, target: str, p: int,
+              q: int | None) -> tuple[dict | None, str | None] | None:
+    """None for cheap rejections; otherwise ``(entry, anomaly)`` for a
+    survivor: its report fields (see ``_entry``), None when it is no hit,
+    and the disagreement between the two primes, None when they agree."""
     if target == "disconnected-complex":
         if _skeleton_connected(g):
             return None
-        M = cx.matching_complex(g)
-        bp = betti_reduced(M, p).to_list()
-        bq = betti_reduced(M, q).to_list() if q is not None else []
-        return _Evaluation(True, "DisconnectedComplex", bp, bq)
+        return _entry("DisconnectedComplex", cx.matching_complex(g), p, q), None
 
-    d, boundary, sphere_only = _MANIFOLD_TARGETS[target]
+    d, boundary, sphere_only = catalog._MANIFOLD_TARGETS[target]
     if not _ridge_prefilter(gr._maximal_matching_masks(g), d, boundary):
         return None
     want_status = STATUS_WITH_BOUNDARY if boundary else STATUS_CLOSED
@@ -473,26 +467,22 @@ def _evaluate(g: gr.Graph, target: str, p: int, q: int | None) -> _Evaluation | 
 
     def verdict(prime):
         v = mf.check_manifold(M, prime)
-        b = betti_reduced(M, prime)
         hit = v.status == want_status and v.dimension == d and (
-            not sphere_only or b.is_sphere(d))
-        return v, b, hit
+            not sphere_only or betti_reduced(M, prime).is_sphere(d))
+        return v, hit
 
-    vp, bp, hit_p = verdict(p)
+    vp, hit_p = verdict(p)
     anomaly = None
-    bq = None
     if q is not None:
-        vq, bq, hit_q = verdict(q)
+        vq, hit_q = verdict(q)
         if vp.status != vq.status or hit_p != hit_q:
             anomaly = (
                 f"verdict differs between GF({p}) ({vp.status}) and "
                 f"GF({q}) ({vq.status})"
             )
-    if not hit_p and anomaly is None:
-        return None
-    klass = str(mf.classify(M, vp, (p, q if q else p)))
-    return _Evaluation(hit_p, klass, bp.to_list(),
-                       bq.to_list() if bq is not None else [], anomaly)
+    if not hit_p:
+        return None if anomaly is None else (None, anomaly)
+    return _entry(str(mf.classify(M, vp, (p, q or p))), M, p, q), anomaly
 
 
 # ---------------------------------------------------------------------------
@@ -514,18 +504,9 @@ class SearchReport:
     note: str = BOUNDED_SEARCH_NOTE
 
     def to_dict(self, include_timing=True):
-        out = {
-            "spec": self.spec.to_dict(),
-            "hits": self.hits,
-            "expected": self.expected,
-            "verdict": self.verdict,
-            "extra": self.extra,
-            "missing": self.missing,
-            "anomalies": self.anomalies,
-            "graphs_examined": self.graphs_examined,
-            "pruning": self.pruning,
-            "note": self.note,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "elapsed_ms"}
+        out["spec"] = self.spec.to_dict()
         if include_timing:
             out["elapsed_ms"] = self.elapsed_ms
         return out
@@ -541,70 +522,44 @@ def run_search(spec: SearchSpec) -> SearchReport:
     target = spec.target
     q = spec.cross_check_prime
     t0 = time.perf_counter()
+    # graph6 -> (name, class); disconnected-complex predicts its own below
+    expected = {}
+    for name, g, cls in catalog.expected_search_hits(
+            target, spec.max_edges, spec.max_vertices, spec.connected_only) or ():
+        expected[gr.canonical_form(g, spec.max_vertices).decode()] = (name, cls)
     hits = []
     anomalies = []
     examined = 0
-    predicted_disconnected = {}
     for comps in _component_multisets(spec, spec.matching_cap()):
         examined += 1
         if len(comps) > 1 and target == "disconnected-complex":
             continue  # a join of nonempty complexes; see the module docstring
         g = gr.disjoint_union(comps) if len(comps) > 1 else comps[0]
-        canon = None
+        key = None
         if target == "disconnected-complex" and _expects_disconnected(g):
-            canon = gr.canonical_form(g, spec.max_vertices)
-            predicted_disconnected[canon] = g
+            key = gr.canonical_form(g, spec.max_vertices).decode()
+            expected[key] = (None, "DisconnectedComplex")
         result = _evaluate(g, target, spec.p, q)
         if result is None:
             continue
-        if canon is None:
-            canon = gr.canonical_form(g, spec.max_vertices)
-        if result.anomaly:
-            anomalies.append({"graph6": canon.decode(), "detail": result.anomaly})
-        if result.is_hit:
-            hits.append((canon, g, result))
-    hits.sort(key=lambda t: (len(t[1].edges), t[0]))
+        entry, anomaly = result
+        if key is None:
+            key = gr.canonical_form(g, spec.max_vertices).decode()
+        if anomaly:
+            anomalies.append({"graph6": key, "detail": anomaly})
+        if entry is not None:
+            hits.append({"graph6": key, "name": expected.get(key, (None,))[0], **entry,
+                         "vertices": g.vertex_count, "edges": len(g.edges)})
+    hits.sort(key=lambda h: (h["edges"], h["graph6"]))
 
-    if target == "disconnected-complex":
-        expected_map = {k: (None, g, "DisconnectedComplex")
-                        for k, g in predicted_disconnected.items()}
-    else:
-        expected_map = {}
-        for name, g, cls in catalog.expected_search_hits(
-                target, spec.max_edges, spec.max_vertices, spec.connected_only):
-            expected_map[gr.canonical_form(g, spec.max_vertices)] = (name, g, cls)
-
-    hit_keys = {k for k, _, _ in hits}
-    extra = sorted(k.decode() for k in hit_keys - set(expected_map))
-    missing = sorted(expected_map[k][0] or k.decode()
-                     for k in set(expected_map) - hit_keys)
-    if extra:
-        verdict = "ExtraHit"
-    elif missing:
-        verdict = "MissingHit"
-    else:
-        verdict = "Match"
-
-    hit_dicts = []
-    for canon, g, result in hits:
-        name = expected_map.get(canon, (None,))[0]
-        hit = {
-            "graph6": canon.decode(),
-            "name": name,
-            "class": result.klass,
-            f"betti_p{spec.p}": result.betti_p,
-        }
-        if q is not None:
-            hit[f"betti_p{q}"] = result.betti_q
-        hit["vertices"] = g.vertex_count
-        hit["edges"] = len(g.edges)
-        hit_dicts.append(hit)
-    expected_dicts = [
-        {"name": name, "graph6": key.decode(), "class": cls}
-        for key, (name, g, cls) in sorted(expected_map.items())
-    ]
+    found = {h["graph6"] for h in hits}
+    extra = sorted(found - expected.keys())
+    missing = sorted(expected[k][0] or k for k in expected.keys() - found)
+    verdict = "ExtraHit" if extra else "MissingHit" if missing else "Match"
+    expected_dicts = [{"name": name, "graph6": key, "class": cls}
+                      for key, (name, cls) in sorted(expected.items())]
     elapsed = int((time.perf_counter() - t0) * 1000)
-    return SearchReport(spec, hit_dicts, expected_dicts, verdict, extra,
+    return SearchReport(spec, hits, expected_dicts, verdict, extra,
                         missing, anomalies, examined, elapsed, _pruning_summary(spec))
 
 
@@ -650,11 +605,9 @@ def property_suite(seed: int, trials: int) -> dict:
     string and trial number for reproduction.  ``trials`` must be at
     least 1, since a suite that ran no check proves nothing.
     """
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    _require_int("trials", trials, 1)
     rng = random.Random(seed)
     failures = []
-    ran = {name: 0 for name in PROPERTY_CHECKS}
 
     def record(check, g, detail=""):
         failures.append({
@@ -667,37 +620,32 @@ def property_suite(seed: int, trials: int) -> dict:
         g = _random_graph(rng)
         M = cx.matching_complex(g)
 
-        ran["flag"] += 1
         if not cx.is_flag(M):
             record("flag", g)
 
-        ran["link-of-matching"] += 1
         face = rng.choice(gr.enumerate_matchings(g))
         if not _link_matches_avoided_subgraph(g, face, M):
             record("link-of-matching", g, f"face {face}")
 
-        ran["union-join"] += 1
         g2 = _random_graph(rng)
         joined = cx.join(M, cx.matching_complex(g2))
         direct = cx.matching_complex(gr.disjoint_union([g, g2]))
         if joined != direct:
             record("union-join", g, f"with {gr.to_graph6(g2)}")
 
-        ran["no-induced-p6"] += 1
         if cx.has_induced_path6(M):
             record("no-induced-p6", g)
 
-        ran["diameter"] += 1
         if cx.is_connected(M) and cx.diameter(M) > 4:
             record("diameter", g, f"diameter {cx.diameter(M)}")
 
-        ran["disconnection"] += 1
         if cx.is_connected(M) != (not _expects_disconnected(g)):
             record("disconnection", g)
 
     return {
         "seed": seed,
         "trials": trials,
-        "checks": ran,
+        # every check runs once per trial
+        "checks": {name: trials for name in PROPERTY_CHECKS},
         "failures": failures,
     }

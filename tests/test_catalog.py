@@ -7,6 +7,7 @@ from matchtop import catalog
 from matchtop import complexes as cx
 from matchtop import graphs as gr
 from matchtop import manifold as mf
+from matchtop import verify
 from matchtop.errors import InvalidParameterError
 
 
@@ -19,6 +20,17 @@ def test_recognize_basics():
     assert str(catalog.recognize_basic(gr.spider(5))) == "Spider(5)"
     assert catalog.recognize_basic(gr.cycle(4)) is None
     assert catalog.recognize_basic(gr.complete(4)) is None
+
+
+def test_spider_legs_agree_with_canonical_forms():
+    # every connected class within 10 edges, on up to the 11 vertices of
+    # Sp5, then the larger spiders themselves
+    spiders = {gr.canonical_form(gr.spider(k), 11): k for k in range(2, 6)}
+    classes = verify.connected_graph_classes(10, 11)
+    for g in (g for level in classes for g in level):
+        assert catalog._spider_legs(g) == spiders.get(gr.canonical_form(g, 11))
+    for k in range(2, 9):
+        assert catalog._spider_legs(gr.spider(k)) == k
 
 
 def test_spider2_reported_as_spider_with_note():

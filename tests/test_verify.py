@@ -92,6 +92,9 @@ def test_forced_budget_beyond_canonical_cap():
 
 @pytest.mark.parametrize("budget", [
     {"max_edges": -1}, {"max_edges": 0}, {"max_vertices": 0}, {"max_vertices": 1},
+    # budgets must be integers: a float or a string would fail later with a
+    # raw TypeError, and a bool is no count
+    {"max_edges": 3.5}, {"max_vertices": "10"}, {"max_edges": True},
 ])
 def test_nonsensical_budget_rejected(budget):
     with pytest.raises(InvalidParameterError):
@@ -173,7 +176,7 @@ def test_property_suite_clean():
     assert all(count == 60 for count in report["checks"].values())
 
 
-@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("trials", [0, -3, 2.5])
 def test_property_suite_rejects_fewer_than_one_trial(trials):
     with pytest.raises(InvalidParameterError, match="trials"):
         verify.property_suite(seed=0, trials=trials)
@@ -236,20 +239,21 @@ def test_sphere_only_targets_reject_the_torus():
     # and its 12 edges lie beyond the 2-sphere search of criterion 3
     k43 = gr.complete_bipartite(4, 3)
     assert verify._evaluate(k43, "2-sphere", 2, 3) is None
-    torus = verify._evaluate(k43, "closed-2-manifold", 2, 3)
-    assert torus.is_hit and torus.klass == "Torus" and torus.anomaly is None
+    entry, anomaly = verify._evaluate(k43, "closed-2-manifold", 2, 3)
+    assert entry["class"] == "Torus" and anomaly is None
 
 
 @st.composite
-def _graphs_up_to_8(draw):
-    """A graph on 1-8 vertices with any edge subset, disconnected included."""
-    n = draw(st.integers(1, 8))
+def _graphs_up_to(draw, max_n=8):
+    """A graph on 1 to max_n vertices with any edge subset, disconnected
+    included."""
+    n = draw(st.integers(1, max_n))
     pairs = [(u, v) for v in range(n) for u in range(v)]
     return n, (draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
 
 
 @settings(max_examples=300, deadline=None)
-@given(_graphs_up_to_8())
+@given(_graphs_up_to())
 @example((1, []))  # M = {∅}, the (-1)-sphere
 @example((2, [(0, 1)]))  # a point: d = 0
 @example((4, [(0, 1), (1, 2), (2, 3), (0, 3)]))  # C4: two disjoint segments
@@ -267,6 +271,19 @@ def test_ridge_prefilter_passes_every_manifold(case):
     if v.is_manifold:
         boundary = v.status == manifold.STATUS_WITH_BOUNDARY
         assert verify._ridge_prefilter(gr._maximal_matching_masks(g), v.dimension, boundary)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs_up_to(9))
+@example((6, [(0, 1), (2, 3), (4, 5)]))  # 3P2: a triangle
+@example((7, [(i, 4 + j) for i in range(4) for j in range(3)]))  # K43: a torus
+def test_matching_number_three_gives_a_connected_complex(case):
+    # the lemma of the module docstring: a maximum matching spans a clique
+    # of the 1-skeleton that every other edge is adjacent to
+    g = gr.Graph(*case)
+    if gr.matching_number(g) >= 3:
+        assert verify._skeleton_connected(g)
+        assert not verify._expects_disconnected(g)
 
 
 def test_pruning_entry_pinned():
@@ -465,7 +482,7 @@ def test_search_call_counts_pinned(monkeypatch):
 
 @st.composite
 def _graph_perm(draw):
-    n, pairs = draw(_graphs_up_to_8())
+    n, pairs = draw(_graphs_up_to())
     return gr.Graph(n, pairs), draw(st.permutations(range(n)))
 
 
