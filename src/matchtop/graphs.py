@@ -223,9 +223,17 @@ def enumerate_matchings(g: Graph):
     return out
 
 
-def _maximal_matching_masks(g: Graph):
+class _OtherSize(Exception):
+    """A maximal matching whose size differs from the one asked for."""
+
+
+def _maximal_matching_masks(g: Graph, size: int | None = None):
     """The matchings that no edge of g can extend, as edge bitmasks, in
     depth-first order.
+
+    With a ``size``, None as soon as one of them has another size: the
+    enumeration stops there, so a graph that is not equimatchable costs
+    only the walk to its first maximal matching of the wrong size.
 
     A branch may add only free edges from ``start`` on, so a free edge
     below ``start`` none of whose conflicting edges is still addable can
@@ -238,6 +246,8 @@ def _maximal_matching_masks(g: Graph):
 
     def rec(start, chosen, blocked):
         if blocked == full:
+            if size is not None and chosen.bit_count() != size:
+                raise _OtherSize
             out.append(chosen)
             return
         free = full & ~blocked
@@ -254,7 +264,10 @@ def _maximal_matching_masks(g: Graph):
             rec(i + 1, chosen | b, blocked | conf[i])
             addable ^= b
 
-    rec(0, 0, 0)
+    try:
+        rec(0, 0, 0)
+    except _OtherSize:
+        return None
     return out
 
 
@@ -271,7 +284,13 @@ def matching_number(g: Graph) -> int:
 
 
 def is_equimatchable(g: Graph) -> bool:
-    """True when every maximal matching has the same size."""
+    """True when every maximal matching has the same size.
+
+    The maximal matchings of g are the facets of its matching complex, so
+    M(G) is pure exactly when G is equimatchable.  A homology manifold is
+    pure, which is why the search's ridge prefilter may stop at the first
+    maximal matching of the wrong size.
+    """
     sizes = {m.bit_count() for m in _maximal_matching_masks(g)}
     return len(sizes) <= 1
 

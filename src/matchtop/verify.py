@@ -16,7 +16,11 @@ ridge prefilter keeps a graph only if every facet of M(G) has d + 1
 vertices and every ridge (a facet minus one vertex) lies in at most 2
 facets: a ridge's link is a set of points, which has sphere or ball
 homology only as 2 points or 1.  A closed target needs every ridge in
-exactly 2 facets, a target with boundary some ridge in 1.  The survivors
+exactly 2 facets, a target with boundary some ridge in 1.  The facets of
+M(G) are the maximal matchings of G, so M(G) is pure exactly when G is
+equimatchable, and a homology manifold is pure: the prefilter's facet
+enumeration stops at the first maximal matching with other than d + 1
+edges, and most graphs are rejected there.  The survivors
 are checked by ``check_manifold`` at the search prime (status, dimension d
 and, for sphere-only targets, sphere homology), again at the cross-check
 prime, and named by ``classify``.  The expected hits are computed by the
@@ -96,6 +100,9 @@ class SearchSpec:
             raise InvalidParameterError(f"unknown search target {self.target!r}")
         _require_int("max_edges", self.max_edges, 1)
         _require_int("max_vertices", self.max_vertices, 2)
+        if not isinstance(self.connected_only, bool):
+            raise InvalidParameterError(
+                f"connected_only must be a bool, got {self.connected_only!r}")
         # a non-prime fails here, before any graph is enumerated
         FieldPrime(self.p)
         if self.cross_check_prime is not None:
@@ -141,17 +148,32 @@ _LEVELS: dict = {}  # (max_vertices, matching cap or None) -> _Levels
 def _free_pairs(g: gr.Graph, nu: int):
     """Per vertex u, the mask of vertices w such that some maximum matching
     of g (of size nu) covers neither u nor w.  The masks include the vertex
-    n = g.vertex_count a pendant edge would add, which no matching covers."""
+    n = g.vertex_count a pendant edge would add, which no matching covers.
+
+    Only the matchings of exactly nu edges are walked, each once, by
+    increasing edge index; a branch ends when fewer edges remain addable
+    than it still needs, since each addition takes one of them.  Every
+    maximum matching is maximal, and no smaller maximal matching would
+    contribute."""
+    conf = g.edge_conflicts()
+    all_edges = (1 << len(g.edges)) - 1
     full = (1 << (g.vertex_count + 1)) - 1
     ends = [1 << u | 1 << v for u, v in g.edges]
     out = [0] * (g.vertex_count + 1)
-    for matching in gr._maximal_matching_masks(g):
-        if matching.bit_count() == nu:
-            free = full
-            for i in gr._bits(matching):
-                free &= ~ends[i]
+
+    def rec(start, need, free, blocked):
+        if not need:
             for u in gr._bits(free):
                 out[u] |= free
+            return
+        addable = (all_edges & ~blocked) >> start << start
+        while addable.bit_count() >= need:
+            b = addable & -addable
+            i = b.bit_length() - 1
+            rec(i + 1, need - 1, free & ~ends[i], blocked | conf[i])
+            addable ^= b
+
+    rec(0, nu, full, 0)
     return out
 
 
@@ -403,12 +425,14 @@ def clear_caches():
 # target predicates
 
 
-def _ridge_prefilter(facets, d: int, boundary: bool) -> bool:
-    """Necessary conditions for a homology d-manifold, closed or with
-    boundary: every facet has d + 1 vertices, and every ridge lies in at
-    most 2 facets, in exactly 2 when closed and in 1 for some ridge with
-    boundary."""
-    if any(f.bit_count() != d + 1 for f in facets):
+def _ridge_prefilter(g: gr.Graph, d: int, boundary: bool) -> bool:
+    """Necessary conditions on g for M(G) to be a homology d-manifold,
+    closed or with boundary: every facet has d + 1 vertices (G is
+    equimatchable, M(G) pure), and every ridge lies in at most 2 facets,
+    in exactly 2 when closed and in 1 for some ridge with boundary.  The
+    facet enumeration stops at the first facet of another size."""
+    facets = gr._maximal_matching_masks(g, d + 1)
+    if facets is None:
         return False
     per_ridge = set(cx._ridge_cofacets(facets).values())
     return per_ridge <= {1, 2} and (1 in per_ridge) == boundary
@@ -460,7 +484,7 @@ def _evaluate(g: gr.Graph, target: str, p: int,
         return _entry("DisconnectedComplex", cx.matching_complex(g), p, q), None
 
     d, boundary, sphere_only = catalog._MANIFOLD_TARGETS[target]
-    if not _ridge_prefilter(gr._maximal_matching_masks(g), d, boundary):
+    if not _ridge_prefilter(g, d, boundary):
         return None
     want_status = STATUS_WITH_BOUNDARY if boundary else STATUS_CLOSED
     M = cx.matching_complex(g)
@@ -612,6 +636,7 @@ def property_suite(seed: int, trials: int) -> dict:
     def record(check, g, detail=""):
         failures.append({
             "check": check,
+            "trial": trial,
             "graph6": gr.to_graph6(g),
             "detail": detail,
         })

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from matchtop import graphs as gr
+from matchtop import complexes as cx, graphs as gr, verify
 from matchtop.errors import (
     DuplicateEdgeError,
     FormatError,
@@ -107,6 +107,18 @@ def test_maximal_matchings_match_brute_force(g):
     assert sorted(masks) == sorted(sum(1 << i for i in m) for m in brute)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_small_graphs())
+def test_sized_maximal_matchings_match_brute_force(g):
+    # None exactly when some maximal matching has another size, otherwise
+    # the unsized masks in their order
+    sizes = {len(m) for m in oracle_utils.brute_maximal_matchings(g)}
+    unsized = gr._maximal_matching_masks(g)
+    for size in range(5):
+        got = gr._maximal_matching_masks(g, size)
+        assert got == (unsized if sizes == {size} else None), size
+
+
 def test_k43_matching_counts():
     ms = gr.enumerate_matchings(gr.complete_bipartite(4, 3))
     counts = {}
@@ -127,13 +139,10 @@ def test_equimatchable():
 
 
 def test_equimatchable_iff_matching_complex_pure():
-    from matchtop import complexes as cx
-    rng = random.Random(17)
-    for _ in range(80):
-        n = rng.randint(2, 8)
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        g = gr.Graph(n, rng.sample(pairs, rng.randint(1, min(10, len(pairs)))))
-        assert gr.is_equimatchable(g) == cx.is_pure(cx.matching_complex(g))
+    # the maximal matchings are the facets: M(G) is pure exactly when G is
+    # equimatchable, for every class within 8 edges
+    for g in verify.enumerate_graphs(verify.SearchSpec("1-sphere", max_edges=8)):
+        assert gr.is_equimatchable(g) == cx.is_pure(cx.matching_complex(g)), gr.to_graph6(g)
 
 
 def test_constructor_parameter_errors():

@@ -101,6 +101,13 @@ def test_nonsensical_budget_rejected(budget):
         spec(**budget)
 
 
+@pytest.mark.parametrize("connected_only", ["no", 1, None])
+def test_non_bool_connected_only_rejected(connected_only):
+    # "no" is truthy: it would run a connected-only search and report "no"
+    with pytest.raises(InvalidParameterError, match="connected_only"):
+        spec(max_edges=5, connected_only=connected_only)
+
+
 @pytest.mark.parametrize("primes", [
     {"cross_check_prime": 0}, {"cross_check_prime": 1}, {"p": 4}, {"p": 0},
 ])
@@ -180,6 +187,12 @@ def test_property_suite_clean():
 def test_property_suite_rejects_fewer_than_one_trial(trials):
     with pytest.raises(InvalidParameterError, match="trials"):
         verify.property_suite(seed=0, trials=trials)
+
+
+def test_property_suite_failure_names_its_trial(monkeypatch):
+    monkeypatch.setattr(cx, "is_flag", lambda M: False)
+    failures = verify.property_suite(seed=0, trials=2)["failures"]
+    assert [(f["check"], f["trial"]) for f in failures] == [("flag", 0), ("flag", 1)]
 
 
 def test_property_suite_deterministic():
@@ -270,7 +283,26 @@ def test_ridge_prefilter_passes_every_manifold(case):
     v = manifold.check_manifold(cx.matching_complex(g), 2)
     if v.is_manifold:
         boundary = v.status == manifold.STATUS_WITH_BOUNDARY
-        assert verify._ridge_prefilter(gr._maximal_matching_masks(g), v.dimension, boundary)
+        assert verify._ridge_prefilter(g, v.dimension, boundary)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs_up_to())
+@example((1, []))
+@example((5, [(0, 1), (1, 2), (2, 3), (3, 4)]))  # P5: the pendant slot is free
+@example((7, [(i, 4 + j) for i in range(4) for j in range(3)]))  # K43
+def test_free_pairs_match_brute_maximum_matchings(case):
+    n, pairs = case
+    g = gr.Graph(n, pairs)
+    brute = oracle_utils.brute_matchings(g)
+    nu = max(map(len, brute))
+    uncovered = [set(range(n + 1)) - {x for i in m for x in g.edges[i]}
+                 for m in brute if len(m) == nu]
+    free = verify._free_pairs(g, gr.matching_number(g))
+    for u in range(n + 1):
+        for w in range(n + 1):
+            assert bool(free[u] >> w & 1) == any(
+                u in f and w in f for f in uncovered), (u, w)
 
 
 @settings(max_examples=300, deadline=None)
@@ -412,15 +444,15 @@ def test_skeleton_connected_matches_the_complex():
             assert verify._skeleton_connected(g) == cx.is_connected(cx.matching_complex(g))
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, module=gr):
     calls = [0]
-    real = getattr(gr, name)
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(gr, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -478,6 +510,20 @@ def test_search_call_counts_pinned(monkeypatch):
     assert forms[0] == 944
     assert unions[0] == 0
     assert report.graphs_examined == 1807
+
+
+def test_closed_search_call_counts_pinned(monkeypatch):
+    # the benchmark's search-closed workload
+    forms = _counting(monkeypatch, "canonical_form")
+    unions = _counting(monkeypatch, "disjoint_union")
+    complexes = _counting(monkeypatch, "matching_complex", cx)
+    verify.clear_caches()
+    report = verify.run_search(spec(target="closed-2-manifold", max_edges=11))
+    assert forms[0] == 1167
+    assert unions[0] == 318
+    # only the graphs that pass the ridge prefilter build a complex
+    assert complexes[0] == 3
+    assert report.graphs_examined == 2370
 
 
 @st.composite
