@@ -16,7 +16,6 @@ from .complexes import (
     join,
     link,
     matching_complex,
-    missing_faces,
     one_skeleton,
     skeleton,
 )
@@ -45,9 +44,6 @@ from .homology import (
     BettiVector,
     FieldPrime,
     betti_reduced,
-    boundary_matrix,
-    has_ball_homology,
-    has_sphere_homology,
 )
 from .manifold import (
     BoundaryComplex,

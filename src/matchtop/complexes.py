@@ -2,8 +2,10 @@
 
 Vertices carry integer labels (for a matching complex, the edge indices of
 the underlying graph) and faces are bitmasks over label *positions*, so set
-operations are single-word arithmetic.  The complex ``{∅}`` (one empty face,
-dimension -1) is distinguished from the void complex (no faces at all).
+operations are single-word arithmetic.  Every complex has the empty face:
+the least one is ``{∅}`` (one empty facet, dimension -1), and a complex
+with no faces at all (the void complex) cannot be built, since no matching
+complex is void.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ FACE_VERTEX_CAP = 64
 class Complex:
     """Immutable simplicial complex; construct via :func:`from_facets`."""
 
-    __slots__ = ("labels", "facet_masks", "is_void", "_cache")
+    __slots__ = ("labels", "facet_masks", "_cache")
 
-    def __init__(self, labels, facet_masks, is_void=False):
+    def __init__(self, labels, facet_masks):
         self.labels = tuple(labels)
         self.facet_masks = tuple(facet_masks)
-        self.is_void = is_void
         self._cache = {}
+        if not self.facet_masks:
+            raise VoidComplexError("a complex needs a facet; [()] gives {∅}")
         if len(self.labels) > FACE_VERTEX_CAP:
             raise TooLargeError(
                 f"{len(self.labels)} vertices exceeds face cap {FACE_VERTEX_CAP}"
@@ -45,14 +48,12 @@ class Complex:
 
     @property
     def dimension(self) -> int:
-        """Max facet size minus one; -1 for {∅}.  Undefined for void."""
-        if self.is_void:
-            raise VoidComplexError("the void complex has no dimension")
+        """Max facet size minus one; -1 for {∅}."""
         return max(m.bit_count() for m in self.facet_masks) - 1
 
     def is_empty_only(self) -> bool:
         """True for the complex {∅}."""
-        return not self.is_void and self.facet_masks == (0,)
+        return self.facet_masks == (0,)
 
     def position(self, label) -> int:
         pos = self._cache.get("pos")
@@ -76,8 +77,7 @@ class Complex:
         """All faces as position bitmasks, including 0 for the empty face."""
         got = self._cache.get("faces")
         if got is None:
-            got = frozenset().union(*self.faces_by_size().values(),
-                                    () if self.is_void else (0,))
+            got = frozenset().union(*self.faces_by_size().values(), (0,))
             self._cache["faces"] = got
         return got
 
@@ -102,17 +102,14 @@ class Complex:
     def __eq__(self, other):
         return (
             isinstance(other, Complex)
-            and self.is_void == other.is_void
             and self.labels == other.labels
             and self.facet_masks == other.facet_masks
         )
 
     def __hash__(self):
-        return hash((self.is_void, self.labels, self.facet_masks))
+        return hash((self.labels, self.facet_masks))
 
     def __repr__(self):
-        if self.is_void:
-            return "Complex(void)"
         return f"Complex(labels={self.labels}, facets={self.facets()})"
 
 
@@ -198,7 +195,8 @@ def from_facets(labels, facet_list) -> Complex:
     """Build a complex from (possibly redundant) faces.
 
     ``labels`` may be None to use the sorted union of the given faces.
-    An empty facet list yields the void complex; ``[()]`` yields {∅}.
+    ``[()]`` yields {∅}; an empty facet list raises
+    :class:`VoidComplexError`, as every complex has the empty face.
     """
     facet_list = [tuple(f) for f in facet_list]
     if labels is None:
@@ -210,8 +208,6 @@ def from_facets(labels, facet_list) -> Complex:
             for lab in f:
                 if lab not in known:
                     raise BadSubsetError(f"face label {lab} not in labels")
-    if not facet_list:
-        return Complex(labels, (), is_void=True)
     pos = {lab: i for i, lab in enumerate(labels)}
     masks = []
     for f in facet_list:
@@ -225,7 +221,9 @@ def from_facets(labels, facet_list) -> Complex:
 def matching_complex(g: graphs_mod.Graph) -> Complex:
     """The complex whose vertices are the edges of g and whose faces are
     the matchings of g.  Isolated vertices of g contribute nothing and are
-    ignored."""
+    ignored.  The face cap is checked before any matching is enumerated."""
+    if len(g.edges) > FACE_VERTEX_CAP:
+        raise TooLargeError(f"{len(g.edges)} vertices exceeds face cap {FACE_VERTEX_CAP}")
     facets = graphs_mod._maximal_matching_masks(g)
     facets.sort()
     return Complex(range(len(g.edges)), facets)
@@ -237,8 +235,6 @@ def link(c: Complex, face_labels) -> Complex:
     The result keeps only labels that occur in the link; link(c, ()) == c
     for complexes without unused labels.
     """
-    if c.is_void:
-        raise VoidComplexError("link of a face of the void complex")
     mask = c.mask_of(face_labels)
     if not any(f & mask == mask for f in c.facet_masks):
         raise FaceNotInComplexError(f"{tuple(face_labels)} is not a face")
@@ -254,10 +250,8 @@ def join(c1: Complex, c2: Complex) -> Complex:
     """All unions of a face of c1 with a face of c2.
 
     The labels of c2 are shifted past those of c1 so the two vertex sets are
-    disjoint.  {∅} is the identity; a void factor gives a void result.
+    disjoint.  {∅} is the identity.
     """
-    if c1.is_void or c2.is_void:
-        return Complex((), (), is_void=True)
     if c1.labels and c2.labels:
         offset = c1.labels[-1] + 1 - c2.labels[0]
     else:
@@ -273,7 +267,7 @@ def join(c1: Complex, c2: Complex) -> Complex:
 
 @dataclass(frozen=True)
 class FVector:
-    """Face counts (f_-1, f_0, ..., f_d); f_-1 is 1 for any nonvoid complex."""
+    """Face counts (f_-1, f_0, ..., f_d); f_-1 is 1, the empty face."""
 
     counts: tuple
 
@@ -287,8 +281,6 @@ class FVector:
 
 
 def f_vector(c: Complex) -> FVector:
-    if c.is_void:
-        raise VoidComplexError("f-vector of the void complex")
     by_size = c.faces_by_size()
     d = c.dimension
     return FVector((1,) + tuple(len(by_size.get(k + 1, ())) for k in range(d + 1)))
@@ -317,8 +309,6 @@ def one_skeleton(c: Complex) -> graphs_mod.Graph:
     """The vertices and edges of c, as a graph on vertex positions.  Two
     vertices span an edge when some facet holds both, so the edges are read
     off :func:`_near`, not off the face table."""
-    if c.is_void:
-        raise VoidComplexError("skeleton of the void complex")
     near = _near(c.facet_masks, c.vertex_count)
     # -(2 << u) keeps the positions above u, so each pair comes once
     pairs = [(u, v) for u, m in enumerate(near) for v in graphs_mod._bits(m & -(2 << u))]
@@ -393,45 +383,15 @@ def _maximal_cliques(adj, n):
 
 def is_flag(c: Complex) -> bool:
     """True when c is the clique complex of its own 1-skeleton."""
-    if c.is_void or c.is_empty_only():
+    if c.is_empty_only():
         return True
     skel = one_skeleton(c)
     cliques = set(_maximal_cliques(skel.adj, skel.vertex_count))
     return cliques == set(c.facet_masks)
 
 
-def missing_faces(c: Complex):
-    """Minimal non-faces, as sorted label tuples."""
-    if c.is_void or c.is_empty_only():
-        return []
-    faces = c.faces()
-    n = c.vertex_count
-    found = set()
-    for f in faces:
-        for v in range(n):
-            b = 1 << v
-            if f & b:
-                continue
-            s = f | b
-            if s in faces or s in found:
-                continue
-            m = s
-            ok = True
-            while m:
-                bb = m & -m
-                if (s ^ bb) not in faces:
-                    ok = False
-                    break
-                m ^= bb
-            if ok:
-                found.add(s)
-    return sorted(c.labels_of(s) for s in found)
-
-
 def has_induced_path6(c: Complex) -> bool:
     """Does the 1-skeleton contain an induced path on six vertices?"""
-    if c.is_void:
-        return False
     skel = one_skeleton(c)
     adj = skel.adj
     n = skel.vertex_count
@@ -467,8 +427,6 @@ def has_induced_path6(c: Complex) -> bool:
 
 def induced_subcomplex(c: Complex, label_subset) -> Complex:
     """Restriction of c to the given vertex labels."""
-    if c.is_void:
-        raise VoidComplexError("restriction of the void complex")
     subset = sorted(set(label_subset))
     smask = 0
     for lab in subset:
@@ -478,15 +436,13 @@ def induced_subcomplex(c: Complex, label_subset) -> Complex:
 
 
 def is_pure(c: Complex) -> bool:
-    """All facets of equal size (vacuously true for void and {∅})."""
+    """All facets of equal size (true for {∅}, whose one facet is empty)."""
     sizes = {m.bit_count() for m in c.facet_masks}
     return len(sizes) <= 1
 
 
 def skeleton(c: Complex, k: int) -> Complex:
     """The k-skeleton: all faces of dimension at most k."""
-    if c.is_void:
-        raise VoidComplexError("skeleton of the void complex")
     if not 0 <= k <= c.dimension:
         raise BadDimensionError(f"k={k} outside 0..{c.dimension}")
     by_size = c.faces_by_size()
@@ -504,8 +460,6 @@ def skeleton(c: Complex, k: int) -> Complex:
 
 
 def are_isomorphic(c1: Complex, c2: Complex) -> bool:
-    if c1.is_void or c2.is_void:
-        return c1.is_void == c2.is_void
     if c1.is_empty_only() or c2.is_empty_only():
         return c1.is_empty_only() == c2.is_empty_only()
     sig1 = (c1.vertex_count, sorted(m.bit_count() for m in c1.facet_masks))
@@ -543,8 +497,6 @@ def _incidence_canon(c: Complex) -> bytes:
 
 def to_text(c: Complex) -> str:
     """"dim d n_facets" then one facet per line as sorted labels."""
-    if c.is_void:
-        return "void 0\n"
     lines = [f"dim {c.dimension} {len(c.facet_masks)}"]
     for facet in c.facets():
         lines.append(" ".join(str(lab) for lab in facet))
@@ -552,8 +504,6 @@ def to_text(c: Complex) -> str:
 
 
 def to_json(c: Complex) -> str:
-    if c.is_void:
-        return json.dumps({"labels": list(c.labels), "facets": None})
     return json.dumps(
         {"labels": list(c.labels), "facets": [list(f) for f in c.facets()]}
     )

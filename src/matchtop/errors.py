@@ -41,7 +41,8 @@ class FormatError(MatchtopError):
 
 
 class VoidComplexError(MatchtopError):
-    """Operation not defined on the void complex (no faces at all)."""
+    """A complex was given no facets.  Every complex has the empty face, so
+    there is no void complex; the facet list ``[()]`` gives {∅}."""
 
 
 class FaceNotInComplexError(MatchtopError):

@@ -24,6 +24,11 @@ from .errors import (
 # Exact canonicalization searches over labelings; keep inputs small by default.
 CANONICAL_VERTEX_CAP = 10
 
+# The most vertices an edge list may announce.  A graph with a matching
+# complex has at most 128 non-isolated vertices (two per edge, at most 64
+# edges), and to_graph6 builds n(n-1)/2 characters for n vertices.
+EDGE_LIST_VERTEX_CAP = 1024
+
 
 class Graph:
     """Immutable simple undirected graph with indexed edges."""
@@ -586,6 +591,8 @@ def parse_edge_list(text: str) -> Graph:
         raise FormatError("non-integer header", line=1) from None
     if n < 0:
         raise FormatError(f"negative vertex count {n}", line=1)
+    if n > EDGE_LIST_VERTEX_CAP:
+        raise FormatError(f"vertex count {n} exceeds {EDGE_LIST_VERTEX_CAP}", line=1)
     pairs = []
     ln = 1
     for ln, line in enumerate(lines[1:], start=2):

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import Complex, _faces_by_size, _maximal, _near, _reindex
-from .errors import BadDimensionError, InvalidParameterError, VoidComplexError
+from .errors import InvalidParameterError
 from .graphs import _reach
 
 
@@ -112,37 +112,6 @@ class BettiVector:
         return list(self.betti)
 
 
-class BoundaryMatrix:
-    """The map from k-chains to (k-1)-chains in a fixed face ordering.
-
-    Rows are the (k-1)-faces sorted by bitmask (for k = 0 the single
-    augmentation row), columns the k-faces sorted by bitmask; the column of a
-    face carries (-1)^i at the subface dropping its i-th smallest vertex.
-    """
-
-    def __init__(self, k, p, row_faces, col_faces, columns):
-        self.k = k
-        self.p = p
-        self.row_faces = row_faces
-        self.col_faces = col_faces
-        self.columns = columns  # tuple of tuples of (row_index, coefficient)
-
-    @property
-    def shape(self):
-        return (len(self.row_faces), len(self.col_faces))
-
-    def dense(self):
-        rows, cols = self.shape
-        out = [[0] * cols for _ in range(rows)]
-        for j, col in enumerate(self.columns):
-            for i, coeff in col:
-                out[i][j] = coeff
-        return out
-
-    def rank(self) -> int:
-        return _rank_modp([dict(col) for col in self.columns], self.p)
-
-
 def _column(mask: int, index, p: int) -> dict:
     """The boundary of a face mod p, as {row: coefficient}: (-1)^i at the
     index of the subface that drops its i-th smallest vertex."""
@@ -155,31 +124,6 @@ def _column(mask: int, index, p: int) -> dict:
         sign = p - sign
         m ^= b
     return col
-
-
-def boundary_matrix(c: Complex, k: int, p) -> BoundaryMatrix:
-    pp = _prime_of(p)
-    if c.is_void:
-        raise VoidComplexError("boundary matrix of the void complex")
-    if not 0 <= k <= c.dimension:
-        raise BadDimensionError(f"k={k} outside 0..{c.dimension}")
-    by_size = c.faces_by_size()
-    col_masks = by_size.get(k + 1, [])
-    if k == 0:
-        row_faces = ((),)
-        columns = tuple(((0, 1),) for _ in col_masks)
-        return BoundaryMatrix(
-            0, pp, row_faces, tuple(c.labels_of(m) for m in col_masks), columns
-        )
-    row_masks = by_size.get(k, [])
-    index = {m: i for i, m in enumerate(row_masks)}
-    return BoundaryMatrix(
-        k,
-        pp,
-        tuple(c.labels_of(m) for m in row_masks),
-        tuple(c.labels_of(m) for m in col_masks),
-        tuple(tuple(_column(cm, index, pp).items()) for cm in col_masks),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -421,28 +365,8 @@ def _factored(facet_masks: tuple, c: Complex | None):
 
 
 def betti_reduced(c: Complex, p) -> BettiVector:
-    """Reduced Betti numbers of a nonvoid complex over GF(p)."""
-    pp = _prime_of(p)
-    if c.is_void:
-        raise VoidComplexError("homology of the void complex")
-    return _betti(c.facet_masks, pp, c)
-
-
-def has_sphere_homology(c: Complex, d: int, p) -> bool:
-    """All reduced homology vanishing except one dimension-d class.
-
-    d = -1 means the complex {∅}.  The void complex fails every check.
-    """
-    if c.is_void:
-        return False
-    return betti_reduced(c, p).is_sphere(d)
-
-
-def has_ball_homology(c: Complex, p) -> bool:
-    """All reduced homology vanishing."""
-    if c.is_void:
-        return False
-    return betti_reduced(c, p).is_ball()
+    """Reduced Betti numbers of a complex over GF(p)."""
+    return _betti(c.facet_masks, _prime_of(p), c)
 
 
 def clear_caches():

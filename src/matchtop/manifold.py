@@ -51,7 +51,7 @@ STATUS_WITH_BOUNDARY = "ManifoldWithBoundary"
 @dataclass(frozen=True)
 class ManifoldVerdict:
     status: str
-    dimension: int  # -2 when undefined (void / wildly non-pure input)
+    dimension: int  # the complex's, pure or not; -1 for {∅}
     p: int
     witness_face: tuple | None = None  # labels of a face whose link fails
     witness_betti: BettiVector | None = None
@@ -234,8 +234,6 @@ def check_manifold(c: Complex, p) -> ManifoldVerdict:
 
 
 def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
-    if c.is_void:
-        return ManifoldVerdict(STATUS_NOT_PURE, -2, pp)
     if c.is_empty_only():
         return ManifoldVerdict(STATUS_CLOSED, -1, pp)
     if not cx.is_pure(c):
@@ -280,23 +278,19 @@ def _span(c: Complex, facet_masks) -> Complex:
     return Complex(c.labels_of(used), masks)
 
 
-def boundary_complex(c: Complex, p, verdict: ManifoldVerdict | None = None) -> BoundaryComplex:
+def boundary_complex(c: Complex, p) -> BoundaryComplex:
     """The boundary of a homology manifold: the subcomplex spanned by its
     ridges in exactly one facet, which are its maximal faces with ball
     links, and the number of its components.
 
     The verdict at p built the boundary and kept it on the complex; a
     closed manifold's boundary is {∅} with zero components.  Raises when
-    the caller's verdict, or the verdict at p, is not a manifold.
+    the verdict at p is not a manifold.
     """
     pp = _prime_of(p)
-    if verdict is None:
-        verdict = check_manifold(c, pp)
+    verdict = check_manifold(c, pp)
     if not verdict.is_manifold:
-        raise InvalidParameterError(f"no boundary for status {verdict.status}")
-    own = check_manifold(c, pp)
-    if not own.is_manifold:
-        raise InvalidParameterError(f"no boundary for status {own.status} at p = {pp}")
+        raise InvalidParameterError(f"no boundary for status {verdict.status} at p = {pp}")
     return c._cache.get(("boundary", pp)) or BoundaryComplex(cx.from_facets((), [()]), 0)
 
 
@@ -332,7 +326,7 @@ def classify(c: Complex, verdict: ManifoldVerdict | None = None, p_pair=(2, 3)) 
                 return ManifoldClass("Torus")
             return ManifoldClass("OtherSurface")
         return ManifoldClass("OtherManifold")
-    bd = boundary_complex(c, p1, verdict)
+    bd = boundary_complex(c, p1)
     if b1.is_ball() and b2.is_ball():
         sphere_bd = betti_reduced(bd.complex, p1).is_sphere(d - 1) and \
             betti_reduced(bd.complex, p2).is_sphere(d - 1)
@@ -365,9 +359,6 @@ def manifold_report(c: Complex, p_pair=(2, 3)) -> dict:
         "witness_face": list(verdict.witness_face) if verdict.witness_face else None,
         "witness_betti": verdict.witness_betti.to_list() if verdict.witness_betti else None,
     }
-    if c.is_void:
-        out["class"] = str(NOT_MANIFOLD_CLASS)
-        return out
     fv = cx.f_vector(c)
     out["f_vector"] = list(fv.positive)
     out["euler_characteristic"] = fv.euler_characteristic()
@@ -377,7 +368,7 @@ def manifold_report(c: Complex, p_pair=(2, 3)) -> dict:
     if p2 != p1:
         out["betti"].append({"p": p2, "betti": b2.to_list()})
     if verdict.is_manifold:
-        bd = boundary_complex(c, p1, verdict)
+        bd = boundary_complex(c, p1)
         out["boundary_components"] = bd.component_count
         out["acyclic"] = b1.is_ball() and b2.is_ball()
         if verdict.status == STATUS_WITH_BOUNDARY:

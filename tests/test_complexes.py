@@ -10,6 +10,7 @@ from matchtop.errors import (
     BadDimensionError,
     BadSubsetError,
     FaceNotInComplexError,
+    TooLargeError,
     VoidComplexError,
 )
 
@@ -37,12 +38,15 @@ def path_complex(n):
 def test_from_facets_absorption_and_corner_cases():
     c = cx.from_facets([0, 1], [(0, 1), (1,)])
     assert c.facets() == [(0, 1)]
-    void = cx.from_facets([], [])
-    assert void.is_void
-    with pytest.raises(VoidComplexError):
-        void.dimension
     empty = cx.from_facets([], [()])
     assert empty.is_empty_only() and empty.dimension == -1
+
+
+def test_no_void_complex():
+    # every complex has the empty face, so no facets is no complex
+    for labels in ([], None, [0, 1]):
+        with pytest.raises(VoidComplexError):
+            cx.from_facets(labels, [])
 
 
 def test_from_facets_idempotent():
@@ -74,6 +78,17 @@ def test_matching_complex_of_edgeless_graph():
     g = gr.Graph(3, [])
     M = cx.matching_complex(g)
     assert M.is_empty_only()
+
+
+def test_matching_complex_checks_the_face_cap_first(monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("maximal matchings enumerated past the face cap")
+
+    monkeypatch.setattr(gr, "_maximal_matching_masks", enumerate_nothing)
+    g = gr.Graph(2 * (cx.FACE_VERTEX_CAP + 1),
+                 [(2 * i, 2 * i + 1) for i in range(cx.FACE_VERTEX_CAP + 1)])
+    with pytest.raises(TooLargeError):
+        cx.matching_complex(g)
 
 
 def test_link_examples():
@@ -141,8 +156,6 @@ def test_f_vector_and_euler():
     M = cx.matching_complex(gr.spider(3))
     assert cx.f_vector(M).positive == (6, 9, 4)
     assert cx.euler_characteristic(M) == 1
-    with pytest.raises(VoidComplexError):
-        cx.f_vector(cx.from_facets([], []))
 
 
 def test_flag_property_random():
@@ -154,10 +167,8 @@ def test_flag_property_random():
 def test_flag_counterexamples():
     hollow = cx.from_facets(range(3), [(0, 1), (1, 2), (0, 2)])
     assert not cx.is_flag(hollow)
-    assert cx.missing_faces(hollow) == [(0, 1, 2)]
     full = cx.from_facets(range(4), [(0, 1, 2, 3)])
     assert cx.is_flag(full)
-    assert cx.missing_faces(full) == []
 
 
 def test_connectivity_and_diameter():

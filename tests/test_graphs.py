@@ -304,6 +304,10 @@ def test_edge_list_round_trip_and_errors():
     with pytest.raises(FormatError) as exc:
         gr.parse_edge_list("-1 0")
     assert exc.value.line == 1
+    # a header past the cap is refused before any vertex is allocated
+    with pytest.raises(FormatError) as exc:
+        gr.parse_edge_list(f"{gr.EDGE_LIST_VERTEX_CAP + 1} 0")
+    assert exc.value.line == 1
 
 
 # Header and endpoint integers are drawn from a small range, so no vertex
