@@ -16,15 +16,27 @@ and its class depend only on its shape, so each distinct shape is
 re-indexed and classified once per prime and process, however many faces
 and complexes have it; ``matchtop.clear_caches()`` empties the table.
 
-The verdict is paid per shape, not per face.  Every nonempty face is a
-vertex plus a face of that vertex's link, so a shape's record keeps a
-summary over its nonempty faces built from the records of its vertex
-links: the least size of a face whose link fails, whether some link is a
-ball, and whether the maximal ball faces differ from the ridges in exactly
-one facet.  No face is visited: a failing complex finds its least failing
-face by descending through the records, a closed one has no ball, and the
-boundary of any other is spanned by the ridges in one facet, read off the
-one ridge count ``complexes._ridge_cofacets``.  The verdict is memoized on
+The verdict is paid per shape, not per face.  A shape's record keeps a
+summary over its nonempty faces: the least size of a face whose link
+fails, the least size of one whose link is not acyclic, whether some link
+is a ball, and whether the maximal ball faces differ from the ridges in
+exactly one facet.  Every nonempty face is a vertex plus a face of that
+vertex's link, so the summary can be built from the records of the vertex
+links.  A shape that is a join K * L (the matching complex of a disjoint
+union is the join of its parts') is folded from its factors' records
+instead and builds no vertex link.  Fold lemma: the links of J = K * L are
+lk_K α * lk_L β (lk ∅ the factor itself), and a join is a sphere iff both
+sides are, acyclic iff either is, and fails otherwise, since its reduced
+Betti polynomial is the product of its factors' (Milnor 1956).  So a face
+of J fails iff one side fails and the other is not acyclic, and its least
+size is a sum of the factors' least failing and least non-acyclic sizes,
+or one of them alone where the other factor fails or is a sphere; the
+flags follow the same way (the proof is at ``_shape_summary``).  No face
+is visited: a failing complex finds its least failing face by descending
+through the records, which builds a join shape's vertex links only on the
+way down, a closed one has no ball, and the boundary of any other is
+spanned by the ridges in one facet, read off the one ridge count
+``complexes._ridge_cofacets``.  The verdict is memoized on
 the complex per prime, and a manifold with boundary keeps there the
 boundary it proved closed, with its component count (the reachability
 classes of ``graphs._reach`` over the boundary's ``complexes._near``
@@ -40,7 +52,7 @@ from . import complexes as cx
 from . import graphs as graphs_mod
 from .complexes import Complex
 from .errors import InvalidParameterError
-from .homology import BettiVector, _prime_of, betti_for_facets, betti_reduced
+from .homology import BettiVector, _join_factors, _prime_of, betti_for_facets, betti_reduced
 
 STATUS_NOT_PURE = "NotPure"
 STATUS_NOT_MANIFOLD = "NotManifold"
@@ -89,6 +101,7 @@ NOT_MANIFOLD_CLASS = ManifoldClass("NotManifold")
 _INTERIOR = "S"
 _BOUNDARY = "B"
 _FAIL = "?"
+_NEVER = float("inf")  # the fail of a shape with no failing face, in a fold
 
 
 def _classify_link(norm_count, norm_masks, p):
@@ -108,7 +121,8 @@ def _classify_link(norm_count, norm_masks, p):
 
 
 # prime -> normalized facets -> [class, betti, facets, children, summary]:
-# one record per link shape for the whole process; emptied by clear_caches()
+# one record per link shape for the whole process, its children built on
+# first use; emptied by clear_caches()
 _shapes: dict = {}
 
 
@@ -138,30 +152,61 @@ def _child(shapes, rec, i, p):
 
 
 def _shape_summary(rec, shapes, p):
-    """The summary of a shape over its nonempty faces σ, from its vertex
-    links: ``(fail, ball, disagree, ball_vertex)``.
+    """The summary of a shape over its nonempty faces σ: ``(fail, ball,
+    disagree, ball_vertex, non_ball)``.
 
     * fail: the least size of a σ whose link is '?', 0 when there is none;
     * ball: some lk σ is a ball;
-    * disagree: for some σ, "lk σ is a ball with no ball vertex link" (σ
-      is a maximal ball face) differs from "lk σ is one point" (σ is a
-      ridge in exactly one facet);
-    * ball_vertex: some vertex link of the shape itself is a ball.
+    * disagree: for some σ, D(lk σ), where D(L) is "L is a ball with no
+      ball vertex link" (σ is a maximal ball face) differing from "L is one
+      point" (σ is a ridge in exactly one facet);
+    * ball_vertex: some vertex link of the shape itself is a ball;
+    * non_ball: the least size of a σ whose link is not acyclic, at most
+      the facet size, as a facet's link {∅} is a sphere.
 
-    Every nonempty face is a vertex i plus a face τ of lk(i), with lk σ =
-    lk_{lk(i)}(τ), so the summary of a shape is read off its vertex links
-    themselves (τ = ∅, size 1) and their own summaries (size + 1).
-    Memoized on the record; it stops at the first vertex link that fails,
-    so the other flags are complete only when fail is 0.  They are read
-    only then.
+    Memoized on the record.  A shape that ``homology._join_factors`` splits
+    into two or more factors is folded from its factors' records, each
+    classified as a link, and builds no vertex link.  Any other is read off
+    its vertex links: every nonempty face is a vertex i plus a face τ of
+    lk(i), with lk σ = lk_{lk(i)}(τ), so the summary is read off the vertex
+    links themselves (τ = ∅, size 1) and their own summaries (size + 1).
+    The loop stops at the first vertex link that fails, where non_ball is 1
+    and exact, so the flags are complete only when fail is 0.  They are
+    read only then.
 
-    Without a failing face the ball faces are closed under subfaces, so
-    the maximal ones span the boundary.  Lemma: if no nonempty face of a
-    pure complex has a failing link at p, and τ is a nonempty face whose
-    link L, of dimension k, has sphere homology, then no vertex of L has a
-    ball link in L (lk_L(w) = lk(τ ∪ w)).  For k = 0, L is two points and
-    each lk_L(w) is {∅}, a (-1)-sphere.  For k ≥ 1, the ridge links of L
-    have one or two points and every other link of L is connected, so L
+    Fold lemma.  The faces of J = K * L are the α ∪ β, α a face of K and β
+    one of L, not both empty, and lk_J(α ∪ β) = lk_K α * lk_L β with lk ∅
+    the factor itself.  Over a field the reduced Betti polynomial of a join
+    is the product of its factors' (the rule ``homology._betti`` ranks
+    joins by), so a join is a sphere iff both factors are, acyclic iff
+    either is, and fails otherwise.  With c the classes of K and L as
+    links, f their fails (∞ for 0) and n their non-balls:
+
+    * lk σ fails iff one side fails and the other is not acyclic: for α, β
+      nonempty at sizes f_K + n_L and n_K + f_L; for β = ∅ at n_K if c_L
+      fails and f_K if c_L is a sphere; for α = ∅ the same swapped;
+    * lk σ is not acyclic iff neither side is: n_K + n_L, n_K if c_L is
+      not acyclic, n_L if c_K is not;
+    * some lk σ is a ball iff K or L has a ball face link or is acyclic
+      (then every nonempty face of the other has a ball link in J);
+      lk_J(v) = lk_K(v) * L for a vertex v of K, so J has a ball vertex
+      link iff K or L has one or is acyclic;
+    * the flags are read only when J has no failing face.  Then neither
+      has K or L, as a failing α of K gives the failing α ∪ (a facet of
+      L), and neither fails itself, as K is the link in J of a facet of L.
+      A join of two nonempty links, each a sphere or acyclic, is never one
+      point, and never a ball without a ball vertex, as a vertex of one
+      joined to the acyclic other is a ball vertex.  So D(lk σ) holds only
+      where one side is {∅}, a facet's link, and lk σ is the other side:
+      disagree_J is disagree_K or disagree_L or D(K) or D(L).
+
+    Lemma: without a failing face the ball faces are closed under
+    subfaces, so the maximal ones span the boundary.  If no nonempty face
+    of a pure complex has a failing link at p, and τ is a nonempty face
+    whose link L, of dimension k, has sphere homology, then no vertex of L
+    has a ball link in L (lk_L(w) = lk(τ ∪ w)).  For k = 0, L is two points
+    and each lk_L(w) is {∅}, a (-1)-sphere.  For k ≥ 1, the ridge links of
+    L have one or two points and every other link of L is connected, so L
     is strongly connected and a nonzero top cycle z has every coefficient
     nonzero; no ridge of L lies in only one facet.  For a vertex w of L
     the facets of z through w, with w deleted, form a nonzero (k-1)-cycle
@@ -170,26 +215,60 @@ def _shape_summary(rec, shapes, p):
     got = rec[4]
     if got is not None:
         return got
+    factors = _join_factors(rec[2])
+    if len(factors) > 1:
+        joined = None
+        for masks in factors:
+            used, norm = cx._reindex(masks)
+            k = used.bit_count()
+            factor = _record(shapes, norm, k)
+            if factor[0] is None:
+                factor[0], factor[1] = _classify_link(k, norm, p)
+            fail, ball, disagree, ball_vertex, non_ball = _shape_summary(factor, shapes, p)
+            disagree |= (factor[0] == _BOUNDARY and not ball_vertex) != (norm == (1,))
+            part = (factor[0], fail or _NEVER, ball, disagree, ball_vertex, non_ball)
+            joined = part if joined is None else _join_summary(joined, part)
+        _, fail, ball, disagree, ball_vertex, non_ball = joined
+        got = rec[4] = (0 if fail == _NEVER else fail, ball, disagree, ball_vertex, non_ball)
+        return got
     fail = 0
     ball = disagree = ball_vertex = False
+    non_ball = rec[2][0].bit_count()
     kids = rec[3]
     for i in range(len(kids)):
         child = (kids[i] or _child(shapes, rec, i, p))[0]
         if child[0] == _FAIL:
-            fail = 1
+            fail = non_ball = 1
             break
         sub = _shape_summary(child, shapes, p)
         if sub[0] and (not fail or sub[0] < fail):
             fail = sub[0] + 1
         is_ball = child[0] == _BOUNDARY
+        non_ball = min(non_ball, sub[4] + 1 if is_ball else 1)
         ball_vertex |= is_ball
         ball |= is_ball or sub[1]
         disagree |= sub[2] or (is_ball and not sub[3]) != (child[2] == (1,))
-    got = rec[4] = (fail, ball, disagree, ball_vertex)
+    got = rec[4] = (fail, ball, disagree, ball_vertex, non_ball)
     return got
 
 
-def _least_failing_face(rec, size, pos):
+def _join_summary(k, l):
+    """The class and summary of K * L from those of K and L, each as
+    ``(class, fail, ball, disagree, ball_vertex, non_ball)`` with fail
+    ``_NEVER`` for none and D of the shape itself in disagree, by the fold
+    lemma of :func:`_shape_summary`; D of the join is false."""
+    ck, fk, bk, dk, vk, nk = k
+    cl, fl, bl, dl, vl, nl = l
+    fail = min(fk + nl, nk + fl,
+               nl if ck == _FAIL else fl if ck == _INTERIOR else _NEVER,
+               nk if cl == _FAIL else fk if cl == _INTERIOR else _NEVER)
+    non_ball = min(nk + nl, nl if ck != _BOUNDARY else _NEVER, nk if cl != _BOUNDARY else _NEVER)
+    acyclic = ck == _BOUNDARY or cl == _BOUNDARY
+    cls = _BOUNDARY if acyclic else _INTERIOR if ck == cl == _INTERIOR else _FAIL
+    return cls, fail, bk or bl or acyclic, dk or dl, vk or vl or acyclic, non_ball
+
+
+def _least_failing_face(rec, size, pos, shapes, p):
     """``(mask, betti)`` of the least failing face of a shape by labels,
     given its least failing size and the masks of its positions.
 
@@ -197,13 +276,14 @@ def _least_failing_face(rec, size, pos):
     positions.  The descent takes the least vertex i whose link fails
     (size 1) or has least failing size size - 1, and continues in lk(i):
     a vertex below i lies in no failing face of this size, and a failing
-    face of lk(i) with a vertex below i would give one that does.  The
-    summaries read here were all computed, as no vertex link before the
-    chosen one fails."""
+    face of lk(i) with a vertex below i would give one that does.  A shape
+    folded from its join factors builds its children here, on the way
+    down."""
     face = 0
     while True:
-        for i, (child, idx) in enumerate(rec[3]):
-            if child[0] == _FAIL if size == 1 else child[4][0] == size - 1:
+        for i in range(len(rec[3])):
+            child, idx = rec[3][i] or _child(shapes, rec, i, p)
+            if child[0] == _FAIL if size == 1 else _shape_summary(child, shapes, p)[0] == size - 1:
                 break
         face |= pos[i]
         if size == 1:
@@ -242,10 +322,10 @@ def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
     shapes = _shapes.setdefault(pp, {})
     used, norm = cx._reindex(c.facet_masks)
     rec = _record(shapes, norm, used.bit_count())
-    fail, ball, disagree, _ = _shape_summary(rec, shapes, pp)
+    fail, ball, disagree, _, _ = _shape_summary(rec, shapes, pp)
     pos = [1 << v for v in graphs_mod._bits(used)]
     if fail:
-        face, betti = _least_failing_face(rec, fail, pos)
+        face, betti = _least_failing_face(rec, fail, pos, shapes, pp)
         return ManifoldVerdict(STATUS_NOT_MANIFOLD, d, pp, c.labels_of(face), betti)
     if not ball:
         return ManifoldVerdict(STATUS_CLOSED, d, pp)
@@ -267,7 +347,8 @@ def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
             return ManifoldVerdict(STATUS_NOT_MANIFOLD, d, pp, sub.witness_face, sub.witness_betti)
     # a boundary with boundary, or a maximal ball face below the ridges: the
     # least ball face, a vertex as the ball faces are closed under subfaces
-    i, child = next((i, child) for i, (child, _) in enumerate(rec[3]) if child[0] == _BOUNDARY)
+    kids = ((rec[3][i] or _child(shapes, rec, i, pp))[0] for i in range(len(rec[3])))
+    i, child = next((i, child) for i, child in enumerate(kids) if child[0] == _BOUNDARY)
     return ManifoldVerdict(STATUS_NOT_MANIFOLD, d, pp, c.labels_of(pos[i]), child[1])
 
 

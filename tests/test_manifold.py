@@ -348,6 +348,21 @@ def test_one_link_analysis_per_complex(monkeypatch):
         calls.clear()
 
 
+def test_join_link_build_counts_pinned(monkeypatch):
+    # criterion 6 on the small joins, from a cold shape table: a join
+    # shape is folded from its factors' records, so vertex links are built
+    # only for shapes the split leaves whole
+    built = []
+    real = mf._child
+    monkeypatch.setattr(mf, "_child", lambda *a: built.append(a) or real(*a))
+    matchtop.clear_caches()
+    for g, _ in _join_arithmetic_cases(face_cap=400):
+        M = cx.matching_complex(g)
+        mf.classify(M, mf.check_manifold(M, 2))
+    assert len(built) == 405
+    assert len(mf._shapes[2]) == 196
+
+
 def _analysis(c):
     """Everything the link analysis decides about c, at both primes."""
     return ([_record_classes(c, p) for p in (2, 3)],
@@ -628,10 +643,42 @@ def test_verdict_matches_the_oracle_verdict_on_random_pure_complexes(facets):
 
 
 @st.composite
+def _small_pure_facets(draw):
+    d = draw(st.integers(0, 2))
+    n = draw(st.integers(d + 1, 6))
+    return draw(st.lists(st.sets(st.integers(0, n - 1), min_size=d + 1, max_size=d + 1),
+                         min_size=1, max_size=5))
+
+
+@st.composite
 def _coned_facets(draw):
+    """Random pure facets joined with {∅}, a point (a cone), two points (a
+    suspension) or a small random pure complex, on the vertices from 8."""
     facets = [tuple(f) for f in draw(_pure_facets())]
-    apexes = draw(st.sampled_from([(), (8,), (8, 9)]))  # none, a cone, a suspension
-    return [f + (a,) for f in facets for a in apexes] if apexes else facets
+    other = draw(st.sampled_from([[()], [(8,)], [(8,), (9,)]])
+                 | _small_pure_facets().map(lambda fs: [tuple(v + 8 for v in f) for f in fs]))
+    return [f + g for f in facets for g in other]
+
+
+def _joined(facets, apexes):
+    return [tuple(f) + (a,) for f in facets for a in apexes]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coned_facets())
+@example(_joined(_CONE_RP2, (20,)))
+@example(_joined(_CONE_RP2, (20, 21)))
+@example(_joined(_FAILS_ABOVE_A_LARGER_FAILURE, (20,)))
+@example(_joined(_FAILS_ABOVE_A_LARGER_FAILURE, (20, 21)))
+@example(_joined(_HUNG_CONE, (20, 21)))
+def test_verdict_matches_the_oracle_verdict_on_random_joins(facets):
+    # a join's record is folded from its factors, and the witness descent
+    # builds its children on the way down: from a cold shape table, and
+    # again on fresh complexes from the table the first round filled
+    mf.clear_caches()
+    for _ in range(2):
+        for p in (2, 3, 5):
+            _matches_oracle(cx.from_facets(None, facets), p)
 
 
 @settings(max_examples=150, deadline=None)
@@ -673,26 +720,76 @@ def test_boundary_facets_are_the_oracle_maximal_ball_faces_on_random_pure_comple
 
 
 def test_shape_summary_flags_read_only_the_record_classes(monkeypatch):
-    # the summary depends on the classes of the vertex links alone.  A
-    # classifier that calls {∅} a ball and a point a sphere makes the
-    # vertex of a point a maximal ball face whose link {∅} is no point:
-    # the two routes to the boundary disagree
+    # the summary of a shape that is no join depends on the classes of its
+    # vertex links alone.  (A join's is folded by the Künneth rule, which
+    # these fake classifiers break, so the shapes here are no joins: two
+    # segments, two points and a point.)  A classifier that calls {∅} a
+    # ball and a point a sphere makes the vertex of a point a maximal ball
+    # face whose link {∅} is no point: the two routes to the boundary
+    # disagree
     def swapped(k, masks, p):
         return {(0,): "B", (1,): "S"}.get(masks, "S"), None
 
     monkeypatch.setattr(mf, "_classify_link", swapped)
     monkeypatch.setattr(mf, "_shapes", {})
     shapes = mf._shapes.setdefault(2, {})
-    edge = mf._record(shapes, (0b11,), 2)
-    assert mf._shape_summary(edge, shapes, 2) == (0, True, True, False)
-    assert mf._shape_summary(shapes[(1,)], shapes, 2) == (0, True, True, True)
+    segments = mf._record(shapes, (0b0011, 0b1100), 4)
+    assert len(mf._join_factors(segments[2])) == 1
+    assert mf._shape_summary(segments, shapes, 2) == (0, True, True, False, 1)
+    assert mf._shape_summary(shapes[(1,)], shapes, 2) == (0, True, True, True, 1)
+    points = mf._record(shapes, (0b01, 0b10), 2)
+    assert len(mf._join_factors(points[2])) == 1
+    assert mf._shape_summary(points, shapes, 2) == (0, True, True, True, 1)
     # one that calls {∅} failing fails the vertex of a point (size 1) and
-    # so the edge itself (size 2), the least failing face of an edge
+    # so each segment (size 2), the least failing faces of two segments
     monkeypatch.setattr(mf, "_classify_link", lambda k, masks, p: ("?" if masks == (0,) else "S", masks))
     monkeypatch.setattr(mf, "_shapes", {})
-    verdict = mf.check_manifold(cx.from_facets(None, [(4, 7)]), 2)
-    assert (verdict.witness_face, verdict.witness_betti) == ((4, 7), (0,))
-    assert mf._shapes[2][(0b11,)][4][0] == 2 and mf._shapes[2][(1,)][4][0] == 1
+    verdict = mf.check_manifold(cx.from_facets(None, [(4, 5), (6, 7)]), 2)
+    assert (verdict.witness_face, verdict.witness_betti) == ((4, 5), (0,))
+    assert mf._shapes[2][(0b0011, 0b1100)][4][0] == 2
+    assert mf._shapes[2][(1,)][4] == (1, False, False, False, 1)
+
+
+_FACTORS = {"RP2": RP2, "boundary of a triangle": [(0, 1), (1, 2), (0, 2)],
+            "triangle": [(0, 1, 2)], "point": [(0,)], "two points": [(0,), (1,)],
+            "two segments": [(0, 1), (2, 3)]}
+
+
+def _summary(c, p):
+    """The summary of c's shape, from a cold shape table."""
+    shapes = {}
+    used, norm = cx._reindex(c.facet_masks)
+    rec = mf._record(shapes, norm, used.bit_count())
+    return rec, mf._shape_summary(rec, shapes, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(_small_pure_facets(), st.sampled_from(sorted(_FACTORS.values()))),
+                min_size=2, max_size=3))
+@example([RP2, [(0,)]])
+@example([RP2, _FACTORS["two segments"]])
+@example([_FACTORS["boundary of a triangle"]] * 2)  # one factor to the split
+@example([[(0,)], [(0,), (1,)], _FACTORS["triangle"]])
+def test_join_summary_folds_as_the_vertex_link_loop(factors):
+    # the fold lemma of _shape_summary: a join's summary folded from its
+    # factors equals the one its vertex-link loop reads off, which a split
+    # that finds one factor leaves as the only path.  The loop stops at the
+    # first failing vertex link, so with a failing face only fail and
+    # non_ball are exact on both sides
+    joined = cx.from_facets(None, factors[0])
+    for facets in factors[1:]:
+        joined = cx.join(joined, cx.from_facets(None, facets))
+    for p in (2, 3, 5):
+        rec, folded = _summary(joined, p)
+        if len(mf._join_factors(rec[2])) > 1:
+            assert rec[3] == [None] * len(rec[3])  # no vertex link built
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mf, "_join_factors", lambda f: [list(f)])
+            _, loop = _summary(joined, p)
+        if loop[0]:
+            assert (folded[0], folded[4]) == (loop[0], loop[4])
+        else:
+            assert folded == loop
 
 
 def test_witness_faces_are_least_by_position_and_by_labels():
