@@ -10,21 +10,20 @@ primes {row: coefficient} dicts.  The maps are reduced from the top
 dimension down, skipping the columns of faces that are already pivot rows
 one dimension up, since those reduce to zero (clearing).
 
-Only the core of a complex is ranked: dominated vertices are deleted
-first (:func:`_core`), which keeps the homology at every prime.  The core
-is then split into join factors, since over a field the reduced Betti
+A complex is split before it is shrunk.  Over a field the reduced Betti
 polynomial Σ β̃_i t^(i+1) of a join is the product of those of its factors
 (Milnor 1956), and the matching complex of a disjoint union is the join of
-theirs.  The split peels off one component at a time of the graph on
-vertices that never share a facet: a component C is a factor when the
-number of facets is the number of their restrictions to C times the
-number of their restrictions to the rest; components that do not split
-stay together as one factor.  Each factor is re-indexed and ranked once
-per shape and prime in the process.  A core that is no join is ranked
-from its face table, which for a complex that is its own core is the
-complex's own, ``Complex.faces_by_size()``.
-The split and the table are keyed by the facets alone (or kept on the
-complex), so the second prime reads the first one's.
+theirs.  :func:`_join_factors`, the one join split in the package, peels
+off one component at a time of the graph on vertices that never share a
+facet: a component C is a factor when the number of facets is the number
+of their restrictions to C times the number of their restrictions to the
+rest.  It is memoized by the facets alone, so the ranks at every prime and
+the manifold verdict read one split.  Any other complex ranks only its
+core: dominated vertices are deleted (:func:`_core`), which keeps the
+homology at every prime, and a smaller core is re-indexed and ranked as a
+complex of its own, split in turn when it is a join.  A complex that is
+its own core and no join is ranked from its face table: a complex's own,
+``Complex.faces_by_size()``, or one kept by the facets for every prime.
 On the 130-case join-arith benchmark the split cut the faces ranked per
 pass from 208,642 to 26,861 at GF(2) and from 104,196 to 18,169 at GF(3).
 
@@ -252,9 +251,17 @@ def _betti_from_faces(by_size, p: int, pad_dim: int) -> BettiVector:
     return BettiVector(p, 1 - ranks[0], tuple(betti))
 
 
-def _join_factors(facet_masks) -> list:
-    """Join factors of the complex with the given maximal faces, each as the
-    sorted restrictions of the facets to its vertices (positions unchanged).
+# facets -> their re-indexed join factors or None, and core facets -> face
+# table: keyed without the prime, so every prime reads them
+_splits: dict = {}
+_tables: dict = {}
+_betti_cache: dict = {}
+
+
+def _join_factors(facet_masks):
+    """The join factors of the complex with the given maximal faces, each as
+    ``(vertex count, masks re-indexed onto 0..k-1)``, when there are two or
+    more; else None.  Memoized for the process by the facets alone.
 
     Vertices in different factors of a join share a facet, so every factor
     is a union of components of the graph on vertices that never share a
@@ -262,16 +269,19 @@ def _join_factors(facet_masks) -> list:
     unions of a restriction to C and a restriction to the rest, i.e. their
     number is the product of the two numbers of restrictions; the
     components that do not split stay together as one factor.  ∂Δ² has
-    three one-vertex components, none of which splits, so it is one factor.
+    three one-vertex components, none of which splits, so it is no join.
     A vertex's neighbours in that graph are the used vertices outside
     ``complexes._near`` of it, and each component is one ``graphs._reach``.
     """
+    key = tuple(facet_masks)
+    if key in _splits:
+        return _splits[key]
     used = 0
-    for f in facet_masks:
+    for f in key:
         used |= f
-    apart = [used & ~m for m in _near(facet_masks, used.bit_length())]
+    apart = [used & ~m for m in _near(key, used.bit_length())]
     factors = []
-    rest = list(facet_masks)
+    rest = list(key)
     left = used
     while left:
         comp = _reach(apart, left & -left)
@@ -285,13 +295,9 @@ def _join_factors(facet_masks) -> list:
             rest = sorted(other)
     if rest != [0]:
         factors.append(rest)
-    return factors
-
-
-# facets -> (re-indexed join factors of their core, or None; face table,
-# or None), for facets ranked without a Complex; emptied by clear_caches()
-_cores: dict = {}
-_betti_cache: dict = {}
+    got = _splits[key] = ([(u.bit_count(), norm) for u, norm in map(_reindex, factors)]
+                          if len(factors) > 1 else None)
+    return got
 
 
 def betti_for_facets(vertex_count: int, facet_masks, p: int) -> BettiVector:
@@ -299,12 +305,12 @@ def betti_for_facets(vertex_count: int, facet_masks, p: int) -> BettiVector:
 
     ``facet_masks`` must be inclusion-maximal and nonempty; (0,) denotes {∅}.
     ``vertex_count`` is not needed, since the faces are read off the masks.
-    Only the core is ranked (see :func:`_core`): finding it costs one pass
-    over the facets per round, while ranking the full complex costs its
-    whole face table.  A core that is a join is ranked factor by factor
-    (see :func:`_join_factors`).  Results are cached by the facet
-    structure, and the Betti vector keeps the length of the original
-    dimension.
+    A join is ranked factor by factor (see :func:`_join_factors`); any other
+    complex ranks only its core (see :func:`_core`), which is split in turn
+    when it is a join: finding the core costs one pass over the facets per
+    round, while ranking the full complex costs its whole face table.
+    Results are cached by the facet structure, and the Betti vector keeps
+    the length of the original dimension.
     """
     return _betti(tuple(facet_masks), p, None)
 
@@ -313,22 +319,30 @@ def _betti(facet_masks: tuple, p: int, c: Complex | None) -> BettiVector:
     """:func:`betti_for_facets`; ``c``, if given, is a complex with these
     facets, whose face table is ranked when it is its own core and no join.
 
-    Over a field the reduced Betti polynomial Σ β̃_i t^(i+1) (β̃_-1 at
-    t^0) of a join is the product of those of its factors (Milnor 1956).
-    So a core with two or more join factors multiplies the polynomials of
-    its factors, each re-indexed and ranked through
-    :func:`betti_for_facets`, once per factor shape and prime in the
-    process."""
+    In this order: a join multiplies its factors' reduced Betti
+    polynomials Σ β̃_i t^(i+1) (β̃_-1 at t^0), each ranked through
+    :func:`betti_for_facets` (Milnor 1956); else a smaller core is
+    re-indexed and ranked through this function, which splits it if it is
+    a join; else the face table is ranked, c's own or the one ``_tables``
+    keeps for every prime."""
     if facet_masks == (0,):
         return BettiVector(p, 1, ())
     key = (facet_masks, p)
     got = _betti_cache.get(key)
     if got is None:
         d = max(m.bit_count() for m in facet_masks) - 1
-        factors, by_size = _factored(facet_masks, c)
+        factors = _join_factors(facet_masks)
         if factors is None:
-            got = _betti_from_faces(by_size, p, d)
-        else:
+            core = tuple(_core(facet_masks))
+            if core == facet_masks:
+                table = c.faces_by_size() if c is not None else _tables.get(core)
+                if table is None:
+                    table = _tables[core] = _faces_by_size(core)
+                got = _betti_from_faces(table, p, d)
+            else:  # rank the smaller core as the one factor
+                used, norm = _reindex(core)
+                factors = [(used.bit_count(), norm)]
+        if got is None:
             poly = [1]
             for k, masks in factors:
                 b = betti_for_facets(k, masks, p)
@@ -342,28 +356,6 @@ def _betti(facet_masks: tuple, p: int, c: Complex | None) -> BettiVector:
     return got
 
 
-def _factored(facet_masks: tuple, c: Complex | None):
-    """``(factors, table)`` for the core of the complex with these facets:
-    its join factors, each as (vertex count, re-indexed masks), and no
-    table when there are two or more; else no factors and the core's face
-    table, c's own when c is its own core.  Kept on c, or keyed by the
-    facets alone, so every prime reads one core, one split and one
-    table."""
-    cache, key = (_cores, facet_masks) if c is None else (c._cache, "factored")
-    got = cache.get(key)
-    if got is None:
-        core = tuple(_core(facet_masks))
-        factors = _join_factors(core)
-        if len(factors) > 1:
-            got = ([(used.bit_count(), norm) for used, norm in map(_reindex, factors)], None)
-        elif c is not None and core == facet_masks:
-            got = (None, c.faces_by_size())
-        else:
-            got = (None, _faces_by_size(core))
-        cache[key] = got
-    return got
-
-
 def betti_reduced(c: Complex, p) -> BettiVector:
     """Reduced Betti numbers of a complex over GF(p)."""
     return _betti(c.facet_masks, _prime_of(p), c)
@@ -371,4 +363,5 @@ def betti_reduced(c: Complex, p) -> BettiVector:
 
 def clear_caches():
     _betti_cache.clear()
-    _cores.clear()
+    _splits.clear()
+    _tables.clear()

@@ -23,11 +23,12 @@ is a ball, and whether the maximal ball faces differ from the ridges in
 exactly one facet.  Every nonempty face is a vertex plus a face of that
 vertex's link, so the summary can be built from the records of the vertex
 links.  A shape that is a join K * L (the matching complex of a disjoint
-union is the join of its parts') is folded from its factors' records
-instead and builds no vertex link.  Fold lemma: the links of J = K * L are
-lk_K α * lk_L β (lk ∅ the factor itself), and a join is a sphere iff both
-sides are, acyclic iff either is, and fails otherwise, since its reduced
-Betti polynomial is the product of its factors' (Milnor 1956).  So a face
+union is the join of its parts') is folded from the records of the factors
+that ``homology._join_factors``, the split the ranks read, returns, and
+builds no vertex link.  Fold lemma: the links of J = K * L are lk_K α *
+lk_L β (lk ∅ the factor itself), and a join is a sphere iff both sides
+are, acyclic iff either is, and fails otherwise, since its reduced Betti
+polynomial is the product of its factors' (Milnor 1956).  So a face
 of J fails iff one side fails and the other is not acyclic, and its least
 size is a sum of the factors' least failing and least non-acyclic sizes,
 or one of them alone where the other factor fails or is a sphere; the
@@ -130,24 +131,23 @@ def clear_caches():
     _shapes.clear()
 
 
-def _record(shapes, norm, k):
+def _record(shapes, norm, k, p=None):
+    """The record of a shape; with p, of a link, classified on first use."""
     rec = shapes.get(norm)
     if rec is None:
         rec = shapes[norm] = [None, None, norm, [None] * k, None]
+    if p is not None and rec[0] is None:
+        rec[0], rec[1] = _classify_link(k, norm, p)
     return rec
 
 
 def _child(shapes, rec, i, p):
     """The child entry of a shape record for its vertex i: the record of
-    lk(i) and the positions of its vertices in the parent.  The child is
-    classified on creation."""
+    lk(i) and the positions of its vertices in the parent."""
     b = 1 << i
     used, norm = cx._reindex([f ^ b for f in rec[2] if f & b])
-    k = used.bit_count()
-    child = _record(shapes, norm, k)
-    if child[0] is None:
-        child[0], child[1] = _classify_link(k, norm, p)
-    entry = rec[3][i] = (child, bytes(graphs_mod._bits(used)))
+    entry = rec[3][i] = (_record(shapes, norm, used.bit_count(), p),
+                         bytes(graphs_mod._bits(used)))
     return entry
 
 
@@ -165,7 +165,7 @@ def _shape_summary(rec, shapes, p):
       the facet size, as a facet's link {∅} is a sphere.
 
     Memoized on the record.  A shape that ``homology._join_factors`` splits
-    into two or more factors is folded from its factors' records, each
+    is folded from the records of the re-indexed factors it returns, each
     classified as a link, and builds no vertex link.  Any other is read off
     its vertex links: every nonempty face is a vertex i plus a face τ of
     lk(i), with lk σ = lk_{lk(i)}(τ), so the summary is read off the vertex
@@ -216,14 +216,10 @@ def _shape_summary(rec, shapes, p):
     if got is not None:
         return got
     factors = _join_factors(rec[2])
-    if len(factors) > 1:
+    if factors is not None:
         joined = None
-        for masks in factors:
-            used, norm = cx._reindex(masks)
-            k = used.bit_count()
-            factor = _record(shapes, norm, k)
-            if factor[0] is None:
-                factor[0], factor[1] = _classify_link(k, norm, p)
+        for k, norm in factors:
+            factor = _record(shapes, norm, k, p)
             fail, ball, disagree, ball_vertex, non_ball = _shape_summary(factor, shapes, p)
             disagree |= (factor[0] == _BOUNDARY and not ball_vertex) != (norm == (1,))
             part = (factor[0], fail or _NEVER, ball, disagree, ball_vertex, non_ball)

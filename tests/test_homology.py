@@ -4,7 +4,7 @@ import operator
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matchtop import catalog
 from matchtop import complexes as cx
@@ -321,21 +321,39 @@ _FACTOR = st.one_of(
     st.sampled_from(_NON_FLAG))
 
 
+def _assert_split(facet_masks):
+    """_join_factors(facet_masks) is None, or factors on 0..k-1 each whose
+    join, laid side by side, has the complex's vertex and facet counts and
+    face numbers."""
+    factors = hm._join_factors(facet_masks)
+    if factors is None:
+        return
+    assert len(factors) >= 2
+    joined, offset = [0], 0
+    for k, masks in factors:
+        assert functools.reduce(operator.or_, masks) == (1 << k) - 1
+        joined = [a | b << offset for a in joined for b in masks]
+        offset += k
+    assert offset == functools.reduce(operator.or_, facet_masks).bit_count()
+    assert len(joined) == len(facet_masks)
+    sizes = [{k: len(v) for k, v in hm._faces_by_size(f).items()} for f in (joined, facet_masks)]
+    assert sizes[0] == sizes[1]
+
+
+# ac, ad, bc, bd, aw: no join, but a dominates w and the core is the 4-cycle
+# ac, bc, bd, ad, which is S^0 * S^0
+_CORE_SPLITS = cx.from_facets(None, ["ac", "ad", "bc", "bd", "aw"])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(
     st.lists(_FACTOR, min_size=1, max_size=3).map(_join_all),
     _FACTOR.map(lambda c: cx.join(c, _POINT)),
     st.just(_boundary_simplex(3))))
+@example(_CORE_SPLITS)
 def test_join_factors_match_face_set_path(c):
-    core = tuple(hm._core(c.facet_masks))
-    factors = hm._join_factors(core)
-    # vertex-disjoint factors whose join is the core
-    spans = [functools.reduce(operator.or_, part) for part in factors]
-    assert sum(m.bit_count() for m in spans) == functools.reduce(operator.or_, spans).bit_count()
-    joined = [0]
-    for part in factors:
-        joined = [a | b for a in joined for b in part]
-    assert sorted(joined) == sorted(core)
+    _assert_split(c.facet_masks)
+    _assert_split(tuple(hm._core(c.facet_masks)))
     for p in (2, 3, 5):
         assert (hm.betti_for_facets(c.vertex_count, c.facet_masks, p)
                 == hm._betti_from_faces(hm._faces_by_size(c.facet_masks), p, c.dimension))
@@ -344,12 +362,16 @@ def test_join_factors_match_face_set_path(c):
 def test_join_factors_peel_only_whole_components():
     tri = _boundary_simplex(3)
     # three one-vertex components, none a join factor on its own
-    assert hm._join_factors(tri.facet_masks) == [list(tri.facet_masks)]
-    assert len(hm._join_factors(cx.join(tri, tri).facet_masks)) == 1
+    assert hm._join_factors(tri.facet_masks) is None
+    assert hm._join_factors(cx.join(tri, tri).facet_masks) is None
     assert len(hm._join_factors(cx.join(tri, _TWO_POINTS).facet_masks)) == 2
     assert len(hm._join_factors(cycle_complex(4).facet_masks)) == 2  # S^0 * S^0
     octahedron = cx.matching_complex(gr.disjoint_union([gr.path(3)] * 3))
     assert len(hm._join_factors(octahedron.facet_masks)) == 3
+    # a split of the core that the facets do not show
+    assert hm._join_factors(_CORE_SPLITS.facet_masks) is None
+    core = tuple(hm._core(_CORE_SPLITS.facet_masks))
+    assert hm._join_factors(core) == [(2, (0b01, 0b10)), (2, (0b01, 0b10))]
 
 
 def test_each_join_factor_shape_is_ranked_once_per_prime(monkeypatch):

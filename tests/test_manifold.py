@@ -363,6 +363,20 @@ def test_join_link_build_counts_pinned(monkeypatch):
     assert len(mf._shapes[2]) == 196
 
 
+def test_one_join_split_per_facet_set_pinned(monkeypatch):
+    # the ranks and the shape summaries read one memoized split: from cold
+    # caches no facet set is split twice.  complexes._near runs once per
+    # split, in homology._join_factors alone
+    split = []
+    real = hm._near
+    monkeypatch.setattr(hm, "_near", lambda facets, n: split.append(tuple(facets)) or real(facets, n))
+    matchtop.clear_caches()
+    for g, _ in _join_arithmetic_cases(face_cap=400):
+        M = cx.matching_complex(g)
+        mf.classify(M, mf.check_manifold(M, 2))
+    assert len(split) == len(set(split)) == 196
+
+
 def _analysis(c):
     """Everything the link analysis decides about c, at both primes."""
     return ([_record_classes(c, p) for p in (2, 3)],
@@ -734,11 +748,11 @@ def test_shape_summary_flags_read_only_the_record_classes(monkeypatch):
     monkeypatch.setattr(mf, "_shapes", {})
     shapes = mf._shapes.setdefault(2, {})
     segments = mf._record(shapes, (0b0011, 0b1100), 4)
-    assert len(mf._join_factors(segments[2])) == 1
+    assert mf._join_factors(segments[2]) is None
     assert mf._shape_summary(segments, shapes, 2) == (0, True, True, False, 1)
     assert mf._shape_summary(shapes[(1,)], shapes, 2) == (0, True, True, True, 1)
     points = mf._record(shapes, (0b01, 0b10), 2)
-    assert len(mf._join_factors(points[2])) == 1
+    assert mf._join_factors(points[2]) is None
     assert mf._shape_summary(points, shapes, 2) == (0, True, True, True, 1)
     # one that calls {∅} failing fails the vertex of a point (size 1) and
     # so each segment (size 2), the least failing faces of two segments
@@ -781,10 +795,10 @@ def test_join_summary_folds_as_the_vertex_link_loop(factors):
         joined = cx.join(joined, cx.from_facets(None, facets))
     for p in (2, 3, 5):
         rec, folded = _summary(joined, p)
-        if len(mf._join_factors(rec[2])) > 1:
+        if mf._join_factors(rec[2]) is not None:
             assert rec[3] == [None] * len(rec[3])  # no vertex link built
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mf, "_join_factors", lambda f: [list(f)])
+            patch.setattr(mf, "_join_factors", lambda f: None)
             _, loop = _summary(joined, p)
         if loop[0]:
             assert (folded[0], folded[4]) == (loop[0], loop[4])

@@ -1,5 +1,10 @@
 import hashlib
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -574,6 +579,26 @@ def test_betti_keys_named_after_the_primes():
         assert h["betti_p7"] == homology.betti_reduced(M, 7).to_list()
 
 
+def _caches_at_import():
+    """{"module.name": dict} for every module-level dict of the package that
+    a fresh interpreter holds empty after ``import matchtop``: the caches
+    ``matchtop.clear_caches()`` must empty, the next one added included."""
+    src = Path(matchtop.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, matchtop\n"
+         "print(json.dumps(sorted(f'{m[9:]}.{k}' for m, mod in sys.modules.items()\n"
+         "    if m.startswith('matchtop.') for k, v in vars(mod).items()\n"
+         "    if type(v) is dict and not v and not k.startswith('__'))))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = {}
+    for name in json.loads(proc.stdout):
+        module, attr = name.split(".")
+        out[name] = getattr(sys.modules[f"matchtop.{module}"], attr)
+    return out
+
+
 def test_clear_caches_keeps_reports():
     s = spec(target="2-manifold-with-boundary", max_edges=7)
     before = verify.run_search(s).to_dict(include_timing=False)
@@ -583,12 +608,13 @@ def test_clear_caches_keeps_reports():
     catalog.catalog_names()  # fills the name registry
     tables = (catalog._exceptional_graphs, catalog._disconnected_balls,
               catalog._small_basics, catalog._registry)
-    caches = (verify._LEVELS, homology._betti_cache, homology._cores, manifold._shapes)
-    assert all(caches)
+    caches = _caches_at_import()
+    assert {"homology._splits", "homology._tables", "manifold._shapes"} <= set(caches)
+    assert all(caches.values()), [name for name, cache in caches.items() if not cache]
     for table in tables:
         assert table.cache_info().currsize > 0
     matchtop.clear_caches()
-    assert not any(caches)
+    assert not any(caches.values()), [name for name, cache in caches.items() if cache]
     for table in tables:
         assert table.cache_info().currsize == 0
     assert verify.run_search(s).to_dict(include_timing=False) == before
