@@ -33,7 +33,6 @@ from .graphs import (
     from_graph6,
     is_equimatchable,
     matching_number,
-    maximal_matchings,
     path,
     spider,
     star,

@@ -276,13 +276,6 @@ def _maximal_matching_masks(g: Graph, size: int | None = None):
     return out
 
 
-def maximal_matchings(g: Graph):
-    """Matchings that no edge of g can extend, by size then lex order."""
-    out = [tuple(_bits(m)) for m in _maximal_matching_masks(g)]
-    out.sort(key=lambda t: (len(t), t))
-    return out
-
-
 def matching_number(g: Graph) -> int:
     """Size of a maximum matching (0 for a graph without edges)."""
     return max(m.bit_count() for m in _maximal_matching_masks(g))

@@ -27,30 +27,20 @@ prime, and named by ``classify``.  The expected hits are computed by the
 catalog from the same row.
 
 Since dim M(G) = nu(G) - 1, where nu is the matching number, a target of
-dimension d can only be hit by graphs with nu = d + 1.  The searches for
-those targets therefore enumerate only graphs with nu <= d + 1: children
-whose nu exceeds the cap are dropped from the generation frontier before
-they are canonicalized, and the components of a disjoint union share the
-budget, since nu adds up over components.  The disconnected-complex search
-has no dimension and enumerates everything; that uncapped enumeration is
-also the oracle the pruned searches are tested against.
+dimension d can only be hit by graphs with nu = d + 1.  Every search
+therefore enumerates only graphs with nu at most a cap: children whose nu
+exceeds it are dropped from the generation frontier before they are
+canonicalized, and the components of a disjoint union share the budget,
+since nu adds up over components.
 
 If nu(G) >= 3, then M(G) is connected.  The edges of a maximum matching
 are pairwise disjoint, so they span a clique of the 1-skeleton, and any
 other edge meets at most two of them, one per endpoint, so it is adjacent
-to a third.  Two consequences: every graph ``_expects_disconnected``
-predicts has nu <= 2, and every manifold hit of dimension >= 2 is
-connected, which is why connected-2-manifold-with-boundary is an exact
-alias of 2-manifold-with-boundary.
-
-The disconnected-complex search counts a graph with two or more components
-as examined and rejects it from its component list, before any union is
-built.  The rejection is exact.  M(G + H) is the join M(G) * M(H), and a
-join of two nonempty complexes is connected: two vertices of one factor
-are both joined to any vertex of the other.  Nor does ``_expects_disconnected``
-predict a union disconnected: no edge of one component meets an edge of
-another, so no edge meets every other edge, and the one union on 4
-vertices, 2K2, has 2 edges, not the 4 of C4 or the 6 of K4.
+to a third.  Three consequences: every graph ``_expects_disconnected``
+predicts has nu <= 2; every manifold hit of dimension >= 2 is connected,
+which is why connected-2-manifold-with-boundary is an exact alias of
+2-manifold-with-boundary; and every disconnected-complex hit has nu <= 2,
+so that search has the cap 2.
 
 A bounded search only confirms a classification within its edge/vertex
 budget; nothing is claimed about larger graphs.
@@ -111,12 +101,12 @@ class SearchSpec:
             # the same prime twice is no cross-check
             object.__setattr__(self, "cross_check_prime", None)
 
-    def matching_cap(self) -> int | None:
+    def matching_cap(self) -> int:
         """The largest matching number a hit can have: d + 1 for a target of
-        dimension d (dim M(G) = nu(G) - 1), None for disconnected-complex,
-        which has no dimension to bound it."""
+        dimension d (dim M(G) = nu(G) - 1), and 2 for disconnected-complex,
+        since nu(G) >= 3 makes M(G) connected (see the module docstring)."""
         row = catalog._MANIFOLD_TARGETS.get(self.target)
-        return None if row is None else row[0] + 1
+        return 2 if row is None else row[0] + 1
 
     def to_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "force"}
@@ -138,7 +128,7 @@ def _check_guard(spec: SearchSpec):
 @dataclass
 class _Levels:
     graphs: list  # connected classes with 0 edges, 1 edge, ...
-    nu: list  # their matching numbers when capped, zeros when not
+    nu: list  # their matching numbers
     pruned: list  # children dropped by the cap while building each level
 
 
@@ -253,7 +243,7 @@ def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
     lv = _LEVELS.get((max_vertices, cap))
     if lv is None:
         lv = _LEVELS[(max_vertices, cap)] = _Levels(
-            [[], [gr.path(2)]], [[], [0 if cap is None else 1]], [0, 0])
+            [[], [gr.path(2)]], [[], [1]], [0, 0])
     levels = lv.graphs
     while len(levels) <= max_edges:
         # (invariant, canonical form) -> (child, nu); a child whose invariant
@@ -267,11 +257,11 @@ def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
             top = n + 1 if n < max_vertices else n
             # adding (u, v) raises nu by one exactly when some maximum
             # matching misses both u and v
-            free = _free_pairs(g, nu) if cap is not None else None
+            free = _free_pairs(g, nu)
             parent = _Parent(g)
             for u in range(n):
                 au = g.adj[u]
-                fu = free[u] if free is not None else 0
+                fu = free[u]
                 for v in range(u + 1, top):
                     if au >> v & 1:
                         continue
@@ -361,31 +351,21 @@ def connected_graph_classes(max_edges: int, max_vertices: int,
 
 def enumerate_graphs(spec: SearchSpec, matching_cap: int | None = None):
     """Every isomorphism class of graphs without isolated vertices, with at
-    most max_edges edges and max_vertices vertices, exactly once; with a
-    ``matching_cap``, only those whose matching number is at most the cap.
+    most max_edges edges and max_vertices vertices, exactly once (only the
+    connected ones when ``connected_only``); with a ``matching_cap``, only
+    those whose matching number is at most the cap.
 
-    A class with two or more components is the disjoint union of its
-    component multiset.  ``run_search`` reads the multisets themselves: the
-    disconnected-complex search rejects every multiset of two or more
-    components without building its union, whose matching complex is a join
-    of nonempty complexes and so connected (see the module docstring)."""
+    A class with two or more components is the disjoint union of a
+    nondecreasing multiset of connected classes, which needs no further
+    deduplication; the components share the cap, since matching numbers
+    add up over components."""
     _check_guard(spec)
-    for comps in _component_multisets(spec, matching_cap):
-        yield gr.disjoint_union(comps) if len(comps) > 1 else comps[0]
-
-
-def _component_multisets(spec: SearchSpec, matching_cap: int | None):
-    """The classes of :func:`enumerate_graphs` as nondecreasing tuples of
-    connected classes (one class each when ``connected_only``)."""
     lv = _levels(spec.max_edges, spec.max_vertices, matching_cap)
     comps = [g for level in lv.graphs[1: spec.max_edges + 1] for g in level]
     if spec.connected_only:
-        for g in comps:
-            yield (g,)
+        yield from comps
         return
-    # matching numbers add up over components (uncapped, all are 0)
     comp_nu = [nu for level in lv.nu[1: spec.max_edges + 1] for nu in level]
-    nu_budget = matching_cap or 0
 
     def rec(start, edges_left, verts_left, nu_left, acc):
         for idx in range(start, len(comps)):
@@ -395,20 +375,20 @@ def _component_multisets(spec: SearchSpec, matching_cap: int | None):
             if g.vertex_count > verts_left or comp_nu[idx] > nu_left:
                 continue
             cur = acc + (g,)
-            yield cur
+            yield gr.disjoint_union(cur) if len(cur) > 1 else g
             yield from rec(idx, edges_left - len(g.edges),
                            verts_left - g.vertex_count, nu_left - comp_nu[idx], cur)
 
+    # nu never exceeds the edge count
+    nu_budget = spec.max_edges if matching_cap is None else matching_cap
     yield from rec(0, spec.max_edges, spec.max_vertices, nu_budget, ())
 
 
-def _pruning_summary(spec: SearchSpec) -> dict | None:
-    """What the matching-number cap of a search removed, or None uncapped:
-    the rule, the connected classes kept within the budget, and the
-    children dropped from the generation frontier before canonicalization."""
+def _pruning_summary(spec: SearchSpec) -> dict:
+    """What the matching-number cap of a search removed: the rule, the
+    connected classes kept within the budget, and the children dropped from
+    the generation frontier before canonicalization."""
     cap = spec.matching_cap()
-    if cap is None:
-        return None
     lv = _levels(spec.max_edges, spec.max_vertices, cap)
     return {
         "rule": f"matching number <= {cap}",
@@ -524,7 +504,7 @@ class SearchReport:
     anomalies: list
     graphs_examined: int
     elapsed_ms: int
-    pruning: dict | None = None
+    pruning: dict
     note: str = BOUNDED_SEARCH_NOTE
 
     def to_dict(self, include_timing=True):
@@ -554,11 +534,8 @@ def run_search(spec: SearchSpec) -> SearchReport:
     hits = []
     anomalies = []
     examined = 0
-    for comps in _component_multisets(spec, spec.matching_cap()):
+    for g in enumerate_graphs(spec, spec.matching_cap()):
         examined += 1
-        if len(comps) > 1 and target == "disconnected-complex":
-            continue  # a join of nonempty complexes; see the module docstring
-        g = gr.disjoint_union(comps) if len(comps) > 1 else comps[0]
         key = None
         if target == "disconnected-complex" and _expects_disconnected(g):
             key = gr.canonical_form(g, spec.max_vertices).decode()

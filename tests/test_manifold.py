@@ -452,12 +452,15 @@ def test_one_face_table_per_complex_for_both_primes(monkeypatch):
     report = mf.manifold_report(k43, (2, 3))
     assert report["class"] == "Torus" and report["cross_check_status"] == "ClosedManifold"
     assert built.get(k43.facet_masks, 0) <= 1
-    annulus = cx.matching_complex(catalog.named_graph("annulus_8e"))
-    core = tuple(hm._core(annulus.facet_masks))  # a 4-cycle: 8 faces
-    assert sum(map(len, real(core).values())) == 8 and core != annulus.facet_masks
-    assert mf.manifold_report(annulus, (2, 3))["class"] == "Annulus"
-    assert built.get(core, 0) <= 1
-    assert built.get(annulus.facet_masks, 0) <= 1
+    # a smaller core that is no join is ranked re-indexed, from one table
+    # that both primes read
+    moebius = cx.matching_complex(catalog.named_graph("moebius_8e"))
+    core = tuple(hm._core(moebius.facet_masks))
+    assert (len(moebius.facet_masks), len(core)) == (9, 7)
+    assert hm._join_factors(core) is None
+    assert mf.manifold_report(moebius, (2, 3))["class"] == "MoebiusStrip"
+    assert built.get(tuple(cx._reindex(core)[1]), 0) == 1
+    assert built.get(moebius.facet_masks, 0) <= 1
 
 
 def _relabelled(c, rng):

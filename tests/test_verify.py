@@ -220,15 +220,17 @@ def test_disconnection_rule_exhaustive_small():
 
 @pytest.mark.parametrize("connected_only", [False, True])
 @pytest.mark.parametrize("target", ["1-sphere", "2-sphere", "closed-2-manifold",
-                                    "2-manifold-with-boundary"])
+                                    "2-manifold-with-boundary", "disconnected-complex"])
 def test_pruned_search_matches_unpruned_oracle(target, connected_only, monkeypatch):
     s = spec(target=target, max_edges=9, connected_only=connected_only)
     pruned = verify.run_search(s)
     with monkeypatch.context() as m:
-        m.setattr(verify.SearchSpec, "matching_cap", lambda self: None)  # uncapped
+        # a graph has no more matching edges than edges: this cap never binds
+        m.setattr(verify.SearchSpec, "matching_cap", lambda self: self.max_edges)
         oracle = verify.run_search(s)
-    assert oracle.pruning is None
-    assert pruned.pruning["rule"] == f"matching number <= {2 if target == '1-sphere' else 3}"
+    assert oracle.pruning["augmentations_pruned"] == 0
+    cap = 2 if target in ("1-sphere", "disconnected-complex") else 3
+    assert pruned.pruning["rule"] == f"matching number <= {cap}"
     assert pruned.graphs_examined < oracle.graphs_examined
     a = pruned.to_dict(include_timing=False)
     b = oracle.to_dict(include_timing=False)
@@ -330,9 +332,15 @@ def test_pruning_entry_pinned():
         "connected_classes_kept": sum([1, 1, 3, 5, 12, 30, 74, 173, 364, 595]),
         "augmentations_pruned": 4958,
     }
+    # nu >= 3 makes M(G) connected, so the disconnected search is capped at
+    # 2; test_pruned_search_matches_unpruned_oracle checks it loses no hit
     disconnected = verify.run_search(spec(target="disconnected-complex", max_edges=5))
-    assert disconnected.to_dict(include_timing=False)["pruning"] is None
-    assert disconnected.spec.matching_cap() is None
+    assert disconnected.to_dict(include_timing=False)["pruning"] == {
+        "rule": "matching number <= 2",
+        "connected_classes_kept": 20,
+        "augmentations_pruned": 5,
+    }
+    assert disconnected.spec.matching_cap() == 2
 
 
 def test_pruned_multisets_are_the_unpruned_ones_within_the_cap():
@@ -481,8 +489,9 @@ _CLASSES_TO_6 = [g for level in verify.connected_graph_classes(6, 10) for g in l
 @example([gr.path(3), gr.path(2)])
 @example([gr.complete(4), gr.cycle(4), gr.star(3)])
 def test_search_rejects_every_union_exactly(parts):
-    # the disconnected-complex search rejects such a union unbuilt; these
-    # are the checks it would have run, and the complex they stand for
+    # the disconnected-complex search rejects such a union by its skeleton,
+    # and nothing predicts it disconnected: the join of the components'
+    # complexes is connected
     g = gr.disjoint_union(parts)
     assert verify._skeleton_connected(g)
     assert not verify._expects_disconnected(g)
@@ -494,7 +503,7 @@ REPORT_DIGESTS = {
     ("closed-2-manifold", 11):
         "f09226d370a219224c9be0ea2aa5dfb8150f9e31e8ab019c3daa2963dde15113",
     ("disconnected-complex", 9):
-        "21ef881f34cd05c7bc9d05aad2e8d25585d855fa0cd456438a0183c6d8b67157",
+        "3b51f71f484113331da63f9b46c1aed287bd326e94f6dc204682a3ca36e38b82",
 }
 
 
@@ -510,11 +519,14 @@ def test_search_call_counts_pinned(monkeypatch):
     unions = _counting(monkeypatch, "disjoint_union")
     verify.clear_caches()
     report = verify.run_search(spec(target="disconnected-complex", max_edges=9))
-    # 888 forms build the levels to 9 edges, 56 key the hits and predictions;
-    # every multiset of two or more components is rejected unbuilt
-    assert forms[0] == 944
-    assert unions[0] == 0
-    assert report.graphs_examined == 1807
+    # 69 forms build the levels within the cap nu <= 2, 56 key the hits and
+    # predictions; the unions are the pairs of nu = 1 components, built and
+    # rejected by their skeleton.  Under a cap that never binds the search
+    # examines 1,807 graphs with 944 forms and finds the same report apart
+    # from the counts (test_pruned_search_matches_unpruned_oracle)
+    assert forms[0] == 125
+    assert unions[0] == 23
+    assert report.graphs_examined == 131
 
 
 def test_closed_search_call_counts_pinned(monkeypatch):
