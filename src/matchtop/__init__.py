@@ -69,7 +69,8 @@ from . import catalog, homology, manifold, verify
 def clear_caches():
     """Empty every module-level cache: the enumerated graph classes, Betti
     numbers, join splits and face tables of facet sets, the link-shape
-    table of the manifold analysis and the catalog tables.
+    table of the manifold analysis and the boundaries of its join factors,
+    and the catalog tables.
     Results do not change; a long-lived process can call this to bound its
     memory."""
     verify.clear_caches()

@@ -10,7 +10,6 @@ complex is void.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -489,22 +488,4 @@ def _incidence_canon(c: Complex) -> bytes:
     g = graphs_mod.Graph(n + nf, pairs)
     colors = [0] * n + [1] * nf
     return b"%d,%d:" % (n, nf) + graphs_mod._canonical_form(g, n + nf, colors)
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def to_text(c: Complex) -> str:
-    """"dim d n_facets" then one facet per line as sorted labels."""
-    lines = [f"dim {c.dimension} {len(c.facet_masks)}"]
-    for facet in c.facets():
-        lines.append(" ".join(str(lab) for lab in facet))
-    return "\n".join(lines) + "\n"
-
-
-def to_json(c: Complex) -> str:
-    return json.dumps(
-        {"labels": list(c.labels), "facets": [list(f) for f in c.facets()]}
-    )
 

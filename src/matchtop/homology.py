@@ -345,15 +345,31 @@ def _betti(facet_masks: tuple, p: int, c: Complex | None) -> BettiVector:
         if got is None:
             poly = [1]
             for k, masks in factors:
-                b = betti_for_facets(k, masks, p)
-                prod = [0] * (len(poly) + len(b.betti))
-                for i, x in enumerate(poly):
-                    for j, y in enumerate((b.minus_one,) + b.betti):
-                        prod[i + j] += x * y
-                poly = prod
-            got = BettiVector(p, poly[0], tuple(poly[1:]) + (0,) * (d + 2 - len(poly)))
+                poly = _times(poly, _poly(betti_for_facets(k, masks, p)))
+            got = _from_poly(poly, p, d)
         _betti_cache[key] = got
     return got
+
+
+def _poly(b: BettiVector) -> tuple:
+    """The reduced Betti polynomial Σ β̃_i t^(i+1) of b, as its coefficients
+    from t^0."""
+    return (b.minus_one,) + b.betti
+
+
+def _from_poly(poly, p: int, d: int) -> BettiVector:
+    """The Betti vector at p of a complex of dimension d whose reduced Betti
+    polynomial has the coefficients ``poly``."""
+    return BettiVector(p, poly[0], tuple(poly[1:]) + (0,) * (d + 2 - len(poly)))
+
+
+def _times(a, b) -> list:
+    """The product of two polynomials given by their coefficients."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return prod
 
 
 def betti_reduced(c: Complex, p) -> BettiVector:

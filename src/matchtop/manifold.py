@@ -37,12 +37,19 @@ is visited: a failing complex finds its least failing face by descending
 through the records, which builds a join shape's vertex links only on the
 way down, a closed one has no ball, and the boundary of any other is
 spanned by the ridges in one facet, read off the one ridge count
-``complexes._ridge_cofacets``.  The verdict is memoized on
-the complex per prime, and a manifold with boundary keeps there the
-boundary it proved closed, with its component count (the reachability
-classes of ``graphs._reach`` over the boundary's ``complexes._near``
-neighbourhoods), so ``check_manifold``, ``boundary_complex``,
-``classify`` and ``manifold_report`` analyse each complex once.
+``complexes._ridge_cofacets``.  A join's boundary is not walked either:
+∂(K * L) = ∂K * L ∪ K * ∂L, so whether it is closed, its component count
+and its Betti numbers are folded from the boundaries of the factors, each
+kept once per factor shape in a table ``clear_caches()`` empties (the
+proof is at ``_fold_boundary``); only a boundary the fold does not prove
+closed is checked by ``check_manifold``, so its witnesses are unchanged.
+The verdict is memoized on the complex per prime, and a manifold with
+boundary keeps there the boundary it proved closed, with its component
+count (folded, or the reachability classes of ``graphs._reach`` over the
+boundary's ``complexes._near`` neighbourhoods), so ``check_manifold``,
+``boundary_complex``, ``classify`` and ``manifold_report`` analyse each
+complex once, and the last two read one route to the boundary's Betti
+numbers, ``_boundary_betti``.
 """
 
 from __future__ import annotations
@@ -53,7 +60,8 @@ from . import complexes as cx
 from . import graphs as graphs_mod
 from .complexes import Complex
 from .errors import InvalidParameterError
-from .homology import BettiVector, _join_factors, _prime_of, betti_for_facets, betti_reduced
+from .homology import (BettiVector, _from_poly, _join_factors, _poly, _prime_of, _times,
+                       betti_for_facets, betti_reduced)
 
 STATUS_NOT_PURE = "NotPure"
 STATUS_NOT_MANIFOLD = "NotManifold"
@@ -123,12 +131,15 @@ def _classify_link(norm_count, norm_masks, p):
 
 # prime -> normalized facets -> [class, betti, facets, children, summary]:
 # one record per link shape for the whole process, its children built on
-# first use; emptied by clear_caches()
+# first use; and join factor facets -> the factor's boundary complex, None
+# when void.  Both emptied by clear_caches()
 _shapes: dict = {}
+_boundaries: dict = {}
 
 
 def clear_caches():
     _shapes.clear()
+    _boundaries.clear()
 
 
 def _record(shapes, norm, k, p=None):
@@ -264,6 +275,86 @@ def _join_summary(k, l):
     return cls, fail, bk or bl or acyclic, dk or dl, vk or vl or acyclic, non_ball
 
 
+def _factor_boundary(k, norm):
+    """∂K of a join factor K on positions 0..k-1 with the facets ``norm``:
+    the span of its ridges in exactly one facet, None when there is none.
+    A point is the exception, with ∂ = {∅}: its empty ridge lies in one
+    facet, but ``complexes._ridge_cofacets`` does not count it.  Memoized
+    for the process in ``_boundaries``."""
+    if norm not in _boundaries:
+        ridges = [r for r, n in cx._ridge_cofacets(norm).items() if n == 1]
+        _boundaries[norm] = (cx.from_facets((), [()]) if norm == (1,)
+                             else _span(Complex(range(k), norm), ridges) if ridges else None)
+    return _boundaries[norm]
+
+
+def _fold_boundary(factors, q, shapes=None):
+    """The reduced Betti polynomial at q of ∂J, as coefficients from t^0,
+    folded from the join factors ``(k, facets)`` of a pure J; None where
+    the fold gives no answer.  Given the shape table at q of J's verdict,
+    which found no failing face, a ball and no disagree, it is also None
+    unless the rule below proves ∂J a closed manifold at q.
+
+    ∂X is the span of X's ridges in exactly one facet, with ∂(point) = {∅}
+    and ∂(S⁰) void; P(X) = Σ β̃_i t^(i+1), P(void) = 0, P({∅}) = 1.
+
+    Boundary fold lemma.  For pure K and L, ∂(K * L) = ∂K * L ∪ K * ∂L.
+    (1) A ridge of K * L is a facet of one side joined to a ridge of the
+    other, and lies in one facet iff that ridge does: the one-facet ridges
+    are F(K) × R₁(L) ∪ R₁(K) × F(L), the empty ridge of a point included.
+    So at any prime q: if ∂L is void, P(∂J) = P(∂K)·P(L) (the join rule);
+    if K and L are both acyclic at q, ∂K * L and K * ∂L are acyclic and
+    meet in ∂K * ∂L, so Mayer-Vietoris on the augmented chains gives
+    P(∂J) = t·P(∂K)·P(∂L); otherwise the fold gives no answer.  The fold
+    is pairwise, K the join of the factors so far.
+
+    The rule at p, for J with no failing face, a ball and no disagree: ∂J
+    is a closed manifold iff every factor K has ∂K void or a closed
+    manifold, and every acyclic K has a ∂K with sphere homology of
+    dimension dim K - 1.  (2) lk_{∂M} σ = ∂(lk_M σ) for any pure M, as the
+    one-facet ridges of M through σ, less σ, are those of lk_M σ.  (3) By
+    the lemma of :func:`_shape_summary` the faces of ∂J are the faces with
+    acyclic links and ∅.  Every factor is a link in J of a facet of the
+    others, so it has no failing face and is a sphere or acyclic; a sphere
+    has no ball face, so its ∂ is void, and an acyclic K has a ∂K that is
+    not: a point has {∅}, and any other would make D(K), and so disagree,
+    true.  So the faces of ∂J
+    are the α ∪ β with α a face of ∂K or β one of ∂L, and every link of
+    ∂J is, by (2), ∂(lk_K α * lk_L β), where each side is a sphere with a
+    void ∂ or acyclic with ∂(lk_K α) = lk_{∂K} α.  (4) By (1) such a
+    boundary has sphere homology of its dimension exactly when the acyclic
+    sides have sphere boundaries of theirs.  If the rule holds, lk_{∂K} α
+    is a sphere of dimension dim lk_K α - 1 where ∂K is closed (or α = ∅
+    and K acyclic), so every link of ∂J is a sphere of its dimension.
+    Conversely, for K acyclic and β a facet of L, lk_{∂J}(α ∪ β) =
+    ∂(lk_K α) = lk_{∂K} α, and ∂K itself for α = ∅: a closed ∂J gives a
+    closed ∂K with sphere homology of dimension dim K - 1.  So at p the
+    fold answers whenever the rule holds: the join so far has a void ∂
+    while all its factors are spheres, and is acyclic once one is.
+    """
+    joined = None
+    for k, norm in factors:
+        bd = _factor_boundary(k, norm)
+        if shapes is not None and bd is not None and (
+                check_manifold(bd, q).status != STATUS_CLOSED
+                or _record(shapes, norm, k, q)[0] == _BOUNDARY
+                and not betti_reduced(bd, q).is_sphere(norm[0].bit_count() - 2)):
+            return None
+        part = _poly(betti_for_facets(k, norm, q)), None if bd is None else _poly(betti_reduced(bd, q))
+        if joined is not None:
+            (pk, bk), (pl, bl) = joined, part
+            if bl is None:
+                part = _times(pk, pl), None if bk is None else _times(bk, pl)
+            elif bk is None:
+                part = _times(pk, pl), _times(pk, bl)
+            elif any(pk) or any(pl):
+                return None
+            else:
+                part = _times(pk, pl), [0] + _times(bk, bl)
+        joined = part
+    return joined[1]
+
+
 def _least_failing_face(rec, size, pos, shapes, p):
     """``(mask, betti)`` of the least failing face of a shape by labels,
     given its least failing size and the masks of its positions.
@@ -330,6 +421,14 @@ def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
         # _shape_summary) and their maximal ones are the ridges in exactly
         # one facet
         bd = _span(c, [r for r, n in cx._ridge_cofacets(c.facet_masks).items() if n == 1])
+        factors = _join_factors(rec[2])
+        poly = None if factors is None else _fold_boundary(factors, pp, shapes)
+        if poly is not None:
+            # a join whose boundary the rule of _fold_boundary proves
+            # closed: its Betti numbers are folded, its components β̃_0 + 1
+            c._cache[("boundary_betti", pp)] = _from_poly(poly, pp, d - 1)
+            c._cache[("boundary", pp)] = BoundaryComplex(bd, poly[1] + 1)
+            return ManifoldVerdict(STATUS_WITH_BOUNDARY, d, pp)
         sub = check_manifold(bd, pp)
         if sub.status == STATUS_CLOSED:
             near = cx._near(bd.facet_masks, bd.vertex_count)
@@ -371,6 +470,21 @@ def boundary_complex(c: Complex, p) -> BoundaryComplex:
     return c._cache.get(("boundary", pp)) or BoundaryComplex(cx.from_facets((), [()]), 0)
 
 
+def _boundary_betti(c: Complex, bd: BoundaryComplex, q: int) -> BettiVector:
+    """Reduced Betti numbers at q of ``bd``, the boundary of the manifold c:
+    folded from c's join factors by :func:`_fold_boundary`, or, for a
+    complex that does not split or where the fold gives no answer, ranked.
+    Memoized on c per prime, as the boundary is the same at every prime."""
+    key = ("boundary_betti", q)
+    got = c._cache.get(key)
+    if got is None:
+        factors = _join_factors(cx._reindex(c.facet_masks)[1])
+        poly = None if factors is None else _fold_boundary(factors, q)
+        got = c._cache[key] = (betti_reduced(bd.complex, q) if poly is None
+                               else _from_poly(poly, q, c.dimension - 1))
+    return got
+
+
 # ---------------------------------------------------------------------------
 # classification
 
@@ -405,9 +519,7 @@ def classify(c: Complex, verdict: ManifoldVerdict | None = None, p_pair=(2, 3)) 
         return ManifoldClass("OtherManifold")
     bd = boundary_complex(c, p1)
     if b1.is_ball() and b2.is_ball():
-        sphere_bd = betti_reduced(bd.complex, p1).is_sphere(d - 1) and \
-            betti_reduced(bd.complex, p2).is_sphere(d - 1)
-        if sphere_bd:
+        if _boundary_betti(c, bd, p1).is_sphere(d - 1) and _boundary_betti(c, bd, p2).is_sphere(d - 1):
             return ManifoldClass("Ball", d)
     if d == 2:
         fingerprint = (b1.b(1), b2.b(1), bd.component_count)
@@ -449,10 +561,8 @@ def manifold_report(c: Complex, p_pair=(2, 3)) -> dict:
         out["boundary_components"] = bd.component_count
         out["acyclic"] = b1.is_ball() and b2.is_ball()
         if verdict.status == STATUS_WITH_BOUNDARY:
-            out["boundary_is_sphere"] = (
-                betti_reduced(bd.complex, p1).is_sphere(verdict.dimension - 1)
-                and betti_reduced(bd.complex, p2).is_sphere(verdict.dimension - 1)
-            )
+            out["boundary_is_sphere"] = all(_boundary_betti(c, bd, q).is_sphere(verdict.dimension - 1)
+                                            for q in (p1, p2))
         # a single prime is no cross-check
         out["cross_check_status"] = check_manifold(c, p2).status if p2 != p1 else None
     else:

@@ -271,15 +271,6 @@ def test_complex_isomorphism_invariance():
     assert not cx.are_isomorphic(M, path_complex(6))
 
 
-def test_export_formats():
-    c = cx.from_facets([2, 5, 7], [(2, 5), (7,)])
-    text = cx.to_text(c)
-    assert text.splitlines()[0] == "dim 1 2"
-    assert "2 5" in text
-    data = cx.to_json(c)
-    assert '"labels": [2, 5, 7]' in data
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 1 << 70).flatmap(lambda used: st.tuples(
     st.just(used),

@@ -351,7 +351,8 @@ def test_one_link_analysis_per_complex(monkeypatch):
 def test_join_link_build_counts_pinned(monkeypatch):
     # criterion 6 on the small joins, from a cold shape table: a join
     # shape is folded from its factors' records, so vertex links are built
-    # only for shapes the split leaves whole
+    # only for shapes the split leaves whole, and a join's boundary is
+    # folded from its factors' boundaries, so none is walked
     built = []
     real = mf._child
     monkeypatch.setattr(mf, "_child", lambda *a: built.append(a) or real(*a))
@@ -359,8 +360,8 @@ def test_join_link_build_counts_pinned(monkeypatch):
     for g, _ in _join_arithmetic_cases(face_cap=400):
         M = cx.matching_complex(g)
         mf.classify(M, mf.check_manifold(M, 2))
-    assert len(built) == 405
-    assert len(mf._shapes[2]) == 196
+    assert len(built) == 107
+    assert len(mf._shapes[2]) == 120
 
 
 def test_one_join_split_per_facet_set_pinned(monkeypatch):
@@ -374,7 +375,37 @@ def test_one_join_split_per_facet_set_pinned(monkeypatch):
     for g, _ in _join_arithmetic_cases(face_cap=400):
         M = cx.matching_complex(g)
         mf.classify(M, mf.check_manifold(M, 2))
-    assert len(split) == len(set(split)) == 196
+    assert len(split) == len(set(split)) == 120
+
+
+def test_no_folded_join_boundary_is_walked(monkeypatch):
+    # criterion 6 on the small joins: a join with boundary takes its
+    # verdict, component count and boundary Betti numbers from its factors,
+    # so check_manifold never sees its boundary, only those of the factors
+    checked = []
+    real = mf.check_manifold
+    monkeypatch.setattr(mf, "check_manifold", lambda c, p: checked.append(c) or real(c, p))
+    matchtop.clear_caches()
+    folded = []
+    for g, _ in _join_arithmetic_cases(face_cap=400):
+        M = cx.matching_complex(g)
+        verdict = mf.check_manifold(M, 2)
+        mf.classify(M, verdict)
+        if verdict.status == mf.STATUS_WITH_BOUNDARY and hm._join_factors(cx._reindex(M.facet_masks)[1]):
+            folded.append(mf.boundary_complex(M, 2).complex)
+    walked = {id(c) for c in checked}
+    assert len(folded) >= 40
+    assert not any(id(bd) in walked for bd in folded)
+    assert set(map(id, mf._boundaries.values())) & walked  # the factors' are
+
+
+def test_clear_caches_empties_the_factor_boundaries():
+    matchtop.clear_caches()
+    M = cx.matching_complex(gr.disjoint_union([gr.path(3), gr.path(2)]))
+    assert mf.classify(M) == mf.ManifoldClass("Ball", 1)
+    assert mf._boundaries
+    matchtop.clear_caches()
+    assert not mf._boundaries
 
 
 def _analysis(c):
@@ -807,6 +838,67 @@ def test_join_summary_folds_as_the_vertex_link_loop(factors):
             assert (folded[0], folded[4]) == (loop[0], loop[4])
         else:
             assert folded == loop
+
+
+def _graph_facets(edges):
+    """The facets of the matching complex of the graph with these edges."""
+    n = 1 + max(max(e) for e in edges)
+    return cx.matching_complex(gr.Graph(n, sorted(edges))).facets()
+
+
+_PAIRS = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda e: e[0] < e[1])
+
+
+def _boundary_routes(facets):
+    """Everything the boundary decides about the complex with these facets,
+    on a fresh copy: the verdict, boundary facets and component count at 2,
+    3 and 5, and the class at (2, 3) and (3, 5); and the boundaries of
+    splitting manifolds that check_manifold saw."""
+    M = cx.from_facets(None, facets)
+    splits = hm._join_factors(cx._reindex(M.facet_masks)[1]) is not None
+    walked = []
+    got = []
+    real = mf.check_manifold
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mf, "check_manifold", lambda c, p: walked.append(c) or real(c, p))
+        for p in (2, 3, 5):
+            verdict = mf.check_manifold(M, p)
+            got.append((verdict.status, verdict.witness_face, verdict.witness_betti))
+            if verdict.is_manifold:
+                bd = mf.boundary_complex(M, p)
+                got.append((sorted(bd.complex.facets()), bd.component_count))
+                got.append([mf._boundary_betti(M, bd, q) for q in (2, 3, 5)])
+        got += [mf.classify(M, mf.check_manifold(M, a), (a, b)) for a, b in ((2, 3), (3, 5))]
+    seen = {id(c) for c in walked}
+    with_boundary = [mf.boundary_complex(M, p).complex for p in (2, 3, 5)
+                     if mf.check_manifold(M, p).status == mf.STATUS_WITH_BOUNDARY]
+    return got, [bd for bd in with_boundary if splits and id(bd) in seen]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.one_of(_small_pure_facets(),
+                          st.lists(_PAIRS, min_size=1, max_size=6, unique=True).map(_graph_facets)),
+                min_size=2, max_size=3))
+@example([[(0,)], _FACTORS["boundary of a triangle"]])  # a cone over a circle
+@example([[(0,)], [(0, 1)]])  # a point and a ball: a triangle
+@example([[(0,)], [(0,)], [(0,), (1,)]])  # two points and S⁰: a square
+@example([[(0,), (1,)], _FACTORS["triangle"]])  # the suspension of a ball
+@example([_CONE_RP2_X_I, [(0,)]])  # a factor whose boundary is not closed at 3
+@example([_CONE_RP2, [(0,)], [(0,), (1,)]])
+def test_folded_join_boundaries_match_the_explicit_path(factors):
+    # the fold of _fold_boundary against the span, its check_manifold and
+    # its ranks, which take over with the fold patched off.  The rule is an
+    # iff, so a join with boundary is always folded and its boundary never
+    # walked: a point whose boundary were void, not {∅}, would fail here
+    joined = cx.from_facets(None, factors[0])
+    for facets in factors[1:]:
+        joined = cx.join(joined, cx.from_facets(None, facets))
+    folded, walked = _boundary_routes(joined.facets())
+    assert walked == []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mf, "_fold_boundary", lambda *a: None)
+        explicit, _ = _boundary_routes(joined.facets())
+    assert folded == explicit
 
 
 def test_witness_faces_are_least_by_position_and_by_labels():
