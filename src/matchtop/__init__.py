@@ -63,17 +63,19 @@ from .catalog import (
     recognize_basic,
 )
 from .verify import SearchSpec, enumerate_graphs, property_suite, run_search
-from . import catalog, homology, manifold, verify
+from . import catalog, complexes, homology, manifold, verify
 
 
 def clear_caches():
-    """Empty every module-level cache: the enumerated graph classes, Betti
-    numbers, join splits and face tables of facet sets, the link-shape
-    table of the manifold analysis and the boundaries of its join factors,
-    and the catalog tables.
+    """Empty every module-level cache: the enumerated graph classes, the
+    join splits of facet sets (walked or recorded by ``matching_complex``),
+    their Betti numbers and face tables, the link-shape table of the
+    manifold analysis and the boundaries of its join factors, and the
+    catalog tables.
     Results do not change; a long-lived process can call this to bound its
     memory."""
     verify.clear_caches()
+    complexes.clear_caches()
     homology.clear_caches()
     manifold.clear_caches()
     catalog.clear_caches()

@@ -48,7 +48,10 @@ class Complex:
     @property
     def dimension(self) -> int:
         """Max facet size minus one; -1 for {∅}."""
-        return max(m.bit_count() for m in self.facet_masks) - 1
+        d = self._cache.get("dim")
+        if d is None:
+            d = self._cache["dim"] = max(m.bit_count() for m in self.facet_masks) - 1
+        return d
 
     def is_empty_only(self) -> bool:
         """True for the complex {∅}."""
@@ -220,12 +223,43 @@ def from_facets(labels, facet_list) -> Complex:
 def matching_complex(g: graphs_mod.Graph) -> Complex:
     """The complex whose vertices are the edges of g and whose faces are
     the matchings of g.  Isolated vertices of g contribute nothing and are
-    ignored.  The face cap is checked before any matching is enumerated."""
-    if len(g.edges) > FACE_VERTEX_CAP:
-        raise TooLargeError(f"{len(g.edges)} vertices exceeds face cap {FACE_VERTEX_CAP}")
-    facets = graphs_mod._maximal_matching_masks(g)
+    ignored.  The face cap is checked before any matching is enumerated.
+
+    A graph with two or more components that have edges is built as the
+    join of their complexes, M(G₁ ⊔ G₂) = M(G₁) * M(G₂): the maximal
+    matchings are walked once per component, and the facets are the unions
+    of one component facet each.  The split, the components' complexes in
+    order of lowest edge index, each re-indexed, is recorded for
+    :func:`_join_factors` as it is built.  It is the one that function's
+    walk returns, by the lemma there: M(G) is flag, so the graph of
+    vertices that never share a facet is the line graph L(G), whose
+    components are the edge sets of G's components.  A connected graph
+    costs one reachability check more than its walk alone.
+    """
+    m = len(g.edges)
+    if m > FACE_VERTEX_CAP:
+        raise TooLargeError(f"{m} vertices exceeds face cap {FACE_VERTEX_CAP}")
+    left = sum(1 << v for v, a in enumerate(g.adj) if a)
+    comp = graphs_mod._reach(g.adj, left & -left)
+    if comp == left:
+        facets = graphs_mod._maximal_matching_masks(g)
+        facets.sort()
+        return Complex(range(m), facets)
+    # the component of the lowest vertex holds the lowest edge, as edges
+    # are sorted pairs
+    facets, split = [0], []
+    while comp:
+        h, indices = graphs_mod._component(g, comp)
+        local = sorted(graphs_mod._maximal_matching_masks(h))
+        spread = [sum(1 << indices[j] for j in graphs_mod._bits(f)) for f in local]
+        facets = [f | e for f in facets for e in spread]
+        split.append((len(indices), tuple(local)))
+        left &= ~comp
+        comp = graphs_mod._reach(g.adj, left & -left)
     facets.sort()
-    return Complex(range(len(g.edges)), facets)
+    facets = tuple(facets)
+    _splits[facets] = split
+    return Complex(range(m), facets)
 
 
 def link(c: Complex, face_labels) -> Complex:
@@ -302,6 +336,77 @@ def _near(facet_masks, n: int) -> list:
         for v in graphs_mod._bits(f):
             near[v] |= f
     return near
+
+
+# facets -> their re-indexed join factors or None, for the process: filled
+# by matching_complex and by the walk, read by the ranks and the manifold
+# verdict, and keyed without a prime, so every prime reads it
+_splits: dict = {}
+
+
+def clear_caches():
+    _splits.clear()
+
+
+def _join_factors(facet_masks):
+    """The join factors of the complex with the given maximal faces, each as
+    ``(vertex count, masks re-indexed onto 0..k-1)``, when there are two or
+    more; else None.  Memoized for the process by the facets alone: a
+    matching complex of a disconnected graph has its split recorded by
+    :func:`matching_complex`, and any other facet set is split by
+    :func:`_split` on first use.
+
+    Lemma.  A matching complex M(G) is flag, and two of its vertices never
+    share a facet exactly when the two edges of G meet, so the graph that
+    :func:`_split` walks is the line graph L(G).  Its components are the
+    edge sets of G's components, and each of them splits off as a factor.
+    The factors are therefore the components' complexes M(Gᵢ), in order of
+    lowest edge index, each re-indexed, and a connected graph with two or
+    more edges has a connected L(G), so its M(G) is no join.  The split
+    ``matching_complex`` records is exactly the walk's: the same factors,
+    the same masks, the same order.
+    """
+    key = tuple(facet_masks)
+    if key not in _splits:
+        _splits[key] = _split(key)
+    return _splits[key]
+
+
+def _split(facet_masks: tuple):
+    """:func:`_join_factors` of the facets, walked, without the memo.
+
+    Vertices in different factors of a join share a facet, so every factor
+    is a union of components of the graph on vertices that never share a
+    facet.  A component C is split off when the facets are exactly the
+    unions of a restriction to C and a restriction to the rest, i.e. their
+    number is the product of the two numbers of restrictions; the
+    components that do not split stay together as one factor.  ∂Δ² has
+    three one-vertex components, none of which splits, so it is no join.
+    A vertex's neighbours in that graph are the used vertices outside
+    :func:`_near` of it, and each component is one ``graphs._reach``.
+    """
+    used = 0
+    for f in facet_masks:
+        used |= f
+    apart = [used & ~m for m in _near(facet_masks, used.bit_length())]
+    factors = []
+    rest = list(facet_masks)
+    left = used
+    while left:
+        comp = graphs_mod._reach(apart, left & -left)
+        if comp == used:  # one component: no split
+            break
+        left &= ~comp
+        part = {f & comp for f in rest}
+        other = {f & ~comp for f in rest}
+        if len(part) * len(other) == len(rest):
+            factors.append(sorted(part))
+            rest = sorted(other)
+    if rest != [0]:
+        factors.append(rest)
+    if len(factors) < 2:
+        return None
+    return [(u.bit_count(), norm) for u, norm in map(_reindex, factors)]
 
 
 def one_skeleton(c: Complex) -> graphs_mod.Graph:

@@ -13,12 +13,14 @@ one dimension up, since those reduce to zero (clearing).
 A complex is split before it is shrunk.  Over a field the reduced Betti
 polynomial Σ β̃_i t^(i+1) of a join is the product of those of its factors
 (Milnor 1956), and the matching complex of a disjoint union is the join of
-theirs.  :func:`_join_factors`, the one join split in the package, peels
-off one component at a time of the graph on vertices that never share a
-facet: a component C is a factor when the number of facets is the number
-of their restrictions to C times the number of their restrictions to the
-rest.  It is memoized by the facets alone, so the ranks at every prime and
-the manifold verdict read one split.  Any other complex ranks only its
+theirs.  ``complexes._join_factors``, the one join split in the package,
+peels off one component at a time of the graph on vertices that never
+share a facet: a component C is a factor when the number of facets is the
+number of their restrictions to C times the number of their restrictions
+to the rest.  It is memoized by the facets alone, so the ranks at every
+prime and the manifold verdict read one split, and ``matching_complex``
+records the split of a disconnected graph's complex, read off the graph's
+components, as it builds it.  Any other complex ranks only its
 core: dominated vertices are deleted (:func:`_core`), which keeps the
 homology at every prime, and a smaller core is re-indexed and ranked as a
 complex of its own, split in turn when it is a join.  A complex that is
@@ -40,9 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import Complex, _faces_by_size, _maximal, _near, _reindex
+from .complexes import Complex, _faces_by_size, _join_factors, _maximal, _reindex
 from .errors import InvalidParameterError
-from .graphs import _reach
 
 
 def _is_prime(p: int) -> bool:
@@ -251,53 +252,10 @@ def _betti_from_faces(by_size, p: int, pad_dim: int) -> BettiVector:
     return BettiVector(p, 1 - ranks[0], tuple(betti))
 
 
-# facets -> their re-indexed join factors or None, and core facets -> face
-# table: keyed without the prime, so every prime reads them
-_splits: dict = {}
+# core facets -> face table: keyed without the prime, so every prime reads
+# it
 _tables: dict = {}
 _betti_cache: dict = {}
-
-
-def _join_factors(facet_masks):
-    """The join factors of the complex with the given maximal faces, each as
-    ``(vertex count, masks re-indexed onto 0..k-1)``, when there are two or
-    more; else None.  Memoized for the process by the facets alone.
-
-    Vertices in different factors of a join share a facet, so every factor
-    is a union of components of the graph on vertices that never share a
-    facet.  A component C is split off when the facets are exactly the
-    unions of a restriction to C and a restriction to the rest, i.e. their
-    number is the product of the two numbers of restrictions; the
-    components that do not split stay together as one factor.  ∂Δ² has
-    three one-vertex components, none of which splits, so it is no join.
-    A vertex's neighbours in that graph are the used vertices outside
-    ``complexes._near`` of it, and each component is one ``graphs._reach``.
-    """
-    key = tuple(facet_masks)
-    if key in _splits:
-        return _splits[key]
-    used = 0
-    for f in key:
-        used |= f
-    apart = [used & ~m for m in _near(key, used.bit_length())]
-    factors = []
-    rest = list(key)
-    left = used
-    while left:
-        comp = _reach(apart, left & -left)
-        if comp == used:  # one component: no split
-            break
-        left &= ~comp
-        part = {f & comp for f in rest}
-        other = {f & ~comp for f in rest}
-        if len(part) * len(other) == len(rest):
-            factors.append(sorted(part))
-            rest = sorted(other)
-    if rest != [0]:
-        factors.append(rest)
-    got = _splits[key] = ([(u.bit_count(), norm) for u, norm in map(_reindex, factors)]
-                          if len(factors) > 1 else None)
-    return got
 
 
 def betti_for_facets(vertex_count: int, facet_masks, p: int) -> BettiVector:
@@ -379,5 +337,4 @@ def betti_reduced(c: Complex, p) -> BettiVector:
 
 def clear_caches():
     _betti_cache.clear()
-    _splits.clear()
     _tables.clear()

@@ -24,7 +24,7 @@ exactly one facet.  Every nonempty face is a vertex plus a face of that
 vertex's link, so the summary can be built from the records of the vertex
 links.  A shape that is a join K * L (the matching complex of a disjoint
 union is the join of its parts') is folded from the records of the factors
-that ``homology._join_factors``, the split the ranks read, returns, and
+that ``complexes._join_factors``, the split the ranks read, returns, and
 builds no vertex link.  Fold lemma: the links of J = K * L are lk_K α *
 lk_L β (lk ∅ the factor itself), and a join is a sphere iff both sides
 are, acyclic iff either is, and fails otherwise, since its reduced Betti
@@ -41,8 +41,10 @@ spanned by the ridges in one facet, read off the one ridge count
 ∂(K * L) = ∂K * L ∪ K * ∂L, so whether it is closed, its component count
 and its Betti numbers are folded from the boundaries of the factors, each
 kept once per factor shape in a table ``clear_caches()`` empties (the
-proof is at ``_fold_boundary``); only a boundary the fold does not prove
-closed is checked by ``check_manifold``, so its witnesses are unchanged.
+proof is at ``_fold_boundary``), and its complex is spanned only when
+``boundary_complex(c, p).complex`` is first read; only a boundary the fold
+does not prove closed is checked by ``check_manifold``, so its witnesses
+are unchanged.
 The verdict is memoized on the complex per prime, and a manifold with
 boundary keeps there the boundary it proved closed, with its component
 count (folded, or the reachability classes of ``graphs._reach`` over the
@@ -58,10 +60,10 @@ from dataclasses import dataclass
 
 from . import complexes as cx
 from . import graphs as graphs_mod
-from .complexes import Complex
+from .complexes import Complex, _join_factors
 from .errors import InvalidParameterError
-from .homology import (BettiVector, _from_poly, _join_factors, _poly, _prime_of, _times,
-                       betti_for_facets, betti_reduced)
+from .homology import (BettiVector, _from_poly, _poly, _prime_of, _times, betti_for_facets,
+                       betti_reduced)
 
 STATUS_NOT_PURE = "NotPure"
 STATUS_NOT_MANIFOLD = "NotManifold"
@@ -82,10 +84,51 @@ class ManifoldVerdict:
         return self.status in (STATUS_CLOSED, STATUS_WITH_BOUNDARY)
 
 
-@dataclass(frozen=True)
 class BoundaryComplex:
-    complex: Complex
-    component_count: int
+    """The boundary ``complex`` of a homology manifold, spanned by its
+    ridges in exactly one facet, and its ``component_count``.
+
+    A join's boundary, proved closed and counted from its factors, is
+    spanned only when ``complex`` is first read.  Equal when both fields
+    are; immutable."""
+
+    __slots__ = ("_complex", "_manifold", "_count")
+
+    def __init__(self, complex: Complex, component_count: int):
+        self._complex = complex
+        self._manifold = None
+        self._count = component_count
+
+    @classmethod
+    def _unspanned(cls, c: Complex, component_count: int) -> BoundaryComplex:
+        """The boundary of the manifold c, spanned on first read.  It keeps
+        a copy of c without c's cache, so c's cache, where the verdict keeps
+        it, holds no cycle back to c."""
+        bd = cls(None, component_count)
+        bd._manifold = Complex(c.labels, c.facet_masks)
+        return bd
+
+    @property
+    def complex(self) -> Complex:
+        if self._complex is None:
+            self._complex = _one_facet_ridges(self._manifold)
+            self._manifold = None
+        return self._complex
+
+    @property
+    def component_count(self) -> int:
+        return self._count
+
+    def __eq__(self, other):
+        if not isinstance(other, BoundaryComplex):
+            return NotImplemented
+        return self._count == other._count and self.complex == other.complex
+
+    def __hash__(self):
+        return hash((self.complex, self._count))
+
+    def __repr__(self):
+        return f"BoundaryComplex(complex={self.complex!r}, component_count={self._count!r})"
 
 
 @dataclass(frozen=True)
@@ -175,7 +218,7 @@ def _shape_summary(rec, shapes, p):
     * non_ball: the least size of a σ whose link is not acyclic, at most
       the facet size, as a facet's link {∅} is a sphere.
 
-    Memoized on the record.  A shape that ``homology._join_factors`` splits
+    Memoized on the record.  A shape that ``complexes._join_factors`` splits
     is folded from the records of the re-indexed factors it returns, each
     classified as a link, and builds no vertex link.  Any other is read off
     its vertex links: every nonempty face is a vertex i plus a face τ of
@@ -420,15 +463,16 @@ def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
         # the ball faces are closed under subfaces (the lemma of
         # _shape_summary) and their maximal ones are the ridges in exactly
         # one facet
-        bd = _span(c, [r for r, n in cx._ridge_cofacets(c.facet_masks).items() if n == 1])
         factors = _join_factors(rec[2])
         poly = None if factors is None else _fold_boundary(factors, pp, shapes)
         if poly is not None:
             # a join whose boundary the rule of _fold_boundary proves
-            # closed: its Betti numbers are folded, its components β̃_0 + 1
+            # closed: its Betti numbers are folded, its components β̃_0 + 1,
+            # and nothing here reads the complex itself
             c._cache[("boundary_betti", pp)] = _from_poly(poly, pp, d - 1)
-            c._cache[("boundary", pp)] = BoundaryComplex(bd, poly[1] + 1)
+            c._cache[("boundary", pp)] = BoundaryComplex._unspanned(c, poly[1] + 1)
             return ManifoldVerdict(STATUS_WITH_BOUNDARY, d, pp)
+        bd = _one_facet_ridges(c)
         sub = check_manifold(bd, pp)
         if sub.status == STATUS_CLOSED:
             near = cx._near(bd.facet_masks, bd.vertex_count)
@@ -454,13 +498,19 @@ def _span(c: Complex, facet_masks) -> Complex:
     return Complex(c.labels_of(used), masks)
 
 
+def _one_facet_ridges(c: Complex) -> Complex:
+    """The span of c's ridges in exactly one facet; c has at least one."""
+    return _span(c, [r for r, n in cx._ridge_cofacets(c.facet_masks).items() if n == 1])
+
+
 def boundary_complex(c: Complex, p) -> BoundaryComplex:
     """The boundary of a homology manifold: the subcomplex spanned by its
     ridges in exactly one facet, which are its maximal faces with ball
     links, and the number of its components.
 
-    The verdict at p built the boundary and kept it on the complex; a
-    closed manifold's boundary is {∅} with zero components.  Raises when
+    The verdict at p kept the boundary on the complex, a folded join's
+    unspanned until its ``complex`` is read; a closed manifold's boundary
+    is {∅} with zero components.  Raises when
     the verdict at p is not a manifold.
     """
     pp = _prime_of(p)

@@ -48,6 +48,7 @@ budget; nothing is claimed about larger graphs.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import random
@@ -274,7 +275,11 @@ def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
                     inv = _canonical_child(parent, u, v)
                     if inv is None:
                         continue
-                    child = (gr.Graph(n + (v == n), g.edges + ((u, v),)), child_nu)
+                    # (u, v) is a new pair in range: only its place in the
+                    # sorted edges is to be found
+                    at = bisect.bisect(g.edges, (u, v))
+                    edges = g.edges[:at] + ((u, v),) + g.edges[at:]
+                    child = (gr.Graph._trusted(n + (v == n), edges), child_nu)
                     if inv not in shared:
                         first = classes.pop((inv, b""), None)
                         if first is None:

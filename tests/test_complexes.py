@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from matchtop import complexes as cx
 from matchtop import graphs as gr
+from matchtop import verify
 from matchtop.errors import (
     BadDimensionError,
     BadSubsetError,
@@ -136,6 +138,50 @@ def test_union_complex_equals_join():
         direct = cx.matching_complex(gr.disjoint_union([g1, g2]))
         joined = cx.join(cx.matching_complex(g1), cx.matching_complex(g2))
         assert direct == joined
+
+
+@st.composite
+def _disjoint_unions(draw):
+    """A disjoint union of 2-4 random graphs, edgeless and one-edge ones
+    included, its vertices permuted so that the parts' labels interleave."""
+    parts = []
+    for _ in range(draw(st.integers(2, 4))):
+        n = draw(st.integers(1, 5))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=5)) if pairs else []
+        parts.append(gr.Graph(n, edges))
+    g = gr.disjoint_union(parts)
+    return gr.relabel(g, draw(st.permutations(range(g.vertex_count))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_disjoint_unions())
+@example(gr.disjoint_union([gr.path(2), gr.path(2)]))
+@example(gr.Graph(7, [(0, 6), (1, 5), (1, 3), (2, 4)]))
+@example(gr.Graph(4, [(1, 2)]))
+def test_graph_born_joins_match_the_walk(g):
+    # the facets built per component are the whole graph's maximal
+    # matchings, and the split recorded with them is the walk's
+    M = cx.matching_complex(g)
+    assert M.facet_masks == tuple(sorted(gr._maximal_matching_masks(g)))
+    walked = cx._split(M.facet_masks)
+    parts = len(gr.connected_components(g)[0])
+    if parts > 1:
+        assert cx._splits[M.facet_masks] == walked
+        assert len(walked) == parts
+    else:
+        assert walked is None
+    assert cx._join_factors(M.facet_masks) == walked
+
+
+def test_a_connected_graph_gives_no_join():
+    # the lemma of _join_factors: L(G) is connected, so the walk finds one
+    # component and no split
+    levels = verify.connected_graph_classes(7, 8)
+    assert sum(map(len, levels[2:])) > 100
+    for level in levels[2:]:
+        for g in level:
+            assert cx._split(cx.matching_complex(g).facet_masks) is None
 
 
 def test_join_dimension_adds():

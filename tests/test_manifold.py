@@ -366,16 +366,52 @@ def test_join_link_build_counts_pinned(monkeypatch):
 
 def test_one_join_split_per_facet_set_pinned(monkeypatch):
     # the ranks and the shape summaries read one memoized split: from cold
-    # caches no facet set is split twice.  complexes._near runs once per
-    # split, in homology._join_factors alone
-    split = []
-    real = hm._near
-    monkeypatch.setattr(hm, "_near", lambda facets, n: split.append(tuple(facets)) or real(facets, n))
+    # caches no facet set is walked twice, and a disconnected graph's
+    # complex is never walked once built, as matching_complex records its
+    # split from the graph's components.  The walks left are link shapes
+    # and the components' own complexes; three link shapes are the facets
+    # of a later case's join, walked before that case builds it
+    walked = []
+    real = cx._split
+    monkeypatch.setattr(cx, "_split", lambda facets: walked.append(facets) or real(facets))
     matchtop.clear_caches()
+    born = set()
     for g, _ in _join_arithmetic_cases(face_cap=400):
         M = cx.matching_complex(g)
+        if len(gr.connected_components(g)[0]) > 1:
+            born.add(M.facet_masks)
+            assert M.facet_masks in cx._splits
+        before = len(walked)
         mf.classify(M, mf.check_manifold(M, 2))
-    assert len(split) == len(set(split)) == 120
+        assert not born & set(walked[before:])
+    assert len(walked) == len(set(walked)) == 22
+    assert len(born) == 101
+
+
+def test_a_folded_boundary_is_spanned_only_when_read(monkeypatch):
+    # criterion 6 on the small joins: the verdict and classify take a
+    # folded join's boundary count and Betti numbers from its factors and
+    # span its complex only when .complex is first read, from the ridges in
+    # exactly one facet
+    spanned = []
+    real = mf._span
+    monkeypatch.setattr(mf, "_span", lambda c, masks: spanned.append(c.facet_masks) or real(c, masks))
+    matchtop.clear_caches()
+    folded = []
+    for g, _ in _join_arithmetic_cases(face_cap=400):
+        M = cx.matching_complex(g)
+        verdict = mf.check_manifold(M, 2)
+        mf.classify(M, verdict)
+        if verdict.status == mf.STATUS_WITH_BOUNDARY and cx._join_factors(M.facet_masks):
+            folded.append((M, mf.boundary_complex(M, 2)))
+    assert len(folded) >= 40
+    assert not {M.facet_masks for M, _ in folded} & set(spanned)
+    for M, bd in folded:
+        ridges = [r for r, n in cx._ridge_cofacets(M.facet_masks).items() if n == 1]
+        assert bd.complex == real(M, ridges)
+        assert bd.complex is mf.boundary_complex(M, 2).complex
+        assert spanned[-1] == M.facet_masks
+        assert bd == mf.BoundaryComplex(real(M, ridges), bd.component_count)
 
 
 def test_no_folded_join_boundary_is_walked(monkeypatch):

@@ -383,6 +383,18 @@ def test_prefilter_matches_dedupe_only_oracle(monkeypatch):
     assert reports == oracle_reports
 
 
+def test_level_graphs_equal_their_checked_builds():
+    # each accepted child is built without the constructor's checks, from
+    # its parent's sorted edges and the new pair
+    levels = verify.connected_graph_classes(11, 10, 3)
+    assert sum(map(len, levels)) > 1000
+    for level in levels:
+        for g in level:
+            checked = gr.Graph(g.vertex_count, reversed(g.edges))
+            assert (g.vertex_count, g.edges, g.adj, g.has_isolated_vertices) == (
+                checked.vertex_count, checked.edges, checked.adj, checked.has_isolated_vertices)
+
+
 @st.composite
 def _connected(draw, max_extra=None):
     n = draw(st.integers(2, 8))
@@ -621,7 +633,7 @@ def test_clear_caches_keeps_reports():
     tables = (catalog._exceptional_graphs, catalog._disconnected_balls,
               catalog._small_basics, catalog._registry)
     caches = _caches_at_import()
-    assert {"homology._splits", "homology._tables", "manifold._shapes"} <= set(caches)
+    assert {"complexes._splits", "homology._tables", "manifold._shapes"} <= set(caches)
     assert all(caches.values()), [name for name, cache in caches.items() if not cache]
     for table in tables:
         assert table.cache_info().currsize > 0
