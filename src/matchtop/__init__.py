@@ -9,7 +9,6 @@ from .complexes import (
     f_vector,
     from_facets,
     has_induced_path6,
-    induced_subcomplex,
     is_connected,
     is_flag,
     is_pure,
@@ -17,7 +16,6 @@ from .complexes import (
     link,
     matching_complex,
     one_skeleton,
-    skeleton,
 )
 from .graphs import (
     Graph,

@@ -32,12 +32,6 @@ class BasicGraphKind:
         return self.kind
 
     @property
-    def note(self) -> str | None:
-        if self.kind == "Spider" and self.legs == 2:
-            return "isomorphic to P5"
-        return None
-
-    @property
     def name(self) -> str:
         """The name in a union's name: Spider(2) is P5, Spider(k) is Spk."""
         if self.kind == "Spider":

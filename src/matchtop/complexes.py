@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from . import graphs as graphs_mod
 from .errors import (
-    BadDimensionError,
     BadSubsetError,
     FaceNotInComplexError,
     TooLargeError,
@@ -529,68 +528,7 @@ def has_induced_path6(c: Complex) -> bool:
 # restrictions
 
 
-def induced_subcomplex(c: Complex, label_subset) -> Complex:
-    """Restriction of c to the given vertex labels."""
-    subset = sorted(set(label_subset))
-    smask = 0
-    for lab in subset:
-        smask |= 1 << c.position(lab)
-    _, masks = _reindex(_maximal(f & smask for f in c.facet_masks), smask)
-    return Complex(subset, masks)
-
-
 def is_pure(c: Complex) -> bool:
     """All facets of equal size (true for {∅}, whose one facet is empty)."""
     sizes = {m.bit_count() for m in c.facet_masks}
     return len(sizes) <= 1
-
-
-def skeleton(c: Complex, k: int) -> Complex:
-    """The k-skeleton: all faces of dimension at most k."""
-    if not 0 <= k <= c.dimension:
-        raise BadDimensionError(f"k={k} outside 0..{c.dimension}")
-    by_size = c.faces_by_size()
-    keep = list(by_size.get(k + 1, ()))
-    for size, masks in by_size.items():
-        if size <= k:
-            keep.extend(masks)
-    if not keep:
-        keep = [0]
-    return Complex(c.labels, _maximal(keep))
-
-
-# ---------------------------------------------------------------------------
-# complex isomorphism via the vertex/facet incidence graph
-
-
-def are_isomorphic(c1: Complex, c2: Complex) -> bool:
-    if c1.is_empty_only() or c2.is_empty_only():
-        return c1.is_empty_only() == c2.is_empty_only()
-    sig1 = (c1.vertex_count, sorted(m.bit_count() for m in c1.facet_masks))
-    sig2 = (c2.vertex_count, sorted(m.bit_count() for m in c2.facet_masks))
-    if sig1 != sig2:
-        return False
-    return _incidence_canon(c1) == _incidence_canon(c2)
-
-
-def _incidence_canon(c: Complex) -> bytes:
-    """A complete isomorphism invariant: the vertex and facet counts, then
-    the colored canonical form of the vertex/facet incidence graph.
-
-    The colors order the labeling but are not encoded in the form's bytes,
-    so the forms of two differently colored graphs can coincide (a star
-    whose leaves are split between two colors gives the same bytes for
-    every split).  Equal forms mean isomorphic colored graphs only when the
-    color class sizes agree, which is why the key starts with them."""
-    n = c.vertex_count
-    nf = len(c.facet_masks)
-    if n + nf > FACE_VERTEX_CAP:
-        raise TooLargeError("complex too large for exact isomorphism testing")
-    pairs = []
-    for j, f in enumerate(c.facet_masks):
-        for p in graphs_mod._bits(f):
-            pairs.append((p, n + j))
-    g = graphs_mod.Graph(n + nf, pairs)
-    colors = [0] * n + [1] * nf
-    return b"%d,%d:" % (n, nf) + graphs_mod._canonical_form(g, n + nf, colors)
-

@@ -53,9 +53,5 @@ class BadSubsetError(MatchtopError):
     """The given labels are not a subset of the complex's vertex labels."""
 
 
-class BadDimensionError(MatchtopError):
-    """A dimension argument is outside the valid range."""
-
-
 class GuardExceededError(MatchtopError):
     """A search budget exceeds the runtime guard and --force was not given."""

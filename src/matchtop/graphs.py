@@ -395,12 +395,13 @@ def is_connected_graph(g: Graph) -> bool:
 # Within that cell it branches on one vertex per twin class.  Two vertices
 # are twins when they have the same neighbors apart from each other (equal
 # open or equal closed neighborhoods).  Swapping two twins is an automorphism
-# that fixes every other vertex; twins in one cell also share their initial
-# color, so the swap maps the partition at the node onto itself and the
-# subtree below one twin onto the subtree below the other, leaf string for
-# leaf string.  Skipping the second subtree therefore leaves the minimum, and
-# the canonical form, unchanged, while stars and complete bipartite graphs no
-# longer cost a factorial number of leaves.
+# that fixes every other vertex.  The search starts from one cell and
+# refinement commutes with automorphisms, so for twins in one cell the swap
+# maps the partition at the node onto itself and the subtree below one twin
+# onto the subtree below the other, leaf string for leaf string.  Skipping
+# the second subtree therefore leaves the minimum, and the canonical form,
+# unchanged, while stars and complete bipartite graphs no longer cost a
+# factorial number of leaves.
 #
 # A leaf (a discrete partition, read as a labeling) is compared as one
 # integer: its upper-triangle bit string, column by column with row 0
@@ -464,19 +465,9 @@ def canonical_form(g: Graph, max_vertices: int = CANONICAL_VERTEX_CAP) -> bytes:
     counts neighbors only in the cells the previous pass split, and each
     leaf (a discrete partition) is compared in full, as one integer.
     """
-    return _canonical_form(g, max_vertices)
-
-
-def _canonical_form(g: Graph, max_vertices: int, colors=None) -> bytes:
-    """:func:`canonical_form`, where ``colors`` optionally assigns an
-    integer color per vertex and only same-colored vertices may then be
-    exchanged.  The colors are not encoded in the bytes; see
-    ``complexes._incidence_canon``, the one caller that passes them."""
     n = g.vertex_count
     if n > max_vertices:
         raise TooLargeError(f"{n} vertices exceeds canonicalization cap {max_vertices}")
-    if colors is not None and len(colors) != n:
-        raise InvalidParameterError(f"{len(colors)} colors given for {n} vertices")
     if n == 0:
         return _g6_header(0)
     adj = g.adj
@@ -485,13 +476,7 @@ def _canonical_form(g: Graph, max_vertices: int, colors=None) -> bytes:
     for u, v in edges:
         nbrs[u].append(v)
         nbrs[v].append(u)
-    if colors is None:
-        cells = [list(range(n))]
-    else:
-        buckets = {}
-        for v, c in enumerate(colors):
-            buckets.setdefault(c, []).append(v)
-        cells = [buckets[c] for c in sorted(buckets)]
+    cells = [list(range(n))]
     cells = _equitable_refinement(nbrs, cells, cells)
     # twin[v]: least vertex with the same open or the same closed neighborhood
     # (a vertex has nontrivial twins of at most one of the two kinds)

@@ -59,6 +59,15 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _checked(p) -> int:
+    """p, when it is an int prime below 2^16; else raises."""
+    if not isinstance(p, int) or not _is_prime(p):
+        raise InvalidParameterError(f"{p} is not prime")
+    if p >= 1 << 16:
+        raise InvalidParameterError("primes must be below 2^16")
+    return p
+
+
 @dataclass(frozen=True)
 class FieldPrime:
     """A prime modulus for homology coefficients."""
@@ -66,16 +75,13 @@ class FieldPrime:
     p: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or not _is_prime(self.p):
-            raise InvalidParameterError(f"{self.p} is not prime")
-        if self.p >= 1 << 16:
-            raise InvalidParameterError("primes must be below 2^16")
+        _checked(self.p)
 
 
 def _prime_of(p) -> int:
     if isinstance(p, FieldPrime):
         return p.p
-    return FieldPrime(p).p
+    return _checked(p)
 
 
 @dataclass(frozen=True)
@@ -288,7 +294,7 @@ def _betti(facet_masks: tuple, p: int, c: Complex | None) -> BettiVector:
     key = (facet_masks, p)
     got = _betti_cache.get(key)
     if got is None:
-        d = max(m.bit_count() for m in facet_masks) - 1
+        d = None  # a join's product has the length of its dimension plus 2
         factors = _join_factors(facet_masks)
         if factors is None:
             core = tuple(_core(facet_masks))
@@ -296,15 +302,16 @@ def _betti(facet_masks: tuple, p: int, c: Complex | None) -> BettiVector:
                 table = c.faces_by_size() if c is not None else _tables.get(core)
                 if table is None:
                     table = _tables[core] = _faces_by_size(core)
-                got = _betti_from_faces(table, p, d)
-            else:  # rank the smaller core as the one factor
+                got = _betti_from_faces(table, p, max(table) - 1)
+            else:  # rank the smaller core, maybe of a lower dimension, as the one factor
+                d = max(m.bit_count() for m in facet_masks) - 1
                 used, norm = _reindex(core)
                 factors = [(used.bit_count(), norm)]
         if got is None:
             poly = [1]
             for k, masks in factors:
                 poly = _times(poly, _poly(betti_for_facets(k, masks, p)))
-            got = _from_poly(poly, p, d)
+            got = _from_poly(poly, p, len(poly) - 2 if d is None else d)
         _betti_cache[key] = got
     return got
 

@@ -325,9 +325,8 @@ def _factor_boundary(k, norm):
     facet, but ``complexes._ridge_cofacets`` does not count it.  Memoized
     for the process in ``_boundaries``."""
     if norm not in _boundaries:
-        ridges = [r for r, n in cx._ridge_cofacets(norm).items() if n == 1]
         _boundaries[norm] = (cx.from_facets((), [()]) if norm == (1,)
-                             else _span(Complex(range(k), norm), ridges) if ridges else None)
+                             else _one_facet_ridges(Complex(range(k), norm)))
     return _boundaries[norm]
 
 
@@ -498,9 +497,12 @@ def _span(c: Complex, facet_masks) -> Complex:
     return Complex(c.labels_of(used), masks)
 
 
-def _one_facet_ridges(c: Complex) -> Complex:
-    """The span of c's ridges in exactly one facet; c has at least one."""
-    return _span(c, [r for r, n in cx._ridge_cofacets(c.facet_masks).items() if n == 1])
+def _one_facet_ridges(c: Complex) -> Complex | None:
+    """The span of c's ridges in exactly one facet; None when there is none.
+    A manifold with a ball and no disagree, as in the verdict and the
+    boundary it keeps, has one."""
+    ridges = [r for r, n in cx._ridge_cofacets(c.facet_masks).items() if n == 1]
+    return _span(c, ridges) if ridges else None
 
 
 def boundary_complex(c: Complex, p) -> BoundaryComplex:

@@ -154,8 +154,8 @@ def brute_canonical(g):
     return (n, best)
 
 
-def oracle_canonical_form(g, colors=None):
-    """The canonical graph6 bytes by the search of ``graphs._canonical_form``
+def oracle_canonical_form(g):
+    """The canonical graph6 bytes by the search of ``graphs.canonical_form``
     as first written: every pass splits each cell by the tuple of its
     vertices' neighbour counts in every cell, and each leaf is compared as a
     list of bits.  The same partitions, twin rule and leaf order, so the
@@ -177,9 +177,7 @@ def oracle_canonical_form(g, colors=None):
                 return new_cells
             cells = new_cells
 
-    if colors is None:
-        colors = [0] * n
-    cells = refine([[v for v in range(n) if colors[v] == c] for c in sorted(set(colors))])
+    cells = refine([list(range(n))])
     twin = []
     for v in range(n):
         twin.append(min(w for w in range(n)

@@ -6,24 +6,16 @@ written."""
 import hashlib
 import itertools
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from matchtop import complexes as cx
 from matchtop import graphs as gr
 from matchtop import verify
-from matchtop.errors import InvalidParameterError
 
 import oracle_utils
 
 # connected classes with m = 1..10 edges and at most 10 vertices
 CONNECTED_CLASS_COUNTS = [1, 1, 3, 5, 12, 30, 79, 227, 710, 2087]
-CANONICAL_DIGEST = "b953ce0013c8b45390382dd42385f0af2784d9ff8c0a49f52db65e00f172d3c3"
-
-
-def _colored(g, colors):
-    """The colored canonical form that ``complexes._incidence_canon`` keys on."""
-    return gr._canonical_form(g, gr.CANONICAL_VERTEX_CAP, colors)
+CANONICAL_DIGEST = "e7b19973e5e93cbbae267a2dede9e51ef249c75620ec771f00e29289ac27d779"
 
 
 def test_connected_class_counts_and_canonical_bytes_pinned():
@@ -34,13 +26,6 @@ def test_connected_class_counts_and_canonical_bytes_pinned():
     for level in forms:
         for form in level:
             h.update(form + b"\n")
-    # colour the canonical labelling, not the representative the enumeration
-    # happens to keep, so the digest depends on the classes alone
-    for level in forms:
-        for form in level:
-            g = gr.from_graph6(form.decode())
-            colors = [v % 2 for v in range(g.vertex_count)]
-            h.update(_colored(g, colors) + b"\n")
     assert h.hexdigest() == CANONICAL_DIGEST
 
 
@@ -108,60 +93,41 @@ _C10_1_3 = gr.Graph(10, [(i, (i + s) % 10) for i in range(10) for s in (1, 3)])
 
 
 @st.composite
-def _graph_perm_colors(draw):
+def _graph_perm(draw):
     g = draw(twin_rich_graphs(10))
-    n = g.vertex_count
-    perm = draw(st.permutations(range(n)))
-    colors = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    return g, perm, colors
+    return g, draw(st.permutations(range(g.vertex_count)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(_graph_perm_colors())
-@example((gr.disjoint_union([gr.cycle(3), gr.cycle(4)]), list(range(6, -1, -1)), [0] * 7))
-@example((gr.disjoint_union([gr.star(3), gr.cycle(4)]), list(range(7, -1, -1)), [0] * 8))
+@given(_graph_perm())
+@example((gr.disjoint_union([gr.cycle(3), gr.cycle(4)]), list(range(6, -1, -1))))
+@example((gr.disjoint_union([gr.star(3), gr.cycle(4)]), list(range(7, -1, -1))))
 # twin-free and vertex-transitive: refinement splits nothing, so these keep
 # the most leaves
-@example((_PETERSEN, list(range(9, -1, -1)), [0] * 10))
-@example((gr.disjoint_union([gr.cycle(5), gr.cycle(5)]), list(range(9, -1, -1)), [0] * 10))
-@example((_CUBE, list(range(7, -1, -1)), [0] * 8))
-@example((_C10_1_3, list(range(9, -1, -1)), [0] * 10))
+@example((_PETERSEN, list(range(9, -1, -1))))
+@example((gr.disjoint_union([gr.cycle(5), gr.cycle(5)]), list(range(9, -1, -1))))
+@example((_CUBE, list(range(7, -1, -1))))
+@example((_C10_1_3, list(range(9, -1, -1))))
 def test_canonical_form_relabeling_invariance_twin_rich(case):
-    g, perm, colors = case
-    h = gr.relabel(g, perm)
-    assert gr.canonical_form(h) == gr.canonical_form(g)
-    moved = [0] * g.vertex_count
-    for v, c in enumerate(colors):
-        moved[perm[v]] = c
-    assert _colored(h, moved) == _colored(g, colors)
-
-
-@st.composite
-def _graph_maybe_colored(draw):
-    g = draw(twin_rich_graphs(12))
-    n = g.vertex_count
-    colors = draw(st.none() | st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    return g, colors
+    g, perm = case
+    assert gr.canonical_form(gr.relabel(g, perm)) == gr.canonical_form(g)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_graph_maybe_colored())
+@given(twin_rich_graphs(12))
 # twins: the leaves of a star, both sides of K33
-@example((gr.star(6), None))
-@example((gr.complete_bipartite(3, 3), None))
-@example((gr.complete_bipartite(3, 3), [0, 1, 1, 0, 0, 1]))
+@example(gr.star(6))
+@example(gr.complete_bipartite(3, 3))
 # a symmetric union that twins do not prune
-@example((gr.disjoint_union([gr.path(3)] * 3), None))
+@example(gr.disjoint_union([gr.path(3)] * 3))
 # many refinement passes
-@example((gr.path(10), None))
-@example((gr.path(10), [1] * 5 + [0] * 5))
+@example(gr.path(10))
 # regular: refinement splits nothing
-@example((_PETERSEN, None))
-def test_canonical_form_matches_the_every_cell_oracle(case):
+@example(_PETERSEN)
+def test_canonical_form_matches_the_every_cell_oracle(g):
     # the packed counts against fresh cells and the integer leaves give the
     # bytes of tuples against every cell and list-of-bits leaves
-    g, colors = case
-    assert gr._canonical_form(g, 12, colors) == oracle_utils.oracle_canonical_form(g, colors)
+    assert gr.canonical_form(g, 12) == oracle_utils.oracle_canonical_form(g)
 
 
 @settings(max_examples=150, deadline=None)
@@ -170,23 +136,6 @@ def test_canonical_form_separates_twin_rich(pair):
     g1, g2 = pair
     same = gr.canonical_form(g1) == gr.canonical_form(g2)
     assert same == (oracle_utils.brute_canonical(g1) == oracle_utils.brute_canonical(g2))
-
-
-def test_differently_colored_twins_not_merged():
-    # The leaves of a star are twins.  Color a of them 0, the center 1 and
-    # the other leaves 2: colors order the labeling, so the center lands at
-    # position a, and the forms must differ exactly when a does.
-    for k in range(2, 10):
-        g = gr.star(k)
-        forms = set()
-        for a in range(k + 1):
-            colors = [1] + [0] * a + [2] * (k - a)
-            form = _colored(g, colors)
-            forms.add(form)
-            # which leaves carry which color does not matter
-            shuffled = [1] + [2] * (k - a) + [0] * a
-            assert _colored(g, shuffled) == form
-        assert len(forms) == k + 1
 
 
 # ---------------------------------------------------------------------------
@@ -211,37 +160,3 @@ def test_pruned_levels_are_the_unpruned_levels_within_the_cap():
 @given(_random_graph(8))
 def test_matching_number_is_the_largest_matching(g):
     assert gr.matching_number(g) == max(len(m) for m in gr.enumerate_matchings(g))
-
-
-# ---------------------------------------------------------------------------
-# colored forms
-
-
-def test_color_list_of_the_wrong_length_rejected():
-    # too few colors would label only part of C4, too many would index
-    # past its vertices
-    c4 = gr.cycle(4)
-    for count in (3, 5):
-        with pytest.raises(InvalidParameterError):
-            _colored(c4, [0] * count)
-    assert _colored(c4, [0] * 4) == gr.canonical_form(c4)
-
-
-def test_colored_forms_collide_but_incidence_keys_carry_the_counts():
-    # A star on k leaves, center last.  Color 0 on the first a leaves and
-    # color 1 on the other leaves and the center, the shape of the coloring
-    # complexes._incidence_canon uses with a vertices and k + 1 - a facets:
-    # the bytes are the same for every a.
-    k = 4
-    g = gr.Graph(k + 1, [(v, k) for v in range(k)])
-    forms = {_colored(g, [0] * a + [1] * (k + 1 - a))
-             for a in range(1, k + 1)}
-    assert len(forms) == 1
-    # The star with a = k is the incidence graph of a (k-1)-simplex.  Its
-    # key carries the counts, so no input with other counts can share it.
-    simplex = cx.from_facets(None, [tuple(range(k))])
-    key = cx._incidence_canon(simplex)
-    assert key == b"%d,1:" % k + forms.pop()
-    other = cx.from_facets(None, [(0, 1), (1, 2)])  # 3 vertices, 2 facets
-    assert cx._incidence_canon(other).startswith(b"3,2:")
-    assert cx._incidence_canon(other) != key

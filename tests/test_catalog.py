@@ -36,7 +36,7 @@ def test_spider_legs_agree_with_canonical_forms():
 def test_spider2_reported_as_spider_with_note():
     kind = catalog.recognize_basic(gr.path(5))
     assert str(kind) == "Spider(2)"
-    assert kind.note == "isomorphic to P5"
+    assert kind.name == "P5"
 
 
 def test_recognize_requires_connected_no_isolated():

@@ -10,6 +10,7 @@ from matchtop import catalog
 from matchtop import complexes as cx
 from matchtop import graphs as gr
 from matchtop import homology as hm
+from matchtop import manifold as mf
 from matchtop.errors import InvalidParameterError
 
 import oracle_utils
@@ -30,6 +31,14 @@ def test_field_prime_validation():
         hm.FieldPrime(1)
     with pytest.raises(InvalidParameterError):
         hm.FieldPrime(65537)  # prime, but over the 2^16 cap
+    # an int prime is checked on every call, not remembered, so a valid 2
+    # lets no 2.0 or True through after it
+    point = cx.from_facets(None, [(0,)])
+    assert hm.betti_reduced(point, 2).is_ball()
+    for bad in (2.0, True, "2", 1, 4, 65537):
+        for check in (mf.check_manifold, hm.betti_reduced):
+            with pytest.raises(InvalidParameterError):
+                check(point, bad)
 
 
 def _boundary_columns(c, size, p):

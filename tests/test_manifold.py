@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -937,6 +938,17 @@ def test_folded_join_boundaries_match_the_explicit_path(factors):
     assert folded == explicit
 
 
+def _restriction(c, subset):
+    """The subcomplex of c induced on the labels ``subset``."""
+    return cx.from_facets(subset, [[lab for lab in f if lab in subset] for f in c.facets()])
+
+
+def _skeleton(c, k):
+    """The faces of c of dimension at most k."""
+    return cx.from_facets(c.labels, [face for f in c.facets()
+                                     for face in itertools.combinations(f, min(len(f), k + 1))])
+
+
 def test_witness_faces_are_least_by_position_and_by_labels():
     # the descent picks the least face by positions; every constructor
     # keeps labels in position order, so that is the least by labels
@@ -950,8 +962,8 @@ def test_witness_faces_are_least_by_position_and_by_labels():
         complexes += [c, cx.from_facets(None, facets)]
         face = c.labels_of(c.facet_masks[0])
         complexes += [cx.link(c, face[:1]), cx.link(c, face), cx.join(c, complexes[-1]),
-                      cx.induced_subcomplex(c, rng.sample(labels, len(labels) // 2 + 1)),
-                      cx.skeleton(c, rng.randint(0, c.dimension)),
+                      _restriction(c, rng.sample(labels, len(labels) // 2 + 1)),
+                      _skeleton(c, rng.randint(0, c.dimension)),
                       mf._span(c, rng.sample(c.facet_masks, 1 + len(c.facet_masks) // 2))]
     for name in catalog.catalog_names():
         complexes.append(cx.matching_complex(catalog.named_graph(name)))
