@@ -119,10 +119,27 @@ class Graph:
 
 
 def _bits(mask: int):
+    """The set bits of ``mask`` in increasing order: a tuple from a table
+    for masks below 2^11 (every vertex mask of a graph within the
+    canonical-form cap, and the pendant slot), else a generator."""
+    if mask < 2048:
+        return _SMALL_BITS[mask]
+    return _bit_walk(mask)
+
+
+def _bit_walk(mask: int):
     while mask:
         b = mask & -mask
         yield b.bit_length() - 1
         mask ^= b
+
+
+# entry m lists the bits of m: the masks with top bit b are those below
+# 2^b with b added
+_SMALL_BITS = [()]
+for _b in range(11):
+    _SMALL_BITS += [t + (_b,) for t in _SMALL_BITS]
+del _b
 
 
 def _reach(adj, frontier: int, seen: int = 0) -> int:
@@ -407,6 +424,13 @@ def is_connected_graph(g: Graph) -> bool:
 # integer: its upper-triangle bit string, column by column with row 0
 # highest.  The strings all have n(n-1)/2 bits, so the least integer is the
 # least string; only the winner is packed to graph6.
+#
+# One traversal, ``_leaves``, serves two readers.  ``canonical_form`` keeps
+# the least leaf.  ``_automorphisms`` compares every leaf with the first:
+# two leaves with equal strings differ by an automorphism, and these with
+# the twin swaps generate the whole group.  The twin classes, ``_twins``,
+# are also read by the search generator in ``verify``, which makes one
+# addition per orbit of a parent's automorphisms.
 
 
 def _equitable_refinement(nbrs, cells, fresh):
@@ -455,6 +479,57 @@ def _g6_header(n: int) -> bytes:
     raise FormatError(f"graph too large for graph6: {n} vertices")
 
 
+def _twins(adj) -> list:
+    """Per vertex, the least vertex with the same open or the same closed
+    neighborhood (a vertex has nontrivial twins of at most one of the two
+    kinds), for the adjacency masks ``adj``."""
+    open_rep, closed_rep = {}, {}
+    return [min(open_rep.setdefault(a, v), closed_rep.setdefault(a | 1 << v, v))
+            for v, a in enumerate(adj)]
+
+
+def _leaves(g: Graph, twin):
+    """The leaves of the canonical search of g (at least one vertex), in
+    search order, each as ``(string, pos)``: its upper-triangle bit string
+    as an integer and pos[v] the position of vertex v.  ``pos`` is one
+    list, overwritten at the next leaf."""
+    n = g.vertex_count
+    edges = g.edges
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    # the bit of the pair at positions i < j sits at top[j] - i
+    length = n * (n - 1) // 2
+    top = [length - 1 - j * (j - 1) // 2 for j in range(n)]
+    pos = [0] * n
+
+    def descend(cells):
+        for split_at, cell in enumerate(cells):
+            if len(cell) > 1:
+                break
+        else:
+            for i, cell in enumerate(cells):
+                pos[cell[0]] = i
+            leaf = 0
+            for u, v in edges:
+                i, j = pos[u], pos[v]
+                leaf |= 1 << (top[j] - i if i < j else top[i] - j)
+            yield leaf, pos
+            return
+        branched = set()
+        for v in cell:
+            if twin[v] in branched:
+                continue  # same subtree as the twin already branched on
+            branched.add(twin[v])
+            rest = [w for w in cell if w != v]
+            yield from descend(_equitable_refinement(
+                nbrs, cells[:split_at] + [[v], rest] + cells[split_at + 1:], [[v], rest]))
+
+    cells = [list(range(n))]
+    return descend(_equitable_refinement(nbrs, cells, cells))
+
+
 def canonical_form(g: Graph, max_vertices: int = CANONICAL_VERTEX_CAP) -> bytes:
     """Canonical byte string, equal exactly for isomorphic graphs.
 
@@ -470,52 +545,42 @@ def canonical_form(g: Graph, max_vertices: int = CANONICAL_VERTEX_CAP) -> bytes:
         raise TooLargeError(f"{n} vertices exceeds canonicalization cap {max_vertices}")
     if n == 0:
         return _g6_header(0)
-    adj = g.adj
-    edges = g.edges
-    nbrs = [[] for _ in range(n)]
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    cells = [list(range(n))]
-    cells = _equitable_refinement(nbrs, cells, cells)
-    # twin[v]: least vertex with the same open or the same closed neighborhood
-    # (a vertex has nontrivial twins of at most one of the two kinds)
-    open_rep, closed_rep = {}, {}
-    twin = [min(open_rep.setdefault(adj[v], v),
-                closed_rep.setdefault(adj[v] | 1 << v, v)) for v in range(n)]
-    # the bit of the pair at positions i < j sits at top[j] - i
-    length = n * (n - 1) // 2
-    top = [length - 1 - j * (j - 1) // 2 for j in range(n)]
-    pos = [0] * n
-    best = 1 << length  # above every leaf
-
-    def descend(cells):
-        nonlocal best
-        for split_at, cell in enumerate(cells):
-            if len(cell) > 1:
-                break
-        else:
-            for i, cell in enumerate(cells):
-                pos[cell[0]] = i
-            leaf = 0
-            for u, v in edges:
-                i, j = pos[u], pos[v]
-                leaf |= 1 << (top[j] - i if i < j else top[i] - j)
-            if leaf < best:
-                best = leaf
-            return
-        branched = set()
-        for v in cell:
-            if twin[v] in branched:
-                continue  # same subtree as the twin already branched on
-            branched.add(twin[v])
-            rest = [w for w in cell if w != v]
-            descend(_equitable_refinement(
-                nbrs, cells[:split_at] + [[v], rest] + cells[split_at + 1:], [[v], rest]))
-
-    descend(cells)
+    best = min(leaf for leaf, _ in _leaves(g, _twins(g.adj)))
     # the leading 1 keeps the leading zeros of the string
-    return _g6_header(n) + _pack6(bin(best | 1 << length)[3:])
+    return _g6_header(n) + _pack6(bin(best | 1 << n * (n - 1) // 2)[3:])
+
+
+def _automorphisms(g: Graph) -> list:
+    """Generators of the automorphism group of g, each a list perm that
+    sends vertex v to perm[v]: the transposition of each vertex with the
+    least of its twins, and for each explored leaf of the canonical search
+    whose bit string equals the first leaf's, the permutation that carries
+    the labeling of that leaf to the first one's.
+
+    They generate every automorphism.  An automorphism a maps the search
+    tree without twin pruning onto itself, so it carries the first leaf to
+    a leaf of that tree with the same string.  That leaf is the image of an
+    explored leaf under twin swaps (the subtree below a skipped twin is the
+    swap of the subtree below the twin branched on), and that explored leaf
+    has the first leaf's string too.  So a is a product of twin swaps and a
+    permutation found here.
+    """
+    n = g.vertex_count
+    twin = _twins(g.adj)
+    gens = []
+    for v, t in enumerate(twin):
+        if t != v:
+            perm = list(range(n))
+            perm[v], perm[t] = t, v
+            gens.append(perm)
+    if n:
+        leaves = _leaves(g, twin)
+        first, pos = next(leaves)
+        at = [0] * n  # the vertex at each position of the first leaf
+        for v, i in enumerate(pos):
+            at[i] = v
+        gens.extend([at[i] for i in pos] for leaf, pos in leaves if leaf == first)
+    return gens
 
 
 def canonical_graph6(g: Graph, max_vertices: int = CANONICAL_VERTEX_CAP) -> str:

@@ -1,9 +1,10 @@
 """Exhaustive, isomorphism-free searches over small graphs.
 
 Connected isomorphism classes are generated level by level on edge count
-(adding an edge between existing vertices or a pendant edge, with a
-canonical-deletion prefilter, then a canonical-form dedupe among the
-children that share an invariant); arbitrary graphs are nondecreasing
+(adding an edge between existing vertices or a pendant edge, one addition
+per orbit of the parent's automorphisms, with a canonical-deletion
+prefilter, then a canonical-form dedupe among the children of different
+parents that share an invariant); arbitrary graphs are nondecreasing
 multisets of connected classes, which need no further deduplication.
 Search targets apply a cheap combinatorial prefilter before the full
 homology checks, and reports compare the hit set against the catalog's
@@ -240,6 +241,22 @@ def _canonical_child(p: _Parent, u: int, v: int) -> int | None:
     return inv
 
 
+def _orbit(gens, u: int, v: int) -> set:
+    """The orbit of the pair (u, v), u < v, under the group the vertex
+    permutations ``gens`` generate, as pairs with the lesser vertex first."""
+    orbit = {(u, v)}
+    todo = [(u, v)]
+    while todo:
+        u, v = todo.pop()
+        for perm in gens:
+            a, b = perm[u], perm[v]
+            pair = (a, b) if a < b else (b, a)
+            if pair not in orbit:
+                orbit.add(pair)
+                todo.append(pair)
+    return orbit
+
+
 def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
     lv = _LEVELS.get((max_vertices, cap))
     if lv is None:
@@ -260,6 +277,17 @@ def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
             # matching misses both u and v
             free = _free_pairs(g, nu)
             parent = _Parent(g)
+            # one addition per orbit of the twin swaps: u first in its twin
+            # class, v first in its own or second in u's; the slot n is a
+            # class of its own
+            twin = gr._twins(g.adj) + [n]
+            second = {}
+            for x, t in enumerate(twin):
+                if t != x:
+                    second.setdefault(t, x)
+            # invariant -> the pairs of this parent's children filed under it
+            mine = {}
+            gens = None
             for u in range(n):
                 au = g.adj[u]
                 fu = free[u]
@@ -272,9 +300,20 @@ def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
                             pruned += 1
                             continue
                         child_nu += 1
+                    if twin[u] != u or twin[v] != v and second.get(u) != v:
+                        continue
                     inv = _canonical_child(parent, u, v)
                     if inv is None:
                         continue
+                    # a later child of this parent in the bucket of an earlier
+                    # one repeats it when a parent automorphism maps the pairs
+                    earlier = mine.setdefault(inv, [])
+                    if earlier:
+                        if gens is None:
+                            gens = [perm + [n] for perm in gr._automorphisms(g)]
+                        if gens and not _orbit(gens, u, v).isdisjoint(earlier):
+                            continue
+                    earlier.append((u, v))
                     # (u, v) is a new pair in range: only its place in the
                     # sorted edges is to be found
                     at = bisect.bisect(g.edges, (u, v))
@@ -317,8 +356,9 @@ def connected_graph_classes(max_edges: int, max_vertices: int,
     when the child has no pendant edge) and its isomorphism-invariant key
     ranks highest among the child's removable edges (McKay,
     "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Most
-    children of a class are rejected there, and the canonical-form dedupe
-    removes the rest of the repeats.  The prefilter loses no class: a class
+    children of a class are rejected there, the orbit rule below drops
+    most repeats among one parent's children, and the canonical-form
+    dedupe removes the rest.  The prefilter loses no class: a class
     C with m+1 edges has a removable edge e of top key, and deleting e (with
     its leaf, for a pendant edge) leaves a connected graph with m edges
     within the cap and the vertex budget, isomorphic to some parent P of
@@ -339,13 +379,32 @@ def connected_graph_classes(max_edges: int, max_vertices: int,
     from a without ab) holds both of u and v or neither; otherwise (u, v)
     closes a cycle through it.
 
+    Additions in one orbit of the parent's automorphism group give
+    isomorphic children, and only the first of them, in the order u, then
+    v, is kept; nothing else changes, since the cap, the canonical-deletion
+    test and the invariant are invariants of the orbit.  Most of them go
+    for free: swapping two twins (vertices with equal open or equal closed
+    neighbourhoods) is an automorphism, so only additions (u, v) with u the
+    first of its twin class and v the first of its own or the second of
+    u's are made, each the least pair of its orbit under the twin swaps.
+    The slot n is a class of its own.  A later child of the same parent
+    that joins the bucket of an earlier one is dropped when its pair lies
+    in the orbit of the earlier child's pair under the parent's
+    automorphisms (``graphs._automorphisms``, computed at most once per
+    parent, and only for such a parent).
+
     A child that passes is filed under its invariant, the sorted multiset
     of its vertex keys packed into one integer.  Only when a
     second child joins a bucket are the bucket's children canonicalized and
     deduplicated by form, the first child of each form kept.  This is
     exact: isomorphic children have equal invariants, so every repeat of a
     child lands in the child's own bucket, and a child still alone when
-    the level ends is a class of its own that needs no canonical form.  A
+    the level ends is a class of its own that needs no canonical form.
+    The orbit pruning drops only repeats that come after the first child
+    of their class, so the same children are kept; a bucket that keeps a
+    single class then sorts under the empty form instead of that class's
+    form, but it is the only key of its invariant, so the order is the
+    same.  A
     level is ordered by (invariant, form), the form empty for a lone child.
     Under a cap, a bucket may lose its children above the cap and keep a
     lone child without a form; nothing else within the cap shares that

@@ -346,3 +346,12 @@ def oracle_verdict(facets, p):
     if sub[2] is None:
         return failed_at(least(balls))
     return ("NotManifold", d) + sub[2:]
+
+
+def oracle_automorphisms(n, edges):
+    """Every automorphism of the graph on n vertices with the given edges,
+    as a tuple perm sending vertex v to perm[v], by trying all n!
+    permutations."""
+    edge_set = {frozenset(e) for e in edges}
+    return [perm for perm in itertools.permutations(range(n))
+            if all(frozenset((perm[u], perm[v])) in edge_set for u, v in edges)]

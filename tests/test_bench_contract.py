@@ -37,7 +37,9 @@ def test_traced_joins_and_search_run_and_leave_spans():
             M = cx.matching_complex(gr.disjoint_union(graphs))
             mf.classify(M, mf.check_manifold(M, 2), (2, 3))
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["verify", "--target", "closed-2-manifold", "--max-edges", "5"])
+            # at 6 edges the hit 3P3 is keyed by its canonical form; at 5 the
+            # levels and the search need none
+            code = cli.main(["verify", "--target", "closed-2-manifold", "--max-edges", "6"])
         metrics = tracer.layer_metrics()
     finally:
         tracer.uninstall()

@@ -145,6 +145,26 @@ def test_canonical_form_separates_twin_rich(pair):
 PRUNED_CLASS_COUNTS = [1, 1, 3, 5, 12, 30, 74, 173, 364, 595]
 
 
+@settings(max_examples=200, deadline=None)
+@given(twin_rich_graphs(7))
+@example(gr.complete_bipartite(3, 3))
+@example(gr.star(6))
+@example(gr.cycle(6))  # no twins: every generator comes from a leaf
+@example(gr.path(5))
+def test_automorphisms_generate_the_brute_force_group(g):
+    n = g.vertex_count
+    gens = gr._automorphisms(g)
+    edges = {frozenset(e) for e in g.edges}
+    for perm in gens:
+        assert sorted(perm) == list(range(n))
+        assert {frozenset((perm[u], perm[v])) for u, v in g.edges} == edges
+    group = oracle_utils.oracle_automorphisms(n, g.edges)
+    # the orbits on vertex pairs are those of the whole group
+    for u, v in itertools.combinations(range(n), 2):
+        want = {(min(p[u], p[v]), max(p[u], p[v])) for p in group}
+        assert verify._orbit(gens, u, v) == want, (u, v)
+
+
 def test_pruned_levels_are_the_unpruned_levels_within_the_cap():
     full = verify.connected_graph_classes(10, 10)
     for cap in (2, 3):

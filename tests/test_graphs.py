@@ -61,6 +61,16 @@ def test_disjoint_union():
     assert u.vertex_count == 7 and len(u.edges) == 6
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 20).flatmap(lambda k: st.integers(0, (1 << k) - 1)))
+@example(0)
+@example((1 << 11) - 1)  # the last mask of the table
+@example(1 << 11)  # the first one walked
+def test_bits_table_matches_the_walk(mask):
+    want = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    assert list(gr._bits(mask)) == list(gr._bit_walk(mask)) == want
+
+
 def test_enumerate_matchings_small():
     assert gr.enumerate_matchings(gr.path(2)) == [(), (0,)]
     ms = gr.enumerate_matchings(gr.complete(4))

@@ -383,6 +383,29 @@ def test_prefilter_matches_dedupe_only_oracle(monkeypatch):
     assert reports == oracle_reports
 
 
+def test_orbit_pruning_matches_unpruned_levels(monkeypatch):
+    def build():
+        verify.clear_caches()
+        out = []
+        for cap in (None, 2, 3):
+            lv = verify._levels(11, 10, cap)
+            out.append(([[g.edges for g in level] for level in lv.graphs[:12]],
+                        lv.nu[:12], lv.pruned[:12]))
+        return out
+
+    try:
+        with monkeypatch.context() as m:
+            # every vertex its own twin class and no parent automorphism: each
+            # addition that passes the canonical-deletion test reaches the
+            # canonical-form dedupe
+            m.setattr(gr, "_twins", lambda adj: list(range(len(adj))))
+            m.setattr(gr, "_automorphisms", lambda g: [])
+            oracle = build()
+    finally:
+        verify.clear_caches()  # no oracle level outlives the test
+    assert build() == oracle
+
+
 def test_level_graphs_equal_their_checked_builds():
     # each accepted child is built without the constructor's checks, from
     # its parent's sorted edges and the new pair
@@ -483,13 +506,20 @@ def _counting(monkeypatch, name, module=gr):
 
 def test_prefilter_canonicalizes_each_class_about_once(monkeypatch):
     forms = _counting(monkeypatch, "canonical_form")
+    searches = _counting(monkeypatch, "_automorphisms")
+    tests = _counting(monkeypatch, "_canonical_child", verify)
     verify.clear_caches()
     levels = verify.connected_graph_classes(11, 10, 3)
-    # 2,065 classes; without the prefilter all 20,182 children within the
-    # cap are canonicalized, and without the invariant buckets the 2,711
-    # children that pass it
+    # 2,065 classes.  Of the 20,182 children within the cap, the twin-orbit
+    # rule leaves 13,621 for the canonical-deletion test; without the
+    # invariant buckets the 2,484 that pass it would all be canonicalized.
+    # 187 parents have two children in one bucket and so an automorphism
+    # search, which drops the repeats within one of their orbits: 200 forms
+    # remain, against 1,161 without the orbit pruning
     assert sum(map(len, levels)) == 2065
-    assert forms[0] == 1161
+    assert tests[0] == 13621
+    assert searches[0] == 187
+    assert forms[0] == 200
 
 
 _CLASSES_TO_6 = [g for level in verify.connected_graph_classes(6, 10) for g in level]
@@ -531,12 +561,12 @@ def test_search_call_counts_pinned(monkeypatch):
     unions = _counting(monkeypatch, "disjoint_union")
     verify.clear_caches()
     report = verify.run_search(spec(target="disconnected-complex", max_edges=9))
-    # 69 forms build the levels within the cap nu <= 2, 56 key the hits and
+    # the levels within the cap nu <= 2 need no form, 56 key the hits and
     # predictions; the unions are the pairs of nu = 1 components, built and
     # rejected by their skeleton.  Under a cap that never binds the search
-    # examines 1,807 graphs with 944 forms and finds the same report apart
+    # examines 1,807 graphs with 306 forms and finds the same report apart
     # from the counts (test_pruned_search_matches_unpruned_oracle)
-    assert forms[0] == 125
+    assert forms[0] == 56
     assert unions[0] == 23
     assert report.graphs_examined == 131
 
@@ -548,7 +578,9 @@ def test_closed_search_call_counts_pinned(monkeypatch):
     complexes = _counting(monkeypatch, "matching_complex", cx)
     verify.clear_caches()
     report = verify.run_search(spec(target="closed-2-manifold", max_edges=11))
-    assert forms[0] == 1167
+    # 200 forms build the levels (see above), 6 key the hits and the
+    # expected graphs
+    assert forms[0] == 206
     assert unions[0] == 318
     # only the graphs that pass the ridge prefilter build a complex
     assert complexes[0] == 3
