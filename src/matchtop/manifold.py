@@ -41,17 +41,18 @@ spanned by the ridges in one facet, read off the one ridge count
 ∂(K * L) = ∂K * L ∪ K * ∂L, so whether it is closed, its component count
 and its Betti numbers are folded from the boundaries of the factors, each
 kept once per factor shape in a table ``clear_caches()`` empties (the
-proof is at ``_fold_boundary``), and its complex is spanned only when
-``boundary_complex(c, p).complex`` is first read; only a boundary the fold
-does not prove closed is checked by ``check_manifold``, so its witnesses
-are unchanged.
-The verdict is memoized on the complex per prime, and a manifold with
-boundary keeps there the boundary it proved closed, with its component
-count (folded, or the reachability classes of ``graphs._reach`` over the
-boundary's ``complexes._near`` neighbourhoods), so ``check_manifold``,
-``boundary_complex``, ``classify`` and ``manifold_report`` analyse each
-complex once, and the last two read one route to the boundary's Betti
-numbers, ``_boundary_betti``.
+proof is at ``_fold_boundary``); only a boundary the fold does not prove
+closed is checked by ``check_manifold``, so its witnesses are unchanged.
+The verdict is memoized on the complex per prime.  The boundary itself
+does not depend on the prime, only whether it is closed and its Betti
+numbers do, so the complex keeps its span and its component count once
+(folded as β̃_0 + 1, or the reachability classes of ``graphs._reach``
+over the span's ``complexes._near`` neighbourhoods; 0 when closed).
+``check_manifold``, ``boundary_complex``, ``classify`` and
+``manifold_report`` analyse each complex once, the last two read the
+count through one guard and the boundary's Betti numbers through one
+route, ``_boundary_betti``, and a folded join's boundary is spanned only
+by ``boundary_complex``.
 """
 
 from __future__ import annotations
@@ -84,51 +85,13 @@ class ManifoldVerdict:
         return self.status in (STATUS_CLOSED, STATUS_WITH_BOUNDARY)
 
 
+@dataclass(frozen=True)
 class BoundaryComplex:
     """The boundary ``complex`` of a homology manifold, spanned by its
-    ridges in exactly one facet, and its ``component_count``.
+    ridges in exactly one facet, and its ``component_count``."""
 
-    A join's boundary, proved closed and counted from its factors, is
-    spanned only when ``complex`` is first read.  Equal when both fields
-    are; immutable."""
-
-    __slots__ = ("_complex", "_manifold", "_count")
-
-    def __init__(self, complex: Complex, component_count: int):
-        self._complex = complex
-        self._manifold = None
-        self._count = component_count
-
-    @classmethod
-    def _unspanned(cls, c: Complex, component_count: int) -> BoundaryComplex:
-        """The boundary of the manifold c, spanned on first read.  It keeps
-        a copy of c without c's cache, so c's cache, where the verdict keeps
-        it, holds no cycle back to c."""
-        bd = cls(None, component_count)
-        bd._manifold = Complex(c.labels, c.facet_masks)
-        return bd
-
-    @property
-    def complex(self) -> Complex:
-        if self._complex is None:
-            self._complex = _one_facet_ridges(self._manifold)
-            self._manifold = None
-        return self._complex
-
-    @property
-    def component_count(self) -> int:
-        return self._count
-
-    def __eq__(self, other):
-        if not isinstance(other, BoundaryComplex):
-            return NotImplemented
-        return self._count == other._count and self.complex == other.complex
-
-    def __hash__(self):
-        return hash((self.complex, self._count))
-
-    def __repr__(self):
-        return f"BoundaryComplex(complex={self.complex!r}, component_count={self._count!r})"
+    complex: Complex
+    component_count: int
 
 
 @dataclass(frozen=True)
@@ -467,19 +430,20 @@ def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
         if poly is not None:
             # a join whose boundary the rule of _fold_boundary proves
             # closed: its Betti numbers are folded, its components β̃_0 + 1,
-            # and nothing here reads the complex itself
+            # and nothing here spans it
             c._cache[("boundary_betti", pp)] = _from_poly(poly, pp, d - 1)
-            c._cache[("boundary", pp)] = BoundaryComplex._unspanned(c, poly[1] + 1)
+            c._cache["boundary_components"] = poly[1] + 1
             return ManifoldVerdict(STATUS_WITH_BOUNDARY, d, pp)
         bd = _one_facet_ridges(c)
         sub = check_manifold(bd, pp)
         if sub.status == STATUS_CLOSED:
-            near = cx._near(bd.facet_masks, bd.vertex_count)
-            parts, left = 0, (1 << bd.vertex_count) - 1
-            while left:
-                left &= ~graphs_mod._reach(near, left & -left)
-                parts += 1
-            c._cache[("boundary", pp)] = BoundaryComplex(bd, parts)
+            if "boundary_components" not in c._cache:
+                near = cx._near(bd.facet_masks, bd.vertex_count)
+                parts, left = 0, (1 << bd.vertex_count) - 1
+                while left:
+                    left &= ~graphs_mod._reach(near, left & -left)
+                    parts += 1
+                c._cache["boundary_components"] = parts
             return ManifoldVerdict(STATUS_WITH_BOUNDARY, d, pp)
         if sub.witness_face is not None:
             return ManifoldVerdict(STATUS_NOT_MANIFOLD, d, pp, sub.witness_face, sub.witness_betti)
@@ -499,10 +463,21 @@ def _span(c: Complex, facet_masks) -> Complex:
 
 def _one_facet_ridges(c: Complex) -> Complex | None:
     """The span of c's ridges in exactly one facet; None when there is none.
-    A manifold with a ball and no disagree, as in the verdict and the
-    boundary it keeps, has one."""
-    ridges = [r for r, n in cx._ridge_cofacets(c.facet_masks).items() if n == 1]
-    return _span(c, ridges) if ridges else None
+    A manifold with a ball and no disagree, as in the verdict and a
+    boundary, has one.  Memoized on c, as it is the same at every prime."""
+    if "one_facet_ridges" not in c._cache:
+        ridges = [r for r, n in cx._ridge_cofacets(c.facet_masks).items() if n == 1]
+        c._cache["one_facet_ridges"] = _span(c, ridges) if ridges else None
+    return c._cache["one_facet_ridges"]
+
+
+def _component_count(c: Complex, pp: int) -> int:
+    """The number of boundary components of c, 0 for a closed manifold, as
+    the verdict at pp left it on c.  Raises when c is no manifold at pp."""
+    verdict = check_manifold(c, pp)
+    if not verdict.is_manifold:
+        raise InvalidParameterError(f"no boundary for status {verdict.status} at p = {pp}")
+    return c._cache.get("boundary_components", 0)
 
 
 def boundary_complex(c: Complex, p) -> BoundaryComplex:
@@ -510,30 +485,28 @@ def boundary_complex(c: Complex, p) -> BoundaryComplex:
     ridges in exactly one facet, which are its maximal faces with ball
     links, and the number of its components.
 
-    The verdict at p kept the boundary on the complex, a folded join's
-    unspanned until its ``complex`` is read; a closed manifold's boundary
-    is {∅} with zero components.  Raises when
+    Both are the same at every prime and kept once on the complex; a
+    folded join's boundary is spanned only here, on the first call.  A
+    closed manifold's boundary is {∅} with zero components.  Raises when
     the verdict at p is not a manifold.
     """
-    pp = _prime_of(p)
-    verdict = check_manifold(c, pp)
-    if not verdict.is_manifold:
-        raise InvalidParameterError(f"no boundary for status {verdict.status} at p = {pp}")
-    return c._cache.get(("boundary", pp)) or BoundaryComplex(cx.from_facets((), [()]), 0)
+    count = _component_count(c, _prime_of(p))
+    return BoundaryComplex(_one_facet_ridges(c) if count else cx.from_facets((), [()]), count)
 
 
-def _boundary_betti(c: Complex, bd: BoundaryComplex, q: int) -> BettiVector:
-    """Reduced Betti numbers at q of ``bd``, the boundary of the manifold c:
-    folded from c's join factors by :func:`_fold_boundary`, or, for a
-    complex that does not split or where the fold gives no answer, ranked.
-    Memoized on c per prime, as the boundary is the same at every prime."""
+def _boundary_betti(c: Complex, q: int) -> BettiVector:
+    """Reduced Betti numbers at q of the boundary of the manifold c, {∅}
+    when it is closed: folded from c's join factors by
+    :func:`_fold_boundary`, or, for a complex that does not split or where
+    the fold gives no answer, ranked on the span.  Memoized on c per
+    prime."""
     key = ("boundary_betti", q)
     got = c._cache.get(key)
     if got is None:
         factors = _join_factors(cx._reindex(c.facet_masks)[1])
         poly = None if factors is None else _fold_boundary(factors, q)
-        got = c._cache[key] = (betti_reduced(bd.complex, q) if poly is None
-                               else _from_poly(poly, q, c.dimension - 1))
+        got = c._cache[key] = (betti_reduced(_one_facet_ridges(c) or cx.from_facets((), [()]), q)
+                               if poly is None else _from_poly(poly, q, c.dimension - 1))
     return got
 
 
@@ -569,12 +542,12 @@ def classify(c: Complex, verdict: ManifoldVerdict | None = None, p_pair=(2, 3)) 
                 return ManifoldClass("Torus")
             return ManifoldClass("OtherSurface")
         return ManifoldClass("OtherManifold")
-    bd = boundary_complex(c, p1)
+    count = _component_count(c, p1)
     if b1.is_ball() and b2.is_ball():
-        if _boundary_betti(c, bd, p1).is_sphere(d - 1) and _boundary_betti(c, bd, p2).is_sphere(d - 1):
+        if _boundary_betti(c, p1).is_sphere(d - 1) and _boundary_betti(c, p2).is_sphere(d - 1):
             return ManifoldClass("Ball", d)
     if d == 2:
-        fingerprint = (b1.b(1), b2.b(1), bd.component_count)
+        fingerprint = (b1.b(1), b2.b(1), count)
         if fingerprint == (1, 1, 1):
             return ManifoldClass("MoebiusStrip")
         if fingerprint == (1, 1, 2):
@@ -609,11 +582,10 @@ def manifold_report(c: Complex, p_pair=(2, 3)) -> dict:
     if p2 != p1:
         out["betti"].append({"p": p2, "betti": b2.to_list()})
     if verdict.is_manifold:
-        bd = boundary_complex(c, p1)
-        out["boundary_components"] = bd.component_count
+        out["boundary_components"] = _component_count(c, p1)
         out["acyclic"] = b1.is_ball() and b2.is_ball()
         if verdict.status == STATUS_WITH_BOUNDARY:
-            out["boundary_is_sphere"] = all(_boundary_betti(c, bd, q).is_sphere(verdict.dimension - 1)
+            out["boundary_is_sphere"] = all(_boundary_betti(c, q).is_sphere(verdict.dimension - 1)
                                             for q in (p1, p2))
         # a single prime is no cross-check
         out["cross_check_status"] = check_manifold(c, p2).status if p2 != p1 else None

@@ -35,7 +35,10 @@ def test_traced_joins_and_search_run_and_leave_spans():
         for case, graphs in enumerate(joins):
             tracer.case = case
             M = cx.matching_complex(gr.disjoint_union(graphs))
-            mf.classify(M, mf.check_manifold(M, 2), (2, 3))
+            verdict = mf.check_manifold(M, 2)
+            mf.classify(M, verdict, (2, 3))
+            if verdict.is_manifold:
+                mf.boundary_complex(M, 2)
         with contextlib.redirect_stdout(io.StringIO()):
             # at 6 edges the hit 3P3 is keyed by its canonical form; at 5 the
             # levels and the search need none

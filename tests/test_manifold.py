@@ -154,6 +154,27 @@ def test_boundary_complex_needs_a_manifold():
         assert mf.boundary_complex(ball, p).component_count == 1
 
 
+def test_classify_checks_the_complex_before_its_boundary():
+    # a verdict of another complex: the boundary count is read only after
+    # the complex's own verdict, so classify raises as boundary_complex does
+    pinched = M_of(gr.star(3), gr.path(2))
+    ball = M_of(gr.spider(3))
+    with pytest.raises(InvalidParameterError, match="^no boundary for status NotManifold at p = 2$"):
+        mf.classify(pinched, mf.check_manifold(ball, 2))
+
+
+def test_boundary_complex_is_a_frozen_record():
+    K = M_of(gr.banner())
+    bd = mf.BoundaryComplex(K, 2)
+    twin = mf.BoundaryComplex(M_of(gr.banner()), 2)
+    assert bd == twin and hash(bd) == hash(twin)
+    assert bd != mf.BoundaryComplex(K, 1)
+    assert repr(bd) == f"BoundaryComplex(complex={K!r}, component_count=2)"
+    for field in ("complex", "component_count"):
+        with pytest.raises(AttributeError):
+            setattr(bd, field, None)
+
+
 def test_join_rule_for_spheres_and_balls():
     spheres = [M_of(gr.path(3)), M_of(gr.cycle(5)), M_of(gr.complete_bipartite(3, 2))]
     balls = [M_of(gr.path(2)), M_of(gr.banner()), M_of(gr.spider(3))]
@@ -390,10 +411,10 @@ def test_one_join_split_per_facet_set_pinned(monkeypatch):
 
 
 def test_a_folded_boundary_is_spanned_only_when_read(monkeypatch):
-    # criterion 6 on the small joins: the verdict and classify take a
-    # folded join's boundary count and Betti numbers from its factors and
-    # span its complex only when .complex is first read, from the ridges in
-    # exactly one facet
+    # criterion 6 on the small joins: the verdict, classify and
+    # manifold_report take a folded join's boundary count and Betti numbers
+    # from its factors and never span it; boundary_complex spans it once,
+    # from the ridges in exactly one facet, and keeps it for every prime
     spanned = []
     real = mf._span
     monkeypatch.setattr(mf, "_span", lambda c, masks: spanned.append(c.facet_masks) or real(c, masks))
@@ -403,16 +424,20 @@ def test_a_folded_boundary_is_spanned_only_when_read(monkeypatch):
         M = cx.matching_complex(g)
         verdict = mf.check_manifold(M, 2)
         mf.classify(M, verdict)
+        mf.manifold_report(M)
         if verdict.status == mf.STATUS_WITH_BOUNDARY and cx._join_factors(M.facet_masks):
-            folded.append((M, mf.boundary_complex(M, 2)))
+            folded.append(M)
     assert len(folded) >= 40
-    assert not {M.facet_masks for M, _ in folded} & set(spanned)
-    for M, bd in folded:
+    assert not {M.facet_masks for M in folded} & set(spanned)
+    for M in folded:
+        spanned.clear()
+        bd = mf.boundary_complex(M, 2)
+        assert spanned == [M.facet_masks]
         ridges = [r for r, n in cx._ridge_cofacets(M.facet_masks).items() if n == 1]
-        assert bd.complex == real(M, ridges)
-        assert bd.complex is mf.boundary_complex(M, 2).complex
-        assert spanned[-1] == M.facet_masks
         assert bd == mf.BoundaryComplex(real(M, ridges), bd.component_count)
+        for p in (2, 3):
+            assert mf.boundary_complex(M, p).complex is bd.complex
+        assert spanned == [M.facet_masks]
 
 
 def test_no_folded_join_boundary_is_walked(monkeypatch):
@@ -583,8 +608,8 @@ def test_one_boundary_span_per_complex_and_prime(monkeypatch):
             mf.boundary_complex(M, 3)
             mf.manifold_report(M, (2, 3))
             mf.manifold_report(M, (3, 2))
-        assert len(spans) == 2 and all(c is M for c in spans)  # one per prime
-        assert counted == [M.facet_masks] * 2  # one ridge count per prime
+        assert len(spans) == 1 and spans[0] is M  # one per complex, whatever the prime
+        assert counted == [M.facet_masks]  # one ridge count per complex
         spans.clear()
         counted.clear()
 
@@ -904,7 +929,7 @@ def _boundary_routes(facets):
             if verdict.is_manifold:
                 bd = mf.boundary_complex(M, p)
                 got.append((sorted(bd.complex.facets()), bd.component_count))
-                got.append([mf._boundary_betti(M, bd, q) for q in (2, 3, 5)])
+                got.append([mf._boundary_betti(M, q) for q in (2, 3, 5)])
         got += [mf.classify(M, mf.check_manifold(M, a), (a, b)) for a, b in ((2, 3), (3, 5))]
     seen = {id(c) for c in walked}
     with_boundary = [mf.boundary_complex(M, p).complex for p in (2, 3, 5)
