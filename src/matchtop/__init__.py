@@ -5,7 +5,6 @@ searches."""
 from .complexes import (
     Complex,
     FVector,
-    euler_characteristic,
     f_vector,
     from_facets,
     has_induced_path6,

@@ -288,26 +288,18 @@ NO_PREDICTION = Prediction("none")
 def predict_for_kinds(kinds) -> Prediction:
     """Sphere/ball dimension arithmetic for a multiset of basic components.
 
-    With i copies of P2, j of Gamma, k_d spiders with d legs, l of P3, m of
-    C5 and n of K32, the matching complex is a sphere of dimension
-    l + 2m + 2n - 1 when i + j + sum(k_d) = 0, and otherwise a ball of
-    dimension i + 2j + sum(d * k_d) + l + 2m + 2n - 1.
+    M(G + H) = M(G) * M(H) and dim M(G) = nu(G) - 1, so the join is a
+    sphere of dimension sum(nu(part)) - 1 when every part is P3, C5 or K32,
+    and a ball of that dimension otherwise.  As nu is 1 on P2 and P3, 2 on
+    C5, K32 and Gamma, and d on Sp_d: with i copies of P2, j of Gamma, k_d
+    spiders with d legs, l of P3, m of C5 and n of K32, it is a sphere of
+    dimension l + 2m + 2n - 1 when i + j + sum(k_d) = 0, and otherwise a
+    ball of dimension i + 2j + sum(d * k_d) + l + 2m + 2n - 1.
     """
     kinds = tuple(kinds)
-    i = sum(1 for k in kinds if k.kind == "P2")
-    j = sum(1 for k in kinds if k.kind == "Gamma")
-    spider_sum = sum(k.legs for k in kinds if k.kind == "Spider")
-    n_ball = i + j + sum(1 for k in kinds if k.kind == "Spider")
-    sphere_part = (
-        sum(1 for k in kinds if k.kind == "P3")
-        + 2 * sum(1 for k in kinds if k.kind == "C5")
-        + 2 * sum(1 for k in kinds if k.kind == "K32")
-    )
-    if n_ball == 0:
-        dim = sphere_part - 1
-        return Prediction("basic", kinds, None, ManifoldClass("Sphere", dim), dim)
-    dim = i + 2 * j + spider_sum + sphere_part - 1
-    return Prediction("basic", kinds, None, ManifoldClass("Ball", dim), dim)
+    dim = sum(gr.matching_number(k.graph) for k in kinds) - 1
+    label = "Sphere" if all(k.kind in ("P3", "C5", "K32") for k in kinds) else "Ball"
+    return Prediction("basic", kinds, None, ManifoldClass(label, dim), dim)
 
 
 def predict(g: gr.Graph) -> Prediction:

@@ -133,11 +133,12 @@ def _cmd_homology(args) -> int:
     for p in _primes(args):
         b = betti_reduced(M, p)
         results.append({"p": p, "betti": b.to_list()})
+    fv = cx.f_vector(M)
     _emit({
         "graph6": gr.to_graph6(g),
         "complex_dimension": M.dimension,
-        "f_vector": list(cx.f_vector(M).positive),
-        "euler_characteristic": cx.euler_characteristic(M),
+        "f_vector": list(fv.positive),
+        "euler_characteristic": fv.euler_characteristic(),
         "results": results,
     }, args)
     return 0

@@ -93,13 +93,6 @@ class Complex:
         """Facets as sorted tuples of labels."""
         return [self.labels_of(m) for m in self.facet_masks]
 
-    def has_face(self, face_labels) -> bool:
-        try:
-            m = self.mask_of(face_labels)
-        except BadSubsetError:
-            return False
-        return m in self.faces()
-
     def __eq__(self, other):
         return (
             isinstance(other, Complex)
@@ -316,10 +309,6 @@ def f_vector(c: Complex) -> FVector:
     by_size = c.faces_by_size()
     d = c.dimension
     return FVector((1,) + tuple(len(by_size.get(k + 1, ())) for k in range(d + 1)))
-
-
-def euler_characteristic(c: Complex) -> int:
-    return f_vector(c).euler_characteristic()
 
 
 # ---------------------------------------------------------------------------

@@ -82,12 +82,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int):
-        return _bits(self.adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def edge_conflicts(self):
         """Per edge index, the bitmask of edge indices sharing a vertex.
 
@@ -217,14 +211,6 @@ def disjoint_union(graphs) -> Graph:
         pairs.extend((u + offset, v + offset) for (u, v) in g.edges)
         offset += g.vertex_count
     return Graph(offset, pairs)
-
-
-def relabel(g: Graph, perm) -> Graph:
-    """Apply the permutation old-vertex -> new-vertex."""
-    perm = list(perm)
-    if sorted(perm) != list(range(g.vertex_count)):
-        raise InvalidParameterError("perm is not a permutation of the vertices")
-    return Graph(g.vertex_count, [(perm[u], perm[v]) for (u, v) in g.edges])
 
 
 # ---------------------------------------------------------------------------
@@ -587,12 +573,6 @@ def canonical_graph6(g: Graph, max_vertices: int = CANONICAL_VERTEX_CAP) -> str:
     return canonical_form(g, max_vertices).decode("ascii")
 
 
-def are_isomorphic(g1: Graph, g2: Graph, max_vertices: int = CANONICAL_VERTEX_CAP) -> bool:
-    if g1.vertex_count != g2.vertex_count or len(g1.edges) != len(g2.edges):
-        return False
-    return canonical_form(g1, max_vertices) == canonical_form(g2, max_vertices)
-
-
 # ---------------------------------------------------------------------------
 # graph6 interchange
 
@@ -685,9 +665,3 @@ def parse_edge_list(text: str) -> Graph:
         return Graph(n, pairs)
     except (LoopEdgeError, DuplicateEdgeError, VertexOutOfRangeError) as exc:
         raise FormatError(str(exc)) from exc
-
-
-def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.vertex_count} {len(g.edges)}"]
-    lines.extend(f"{u} {v}" for (u, v) in g.edges)
-    return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Independent brute-force oracles used only by the tests.
+"""Independent brute-force oracles and graph helpers used only by the tests.
 
 Nothing here shares code with the package internals: matchings come from
 filtering all edge subsets, faces from powersets of facets, ranks from a
@@ -145,7 +145,7 @@ def brute_canonical(g):
     best = None
     for perm in itertools.permutations(range(n)):
         bits = tuple(
-            1 if g.has_edge(perm[i], perm[j]) else 0
+            g.adj[perm[i]] >> perm[j] & 1
             for j in range(1, n)
             for i in range(j)
         )
@@ -206,6 +206,18 @@ def oracle_canonical_form(g):
     payload = bytes(63 + int("".join(map(str, bits[k:k + 6])), 2)
                     for k in range(0, len(bits), 6))
     return bytes([63 + n]) + payload
+
+
+def relabel(g, perm):
+    """The graph g with each vertex v renamed perm[v]."""
+    return type(g)(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def format_edge_list(g):
+    """g as the edge-list text ``parse_edge_list`` reads: "n m", then one
+    line "u v" per edge."""
+    rows = [(g.vertex_count, len(g.edges)), *g.edges]
+    return "".join(f"{a} {b}\n" for a, b in rows)
 
 
 def labeled_graphs_on(n):
@@ -355,3 +367,18 @@ def oracle_automorphisms(n, edges):
     edge_set = {frozenset(e) for e in edges}
     return [perm for perm in itertools.permutations(range(n))
             if all(frozenset((perm[u], perm[v])) in edge_set for u, v in edges)]
+
+
+def oracle_predict_for_kinds(kinds):
+    """(label, dimension) of the join of the basic parts' matching complexes
+    by counting each kind: with i copies of P2, j of Gamma, k_d spiders with
+    d legs, l of P3, m of C5 and n of K32, a sphere of dimension
+    l + 2m + 2n - 1 when i + j + sum(k_d) = 0, and otherwise a ball of
+    dimension i + 2j + sum(d * k_d) + l + 2m + 2n - 1."""
+    count = {kind: sum(1 for k in kinds if k.kind == kind)
+             for kind in ("P2", "Gamma", "Spider", "P3", "C5", "K32")}
+    sphere_part = count["P3"] + 2 * count["C5"] + 2 * count["K32"]
+    if count["P2"] + count["Gamma"] + count["Spider"] == 0:
+        return "Sphere", sphere_part - 1
+    legs = sum(k.legs for k in kinds if k.kind == "Spider")
+    return "Ball", count["P2"] + 2 * count["Gamma"] + legs + sphere_part - 1

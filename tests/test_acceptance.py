@@ -63,7 +63,7 @@ def test_criterion_2_one_spheres_exhaustive():
             M = cx.matching_complex(gr.from_graph6(h["graph6"]))
             # a 1-dimensional complex is its 1-skeleton
             assert M.dimension == 1
-            assert gr.are_isomorphic(cx.one_skeleton(M), gr.cycle(cycle_len))
+            assert gr.canonical_form(cx.one_skeleton(M)) == gr.canonical_form(gr.cycle(cycle_len))
         assert not report.anomalies
 
 

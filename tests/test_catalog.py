@@ -10,6 +10,8 @@ from matchtop import manifold as mf
 from matchtop import verify
 from matchtop.errors import InvalidParameterError
 
+import oracle_utils
+
 
 def test_recognize_basics():
     assert str(catalog.recognize_basic(gr.path(3))) == "P3"
@@ -33,7 +35,7 @@ def test_spider_legs_agree_with_canonical_forms():
         assert catalog._spider_legs(gr.spider(k)) == k
 
 
-def test_spider2_reported_as_spider_with_note():
+def test_spider2_reported_as_spider_named_p5():
     kind = catalog.recognize_basic(gr.path(5))
     assert str(kind) == "Spider(2)"
     assert kind.name == "P5"
@@ -73,6 +75,18 @@ def test_predictions_basic_arithmetic():
     assert p.kind == "exceptional" and p.exceptional_name == "K43"
     assert str(p.predicted_class) == "Torus"
     assert catalog.predict(gr.cycle(6)).kind == "none"
+
+
+def test_dimension_arithmetic_matches_the_kind_counts():
+    # predict_for_kinds sums matching numbers; the reference counts each kind
+    kinds = [catalog.BasicGraphKind(k) for k in ("P2", "P3", "C5", "K32", "Gamma")]
+    kinds += [catalog.BasicGraphKind("Spider", d) for d in range(2, 9)]
+    for size in range(5):
+        for combo in itertools.combinations_with_replacement(kinds, size):
+            label, dim = oracle_utils.oracle_predict_for_kinds(combo)
+            pred = catalog.predict_for_kinds(combo)
+            assert pred.predicted_class == mf.ManifoldClass(label, dim), combo
+            assert pred.predicted_dimension == dim
 
 
 def test_prediction_matches_computation_small_unions():
@@ -124,8 +138,8 @@ def test_named_graph_resolution():
     assert catalog.named_graph("C7-matching") == gr.cycle(7)
     assert catalog.named_graph("gamma") == gr.banner()
     assert catalog.named_graph("Sp3") == gr.spider(3)
-    assert gr.are_isomorphic(catalog.named_graph("2P3"),
-                             gr.disjoint_union([gr.path(3), gr.path(3)]))
+    assert (gr.canonical_form(catalog.named_graph("2P3"))
+            == gr.canonical_form(gr.disjoint_union([gr.path(3), gr.path(3)])))
     with pytest.raises(InvalidParameterError):
         catalog.named_graph("no-such-graph")
     assert "k43" in catalog.catalog_names()

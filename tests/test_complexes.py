@@ -58,13 +58,13 @@ def test_from_facets_idempotent():
 def test_matching_complex_k32_is_hexagon():
     M = cx.matching_complex(gr.complete_bipartite(3, 2))
     assert M.vertex_count == 6 and M.dimension == 1
-    assert gr.are_isomorphic(cx.one_skeleton(M), gr.cycle(6))
+    assert gr.canonical_form(cx.one_skeleton(M)) == gr.canonical_form(gr.cycle(6))
 
 
 def test_matching_complex_banner_is_path():
     M = cx.matching_complex(gr.banner())
     assert M.vertex_count == 5 and M.dimension == 1
-    assert gr.are_isomorphic(cx.one_skeleton(M), gr.path(5))
+    assert gr.canonical_form(cx.one_skeleton(M)) == gr.canonical_form(gr.path(5))
 
 
 def test_matching_complex_k4_three_disjoint_edges():
@@ -126,7 +126,7 @@ def test_join_identity_and_squares():
     s0 = cx.matching_complex(gr.path(3))
     square = cx.join(s0, s0)
     assert square.dimension == 1
-    assert gr.are_isomorphic(cx.one_skeleton(square), gr.cycle(4))
+    assert gr.canonical_form(cx.one_skeleton(square)) == gr.canonical_form(gr.cycle(4))
 
 
 def test_union_complex_equals_join():
@@ -150,7 +150,7 @@ def _disjoint_unions(draw):
         edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=5)) if pairs else []
         parts.append(gr.Graph(n, edges))
     g = gr.disjoint_union(parts)
-    return gr.relabel(g, draw(st.permutations(range(g.vertex_count))))
+    return oracle_utils.relabel(g, draw(st.permutations(range(g.vertex_count))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -194,13 +194,13 @@ def test_f_vector_and_euler():
     fv = cx.f_vector(M)
     assert fv.positive == (12, 36, 24)
     assert fv.counts[0] == 1
-    assert cx.euler_characteristic(M) == 0
+    assert fv.euler_characteristic() == 0
     tri = cx.from_facets(range(3), [(0, 1), (1, 2), (0, 2)])
     assert cx.f_vector(tri).positive == (3, 3)
-    assert cx.euler_characteristic(tri) == 0
+    assert cx.f_vector(tri).euler_characteristic() == 0
     M = cx.matching_complex(gr.spider(3))
     assert cx.f_vector(M).positive == (6, 9, 4)
-    assert cx.euler_characteristic(M) == 1
+    assert cx.f_vector(M).euler_characteristic() == 1
 
 
 def test_flag_property_random():
@@ -268,7 +268,7 @@ def test_induced_path6():
     assert not cx.has_induced_path6(cycle_complex(6))
 
 
-def test_purity_and_skeleton():
+def test_purity():
     assert not cx.is_pure(cx.matching_complex(gr.path(4)))
     assert cx.is_pure(cx.matching_complex(gr.complete_bipartite(3, 2)))
 

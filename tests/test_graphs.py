@@ -50,7 +50,7 @@ def test_named_families():
 
 
 def test_spider2_is_path5():
-    assert gr.are_isomorphic(gr.spider(2), gr.path(5))
+    assert gr.canonical_form(gr.spider(2)) == gr.canonical_form(gr.path(5))
 
 
 def test_disjoint_union():
@@ -169,7 +169,7 @@ def test_constructor_parameter_errors():
 
 def test_subgraph_avoiding_c5():
     sub, index_map = gr.subgraph_avoiding(gr.cycle(5), [0])
-    assert gr.are_isomorphic(sub, gr.path(3))
+    assert gr.canonical_form(sub) == gr.canonical_form(gr.path(3))
     assert len(index_map) == 2
 
 
@@ -182,7 +182,7 @@ def test_subgraph_avoiding_empty_matching_drops_isolated():
 
 def test_subgraph_avoiding_k43():
     sub, _ = gr.subgraph_avoiding(gr.complete_bipartite(4, 3), [0])
-    assert gr.are_isomorphic(sub, gr.complete_bipartite(3, 2))
+    assert gr.canonical_form(sub) == gr.canonical_form(gr.complete_bipartite(3, 2))
 
 
 def test_subgraph_avoiding_rejects_non_matching():
@@ -249,7 +249,7 @@ def test_canonical_form_relabeling_invariance():
         for _ in range(100):
             perm = list(range(g.vertex_count))
             rng.shuffle(perm)
-            assert gr.canonical_form(gr.relabel(g, perm)) == base
+            assert gr.canonical_form(oracle_utils.relabel(g, perm)) == base
 
 
 def test_canonical_form_separates_all_small_graphs():
@@ -305,7 +305,7 @@ def test_graph6_known_values():
 
 def test_edge_list_round_trip_and_errors():
     g = gr.complete_bipartite(3, 2)
-    assert gr.parse_edge_list(gr.format_edge_list(g)) == g
+    assert gr.parse_edge_list(oracle_utils.format_edge_list(g)) == g
     with pytest.raises(FormatError) as exc:
         gr.parse_edge_list("2 1\n0 1 2\n")
     assert exc.value.line == 2
@@ -346,7 +346,7 @@ def test_parse_edge_list_raises_only_format_error(text):
         g = gr.parse_edge_list(text)
     except FormatError:
         return
-    assert gr.parse_edge_list(gr.format_edge_list(g)) == g
+    assert gr.parse_edge_list(oracle_utils.format_edge_list(g)) == g
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,8 +1,10 @@
 import ast
+import re
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "matchtop"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "matchtop"
 
 
 def _trees():
@@ -38,3 +40,25 @@ def test_no_function_body_imports():
                 inner += [f"{path.name}: {fn.name}" for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not inner
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a public module-level function or class must be named somewhere in the
+    # package or the benchmark outside its own definition; an export counts,
+    # as it names the function in __init__.py.  A helper only the tests call
+    # belongs in tests/oracle_utils.py
+    texts = {path: path.read_text()
+             for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))}
+    unused = []
+    for path, tree in _trees():
+        lines = texts[path].splitlines()
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            rest = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(rest if other == path else text)
+                       for other, text in texts.items()):
+                unused.append(f"{path.name}: {node.name}")
+    assert not unused

@@ -444,7 +444,7 @@ def _connected_edge_perm(draw):
           (2, 3), [5, 4, 3, 2, 1, 0]))
 def test_canonical_deletion_invariant_under_relabelling(case):
     g, (u, v), perm = case
-    h = gr.relabel(g, perm)
+    h = oracle_utils.relabel(g, perm)
     assert (oracle_utils.is_canonical_deletion(list(g.adj), u, v)
             == oracle_utils.is_canonical_deletion(list(h.adj), perm[u], perm[v]))
     # some removable edge ranks highest, so every class has a parent
@@ -464,7 +464,7 @@ def test_per_parent_verdicts_match_the_oracle(g, room):
     parent = verify._Parent(g)
     for u in range(n):
         for v in range(u + 1, n + 1 if room else n):
-            if g.has_edge(u, v):
+            if g.adj[u] >> v & 1:
                 continue
             adj = list(g.adj) + [0]
             adj[u] |= 1 << v
@@ -601,7 +601,7 @@ def _graph_perm(draw):
 def test_invariant_unchanged_by_relabelling(case):
     g, perm = case
     inv = oracle_utils.degree_invariant(list(g.adj))
-    assert inv == oracle_utils.degree_invariant(list(gr.relabel(g, perm).adj))
+    assert inv == oracle_utils.degree_invariant(list(oracle_utils.relabel(g, perm).adj))
     # the generator keeps the spare slot of a non-pendant child as an
     # isolated vertex
     assert inv == oracle_utils.degree_invariant(list(g.adj) + [0])
