@@ -20,7 +20,6 @@ from .graphs import (
     Graph,
     banner,
     canonical_form,
-    canonical_graph6,
     complete,
     complete_bipartite,
     connected_components,
@@ -64,17 +63,13 @@ from . import catalog, complexes, homology, manifold, verify
 
 
 def clear_caches():
-    """Empty every module-level cache: the enumerated graph classes, the
-    join splits of facet sets (walked or recorded by ``matching_complex``),
-    their Betti numbers and face tables, the link-shape table of the
-    manifold analysis and the boundaries of its join factors, and the
-    catalog tables.
-    Results do not change; a long-lived process can call this to bound its
-    memory."""
+    """Empty every module-level cache: the enumerated graph classes, the one
+    table of what is known per facet set, ``complexes._facts`` (join splits,
+    face tables, Betti numbers, link-shape records, factor boundaries), and
+    the catalog tables.  Results do not change; a long-lived process can
+    call this to bound its memory."""
     verify.clear_caches()
     complexes.clear_caches()
-    homology.clear_caches()
-    manifold.clear_caches()
     catalog.clear_caches()
 
 

@@ -103,7 +103,7 @@ def _graph_summary(g: gr.Graph) -> dict:
         "edge_list": [list(e) for e in g.edges],
         "graph6": gr.to_graph6(g),
         # null above the cap: every catalog graph still builds
-        "canonical_graph6": gr.canonical_graph6(g)
+        "canonical_graph6": gr.canonical_form(g).decode()
         if g.vertex_count <= gr.CANONICAL_VERTEX_CAP else None,
         "connected": gr.is_connected_graph(g),
         "has_isolated_vertices": g.has_isolated_vertices,
@@ -113,7 +113,7 @@ def _graph_summary(g: gr.Graph) -> dict:
 def _cmd_build(args) -> int:
     g = _resolve_graph(args)
     if args.emit_graph6:
-        print(gr.canonical_graph6(g))
+        print(gr.canonical_form(g).decode())
         return 0
     data = _graph_summary(g)
     M = cx.matching_complex(g)

@@ -250,7 +250,7 @@ def matching_complex(g: graphs_mod.Graph) -> Complex:
         comp = graphs_mod._reach(g.adj, left & -left)
     facets.sort()
     facets = tuple(facets)
-    _splits[facets] = split
+    _facts_of(facets)["split"] = split
     return Complex(range(m), facets)
 
 
@@ -326,14 +326,24 @@ def _near(facet_masks, n: int) -> list:
     return near
 
 
-# facets -> their re-indexed join factors or None, for the process: filled
-# by matching_complex and by the walk, read by the ranks and the manifold
-# verdict, and keyed without a prime, so every prime reads it
-_splits: dict = {}
+# sorted facet masks -> what the process knows about that facet set, with
+# no labels and no prime in the key: its "split" (the re-indexed join
+# factors or None), the "table" of its faces when it is ranked without a
+# Complex, its BettiVector at each prime p under p, its link-shape record
+# at p under ("shape", p), and a join factor's "boundary"
+_facts: dict = {}
+
+
+def _facts_of(facet_masks: tuple) -> dict:
+    """The entry of ``_facts`` for these facets, made empty on first use."""
+    got = _facts.get(facet_masks)
+    if got is None:
+        got = _facts[facet_masks] = {}
+    return got
 
 
 def clear_caches():
-    _splits.clear()
+    _facts.clear()
 
 
 def _join_factors(facet_masks):
@@ -355,9 +365,10 @@ def _join_factors(facet_masks):
     the same masks, the same order.
     """
     key = tuple(facet_masks)
-    if key not in _splits:
-        _splits[key] = _split(key)
-    return _splits[key]
+    facts = _facts_of(key)
+    if "split" not in facts:
+        facts["split"] = _split(key)
+    return facts["split"]
 
 
 def _split(facet_masks: tuple):

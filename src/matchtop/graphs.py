@@ -569,10 +569,6 @@ def _automorphisms(g: Graph) -> list:
     return gens
 
 
-def canonical_graph6(g: Graph, max_vertices: int = CANONICAL_VERTEX_CAP) -> str:
-    return canonical_form(g, max_vertices).decode("ascii")
-
-
 # ---------------------------------------------------------------------------
 # graph6 interchange
 

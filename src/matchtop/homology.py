@@ -17,15 +17,17 @@ theirs.  ``complexes._join_factors``, the one join split in the package,
 peels off one component at a time of the graph on vertices that never
 share a facet: a component C is a factor when the number of facets is the
 number of their restrictions to C times the number of their restrictions
-to the rest.  It is memoized by the facets alone, so the ranks at every
-prime and the manifold verdict read one split, and ``matching_complex``
+to the rest.  It is memoized by the facets alone in ``complexes._facts``,
+the one table of what the process knows per facet set, so the ranks at
+every prime and the manifold verdict read one split, and ``matching_complex``
 records the split of a disconnected graph's complex, read off the graph's
 components, as it builds it.  Any other complex ranks only its
 core: dominated vertices are deleted (:func:`_core`), which keeps the
 homology at every prime, and a smaller core is re-indexed and ranked as a
 complex of its own, split in turn when it is a join.  A complex that is
 its own core and no join is ranked from its face table: a complex's own,
-``Complex.faces_by_size()``, or one kept by the facets for every prime.
+``Complex.faces_by_size()``, or one kept in that table for every prime,
+next to the Betti numbers at each prime.
 On the 130-case join-arith benchmark the split cut the faces ranked per
 pass from 208,642 to 26,861 at GF(2) and from 104,196 to 18,169 at GF(3).
 
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import Complex, _faces_by_size, _join_factors, _maximal, _reindex
+from .complexes import Complex, _faces_by_size, _facts_of, _join_factors, _maximal, _reindex
 from .errors import InvalidParameterError
 
 
@@ -258,12 +260,6 @@ def _betti_from_faces(by_size, p: int, pad_dim: int) -> BettiVector:
     return BettiVector(p, 1 - ranks[0], tuple(betti))
 
 
-# core facets -> face table: keyed without the prime, so every prime reads
-# it
-_tables: dict = {}
-_betti_cache: dict = {}
-
-
 def betti_for_facets(vertex_count: int, facet_masks, p: int) -> BettiVector:
     """Reduced Betti numbers for the complex with the given maximal faces.
 
@@ -287,21 +283,22 @@ def _betti(facet_masks: tuple, p: int, c: Complex | None) -> BettiVector:
     polynomials Σ β̃_i t^(i+1) (β̃_-1 at t^0), each ranked through
     :func:`betti_for_facets` (Milnor 1956); else a smaller core is
     re-indexed and ranked through this function, which splits it if it is
-    a join; else the face table is ranked, c's own or the one ``_tables``
-    keeps for every prime."""
+    a join; else the face table is ranked, c's own or the one the facets'
+    ``complexes._facts`` entry keeps for every prime, next to the result
+    under p."""
     if facet_masks == (0,):
         return BettiVector(p, 1, ())
-    key = (facet_masks, p)
-    got = _betti_cache.get(key)
+    facts = _facts_of(facet_masks)
+    got = facts.get(p)
     if got is None:
         d = None  # a join's product has the length of its dimension plus 2
         factors = _join_factors(facet_masks)
         if factors is None:
             core = tuple(_core(facet_masks))
             if core == facet_masks:
-                table = c.faces_by_size() if c is not None else _tables.get(core)
+                table = c.faces_by_size() if c is not None else facts.get("table")
                 if table is None:
-                    table = _tables[core] = _faces_by_size(core)
+                    table = facts["table"] = _faces_by_size(core)
                 got = _betti_from_faces(table, p, max(table) - 1)
             else:  # rank the smaller core, maybe of a lower dimension, as the one factor
                 d = max(m.bit_count() for m in facet_masks) - 1
@@ -312,7 +309,7 @@ def _betti(facet_masks: tuple, p: int, c: Complex | None) -> BettiVector:
             for k, masks in factors:
                 poly = _times(poly, _poly(betti_for_facets(k, masks, p)))
             got = _from_poly(poly, p, len(poly) - 2 if d is None else d)
-        _betti_cache[key] = got
+        facts[p] = got
     return got
 
 
@@ -340,8 +337,3 @@ def _times(a, b) -> list:
 def betti_reduced(c: Complex, p) -> BettiVector:
     """Reduced Betti numbers of a complex over GF(p)."""
     return _betti(c.facet_masks, _prime_of(p), c)
-
-
-def clear_caches():
-    _betti_cache.clear()
-    _tables.clear()

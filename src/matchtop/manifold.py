@@ -11,10 +11,10 @@ occur are separated by that data.
 Links are computed top-down: the link of σ ∪ v is the link of v inside
 the link of σ, so no face scans the facets of the whole complex.  Links
 are memoized by shape (the link's facets re-indexed onto positions
-0..k-1) in a table shared by the whole process: the children of a link
-and its class depend only on its shape, so each distinct shape is
-re-indexed and classified once per prime and process, however many faces
-and complexes have it; ``matchtop.clear_caches()`` empties the table.
+0..k-1) in ``complexes._facts``, the process table of what is known per
+facet set: the children of a link and its class depend only on its shape,
+so each distinct shape is re-indexed and classified once per prime and
+process, however many faces and complexes have it.
 
 The verdict is paid per shape, not per face.  A shape's record keeps a
 summary over its nonempty faces: the least size of a face whose link
@@ -40,8 +40,8 @@ spanned by the ridges in one facet, read off the one ridge count
 ``complexes._ridge_cofacets``.  A join's boundary is not walked either:
 ∂(K * L) = ∂K * L ∪ K * ∂L, so whether it is closed, its component count
 and its Betti numbers are folded from the boundaries of the factors, each
-kept once per factor shape in a table ``clear_caches()`` empties (the
-proof is at ``_fold_boundary``); only a boundary the fold does not prove
+kept once per factor shape in the same table (the proof is at
+``_fold_boundary``); only a boundary the fold does not prove
 closed is checked by ``check_manifold``, so its witnesses are unchanged.
 The verdict is memoized on the complex per prime.  The boundary itself
 does not depend on the prime, only whether it is closed and its Betti
@@ -135,40 +135,31 @@ def _classify_link(norm_count, norm_masks, p):
     return _FAIL, betti
 
 
-# prime -> normalized facets -> [class, betti, facets, children, summary]:
-# one record per link shape for the whole process, its children built on
-# first use; and join factor facets -> the factor's boundary complex, None
-# when void.  Both emptied by clear_caches()
-_shapes: dict = {}
-_boundaries: dict = {}
-
-
-def clear_caches():
-    _shapes.clear()
-    _boundaries.clear()
-
-
-def _record(shapes, norm, k, p=None):
-    """The record of a shape; with p, of a link, classified on first use."""
-    rec = shapes.get(norm)
+def _record(norm, k, p, link=True):
+    """The record at p of the shape with the normalized facets ``norm``,
+    ``[class, betti, facets, children, summary]``, one for the whole process
+    in the ``("shape", p)`` slot of their ``complexes._facts`` entry, its
+    children built on first use; with ``link``, classified on first use."""
+    facts = cx._facts_of(norm)
+    rec = facts.get(("shape", p))
     if rec is None:
-        rec = shapes[norm] = [None, None, norm, [None] * k, None]
-    if p is not None and rec[0] is None:
+        rec = facts[("shape", p)] = [None, None, norm, [None] * k, None]
+    if link and rec[0] is None:
         rec[0], rec[1] = _classify_link(k, norm, p)
     return rec
 
 
-def _child(shapes, rec, i, p):
+def _child(rec, i, p):
     """The child entry of a shape record for its vertex i: the record of
     lk(i) and the positions of its vertices in the parent."""
     b = 1 << i
     used, norm = cx._reindex([f ^ b for f in rec[2] if f & b])
-    entry = rec[3][i] = (_record(shapes, norm, used.bit_count(), p),
+    entry = rec[3][i] = (_record(norm, used.bit_count(), p),
                          bytes(graphs_mod._bits(used)))
     return entry
 
 
-def _shape_summary(rec, shapes, p):
+def _shape_summary(rec, p):
     """The summary of a shape over its nonempty faces σ: ``(fail, ball,
     disagree, ball_vertex, non_ball)``.
 
@@ -236,8 +227,8 @@ def _shape_summary(rec, shapes, p):
     if factors is not None:
         joined = None
         for k, norm in factors:
-            factor = _record(shapes, norm, k, p)
-            fail, ball, disagree, ball_vertex, non_ball = _shape_summary(factor, shapes, p)
+            factor = _record(norm, k, p)
+            fail, ball, disagree, ball_vertex, non_ball = _shape_summary(factor, p)
             disagree |= (factor[0] == _BOUNDARY and not ball_vertex) != (norm == (1,))
             part = (factor[0], fail or _NEVER, ball, disagree, ball_vertex, non_ball)
             joined = part if joined is None else _join_summary(joined, part)
@@ -249,11 +240,11 @@ def _shape_summary(rec, shapes, p):
     non_ball = rec[2][0].bit_count()
     kids = rec[3]
     for i in range(len(kids)):
-        child = (kids[i] or _child(shapes, rec, i, p))[0]
+        child = (kids[i] or _child(rec, i, p))[0]
         if child[0] == _FAIL:
             fail = non_ball = 1
             break
-        sub = _shape_summary(child, shapes, p)
+        sub = _shape_summary(child, p)
         if sub[0] and (not fail or sub[0] < fail):
             fail = sub[0] + 1
         is_ball = child[0] == _BOUNDARY
@@ -286,19 +277,21 @@ def _factor_boundary(k, norm):
     the span of its ridges in exactly one facet, None when there is none.
     A point is the exception, with ∂ = {∅}: its empty ridge lies in one
     facet, but ``complexes._ridge_cofacets`` does not count it.  Memoized
-    for the process in ``_boundaries``."""
-    if norm not in _boundaries:
-        _boundaries[norm] = (cx.from_facets((), [()]) if norm == (1,)
+    for the process in the ``"boundary"`` slot of its ``complexes._facts``
+    entry."""
+    facts = cx._facts_of(norm)
+    if "boundary" not in facts:
+        facts["boundary"] = (cx.from_facets((), [()]) if norm == (1,)
                              else _one_facet_ridges(Complex(range(k), norm)))
-    return _boundaries[norm]
+    return facts["boundary"]
 
 
-def _fold_boundary(factors, q, shapes=None):
+def _fold_boundary(factors, q, check=False):
     """The reduced Betti polynomial at q of ∂J, as coefficients from t^0,
     folded from the join factors ``(k, facets)`` of a pure J; None where
-    the fold gives no answer.  Given the shape table at q of J's verdict,
-    which found no failing face, a ball and no disagree, it is also None
-    unless the rule below proves ∂J a closed manifold at q.
+    the fold gives no answer.  With ``check``, from J's verdict at q, which
+    found no failing face, a ball and no disagree, it is also None unless
+    the rule below proves ∂J a closed manifold at q.
 
     ∂X is the span of X's ridges in exactly one facet, with ∂(point) = {∅}
     and ∂(S⁰) void; P(X) = Σ β̃_i t^(i+1), P(void) = 0, P({∅}) = 1.
@@ -340,9 +333,9 @@ def _fold_boundary(factors, q, shapes=None):
     joined = None
     for k, norm in factors:
         bd = _factor_boundary(k, norm)
-        if shapes is not None and bd is not None and (
+        if check and bd is not None and (
                 check_manifold(bd, q).status != STATUS_CLOSED
-                or _record(shapes, norm, k, q)[0] == _BOUNDARY
+                or _record(norm, k, q)[0] == _BOUNDARY
                 and not betti_reduced(bd, q).is_sphere(norm[0].bit_count() - 2)):
             return None
         part = _poly(betti_for_facets(k, norm, q)), None if bd is None else _poly(betti_reduced(bd, q))
@@ -360,7 +353,7 @@ def _fold_boundary(factors, q, shapes=None):
     return joined[1]
 
 
-def _least_failing_face(rec, size, pos, shapes, p):
+def _least_failing_face(rec, size, pos, p):
     """``(mask, betti)`` of the least failing face of a shape by labels,
     given its least failing size and the masks of its positions.
 
@@ -374,8 +367,8 @@ def _least_failing_face(rec, size, pos, shapes, p):
     face = 0
     while True:
         for i in range(len(rec[3])):
-            child, idx = rec[3][i] or _child(shapes, rec, i, p)
-            if child[0] == _FAIL if size == 1 else _shape_summary(child, shapes, p)[0] == size - 1:
+            child, idx = rec[3][i] or _child(rec, i, p)
+            if child[0] == _FAIL if size == 1 else _shape_summary(child, p)[0] == size - 1:
                 break
         face |= pos[i]
         if size == 1:
@@ -411,13 +404,12 @@ def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
     if not cx.is_pure(c):
         return ManifoldVerdict(STATUS_NOT_PURE, c.dimension, pp)
     d = c.dimension
-    shapes = _shapes.setdefault(pp, {})
     used, norm = cx._reindex(c.facet_masks)
-    rec = _record(shapes, norm, used.bit_count())
-    fail, ball, disagree, _, _ = _shape_summary(rec, shapes, pp)
+    rec = _record(norm, used.bit_count(), pp, link=False)
+    fail, ball, disagree, _, _ = _shape_summary(rec, pp)
     pos = [1 << v for v in graphs_mod._bits(used)]
     if fail:
-        face, betti = _least_failing_face(rec, fail, pos, shapes, pp)
+        face, betti = _least_failing_face(rec, fail, pos, pp)
         return ManifoldVerdict(STATUS_NOT_MANIFOLD, d, pp, c.labels_of(face), betti)
     if not ball:
         return ManifoldVerdict(STATUS_CLOSED, d, pp)
@@ -426,7 +418,7 @@ def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
         # _shape_summary) and their maximal ones are the ridges in exactly
         # one facet
         factors = _join_factors(rec[2])
-        poly = None if factors is None else _fold_boundary(factors, pp, shapes)
+        poly = None if factors is None else _fold_boundary(factors, pp, check=True)
         if poly is not None:
             # a join whose boundary the rule of _fold_boundary proves
             # closed: its Betti numbers are folded, its components β̃_0 + 1,
@@ -449,7 +441,7 @@ def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
             return ManifoldVerdict(STATUS_NOT_MANIFOLD, d, pp, sub.witness_face, sub.witness_betti)
     # a boundary with boundary, or a maximal ball face below the ridges: the
     # least ball face, a vertex as the ball faces are closed under subfaces
-    kids = ((rec[3][i] or _child(shapes, rec, i, pp))[0] for i in range(len(rec[3])))
+    kids = ((rec[3][i] or _child(rec, i, pp))[0] for i in range(len(rec[3])))
     i, child = next((i, child) for i, child in enumerate(kids) if child[0] == _BOUNDARY)
     return ManifoldVerdict(STATUS_NOT_MANIFOLD, d, pp, c.labels_of(pos[i]), child[1])
 

@@ -208,7 +208,7 @@ def test_computed_expected_hits_equal_the_pinned_lists(target):
                     (name, g6, cls) for name, g6, cls, g in pinned
                     if len(g.edges) <= max_edges and g.vertex_count <= max_vertices
                     and (gr.is_connected_graph(g) or not connected_only))
-                got = sorted((name, gr.canonical_graph6(g), cls)
+                got = sorted((name, gr.canonical_form(g).decode(), cls)
                              for name, g, cls in catalog.expected_search_hits(
                                  target, max_edges, max_vertices, connected_only))
                 assert got == want, (max_edges, max_vertices, connected_only)

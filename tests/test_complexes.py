@@ -166,7 +166,7 @@ def test_graph_born_joins_match_the_walk(g):
     walked = cx._split(M.facet_masks)
     parts = len(gr.connected_components(g)[0])
     if parts > 1:
-        assert cx._splits[M.facet_masks] == walked
+        assert cx._facts[M.facet_masks]["split"] == walked
         assert len(walked) == parts
     else:
         assert walked is None

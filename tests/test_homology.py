@@ -388,7 +388,7 @@ def test_each_join_factor_shape_is_ranked_once_per_prime(monkeypatch):
     real = hm._betti_from_faces
     monkeypatch.setattr(hm, "_betti_from_faces",
                         lambda by_size, p, d: ranked.append(p) or real(by_size, p, d))
-    hm.clear_caches()
+    cx.clear_caches()
     # the join of three hexagons: one factor shape, three times
     M = cx.matching_complex(gr.disjoint_union([gr.complete_bipartite(3, 2)] * 3))
     for p in (2, 3, 2):

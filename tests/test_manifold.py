@@ -287,18 +287,17 @@ def _record_classes(c, p):
     """{face mask: class} for every nonempty face of a pure complex, read
     off the shape records: a face is a vertex i of the complex's shape plus
     a face of lk(i) above i, whose class is that of its link's record."""
-    shapes = mf._shapes.setdefault(p, {})
     classes = {}
 
     def expand(face, rec, pos, start):
         for i in range(start, len(pos)):
-            child, idx = rec[3][i] or mf._child(shapes, rec, i, p)
+            child, idx = rec[3][i] or mf._child(rec, i, p)
             classes[face | pos[i]] = child[0]
             expand(face | pos[i], child, [pos[j] for j in idx], sum(j < i for j in idx))
 
     used, norm = cx._reindex(c.facet_masks)
     pos = [1 << v for v in range(c.vertex_count) if used >> v & 1]
-    expand(0, mf._record(shapes, norm, used.bit_count()), pos, 0)
+    expand(0, mf._record(norm, used.bit_count(), p, link=False), pos, 0)
     return classes
 
 
@@ -383,7 +382,7 @@ def test_join_link_build_counts_pinned(monkeypatch):
         M = cx.matching_complex(g)
         mf.classify(M, mf.check_manifold(M, 2))
     assert len(built) == 107
-    assert len(mf._shapes[2]) == 120
+    assert len(oracle_utils.shape_records(cx._facts, 2)) == 120
 
 
 def test_one_join_split_per_facet_set_pinned(monkeypatch):
@@ -402,7 +401,7 @@ def test_one_join_split_per_facet_set_pinned(monkeypatch):
         M = cx.matching_complex(g)
         if len(gr.connected_components(g)[0]) > 1:
             born.add(M.facet_masks)
-            assert M.facet_masks in cx._splits
+            assert "split" in cx._facts[M.facet_masks]
         before = len(walked)
         mf.classify(M, mf.check_manifold(M, 2))
         assert not born & set(walked[before:])
@@ -458,16 +457,17 @@ def test_no_folded_join_boundary_is_walked(monkeypatch):
     walked = {id(c) for c in checked}
     assert len(folded) >= 40
     assert not any(id(bd) in walked for bd in folded)
-    assert set(map(id, mf._boundaries.values())) & walked  # the factors' are
+    boundaries = [e["boundary"] for e in cx._facts.values() if "boundary" in e]
+    assert set(map(id, boundaries)) & walked  # the factors' are
 
 
 def test_clear_caches_empties_the_factor_boundaries():
     matchtop.clear_caches()
     M = cx.matching_complex(gr.disjoint_union([gr.path(3), gr.path(2)]))
     assert mf.classify(M) == mf.ManifoldClass("Ball", 1)
-    assert mf._boundaries
+    assert any("boundary" in e for e in cx._facts.values())
     matchtop.clear_caches()
-    assert not mf._boundaries
+    assert not any("boundary" in e for e in cx._facts.values())
 
 
 def _analysis(c):
@@ -785,7 +785,7 @@ def test_verdict_matches_the_oracle_verdict_on_random_joins(facets):
     # a join's record is folded from its factors, and the witness descent
     # builds its children on the way down: from a cold shape table, and
     # again on fresh complexes from the table the first round filled
-    mf.clear_caches()
+    matchtop.clear_caches()
     for _ in range(2):
         for p in (2, 3, 5):
             _matches_oracle(cx.from_facets(None, facets), p)
@@ -841,23 +841,24 @@ def test_shape_summary_flags_read_only_the_record_classes(monkeypatch):
         return {(0,): "B", (1,): "S"}.get(masks, "S"), None
 
     monkeypatch.setattr(mf, "_classify_link", swapped)
-    monkeypatch.setattr(mf, "_shapes", {})
-    shapes = mf._shapes.setdefault(2, {})
-    segments = mf._record(shapes, (0b0011, 0b1100), 4)
+    monkeypatch.setattr(cx, "_facts", {})
+    segments = mf._record((0b0011, 0b1100), 4, 2)
     assert mf._join_factors(segments[2]) is None
-    assert mf._shape_summary(segments, shapes, 2) == (0, True, True, False, 1)
-    assert mf._shape_summary(shapes[(1,)], shapes, 2) == (0, True, True, True, 1)
-    points = mf._record(shapes, (0b01, 0b10), 2)
+    assert mf._shape_summary(segments, 2) == (0, True, True, False, 1)
+    point = oracle_utils.shape_records(cx._facts, 2)[(1,)]
+    assert mf._shape_summary(point, 2) == (0, True, True, True, 1)
+    points = mf._record((0b01, 0b10), 2, 2)
     assert mf._join_factors(points[2]) is None
-    assert mf._shape_summary(points, shapes, 2) == (0, True, True, True, 1)
+    assert mf._shape_summary(points, 2) == (0, True, True, True, 1)
     # one that calls {∅} failing fails the vertex of a point (size 1) and
     # so each segment (size 2), the least failing faces of two segments
     monkeypatch.setattr(mf, "_classify_link", lambda k, masks, p: ("?" if masks == (0,) else "S", masks))
-    monkeypatch.setattr(mf, "_shapes", {})
+    monkeypatch.setattr(cx, "_facts", {})
     verdict = mf.check_manifold(cx.from_facets(None, [(4, 5), (6, 7)]), 2)
     assert (verdict.witness_face, verdict.witness_betti) == ((4, 5), (0,))
-    assert mf._shapes[2][(0b0011, 0b1100)][4][0] == 2
-    assert mf._shapes[2][(1,)][4] == (1, False, False, False, 1)
+    shapes = oracle_utils.shape_records(cx._facts, 2)
+    assert shapes[(0b0011, 0b1100)][4][0] == 2
+    assert shapes[(1,)][4] == (1, False, False, False, 1)
 
 
 _FACTORS = {"RP2": RP2, "boundary of a triangle": [(0, 1), (1, 2), (0, 2)],
@@ -867,10 +868,11 @@ _FACTORS = {"RP2": RP2, "boundary of a triangle": [(0, 1), (1, 2), (0, 2)],
 
 def _summary(c, p):
     """The summary of c's shape, from a cold shape table."""
-    shapes = {}
-    used, norm = cx._reindex(c.facet_masks)
-    rec = mf._record(shapes, norm, used.bit_count())
-    return rec, mf._shape_summary(rec, shapes, p)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cx, "_facts", {})
+        used, norm = cx._reindex(c.facet_masks)
+        rec = mf._record(norm, used.bit_count(), p, link=False)
+        return rec, mf._shape_summary(rec, p)
 
 
 @settings(max_examples=150, deadline=None)
@@ -958,7 +960,7 @@ def test_folded_join_boundaries_match_the_explicit_path(factors):
     folded, walked = _boundary_routes(joined.facets())
     assert walked == []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mf, "_fold_boundary", lambda *a: None)
+        patch.setattr(mf, "_fold_boundary", lambda *a, **kw: None)
         explicit, _ = _boundary_routes(joined.facets())
     assert folded == explicit
 

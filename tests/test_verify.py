@@ -144,10 +144,10 @@ def test_search_disconnected_complex_matches_graph_side_rule():
     assert report.verdict == "Match"
     # spot checks: stars, the 4-cycle and the 4-clique appear, the 5-cycle not
     hit_keys = {h["graph6"] for h in report.hits}
-    assert gr.canonical_graph6(gr.cycle(4)) in hit_keys
-    assert gr.canonical_graph6(gr.complete(4)) in hit_keys
-    assert gr.canonical_graph6(gr.path(3)) in hit_keys
-    assert gr.canonical_graph6(gr.cycle(5)) not in hit_keys
+    assert gr.canonical_form(gr.cycle(4)).decode() in hit_keys
+    assert gr.canonical_form(gr.complete(4)).decode() in hit_keys
+    assert gr.canonical_form(gr.path(3)).decode() in hit_keys
+    assert gr.canonical_form(gr.cycle(5)).decode() not in hit_keys
 
 
 def test_search_boundary_surfaces_with_disconnected_graphs():
@@ -665,7 +665,7 @@ def test_clear_caches_keeps_reports():
     tables = (catalog._exceptional_graphs, catalog._disconnected_balls,
               catalog._small_basics, catalog._registry)
     caches = _caches_at_import()
-    assert {"complexes._splits", "homology._tables", "manifold._shapes"} <= set(caches)
+    assert {"complexes._facts", "verify._LEVELS"} <= set(caches)
     assert all(caches.values()), [name for name, cache in caches.items() if not cache]
     for table in tables:
         assert table.cache_info().currsize > 0
@@ -675,3 +675,23 @@ def test_clear_caches_keeps_reports():
         assert table.cache_info().currsize == 0
     assert verify.run_search(s).to_dict(include_timing=False) == before
     assert homology.betti_reduced(cx.matching_complex(gr.spider(9)), 2) == big_betti
+
+
+def test_one_table_keeps_what_is_known_per_facet_set():
+    # a facet set's split, Betti numbers at each prime, link-shape record
+    # and factor boundary are kept in its one complexes._facts entry, and
+    # no other package dict fills
+    caches = _caches_at_import()
+    matchtop.clear_caches()
+    sphere, ball = (cx.matching_complex(gr.disjoint_union(parts))
+                    for parts in ([gr.path(3), gr.cycle(5)], [gr.spider(3), gr.path(2)]))
+    recorded = {M.facet_masks: cx._facts[M.facet_masks]["split"] for M in (sphere, ball)}
+    for M, cls in ((sphere, "Sphere(2)"), (ball, "Ball(3)")):
+        assert str(manifold.classify(M, manifold.check_manifold(M, 2), (2, 3))) == cls
+    assert {name for name, cache in caches.items() if cache} == {"complexes._facts"}
+    for facets, split in recorded.items():
+        assert len(split) == 2 and cx._facts[facets]["split"] is split
+    factors = [cx._facts[norm] for split in recorded.values() for _, norm in split]
+    assert any(all(isinstance(e.get(p), homology.BettiVector) for p in (2, 3)) and ("shape", 2) in e
+               for e in factors)
+    assert all("boundary" in cx._facts[norm] for _, norm in recorded[ball.facet_masks])
