@@ -249,17 +249,9 @@ def enumerate_matchings(g: Graph):
     return out
 
 
-class _OtherSize(Exception):
-    """A maximal matching whose size differs from the one asked for."""
-
-
-def _maximal_matching_masks(g: Graph, size: int | None = None):
+def _maximal_matching_masks(g: Graph):
     """The matchings that no edge of g can extend, as edge bitmasks, in
     depth-first order.
-
-    With a ``size``, None as soon as one of them has another size: the
-    enumeration stops there, so a graph that is not equimatchable costs
-    only the walk to its first maximal matching of the wrong size.
 
     A branch may add only free edges from ``start`` on, so a free edge
     below ``start`` none of whose conflicting edges is still addable can
@@ -272,8 +264,6 @@ def _maximal_matching_masks(g: Graph, size: int | None = None):
 
     def rec(start, chosen, blocked):
         if blocked == full:
-            if size is not None and chosen.bit_count() != size:
-                raise _OtherSize
             out.append(chosen)
             return
         free = full & ~blocked
@@ -290,10 +280,7 @@ def _maximal_matching_masks(g: Graph, size: int | None = None):
             rec(i + 1, chosen | b, blocked | conf[i])
             addable ^= b
 
-    try:
-        rec(0, 0, 0)
-    except _OtherSize:
-        return None
+    rec(0, 0, 0)
     return out
 
 
@@ -306,9 +293,8 @@ def is_equimatchable(g: Graph) -> bool:
     """True when every maximal matching has the same size.
 
     The maximal matchings of g are the facets of its matching complex, so
-    M(G) is pure exactly when G is equimatchable.  A homology manifold is
-    pure, which is why the search's ridge prefilter may stop at the first
-    maximal matching of the wrong size.
+    M(G) is pure exactly when G is equimatchable; a homology manifold is
+    pure.
     """
     sizes = {m.bit_count() for m in _maximal_matching_masks(g)}
     return len(sizes) <= 1

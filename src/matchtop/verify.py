@@ -19,9 +19,18 @@ facets: a ridge's link is a set of points, which has sphere or ball
 homology only as 2 points or 1.  A closed target needs every ridge in
 exactly 2 facets, a target with boundary some ridge in 1.  The facets of
 M(G) are the maximal matchings of G, so M(G) is pure exactly when G is
-equimatchable, and a homology manifold is pure: the prefilter's facet
-enumeration stops at the first maximal matching with other than d + 1
-edges, and most graphs are rejected there.  The survivors
+equimatchable, and a homology manifold is pure.  The prefilter lists no
+facet: it walks the matchings of at most d edges, each once, by
+increasing edge index.  One that no edge avoids is a maximal matching
+that is too small, and the graph is rejected.  If none is, and no ridge
+(a d-matching) is avoided by two disjoint edges, then no (d + 2)-matching
+exists, since one loses two disjoint edges to such a ridge, so every
+(d + 1)-matching is maximal and M(G) is pure.  M(G) being flag, the
+facets through a ridge are then exactly the ridge plus each edge that
+avoids it, and the ridge is counted by its avoiding edges; one with more
+than 2 fails either way.  For d <= 0 the empty ridge is not counted, as
+in ``complexes._ridge_cofacets``: d = -1 takes a graph with no edge and
+d = 0 one whose edges pairwise meet, both closed.  The survivors
 are checked by ``check_manifold`` at the search prime (status, dimension d
 and, for sphere-only targets, sphere homology), again at the cross-check
 prime, and named by ``classify``.  The expected hits are computed by the
@@ -171,7 +180,7 @@ def _free_pairs(g: gr.Graph, nu: int):
 
 class _Parent:
     """A connected class as ``_canonical_child`` reads it, computed once
-    for all its children: degrees, neighbour lists, the leaf mask, vertex
+    for all its children: degrees, neighbour tuples, the leaf mask, vertex
     keys at the children's width, and each edge's bridge side on first use."""
 
     __slots__ = ("n", "adj", "edges", "deg", "nbrs", "w", "key", "leaves", "sides")
@@ -182,11 +191,19 @@ class _Parent:
         self.edges = g.edges
         # the slot n is the vertex a pendant edge would add
         self.deg = deg = [a.bit_count() for a in g.adj] + [0]
-        self.nbrs = nbrs = [list(gr._bits(a)) for a in g.adj] + [[]]
+        self.nbrs = nbrs = [tuple(gr._bits(a)) for a in g.adj] + [()]
         self.w = w = (2 * len(g.edges) + 2).bit_length()
-        self.key = [d << w | sum(deg[x] for x in nb) for d, nb in zip(deg, nbrs)]
+        self.key = [d << w | sum([deg[x] for x in nb]) for d, nb in zip(deg, nbrs)]
         self.leaves = sum(1 << x for x, d in enumerate(deg) if d == 1)
         self.sides = [None] * len(g.edges)
+
+    def leaf_row(self, u: int) -> int:
+        """The mask of the v whose child (u, v) passes the leaf rule of
+        ``connected_graph_classes``."""
+        others = self.leaves & ~(1 << u)
+        if not others:
+            return -1
+        return 1 << self.n | (0 if others & others - 1 else others)
 
     def side(self, i: int) -> int:
         """For a bridge i = (a, b), the vertices reachable from a without
@@ -202,10 +219,8 @@ class _Parent:
 def _canonical_child(p: _Parent, u: int, v: int) -> int | None:
     """The invariant of the child that adds (u, v) to ``p``, or None when
     (u, v) is not the child's canonical deletion (see
-    ``connected_graph_classes``)."""
+    ``connected_graph_classes``); v must be in ``p.leaf_row(u)``."""
     n = p.n
-    if v < n and p.leaves & ~(1 << u | 1 << v):
-        return None  # a parent leaf survives, and (u, v) is no pendant edge
     w = p.w
     deg = p.deg
     key = p.key.copy()
@@ -281,27 +296,25 @@ def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
             # class, v first in its own or second in u's; the slot n is a
             # class of its own
             twin = gr._twins(g.adj) + [n]
+            firsts = sum(1 << x for x, t in enumerate(twin) if t == x)
             second = {}
             for x, t in enumerate(twin):
                 if t != x:
-                    second.setdefault(t, x)
+                    second.setdefault(t, 1 << x)
             # invariant -> the pairs of this parent's children filed under it
             mine = {}
             gens = None
             for u in range(n):
-                au = g.adj[u]
                 fu = free[u]
-                for v in range(u + 1, top):
-                    if au >> v & 1:
-                        continue
-                    child_nu = nu
-                    if fu >> v & 1:
-                        if nu == cap:
-                            pruned += 1
-                            continue
-                        child_nu += 1
-                    if twin[u] != u or twin[v] != v and second.get(u) != v:
-                        continue
+                # the additions (u, v), u < v < top, as one mask
+                row = (1 << top) - (2 << u) & ~g.adj[u]
+                if nu == cap:
+                    pruned += (row & fu).bit_count()
+                    row &= ~fu
+                if twin[u] != u:
+                    continue
+                row &= (firsts | second.get(u, 0)) & parent.leaf_row(u)
+                for v in gr._bits(row):
                     inv = _canonical_child(parent, u, v)
                     if inv is None:
                         continue
@@ -318,7 +331,7 @@ def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
                     # sorted edges is to be found
                     at = bisect.bisect(g.edges, (u, v))
                     edges = g.edges[:at] + ((u, v),) + g.edges[at:]
-                    child = (gr.Graph._trusted(n + (v == n), edges), child_nu)
+                    child = (gr.Graph._trusted(n + (v == n), edges), nu + (fu >> v & 1))
                     if inv not in shared:
                         first = classes.pop((inv, b""), None)
                         if first is None:
@@ -377,7 +390,9 @@ def connected_graph_classes(max_edges: int, max_vertices: int,
     parent being connected, and a parent edge ab is a bridge of the child
     exactly when it is one of the parent whose side (the vertices reachable
     from a without ab) holds both of u and v or neither; otherwise (u, v)
-    closes a cycle through it.
+    closes a cycle through it.  This leaf rule, the cap and the twin rule
+    below are applied to all of u's additions at once, as masks of v, and
+    only the survivors are tested one by one.
 
     Additions in one orbit of the parent's automorphism group give
     isomorphic children, and only the first of them, in the order u, then
@@ -473,13 +488,36 @@ def _ridge_prefilter(g: gr.Graph, d: int, boundary: bool) -> bool:
     """Necessary conditions on g for M(G) to be a homology d-manifold,
     closed or with boundary: every facet has d + 1 vertices (G is
     equimatchable, M(G) pure), and every ridge lies in at most 2 facets,
-    in exactly 2 when closed and in 1 for some ridge with boundary.  The
-    facet enumeration stops at the first facet of another size."""
-    facets = gr._maximal_matching_masks(g, d + 1)
-    if facets is None:
-        return False
-    per_ridge = set(cx._ridge_cofacets(facets).values())
-    return per_ridge <= {1, 2} and (1 in per_ridge) == boundary
+    in exactly 2 when closed and in 1 for some ridge with boundary.  Read
+    off the edge conflicts, without listing a facet (see the module
+    docstring): no matching of at most d edges may be maximal, and the
+    edges avoiding a d-matching, its cofacets, are 1 or 2 that meet."""
+    conf = g.edge_conflicts()
+    full = (1 << len(g.edges)) - 1
+    if d < 1:
+        # the empty ridge is not counted: only the facet size is checked
+        return not boundary and (not full if d == -1 else
+                                 d == 0 and full != 0 and all(c == full for c in conf))
+    one = False
+
+    def walk(start, k, blocked):
+        nonlocal one
+        avoid = full & ~blocked
+        if not avoid:
+            return False  # a maximal matching of k <= d edges
+        if k == d:
+            rest = avoid & avoid - 1
+            if not rest:
+                one = True
+                return boundary
+            # two cofacets, which must meet
+            return not rest & rest - 1 and conf[rest.bit_length() - 1] & avoid != rest
+        for i in gr._bits(avoid >> start << start):
+            if not walk(i + 1, k + 1, blocked | conf[i]):
+                return False
+        return True
+
+    return walk(0, 0, 0) and one == boundary
 
 
 def _skeleton_connected(g: gr.Graph) -> bool:

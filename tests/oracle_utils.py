@@ -389,3 +389,19 @@ def oracle_predict_for_kinds(kinds):
         return "Sphere", sphere_part - 1
     legs = sum(k.legs for k in kinds if k.kind == "Spider")
     return "Ball", count["P2"] + 2 * count["Gamma"] + legs + sphere_part - 1
+
+
+def oracle_ridge_prefilter(g, d, boundary):
+    """Whether every maximal matching of g has d + 1 edges and every
+    nonempty ridge (a facet minus one edge) lies in 1 or 2 facets: in 2 at
+    every ridge when closed, in 1 at some ridge with ``boundary``.  The
+    facets are listed by brute force and each ridge's facets counted."""
+    facets = brute_maximal_matchings(g)
+    if any(len(f) != d + 1 for f in facets):
+        return False
+    count = {}
+    for f in facets:
+        for ridge in itertools.combinations(f, d) if d > 0 else ():
+            count[ridge] = count.get(ridge, 0) + 1
+    per_ridge = set(count.values())
+    return per_ridge <= {1, 2} and (1 in per_ridge) == boundary

@@ -120,18 +120,6 @@ def test_maximal_matchings_match_brute_force(g):
     assert _maximal(g) == oracle_utils.brute_maximal_matchings(g)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_small_graphs())
-def test_sized_maximal_matchings_match_brute_force(g):
-    # None exactly when some maximal matching has another size, otherwise
-    # the unsized masks in their order
-    sizes = {len(m) for m in oracle_utils.brute_maximal_matchings(g)}
-    unsized = gr._maximal_matching_masks(g)
-    for size in range(5):
-        got = gr._maximal_matching_masks(g, size)
-        assert got == (unsized if sizes == {size} else None), size
-
-
 def test_k43_matching_counts():
     ms = gr.enumerate_matchings(gr.complete_bipartite(4, 3))
     counts = {}

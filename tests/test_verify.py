@@ -293,6 +293,52 @@ def test_ridge_prefilter_passes_every_manifold(case):
         assert verify._ridge_prefilter(g, v.dimension, boundary)
 
 
+def _prefilter_matches_the_oracle(g):
+    for d in range(-1, 5):
+        for boundary in (False, True):
+            assert (verify._ridge_prefilter(g, d, boundary)
+                    == oracle_utils.oracle_ridge_prefilter(g, d, boundary)), (g, d, boundary)
+
+
+def test_ridge_prefilter_matches_the_facet_oracle_on_every_class():
+    classes = [g for level in verify.connected_graph_classes(8, 10) for g in level]
+    assert len(classes) == 358
+    for g in classes:
+        _prefilter_matches_the_oracle(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs_up_to())
+@example((1, []))  # d = -1: no edge
+@example((3, [(0, 1), (0, 2), (1, 2)]))  # K3, d = 0: pairwise meeting edges
+@example((4, [(0, 1), (0, 2), (0, 3)]))  # K1,3, d = 0
+@example((4, [(0, 1), (2, 3)]))  # 2P2, d = 1: a segment, each end in 1 facet
+@example((6, [(0, 1), (2, 3), (4, 5)]))  # 3P2, d = 1: a 3-matching
+def test_ridge_prefilter_matches_the_facet_oracle(case):
+    _prefilter_matches_the_oracle(gr.Graph(*case))
+
+
+def test_ridge_prefilter_small_dimensions():
+    # the empty ridge is not counted, so for d <= 0 only the facet size is
+    # checked; each ridge of 3P2 at d = 1 avoids two disjoint edges, and at
+    # d = 2 it is a triangle, each ridge in 1 facet
+    cases = {
+        ((1, ()), -1): (True, False),
+        ((2, ((0, 1),)), -1): (False, False),
+        ((3, ((0, 1), (0, 2), (1, 2))), 0): (True, False),
+        ((4, ((0, 1), (0, 2), (0, 3))), 0): (True, False),
+        ((4, ((0, 1), (2, 3))), 0): (False, False),
+        ((4, ((0, 1), (2, 3))), 1): (False, True),
+        ((6, ((0, 1), (2, 3), (4, 5))), 1): (False, False),
+        ((6, ((0, 1), (2, 3), (4, 5))), 2): (False, True),
+    }
+    for ((n, pairs), d), want in cases.items():
+        g = gr.Graph(n, pairs)
+        for boundary, ok in zip((False, True), want):
+            assert verify._ridge_prefilter(g, d, boundary) is ok, (g, d, boundary)
+            assert oracle_utils.oracle_ridge_prefilter(g, d, boundary) is ok, (g, d, boundary)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_graphs_up_to())
 @example((1, []))
@@ -368,7 +414,9 @@ def test_prefilter_matches_dedupe_only_oracle(monkeypatch):
     try:
         with monkeypatch.context() as m:
             # every child reaches the canonical-form dedupe, and shares one
-            # invariant bucket with every other child of its level
+            # invariant bucket with every other child of its level: neither
+            # the row's leaf rule nor the canonical-deletion test drops one
+            m.setattr(verify._Parent, "leaf_row", lambda parent, u: -1)
             m.setattr(verify, "_canonical_child", lambda parent, u, v: 0)
             oracle_levels = [_level_forms(verify.connected_graph_classes(e, 10, cap))
                              for e, cap in budgets]
@@ -459,10 +507,12 @@ def test_canonical_deletion_invariant_under_relabelling(case):
 @example(gr.Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 5), (4, 5)]), True)
 def test_per_parent_verdicts_match_the_oracle(g, room):
     # every addition the generator makes to a connected parent, the pendant
-    # slot v == n included unless the parent is at the vertex budget
+    # slot v == n included unless the parent is at the vertex budget: the
+    # row's leaf rule and the canonical-deletion test together
     n = g.vertex_count
     parent = verify._Parent(g)
     for u in range(n):
+        row = parent.leaf_row(u)
         for v in range(u + 1, n + 1 if room else n):
             if g.adj[u] >> v & 1:
                 continue
@@ -471,7 +521,8 @@ def test_per_parent_verdicts_match_the_oracle(g, room):
             adj[v] |= 1 << u
             want = (oracle_utils.degree_invariant(adj)
                     if oracle_utils.is_canonical_deletion(adj, u, v) else None)
-            assert verify._canonical_child(parent, u, v) == want, (u, v)
+            got = verify._canonical_child(parent, u, v) if row >> v & 1 else None
+            assert got == want, (u, v)
 
 
 @settings(max_examples=300, deadline=None)
@@ -511,13 +562,14 @@ def test_prefilter_canonicalizes_each_class_about_once(monkeypatch):
     verify.clear_caches()
     levels = verify.connected_graph_classes(11, 10, 3)
     # 2,065 classes.  Of the 20,182 children within the cap, the twin-orbit
-    # rule leaves 13,621 for the canonical-deletion test; without the
-    # invariant buckets the 2,484 that pass it would all be canonicalized.
+    # rule leaves 13,621 and the leaf rule 5,218 for the canonical-deletion
+    # test; without the invariant buckets the 2,484 that pass it would all
+    # be canonicalized.
     # 187 parents have two children in one bucket and so an automorphism
     # search, which drops the repeats within one of their orbits: 200 forms
     # remain, against 1,161 without the orbit pruning
     assert sum(map(len, levels)) == 2065
-    assert tests[0] == 13621
+    assert tests[0] == 5218
     assert searches[0] == 187
     assert forms[0] == 200
 
@@ -585,6 +637,39 @@ def test_closed_search_call_counts_pinned(monkeypatch):
     # only the graphs that pass the ridge prefilter build a complex
     assert complexes[0] == 3
     assert report.graphs_examined == 2370
+
+
+def test_ridge_prefilter_lists_no_facets(monkeypatch):
+    # the prefilter reads the ridges' cofacets off the graph: it lists no
+    # maximal matching and counts no ridge of a facet list, so over the
+    # closed-surface search only its 3 survivors' complexes list facets
+    facets = _counting(monkeypatch, "_maximal_matching_masks")
+    ridges = _counting(monkeypatch, "_ridge_cofacets", cx)
+    prefilter, evaluate = verify._ridge_prefilter, verify._evaluate
+    survivors = []
+    rejected_walks = [0]
+
+    def counted_prefilter(g, d, boundary):
+        before = facets[0], ridges[0]
+        ok = prefilter(g, d, boundary)
+        assert (facets[0], ridges[0]) == before
+        if ok:
+            survivors.append(g)
+        return ok
+
+    def counted_evaluate(g, *args):
+        before, kept = facets[0], len(survivors)
+        out = evaluate(g, *args)
+        if len(survivors) == kept:
+            rejected_walks[0] += facets[0] - before
+        return out
+
+    monkeypatch.setattr(verify, "_ridge_prefilter", counted_prefilter)
+    monkeypatch.setattr(verify, "_evaluate", counted_evaluate)
+    report = verify.run_search(spec(target="closed-2-manifold", max_edges=11))
+    assert report.graphs_examined == 2370
+    assert len(survivors) == 3
+    assert rejected_walks[0] == 0
 
 
 @st.composite
