@@ -62,19 +62,22 @@ class Graph:
         self._conflicts = None
 
     @classmethod
-    def _trusted(cls, vertex_count: int, edges: tuple) -> Graph:
+    def _trusted(cls, vertex_count: int, edges: tuple, adj: tuple | None = None) -> Graph:
         """A graph on edges its caller built valid: a sorted tuple of pairs
-        ``(u, v)`` with ``0 <= u < v < vertex_count``, none given twice.
-        Nothing is checked or re-sorted, so only code that derives the
-        edges from another graph's calls this."""
+        ``(u, v)`` with ``0 <= u < v < vertex_count``, none given twice,
+        and, when given, their adjacency masks as a tuple.  Nothing is
+        checked or re-sorted, so only code that derives the edges from
+        another graph's calls this."""
         g = cls.__new__(cls)
-        adj = [0] * vertex_count
-        for u, v in edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+        if adj is None:
+            adj = [0] * vertex_count
+            for u, v in edges:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            adj = tuple(adj)
         g.vertex_count = vertex_count
         g.edges = edges
-        g.adj = tuple(adj)
+        g.adj = adj
         g.has_isolated_vertices = not all(adj)
         g._conflicts = None
         return g

@@ -141,26 +141,53 @@ class _Levels:
     graphs: list  # connected classes with 0 edges, 1 edge, ...
     nu: list  # their matching numbers
     pruned: list  # children dropped by the cap while building each level
+    origins: list  # per class of the last level, its origin (see _free_pairs)
 
 
 _LEVELS: dict = {}  # (max_vertices, matching cap or None) -> _Levels
 
 
-def _free_pairs(g: gr.Graph, nu: int):
+def _free_pairs(g: gr.Graph, nu: int, origin: tuple | None = None):
     """Per vertex u, the mask of vertices w such that some maximum matching
     of g (of size nu) covers neither u nor w.  The masks include the vertex
     n = g.vertex_count a pendant edge would add, which no matching covers.
 
-    Only the matchings of exactly nu edges are walked, each once, by
-    increasing edge index; a branch ends when fewer edges remain addable
-    than it still needs, since each addition takes one of them.  Every
-    maximum matching is maximal, and no smaller maximal matching would
-    contribute."""
+    Without an ``origin``, every maximum matching is walked.  A class the
+    level generator made from a parent P by adding the edge i = (u, v) has
+    the origin ``(rows, i, rose, pendant)``: P's masks, the index of (u, v)
+    in g, whether it raised the matching number, and whether v is the
+    vertex it added.  The maximum matchings of g are P's and those through
+    (u, v) when nu(g) = nu(P), and only those through (u, v) when nu(g) =
+    nu(P) + 1.  So the masks start from P's (none when nu rose; for a
+    pendant edge, every nonempty mask gains the new slot n, which no
+    matching of P covers, and the slot's mask is P's slot mask with it),
+    and only the matchings of nu - 1 edges avoiding u and v are walked.
+
+    The matchings are walked each once, by increasing edge index; a branch
+    ends when fewer edges remain addable than it still needs, since each
+    addition takes one of them.  Every maximum matching is maximal, and no
+    smaller maximal matching would contribute."""
+    n = g.vertex_count
     conf = g.edge_conflicts()
     all_edges = (1 << len(g.edges)) - 1
-    full = (1 << (g.vertex_count + 1)) - 1
     ends = [1 << u | 1 << v for u, v in g.edges]
-    out = [0] * (g.vertex_count + 1)
+    free = (1 << (n + 1)) - 1
+    if origin is None:
+        out = [0] * (n + 1)
+        blocked = 0
+    else:
+        rows, i, rose, pendant = origin
+        if rose:
+            out = [0] * (n + 1)
+        elif pendant:
+            slot = 1 << n
+            out = [r | slot if r else 0 for r in rows]
+            out.append(rows[-1] | slot)
+        else:
+            out = rows.copy()
+        nu -= 1
+        free &= ~ends[i]
+        blocked = conf[i]
 
     def rec(start, need, free, blocked):
         if not need:
@@ -174,36 +201,44 @@ def _free_pairs(g: gr.Graph, nu: int):
             rec(i + 1, need - 1, free & ~ends[i], blocked | conf[i])
             addable ^= b
 
-    rec(0, nu, full, 0)
+    rec(0, nu, free, blocked)
     return out
+
+
+def _leaf_row(n: int, leaves: int, u: int) -> int:
+    """The mask of the v whose child (u, v) passes the leaf rule of
+    ``connected_graph_classes``, for a parent on n vertices with the leaf
+    mask ``leaves``."""
+    others = leaves & ~(1 << u)
+    if not others:
+        return -1
+    return 1 << n | (0 if others & others - 1 else others)
 
 
 class _Parent:
     """A connected class as ``_canonical_child`` reads it, computed once
-    for all its children: degrees, neighbour tuples, the leaf mask, vertex
-    keys at the children's width, and each edge's bridge side on first use."""
+    for all its children, and only for a class with an addition that
+    passes the row masks of ``_levels``: degrees, neighbour tuples, the
+    leaf mask, vertex keys at the children's width, and each edge's bridge
+    side on first use."""
 
     __slots__ = ("n", "adj", "edges", "deg", "nbrs", "w", "key", "leaves", "sides")
 
-    def __init__(self, g: gr.Graph):
+    def __init__(self, g: gr.Graph, leaves: int):
         self.n = g.vertex_count
         self.adj = g.adj
         self.edges = g.edges
+        self.leaves = leaves
         # the slot n is the vertex a pendant edge would add
         self.deg = deg = [a.bit_count() for a in g.adj] + [0]
-        self.nbrs = nbrs = [tuple(gr._bits(a)) for a in g.adj] + [()]
+        self.nbrs = [tuple(gr._bits(a)) for a in g.adj] + [()]
         self.w = w = (2 * len(g.edges) + 2).bit_length()
-        self.key = [d << w | sum([deg[x] for x in nb]) for d, nb in zip(deg, nbrs)]
-        self.leaves = sum(1 << x for x, d in enumerate(deg) if d == 1)
+        # degree << w | the sum of the neighbours' degrees
+        self.key = key = [d << w for d in deg]
+        for a, b in g.edges:
+            key[a] += deg[b]
+            key[b] += deg[a]
         self.sides = [None] * len(g.edges)
-
-    def leaf_row(self, u: int) -> int:
-        """The mask of the v whose child (u, v) passes the leaf rule of
-        ``connected_graph_classes``."""
-        others = self.leaves & ~(1 << u)
-        if not others:
-            return -1
-        return 1 << self.n | (0 if others & others - 1 else others)
 
     def side(self, i: int) -> int:
         """For a bridge i = (a, b), the vertices reachable from a without
@@ -219,7 +254,7 @@ class _Parent:
 def _canonical_child(p: _Parent, u: int, v: int) -> int | None:
     """The invariant of the child that adds (u, v) to ``p``, or None when
     (u, v) is not the child's canonical deletion (see
-    ``connected_graph_classes``); v must be in ``p.leaf_row(u)``."""
+    ``connected_graph_classes``); v must be in ``_leaf_row(p.n, p.leaves, u)``."""
     n = p.n
     w = p.w
     deg = p.deg
@@ -273,29 +308,34 @@ def _orbit(gens, u: int, v: int) -> set:
 
 
 def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
+    _require_int("max_vertices", max_vertices, 2)
+    if cap is not None:
+        _require_int("matching_cap", cap, 1)
     lv = _LEVELS.get((max_vertices, cap))
     if lv is None:
         lv = _LEVELS[(max_vertices, cap)] = _Levels(
-            [[], [gr.path(2)]], [[], [1]], [0, 0])
+            [[], [gr.path(2)]], [[], [1]], [0, 0], [None])
     levels = lv.graphs
     while len(levels) <= max_edges:
-        # (invariant, canonical form) -> (child, nu); a child whose invariant
-        # no other child has shared yet sits under the empty form
+        # (invariant, canonical form) -> (child, nu, origin); a child whose
+        # invariant no other child has shared yet sits under the empty form
         classes = {}
         shared = set()
         pruned = 0
-        for g, nu in zip(levels[-1], lv.nu[-1]):
+        for g, nu, origin in zip(levels[-1], lv.nu[-1], lv.origins):
             n = g.vertex_count
+            adj = g.adj
             # v == n is the pendant edge to a new vertex n
             top = n + 1 if n < max_vertices else n
             # adding (u, v) raises nu by one exactly when some maximum
             # matching misses both u and v
-            free = _free_pairs(g, nu)
-            parent = _Parent(g)
+            free = _free_pairs(g, nu, origin)
+            leaves = sum(1 << x for x, a in enumerate(adj) if a.bit_count() == 1)
+            parent = None
             # one addition per orbit of the twin swaps: u first in its twin
             # class, v first in its own or second in u's; the slot n is a
             # class of its own
-            twin = gr._twins(g.adj) + [n]
+            twin = gr._twins(adj) + [n]
             firsts = sum(1 << x for x, t in enumerate(twin) if t == x)
             second = {}
             for x, t in enumerate(twin):
@@ -307,13 +347,17 @@ def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
             for u in range(n):
                 fu = free[u]
                 # the additions (u, v), u < v < top, as one mask
-                row = (1 << top) - (2 << u) & ~g.adj[u]
+                row = (1 << top) - (2 << u) & ~adj[u]
                 if nu == cap:
                     pruned += (row & fu).bit_count()
                     row &= ~fu
                 if twin[u] != u:
                     continue
-                row &= (firsts | second.get(u, 0)) & parent.leaf_row(u)
+                row &= (firsts | second.get(u, 0)) & _leaf_row(n, leaves, u)
+                if not row:
+                    continue
+                if parent is None:
+                    parent = _Parent(g, leaves)
                 for v in gr._bits(row):
                     inv = _canonical_child(parent, u, v)
                     if inv is None:
@@ -331,7 +375,13 @@ def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
                     # sorted edges is to be found
                     at = bisect.bisect(g.edges, (u, v))
                     edges = g.edges[:at] + ((u, v),) + g.edges[at:]
-                    child = (gr.Graph._trusted(n + (v == n), edges), nu + (fu >> v & 1))
+                    pendant = v == n
+                    child_adj = list(adj) + [0] * pendant
+                    child_adj[u] |= 1 << v
+                    child_adj[v] |= 1 << u
+                    rose = fu >> v & 1
+                    child = (gr.Graph._trusted(n + pendant, edges, tuple(child_adj)),
+                             nu + rose, (free, at, rose, pendant))
                     if inv not in shared:
                         first = classes.pop((inv, b""), None)
                         if first is None:
@@ -343,6 +393,7 @@ def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
         keys = sorted(classes)
         levels.append([classes[k][0] for k in keys])
         lv.nu.append([classes[k][1] for k in keys])
+        lv.origins = [classes[k][2] for k in keys]
         lv.pruned.append(pruned)
     return lv
 
@@ -362,7 +413,15 @@ def connected_graph_classes(max_edges: int, max_vertices: int,
     above) of a class within the cap is within the cap as well.  The levels
     are then exactly the uncapped ones restricted to the cap, with the same
     representatives in the same order: a parent above the cap has no child
-    within it.
+    within it.  The cap reads, per parent, the pairs (u, v) whose addition
+    raises the matching number: those some maximum matching leaves both
+    uncovered.  They are inherited (see ``_free_pairs``): a child P + uv
+    has P's maximum matchings and those through uv when the matching
+    number stays, and only those through uv when it rises, so each class
+    keeps its parent's pairs and its new edge until it is a parent itself,
+    and then walks only the matchings through that edge.  Every maximum
+    matching is walked only for the root P2.  A budget below P2's, a cap
+    below 1 or fewer than 2 vertices, is an ``InvalidParameterError``.
 
     A child is canonicalized only when its added edge passes
     ``_canonical_child``: it is removable (a pendant edge, or a non-bridge
@@ -379,7 +438,8 @@ def connected_graph_classes(max_edges: int, max_vertices: int,
     C, and the key and removability are invariants, so that addition ranks
     highest in its child and passes.
 
-    The test reads state computed once per parent.  A vertex's key is
+    The test reads state computed once per parent, and only for a parent
+    with an addition that survives the masks below.  A vertex's key is
     ``degree << w | sum of neighbour degrees``, w = (2m).bit_length() for
     the child's m edges; both numbers are at most 2m.  Adding (u, v)
     changes only the keys near it: u gains one degree and deg v + 1 of
@@ -432,7 +492,8 @@ def enumerate_graphs(spec: SearchSpec, matching_cap: int | None = None):
     """Every isomorphism class of graphs without isolated vertices, with at
     most max_edges edges and max_vertices vertices, exactly once (only the
     connected ones when ``connected_only``); with a ``matching_cap``, only
-    those whose matching number is at most the cap.
+    those whose matching number is at most the cap, which must be at
+    least 1.
 
     A class with two or more components is the disjoint union of a
     nondecreasing multiset of connected classes, which needs no further

@@ -106,6 +106,24 @@ def test_nonsensical_budget_rejected(budget):
         spec(**budget)
 
 
+@pytest.mark.parametrize("cap", [0, -1, 1.5, True])
+def test_matching_cap_below_one_rejected(cap):
+    # P2, the seed of every level, has nu = 1: a cap of 0 would keep it and
+    # its children, P4 (nu = 2) among them
+    with pytest.raises(InvalidParameterError, match="matching_cap"):
+        verify.connected_graph_classes(3, 10, cap)
+    for connected_only in (True, False):
+        with pytest.raises(InvalidParameterError, match="matching_cap"):
+            list(verify.enumerate_graphs(spec(max_edges=3, connected_only=connected_only), cap))
+
+
+@pytest.mark.parametrize("max_vertices", [1, 0, -1, 2.0])
+def test_level_vertex_budget_below_two_rejected(max_vertices):
+    # P2, the seed of every level, has 2 vertices
+    with pytest.raises(InvalidParameterError, match="max_vertices"):
+        verify.connected_graph_classes(2, max_vertices)
+
+
 @pytest.mark.parametrize("connected_only", ["no", 1, None])
 def test_non_bool_connected_only_rejected(connected_only):
     # "no" is truthy: it would run a connected-only search and report "no"
@@ -358,6 +376,70 @@ def test_free_pairs_match_brute_maximum_matchings(case):
                 u in f and w in f for f in uncovered), (u, w)
 
 
+def test_inherited_free_pairs_match_the_full_walk(monkeypatch):
+    # every parent of the levels gets its masks from its own parent's and
+    # the matchings through its last edge; the full walk agrees
+    real = verify._free_pairs
+    walks = {"full": 0, "inherited": 0}
+
+    def checked(g, nu, origin=None):
+        rows = real(g, nu, origin)
+        if origin is None:
+            walks["full"] += 1
+        else:
+            walks["inherited"] += 1
+            assert rows == real(g, nu), (g.edges, origin[1:])
+        return rows
+
+    verify.clear_caches()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_free_pairs", checked)
+            for cap in (None, 2, 3):
+                verify._levels(11, 10, cap)
+    finally:
+        verify.clear_caches()  # no checked level outlives the test
+    # the root P2 of each cap is walked in full, every other parent inherits
+    assert walks == {"full": 3, "inherited": 4542}
+
+
+@st.composite
+def _connected_addition(draw):
+    g = draw(_connected(max_extra=4))
+    n = g.vertex_count
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n + 1)
+             if v == n or not g.adj[u] >> v & 1]
+    return g, draw(st.sampled_from(pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_connected_addition())
+@example((gr.path(4), (0, 3)))  # inner, nu unchanged: C4
+@example((gr.path(3), (0, 2)))  # inner, nu unchanged: K3
+@example((gr.Graph(4, [(0, 1), (2, 3), (1, 2)]), (0, 2)))  # inner, nu unchanged
+@example((gr.star(3), (1, 2)))  # inner, nu rises: a triangle with a pendant
+@example((gr.path(3), (1, 3)))  # pendant, nu unchanged: K1,3
+@example((gr.path(3), (0, 3)))  # pendant, nu rises: P4
+@example((gr.path(2), (0, 2)))  # pendant from the root
+def test_free_pairs_through_the_new_edge_match_brute_matchings(case):
+    # the masks of P + (u, v) built from P's, inner and pendant additions,
+    # with and without a rise in nu, against the brute maximum matchings
+    p, (u, v) = case
+    n = p.vertex_count
+    g = gr.Graph(n + (v == n), p.edges + ((u, v),))
+    nu_p, nu = gr.matching_number(p), gr.matching_number(g)
+    origin = (verify._free_pairs(p, nu_p), g.edges.index((u, v)), nu - nu_p, v == n)
+    free = verify._free_pairs(g, nu, origin)
+    brute = oracle_utils.brute_matchings(g)
+    slots = g.vertex_count + 1
+    uncovered = [set(range(slots)) - {x for i in m for x in g.edges[i]}
+                 for m in brute if len(m) == nu]
+    for a in range(slots):
+        for b in range(slots):
+            assert bool(free[a] >> b & 1) == any(
+                a in f and b in f for f in uncovered), (a, b)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_graphs_up_to(9))
 @example((6, [(0, 1), (2, 3), (4, 5)]))  # 3P2: a triangle
@@ -416,7 +498,7 @@ def test_prefilter_matches_dedupe_only_oracle(monkeypatch):
             # every child reaches the canonical-form dedupe, and shares one
             # invariant bucket with every other child of its level: neither
             # the row's leaf rule nor the canonical-deletion test drops one
-            m.setattr(verify._Parent, "leaf_row", lambda parent, u: -1)
+            m.setattr(verify, "_leaf_row", lambda n, leaves, u: -1)
             m.setattr(verify, "_canonical_child", lambda parent, u, v: 0)
             oracle_levels = [_level_forms(verify.connected_graph_classes(e, 10, cap))
                              for e, cap in budgets]
@@ -477,6 +559,10 @@ def _connected(draw, max_extra=None):
     return gr.Graph(n, tree + extra)
 
 
+def _parent(g):
+    return verify._Parent(g, sum(1 << x for x in range(g.vertex_count) if g.degree(x) == 1))
+
+
 @st.composite
 def _connected_edge_perm(draw):
     g = draw(_connected())
@@ -510,9 +596,9 @@ def test_per_parent_verdicts_match_the_oracle(g, room):
     # slot v == n included unless the parent is at the vertex budget: the
     # row's leaf rule and the canonical-deletion test together
     n = g.vertex_count
-    parent = verify._Parent(g)
+    parent = _parent(g)
     for u in range(n):
-        row = parent.leaf_row(u)
+        row = verify._leaf_row(n, parent.leaves, u)
         for v in range(u + 1, n + 1 if room else n):
             if g.adj[u] >> v & 1:
                 continue
@@ -531,7 +617,7 @@ def test_per_parent_verdicts_match_the_oracle(g, room):
 def test_bridge_sides_match_the_oracle(g):
     # the side of edge (a, b) is what a reaches without it, 0 exactly when
     # b is among that
-    parent = verify._Parent(g)
+    parent = _parent(g)
     for i, (a, b) in enumerate(g.edges):
         got = oracle_utils.oracle_reachable(g.edges[:i] + g.edges[i + 1:], a)
         assert parent.side(i) == (0 if b in got else sum(1 << x for x in got))
@@ -559,6 +645,15 @@ def test_prefilter_canonicalizes_each_class_about_once(monkeypatch):
     forms = _counting(monkeypatch, "canonical_form")
     searches = _counting(monkeypatch, "_automorphisms")
     tests = _counting(monkeypatch, "_canonical_child", verify)
+    parents = _counting(monkeypatch, "_Parent", verify)
+    real = verify._free_pairs
+    full_walks = [0]
+
+    def free_pairs(g, nu, origin=None):
+        full_walks[0] += origin is None
+        return real(g, nu, origin)
+
+    monkeypatch.setattr(verify, "_free_pairs", free_pairs)
     verify.clear_caches()
     levels = verify.connected_graph_classes(11, 10, 3)
     # 2,065 classes.  Of the 20,182 children within the cap, the twin-orbit
@@ -572,6 +667,12 @@ def test_prefilter_canonicalizes_each_class_about_once(monkeypatch):
     assert tests[0] == 5218
     assert searches[0] == 187
     assert forms[0] == 200
+    # the 1,258 parents are the classes up to 10 edges; every maximum
+    # matching is walked only for the root P2, and the 161 parents whose
+    # every addition fails the cap, twin or leaf mask build no _Parent
+    assert sum(map(len, levels[:11])) == 1258
+    assert full_walks[0] == 1
+    assert parents[0] == 1258 - 161
 
 
 _CLASSES_TO_6 = [g for level in verify.connected_graph_classes(6, 10) for g in level]
