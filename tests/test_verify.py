@@ -416,7 +416,6 @@ def _connected_addition(draw):
 @given(_connected_addition())
 @example((gr.path(4), (0, 3)))  # inner, nu unchanged: C4
 @example((gr.path(3), (0, 2)))  # inner, nu unchanged: K3
-@example((gr.Graph(4, [(0, 1), (2, 3), (1, 2)]), (0, 2)))  # inner, nu unchanged
 @example((gr.star(3), (1, 2)))  # inner, nu rises: a triangle with a pendant
 @example((gr.path(3), (1, 3)))  # pendant, nu unchanged: K1,3
 @example((gr.path(3), (0, 3)))  # pendant, nu rises: P4
