@@ -65,7 +65,8 @@ from . import catalog, complexes, homology, manifold, verify
 def clear_caches():
     """Empty every module-level cache: the enumerated graph classes, the one
     table of what is known per facet set, ``complexes._facts`` (join splits,
-    face tables, Betti numbers, link-shape records, factor boundaries), and
+    face tables, Betti numbers, link-shape records, factor boundaries), the
+    maximal matchings of each component shape, ``complexes._walks``, and
     the catalog tables.  Results do not change; a long-lived process can
     call this to bound its memory."""
     verify.clear_caches()

@@ -219,14 +219,17 @@ def matching_complex(g: graphs_mod.Graph) -> Complex:
 
     A graph with two or more components that have edges is built as the
     join of their complexes, M(G₁ ⊔ G₂) = M(G₁) * M(G₂): the maximal
-    matchings are walked once per component, and the facets are the unions
-    of one component facet each.  The split, the components' complexes in
-    order of lowest edge index, each re-indexed, is recorded for
-    :func:`_join_factors` as it is built.  It is the one that function's
-    walk returns, by the lemma there: M(G) is flag, so the graph of
-    vertices that never share a facet is the line graph L(G), whose
-    components are the edge sets of G's components.  A connected graph
-    costs one reachability check more than its walk alone.
+    matchings are walked once per component shape per process, kept in
+    ``_walks`` under the component's edges as ``graphs._component``
+    numbers them, and the facets are the unions of one component facet
+    each.  The split, the components' complexes in order of lowest edge
+    index, each re-indexed, is recorded for :func:`_join_factors` as it is
+    built.  It is the one that function's walk returns, by the lemma
+    there: M(G) is flag, so the graph of vertices that never share a facet
+    is the line graph L(G), whose components are the edge sets of G's
+    components.  A connected graph costs one reachability check more than
+    its walk alone, and its walk is not kept: a search meets each graph
+    once, where keeping it cost the disconnected-complex search ~1%.
     """
     m = len(g.edges)
     if m > FACE_VERTEX_CAP:
@@ -241,11 +244,18 @@ def matching_complex(g: graphs_mod.Graph) -> Complex:
     # are sorted pairs
     facets, split = [0], []
     while comp:
-        h, indices = graphs_mod._component(g, comp)
-        local = sorted(graphs_mod._maximal_matching_masks(h))
-        spread = [sum(1 << indices[j] for j in graphs_mod._bits(f)) for f in local]
-        facets = [f | e for f in facets for e in spread]
-        split.append((len(indices), tuple(local)))
+        edges, indices = graphs_mod._component(g, comp)
+        local = _walks.get(edges)
+        if local is None:
+            h = graphs_mod.Graph._trusted(comp.bit_count(), edges)
+            local = _walks[edges] = tuple(sorted(graphs_mod._maximal_matching_masks(h)))
+        low = indices[0]
+        if indices[-1] - low == len(indices) - 1:  # a run of edges, as in a disjoint union
+            spread = [f << low for f in local]
+        else:
+            spread = [sum(1 << indices[j] for j in graphs_mod._bits(f)) for f in local]
+        facets = [f | e for e in spread for f in facets]
+        split.append((len(indices), local))
         left &= ~comp
         comp = graphs_mod._reach(g.adj, left & -left)
     facets.sort()
@@ -342,8 +352,17 @@ def _facts_of(facet_masks: tuple) -> dict:
     return got
 
 
+# a connected component's edges, numbered as ``graphs._component`` numbers
+# them -> its maximal matchings as sorted edge masks: the walks of
+# :func:`matching_complex`, one per component shape (a shape whose vertices
+# come in another order is walked again).  It maps a graph to a facet set,
+# which exists only after the walk, so it is no entry of _facts
+_walks: dict = {}
+
+
 def clear_caches():
     _facts.clear()
+    _walks.clear()
 
 
 def _join_factors(facet_masks):

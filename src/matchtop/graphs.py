@@ -91,14 +91,13 @@ class Graph:
         The mask for edge i includes bit i itself.
         """
         if self._conflicts is None:
-            m = len(self.edges)
             incident = [0] * self.vertex_count
-            for i, (u, v) in enumerate(self.edges):
-                incident[u] |= 1 << i
-                incident[v] |= 1 << i
-            self._conflicts = tuple(
-                incident[u] | incident[v] for (u, v) in self.edges
-            )
+            bit = 1
+            for u, v in self.edges:
+                incident[u] |= bit
+                incident[v] |= bit
+                bit <<= 1
+            self._conflicts = tuple([incident[u] | incident[v] for u, v in self.edges])
         return self._conflicts
 
     def __eq__(self, other):
@@ -207,13 +206,16 @@ def banner() -> Graph:
 
 
 def disjoint_union(graphs) -> Graph:
-    """Disjoint union; vertex offsets are applied left to right."""
-    pairs = []
+    """Disjoint union; vertex offsets are applied left to right.  Each part
+    is a valid graph and lies above the parts before it, so the offset
+    edges come out sorted and distinct, and nothing is re-checked."""
+    edges, adj = [], []
     offset = 0
     for g in graphs:
-        pairs.extend((u + offset, v + offset) for (u, v) in g.edges)
+        edges.extend([(u + offset, v + offset) for u, v in g.edges])
+        adj.extend([a << offset for a in g.adj])
         offset += g.vertex_count
-    return Graph(offset, pairs)
+    return Graph._trusted(offset, tuple(edges), tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -338,22 +340,24 @@ def connected_components(g: Graph):
             continue
         comp = _reach(g.adj, 1 << v)
         seen |= comp
-        comps.append(_component(g, comp)[0])
+        comps.append(Graph._trusted(comp.bit_count(), _component(g, comp)[0]))
     return comps, isolated
 
 
 def _component(g: Graph, comp: int):
-    """``(graph, indices)``: the component of g on the vertex mask ``comp``,
-    its vertices numbered in their order in g, and the indices in g of its
-    edges.  The numbering keeps the order of the vertices, so it keeps the
-    order of the edges too: edge j of the component is edge indices[j] of
-    g."""
+    """``(edges, indices)``: the edges of the component of g on the vertex
+    mask ``comp``, its vertices numbered in their order in g, as a sorted
+    tuple, and the indices in g of its edges.  The numbering keeps the
+    order of the vertices, so it keeps the order of the edges too: edge j
+    of the component is edge indices[j] of g.  The edges name the
+    component's shape up to that numbering, and ``Graph._trusted`` takes
+    them as they are."""
     vmap = {u: j for j, u in enumerate(_bits(comp))}
     indices = [i for i, (u, _) in enumerate(g.edges) if comp >> u & 1]
     # from a list: the tuple of a generator is grown and shrunk in place,
     # which raised join-arith's peak RSS by ~0.2 MB
     edges = tuple([(vmap[g.edges[i][0]], vmap[g.edges[i][1]]) for i in indices])
-    return Graph._trusted(len(vmap), edges), indices
+    return edges, indices
 
 
 def is_connected_graph(g: Graph) -> bool:

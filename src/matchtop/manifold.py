@@ -52,7 +52,9 @@ over the span's ``complexes._near`` neighbourhoods; 0 when closed).
 ``manifold_report`` analyse each complex once, the last two read the
 count through one guard and the boundary's Betti numbers through one
 route, ``_boundary_betti``, and a folded join's boundary is spanned only
-by ``boundary_complex``.
+by ``boundary_complex``.  Each public function checks its primes once;
+the internals below it (``_verdict``, ``_classify``, ``_fold_boundary``,
+``_boundary_betti``, ``_component_count``) take the checked int.
 """
 
 from __future__ import annotations
@@ -63,8 +65,7 @@ from . import complexes as cx
 from . import graphs as graphs_mod
 from .complexes import Complex, _join_factors
 from .errors import InvalidParameterError
-from .homology import (BettiVector, _from_poly, _poly, _prime_of, _times, betti_for_facets,
-                       betti_reduced)
+from .homology import BettiVector, _betti, _from_poly, _poly, _prime_of, _times, betti_for_facets
 
 STATUS_NOT_PURE = "NotPure"
 STATUS_NOT_MANIFOLD = "NotManifold"
@@ -334,11 +335,12 @@ def _fold_boundary(factors, q, check=False):
     for k, norm in factors:
         bd = _factor_boundary(k, norm)
         if check and bd is not None and (
-                check_manifold(bd, q).status != STATUS_CLOSED
+                _verdict(bd, q).status != STATUS_CLOSED
                 or _record(norm, k, q)[0] == _BOUNDARY
-                and not betti_reduced(bd, q).is_sphere(norm[0].bit_count() - 2)):
+                and not _betti(bd.facet_masks, q, bd).is_sphere(norm[0].bit_count() - 2)):
             return None
-        part = _poly(betti_for_facets(k, norm, q)), None if bd is None else _poly(betti_reduced(bd, q))
+        part = (_poly(betti_for_facets(k, norm, q)),
+                None if bd is None else _poly(_betti(bd.facet_masks, q, bd)))
         if joined is not None:
             (pk, bk), (pl, bl) = joined, part
             if bl is None:
@@ -390,21 +392,35 @@ def check_manifold(c: Complex, p) -> ManifoldVerdict:
     maximal ball faces are the ridges in one facet, and otherwise the least
     vertex whose link is a ball.
     """
-    pp = _prime_of(p)
-    key = ("verdict", pp)
-    got = c._cache.get(key)
-    if got is None:
-        got = c._cache[key] = _verdict(c, pp)
-    return got
+    return _verdict(c, _prime_of(p))
 
 
 def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
+    """:func:`check_manifold` at the checked prime pp, memoized on c."""
+    key = ("verdict", pp)
+    got = c._cache.get(key)
+    if got is None:
+        got = c._cache[key] = _decide(c, pp)
+    return got
+
+
+def _shape(c: Complex):
+    """``(used, norm)``: c's facets re-indexed onto 0..k-1 by
+    ``complexes._reindex``.  Memoized on c, as the verdict at every prime
+    and the boundary's Betti numbers read the same shape."""
+    got = c._cache.get("shape")
+    if got is None:
+        got = c._cache["shape"] = cx._reindex(c.facet_masks)
+    return got
+
+
+def _decide(c: Complex, pp: int) -> ManifoldVerdict:
     if c.is_empty_only():
         return ManifoldVerdict(STATUS_CLOSED, -1, pp)
     if not cx.is_pure(c):
         return ManifoldVerdict(STATUS_NOT_PURE, c.dimension, pp)
     d = c.dimension
-    used, norm = cx._reindex(c.facet_masks)
+    used, norm = _shape(c)
     rec = _record(norm, used.bit_count(), pp, link=False)
     fail, ball, disagree, _, _ = _shape_summary(rec, pp)
     pos = [1 << v for v in graphs_mod._bits(used)]
@@ -427,7 +443,7 @@ def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
             c._cache["boundary_components"] = poly[1] + 1
             return ManifoldVerdict(STATUS_WITH_BOUNDARY, d, pp)
         bd = _one_facet_ridges(c)
-        sub = check_manifold(bd, pp)
+        sub = _verdict(bd, pp)
         if sub.status == STATUS_CLOSED:
             if "boundary_components" not in c._cache:
                 near = cx._near(bd.facet_masks, bd.vertex_count)
@@ -466,7 +482,7 @@ def _one_facet_ridges(c: Complex) -> Complex | None:
 def _component_count(c: Complex, pp: int) -> int:
     """The number of boundary components of c, 0 for a closed manifold, as
     the verdict at pp left it on c.  Raises when c is no manifold at pp."""
-    verdict = check_manifold(c, pp)
+    verdict = _verdict(c, pp)
     if not verdict.is_manifold:
         raise InvalidParameterError(f"no boundary for status {verdict.status} at p = {pp}")
     return c._cache.get("boundary_components", 0)
@@ -495,10 +511,14 @@ def _boundary_betti(c: Complex, q: int) -> BettiVector:
     key = ("boundary_betti", q)
     got = c._cache.get(key)
     if got is None:
-        factors = _join_factors(cx._reindex(c.facet_masks)[1])
+        factors = _join_factors(_shape(c)[1])
         poly = None if factors is None else _fold_boundary(factors, q)
-        got = c._cache[key] = (betti_reduced(_one_facet_ridges(c) or cx.from_facets((), [()]), q)
-                               if poly is None else _from_poly(poly, q, c.dimension - 1))
+        if poly is None:
+            bd = _one_facet_ridges(c) or cx.from_facets((), [()])
+            got = _betti(bd.facet_masks, q, bd)
+        else:
+            got = _from_poly(poly, q, c.dimension - 1)
+        c._cache[key] = got
     return got
 
 
@@ -516,13 +536,16 @@ def classify(c: Complex, verdict: ManifoldVerdict | None = None, p_pair=(2, 3)) 
     back OtherSurface / OtherManifold.
     """
     p1, p2 = (_prime_of(q) for q in p_pair)
-    if verdict is None:
-        verdict = check_manifold(c, p1)
+    return _classify(c, _verdict(c, p1) if verdict is None else verdict, p1, p2)
+
+
+def _classify(c: Complex, verdict: ManifoldVerdict, p1: int, p2: int) -> ManifoldClass:
+    """:func:`classify` at the checked primes p1 and p2."""
     if not verdict.is_manifold:
         return NOT_MANIFOLD_CLASS
     d = verdict.dimension
-    b1 = betti_reduced(c, p1)
-    b2 = betti_reduced(c, p2)
+    b1 = _betti(c.facet_masks, p1, c)
+    b2 = _betti(c.facet_masks, p2, c)
     if verdict.status == STATUS_CLOSED:
         if b1.is_sphere(d) and b2.is_sphere(d):
             return ManifoldClass("Sphere", d)
@@ -557,7 +580,7 @@ def manifold_report(c: Complex, p_pair=(2, 3)) -> dict:
     (``cross_check_status`` is None).
     """
     p1, p2 = (_prime_of(q) for q in p_pair)
-    verdict = check_manifold(c, p1)
+    verdict = _verdict(c, p1)
     out = {
         "status": verdict.status,
         "dimension": verdict.dimension,
@@ -568,8 +591,8 @@ def manifold_report(c: Complex, p_pair=(2, 3)) -> dict:
     fv = cx.f_vector(c)
     out["f_vector"] = list(fv.positive)
     out["euler_characteristic"] = fv.euler_characteristic()
-    b1 = betti_reduced(c, p1)
-    b2 = betti_reduced(c, p2)
+    b1 = _betti(c.facet_masks, p1, c)
+    b2 = _betti(c.facet_masks, p2, c)
     out["betti"] = [{"p": p1, "betti": b1.to_list()}]
     if p2 != p1:
         out["betti"].append({"p": p2, "betti": b2.to_list()})
@@ -580,8 +603,8 @@ def manifold_report(c: Complex, p_pair=(2, 3)) -> dict:
             out["boundary_is_sphere"] = all(_boundary_betti(c, q).is_sphere(verdict.dimension - 1)
                                             for q in (p1, p2))
         # a single prime is no cross-check
-        out["cross_check_status"] = check_manifold(c, p2).status if p2 != p1 else None
+        out["cross_check_status"] = _verdict(c, p2).status if p2 != p1 else None
     else:
         out["boundary_components"] = None
-    out["class"] = str(classify(c, verdict, (p1, p2)))
+    out["class"] = str(_classify(c, verdict, p1, p2))
     return out

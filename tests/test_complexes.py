@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+from unittest import mock
 
+import matchtop
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -84,6 +86,7 @@ def test_matching_complex_checks_the_face_cap_first(monkeypatch):
     def enumerate_nothing(*args):
         raise AssertionError("maximal matchings enumerated past the face cap")
 
+    cx.clear_caches()  # a walk served by the walk table would hide a late check
     monkeypatch.setattr(gr, "_maximal_matching_masks", enumerate_nothing)
     g = gr.Graph(2 * (cx.FACE_VERTEX_CAP + 1),
                  [(2 * i, 2 * i + 1) for i in range(cx.FACE_VERTEX_CAP + 1)])
@@ -171,6 +174,58 @@ def test_graph_born_joins_match_the_walk(g):
     else:
         assert walked is None
     assert cx._join_factors(M.facet_masks) == walked
+
+
+@st.composite
+def _connected_graphs(draw):
+    """A connected graph on 2 to 4 vertices: a random tree with up to two
+    more edges, its vertices permuted, so that one shape comes with
+    several numberings."""
+    n = draw(st.integers(2, 4))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    rest = sorted(set(itertools.combinations(range(n), 2)) - edges)
+    if rest:
+        edges |= set(draw(st.lists(st.sampled_from(rest), unique=True, max_size=2)))
+    return oracle_utils.relabel(gr.Graph(n, sorted(edges)), draw(st.permutations(range(n))))
+
+
+def _walked(parts):
+    """The matching complex of the union of parts and the number of walks
+    its build made."""
+    with mock.patch.object(gr, "_maximal_matching_masks",
+                           wraps=gr._maximal_matching_masks) as walk:
+        M = cx.matching_complex(gr.disjoint_union(parts))
+    return M, walk.call_count
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_connected_graphs(), min_size=1, max_size=3).flatmap(
+    lambda shapes: st.lists(st.sampled_from(shapes), min_size=1, max_size=3)))
+@example([gr.path(3)] * 3)
+@example([gr.path(2), gr.Graph(2, [(0, 1)]), gr.Graph(3, [(0, 2), (1, 2)]), gr.path(3)])
+def test_component_walks_match_brute_maximal_matchings(parts):
+    # cold, each distinct component numbering is walked once; warm, in
+    # either order, none is (a connected graph is walked for itself each
+    # time); every build has the brute-force facets and records the walk's
+    # split
+    cx.clear_caches()
+    for order, cold in ((parts, True), (parts[::-1], False), (parts, False)):
+        g = gr.disjoint_union(order)
+        M, walks = _walked(order)
+        assert walks == (1 if len(order) == 1 else len({h.edges for h in order}) if cold else 0)
+        assert sorted(M.facets()) == sorted(oracle_utils.brute_maximal_matchings(g))
+        recorded = cx._facts.get(M.facet_masks, {}).get("split")
+        assert recorded == cx._split(M.facet_masks)
+        assert (recorded is None) == (len(order) == 1)
+
+
+def test_one_walk_per_component_shape():
+    matchtop.clear_caches()
+    p2, p3, c5 = gr.path(2), gr.path(3), gr.cycle(5)
+    walks = sum(_walked(parts)[1] for parts in ([p3, p3, p3], [p3, c5], [c5, c5, p2]))
+    assert walks == 3 and len(cx._walks) == 3
+    matchtop.clear_caches()
+    assert not cx._walks
 
 
 def test_a_connected_graph_gives_no_join():

@@ -118,6 +118,9 @@ def _small_graphs(draw, n_min=1, n_max=8):
 def test_maximal_matchings_match_brute_force(g):
     # the pruned recursion against filtering every edge subset
     assert _maximal(g) == oracle_utils.brute_maximal_matchings(g)
+    # and the conflict masks it reads against pairwise vertex sharing
+    assert g.edge_conflicts() == tuple(sum(1 << j for j, f in enumerate(g.edges) if set(e) & set(f))
+                                       for e in g.edges)
 
 
 def test_k43_matching_counts():
@@ -192,6 +195,24 @@ def test_subgraph_avoiding_no_incidences_property():
         for old in index_map:
             assert not banned & set(g.edges[old])
         assert len(index_map) == len(sub.edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_small_graphs(0, 5), max_size=4))
+@example([])
+@example([gr.Graph(0, []), gr.Graph(2, []), gr.path(2)])
+@example([gr.Graph(3, [(0, 2)]), gr.Graph(1, []), gr.cycle(3)])
+def test_disjoint_union_equals_the_checked_graph(parts):
+    # the trusted build against the constructor that checks and sorts
+    u = gr.disjoint_union(parts)
+    pairs, offset = [], 0
+    for g in parts:
+        pairs += [(a + offset, b + offset) for a, b in g.edges]
+        offset += g.vertex_count
+    checked = gr.Graph(offset, pairs)
+    assert u == checked
+    assert u.edges == checked.edges and u.adj == checked.adj
+    assert u.has_isolated_vertices == checked.has_isolated_vertices
 
 
 def test_connected_components():

@@ -442,10 +442,11 @@ def test_a_folded_boundary_is_spanned_only_when_read(monkeypatch):
 def test_no_folded_join_boundary_is_walked(monkeypatch):
     # criterion 6 on the small joins: a join with boundary takes its
     # verdict, component count and boundary Betti numbers from its factors,
-    # so check_manifold never sees its boundary, only those of the factors
+    # so no verdict is taken of its boundary, only of those of the factors;
+    # every verdict, check_manifold's and the boundary checks', is a _verdict
     checked = []
-    real = mf.check_manifold
-    monkeypatch.setattr(mf, "check_manifold", lambda c, p: checked.append(c) or real(c, p))
+    real = mf._verdict
+    monkeypatch.setattr(mf, "_verdict", lambda c, p: checked.append(c) or real(c, p))
     matchtop.clear_caches()
     folded = []
     for g, _ in _join_arithmetic_cases(face_cap=400):
@@ -459,6 +460,25 @@ def test_no_folded_join_boundary_is_walked(monkeypatch):
     assert not any(id(bd) in walked for bd in folded)
     boundaries = [e["boundary"] for e in cx._facts.values() if "boundary" in e]
     assert set(map(id, boundaries)) & walked  # the factors' are
+
+
+def test_each_prime_is_checked_once_per_public_call(monkeypatch):
+    # criterion 6's pair of calls on the small joins: check_manifold checks
+    # its prime and classify its two, and nothing below them checks again
+    cases = [g for g, _ in _join_arithmetic_cases(face_cap=400)]
+    checks = []
+    real = hm._checked
+    monkeypatch.setattr(hm, "_checked", lambda p: checks.append(p) or real(p))
+    matchtop.clear_caches()
+    statuses = set()
+    for g in cases:
+        M = cx.matching_complex(g)
+        checks.clear()
+        verdict = mf.check_manifold(M, 2)
+        mf.classify(M, verdict, (2, 3))
+        assert checks == [2, 2, 3], g
+        statuses.add(verdict.status)
+    assert {mf.STATUS_CLOSED, mf.STATUS_WITH_BOUNDARY} <= statuses
 
 
 def test_clear_caches_empties_the_factor_boundaries():

@@ -743,6 +743,7 @@ def test_ridge_prefilter_lists_no_facets(monkeypatch):
     # the prefilter reads the ridges' cofacets off the graph: it lists no
     # maximal matching and counts no ridge of a facet list, so over the
     # closed-surface search only its 3 survivors' complexes list facets
+    matchtop.clear_caches()  # so no component walk is served by the walk table
     facets = _counting(monkeypatch, "_maximal_matching_masks")
     ridges = _counting(monkeypatch, "_ridge_cofacets", cx)
     prefilter, evaluate = verify._ridge_prefilter, verify._evaluate
@@ -845,12 +846,13 @@ def test_clear_caches_keeps_reports():
     before = verify.run_search(s).to_dict(include_timing=False)
     big = cx.matching_complex(gr.spider(9))
     big_betti = homology.betti_reduced(big, 2)
+    cx.matching_complex(gr.disjoint_union([gr.path(3), gr.cycle(5)]))  # fills the walk table
     catalog.predict(gr.cycle(5))  # fills the small-basics table
     catalog.catalog_names()  # fills the name registry
     tables = (catalog._exceptional_graphs, catalog._disconnected_balls,
               catalog._small_basics, catalog._registry)
     caches = _caches_at_import()
-    assert {"complexes._facts", "verify._LEVELS"} <= set(caches)
+    assert {"complexes._facts", "complexes._walks", "verify._LEVELS"} <= set(caches)
     assert all(caches.values()), [name for name, cache in caches.items() if not cache]
     for table in tables:
         assert table.cache_info().currsize > 0
@@ -865,7 +867,8 @@ def test_clear_caches_keeps_reports():
 def test_one_table_keeps_what_is_known_per_facet_set():
     # a facet set's split, Betti numbers at each prime, link-shape record
     # and factor boundary are kept in its one complexes._facts entry, and
-    # no other package dict fills
+    # no other package dict fills but the table of component walks, which
+    # maps graphs, not facet sets
     caches = _caches_at_import()
     matchtop.clear_caches()
     sphere, ball = (cx.matching_complex(gr.disjoint_union(parts))
@@ -873,7 +876,8 @@ def test_one_table_keeps_what_is_known_per_facet_set():
     recorded = {M.facet_masks: cx._facts[M.facet_masks]["split"] for M in (sphere, ball)}
     for M, cls in ((sphere, "Sphere(2)"), (ball, "Ball(3)")):
         assert str(manifold.classify(M, manifold.check_manifold(M, 2), (2, 3))) == cls
-    assert {name for name, cache in caches.items() if cache} == {"complexes._facts"}
+    assert {name for name, cache in caches.items() if cache} == {"complexes._facts",
+                                                                 "complexes._walks"}
     for facets, split in recorded.items():
         assert len(split) == 2 and cx._facts[facets]["split"] is split
     factors = [cx._facts[norm] for split in recorded.values() for _, norm in split]
