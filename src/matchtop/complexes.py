@@ -161,9 +161,9 @@ def _maximal(masks):
     return kept
 
 
-def _reindex(masks, used=0):
-    """Re-index masks onto the positions set in ``used`` (default: the union
-    of the masks), keeping their order; returns ``(used, sorted new masks)``.
+def _reindex(masks):
+    """Re-index masks onto the positions they use, ``used``, the union of
+    the masks; returns ``(used, sorted new masks)``.
 
     Position i of the result is the i-th lowest position of ``used``, so
     ``labels_of(used)`` labels the new vertices.  Runs once per link shape
@@ -171,9 +171,9 @@ def _reindex(masks, used=0):
     of its parent: so each run of unused positions, highest first, is cut
     out of every mask with one shift, not each mask rebuilt bit by bit.
     """
-    if not used:
-        for m in masks:
-            used |= m
+    used = 0
+    for m in masks:
+        used |= m
     out = masks
     gaps = ~used & ((1 << used.bit_length()) - 1)
     while gaps:
@@ -339,8 +339,8 @@ def _near(facet_masks, n: int) -> list:
 # sorted facet masks -> what the process knows about that facet set, with
 # no labels and no prime in the key: its "split" (the re-indexed join
 # factors or None), the "table" of its faces when it is ranked without a
-# Complex, its BettiVector at each prime p under p, its link-shape record
-# at p under ("shape", p), and a join factor's "boundary"
+# Complex, its BettiVector at each prime p under p, its one link-shape
+# record for every prime under "shape", and a join factor's "boundary"
 _facts: dict = {}
 
 

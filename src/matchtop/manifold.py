@@ -12,9 +12,10 @@ Links are computed top-down: the link of σ ∪ v is the link of v inside
 the link of σ, so no face scans the facets of the whole complex.  Links
 are memoized by shape (the link's facets re-indexed onto positions
 0..k-1) in ``complexes._facts``, the process table of what is known per
-facet set: the children of a link and its class depend only on its shape,
-so each distinct shape is re-indexed and classified once per prime and
-process, however many faces and complexes have it.
+facet set: the children of a link depend only on its shape, so each
+distinct shape keeps one record for the process, however many faces,
+complexes and primes have it, and its children are re-indexed once.  Only
+its class and its summary depend on the prime, and each is kept per prime.
 
 The verdict is paid per shape, not per face.  A shape's record keeps a
 summary over its nonempty faces: the least size of a face whose link
@@ -120,44 +121,38 @@ _FAIL = "?"
 _NEVER = float("inf")  # the fail of a shape with no failing face, in a fold
 
 
-def _classify_link(norm_count, norm_masks, p):
-    """('S'|'B'|'?', betti) for a link with the given normalized facets.
-
-    The expected dimension is read off the facets: in a pure complex the
-    link of a face of size s is pure of dimension d - s.  The Betti numbers
-    are cached by ``betti_for_facets`` on the facet structure, and the class
-    is read off them.
-    """
-    betti = betti_for_facets(norm_count, norm_masks, p)
-    if betti.is_sphere(max(m.bit_count() for m in norm_masks) - 1):
-        return _INTERIOR, betti
-    if betti.is_ball():
-        return _BOUNDARY, betti
-    return _FAIL, betti
-
-
-def _record(norm, k, p, link=True):
-    """The record at p of the shape with the normalized facets ``norm``,
-    ``[class, betti, facets, children, summary]``, one for the whole process
-    in the ``("shape", p)`` slot of their ``complexes._facts`` entry, its
-    children built on first use; with ``link``, classified on first use."""
+def _record(norm, k):
+    """The record of the shape with the normalized facets ``norm`` on k
+    vertices, ``[facets, children, classes, summaries]``, one for the whole
+    process and every prime in the ``"shape"`` slot of their
+    ``complexes._facts`` entry: children built on first use, and the class
+    and the summary kept per prime by :func:`_class` and
+    :func:`_shape_summary`."""
     facts = cx._facts_of(norm)
-    rec = facts.get(("shape", p))
-    if rec is None:
-        rec = facts[("shape", p)] = [None, None, norm, [None] * k, None]
-    if link and rec[0] is None:
-        rec[0], rec[1] = _classify_link(k, norm, p)
-    return rec
+    if "shape" not in facts:
+        facts["shape"] = [norm, [None] * k, {}, {}]
+    return facts["shape"]
 
 
-def _child(rec, i, p):
+def _child(rec, i):
     """The child entry of a shape record for its vertex i: the record of
     lk(i) and the positions of its vertices in the parent."""
     b = 1 << i
-    used, norm = cx._reindex([f ^ b for f in rec[2] if f & b])
-    entry = rec[3][i] = (_record(norm, used.bit_count(), p),
-                         bytes(graphs_mod._bits(used)))
+    used, norm = cx._reindex([f ^ b for f in rec[0] if f & b])
+    entry = rec[1][i] = (_record(norm, used.bit_count()), bytes(graphs_mod._bits(used)))
     return entry
+
+
+def _class(rec, p):
+    """'S', 'B' or '?': a shape as a link at p, a sphere of the dimension
+    its facets have, acyclic, or neither.  Read off the Betti numbers on
+    first use and memoized on the record per prime."""
+    cls = rec[2].get(p)
+    if cls is None:
+        betti = betti_for_facets(len(rec[1]), rec[0], p)
+        cls = rec[2][p] = (_INTERIOR if betti.is_sphere(rec[0][0].bit_count() - 1)
+                           else _BOUNDARY if betti.is_ball() else _FAIL)
+    return cls
 
 
 def _shape_summary(rec, p):
@@ -173,9 +168,9 @@ def _shape_summary(rec, p):
     * non_ball: the least size of a σ whose link is not acyclic, at most
       the facet size, as a facet's link {∅} is a sphere.
 
-    Memoized on the record.  A shape that ``complexes._join_factors`` splits
-    is folded from the records of the re-indexed factors it returns, each
-    classified as a link, and builds no vertex link.  Any other is read off
+    Memoized on the record per prime.  A shape that ``_join_factors``
+    splits is folded from the records of the re-indexed factors it returns,
+    each classified as a link, and builds no vertex link.  Any other is read off
     its vertex links: every nonempty face is a vertex i plus a face τ of
     lk(i), with lk σ = lk_{lk(i)}(τ), so the summary is read off the vertex
     links themselves (τ = ∅, size 1) and their own summaries (size + 1).
@@ -221,39 +216,41 @@ def _shape_summary(rec, p):
     the facets of z through w, with w deleted, form a nonzero (k-1)-cycle
     of lk_L(w), which is therefore not acyclic.
     """
-    got = rec[4]
+    got = rec[3].get(p)
     if got is not None:
         return got
-    factors = _join_factors(rec[2])
+    factors = _join_factors(rec[0])
     if factors is not None:
         joined = None
         for k, norm in factors:
-            factor = _record(norm, k, p)
+            factor = _record(norm, k)
+            cls = _class(factor, p)
             fail, ball, disagree, ball_vertex, non_ball = _shape_summary(factor, p)
-            disagree |= (factor[0] == _BOUNDARY and not ball_vertex) != (norm == (1,))
-            part = (factor[0], fail or _NEVER, ball, disagree, ball_vertex, non_ball)
+            disagree |= (cls == _BOUNDARY and not ball_vertex) != (norm == (1,))
+            part = (cls, fail or _NEVER, ball, disagree, ball_vertex, non_ball)
             joined = part if joined is None else _join_summary(joined, part)
         _, fail, ball, disagree, ball_vertex, non_ball = joined
-        got = rec[4] = (0 if fail == _NEVER else fail, ball, disagree, ball_vertex, non_ball)
+        got = rec[3][p] = (0 if fail == _NEVER else fail, ball, disagree, ball_vertex, non_ball)
         return got
     fail = 0
     ball = disagree = ball_vertex = False
-    non_ball = rec[2][0].bit_count()
-    kids = rec[3]
+    non_ball = rec[0][0].bit_count()
+    kids = rec[1]
     for i in range(len(kids)):
-        child = (kids[i] or _child(rec, i, p))[0]
-        if child[0] == _FAIL:
+        child = (kids[i] or _child(rec, i))[0]
+        cls = _class(child, p)
+        if cls == _FAIL:
             fail = non_ball = 1
             break
         sub = _shape_summary(child, p)
         if sub[0] and (not fail or sub[0] < fail):
             fail = sub[0] + 1
-        is_ball = child[0] == _BOUNDARY
+        is_ball = cls == _BOUNDARY
         non_ball = min(non_ball, sub[4] + 1 if is_ball else 1)
         ball_vertex |= is_ball
         ball |= is_ball or sub[1]
-        disagree |= sub[2] or (is_ball and not sub[3]) != (child[2] == (1,))
-    got = rec[4] = (fail, ball, disagree, ball_vertex, non_ball)
+        disagree |= sub[2] or (is_ball and not sub[3]) != (child[0] == (1,))
+    got = rec[3][p] = (fail, ball, disagree, ball_vertex, non_ball)
     return got
 
 
@@ -334,13 +331,13 @@ def _fold_boundary(factors, q, check=False):
     joined = None
     for k, norm in factors:
         bd = _factor_boundary(k, norm)
+        betti = betti_for_facets(k, norm, q)
         if check and bd is not None and (
                 _verdict(bd, q).status != STATUS_CLOSED
-                or _record(norm, k, q)[0] == _BOUNDARY
+                or betti.is_ball()
                 and not _betti(bd.facet_masks, q, bd).is_sphere(norm[0].bit_count() - 2)):
             return None
-        part = (_poly(betti_for_facets(k, norm, q)),
-                None if bd is None else _poly(_betti(bd.facet_masks, q, bd)))
+        part = _poly(betti), None if bd is None else _poly(_betti(bd.facet_masks, q, bd))
         if joined is not None:
             (pk, bk), (pl, bl) = joined, part
             if bl is None:
@@ -368,13 +365,13 @@ def _least_failing_face(rec, size, pos, p):
     down."""
     face = 0
     while True:
-        for i in range(len(rec[3])):
-            child, idx = rec[3][i] or _child(rec, i, p)
-            if child[0] == _FAIL if size == 1 else _shape_summary(child, p)[0] == size - 1:
+        for i in range(len(rec[1])):
+            child, idx = rec[1][i] or _child(rec, i)
+            if _class(child, p) == _FAIL if size == 1 else _shape_summary(child, p)[0] == size - 1:
                 break
         face |= pos[i]
         if size == 1:
-            return face, child[1]
+            return face, betti_for_facets(len(child[1]), child[0], p)
         rec, size, pos = child, size - 1, [pos[j] for j in idx]
 
 
@@ -405,12 +402,14 @@ def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
 
 
 def _shape(c: Complex):
-    """``(used, norm)``: c's facets re-indexed onto 0..k-1 by
-    ``complexes._reindex``.  Memoized on c, as the verdict at every prime
-    and the boundary's Betti numbers read the same shape."""
+    """``(used, record)``: the positions c's facets use and the record of
+    their shape, the facets re-indexed onto 0..k-1 by ``complexes._reindex``.
+    Memoized on c, as the verdict at every prime and the boundary's Betti
+    numbers read the same shape."""
     got = c._cache.get("shape")
     if got is None:
-        got = c._cache["shape"] = cx._reindex(c.facet_masks)
+        used, norm = cx._reindex(c.facet_masks)
+        got = c._cache["shape"] = used, _record(norm, used.bit_count())
     return got
 
 
@@ -420,8 +419,7 @@ def _decide(c: Complex, pp: int) -> ManifoldVerdict:
     if not cx.is_pure(c):
         return ManifoldVerdict(STATUS_NOT_PURE, c.dimension, pp)
     d = c.dimension
-    used, norm = _shape(c)
-    rec = _record(norm, used.bit_count(), pp, link=False)
+    used, rec = _shape(c)
     fail, ball, disagree, _, _ = _shape_summary(rec, pp)
     pos = [1 << v for v in graphs_mod._bits(used)]
     if fail:
@@ -433,7 +431,7 @@ def _decide(c: Complex, pp: int) -> ManifoldVerdict:
         # the ball faces are closed under subfaces (the lemma of
         # _shape_summary) and their maximal ones are the ridges in exactly
         # one facet
-        factors = _join_factors(rec[2])
+        factors = _join_factors(rec[0])
         poly = None if factors is None else _fold_boundary(factors, pp, check=True)
         if poly is not None:
             # a join whose boundary the rule of _fold_boundary proves
@@ -457,9 +455,10 @@ def _decide(c: Complex, pp: int) -> ManifoldVerdict:
             return ManifoldVerdict(STATUS_NOT_MANIFOLD, d, pp, sub.witness_face, sub.witness_betti)
     # a boundary with boundary, or a maximal ball face below the ridges: the
     # least ball face, a vertex as the ball faces are closed under subfaces
-    kids = ((rec[3][i] or _child(rec, i, pp))[0] for i in range(len(rec[3])))
-    i, child = next((i, child) for i, child in enumerate(kids) if child[0] == _BOUNDARY)
-    return ManifoldVerdict(STATUS_NOT_MANIFOLD, d, pp, c.labels_of(pos[i]), child[1])
+    kids = ((rec[1][i] or _child(rec, i))[0] for i in range(len(rec[1])))
+    i, child = next((i, child) for i, child in enumerate(kids) if _class(child, pp) == _BOUNDARY)
+    betti = betti_for_facets(len(child[1]), child[0], pp)
+    return ManifoldVerdict(STATUS_NOT_MANIFOLD, d, pp, c.labels_of(pos[i]), betti)
 
 
 def _span(c: Complex, facet_masks) -> Complex:
@@ -511,7 +510,7 @@ def _boundary_betti(c: Complex, q: int) -> BettiVector:
     key = ("boundary_betti", q)
     got = c._cache.get(key)
     if got is None:
-        factors = _join_factors(_shape(c)[1])
+        factors = _join_factors(_shape(c)[1][0])
         poly = None if factors is None else _fold_boundary(factors, q)
         if poly is None:
             bd = _one_facet_ridges(c) or cx.from_facets((), [()])

@@ -310,13 +310,6 @@ def degree_invariant(adj):
     return out
 
 
-def shape_records(facts, p):
-    """{normalized facets: link-shape record at p} of a per-facet-set table
-    whose entries keep the record at p under ``("shape", p)``."""
-    return {facets: entry[("shape", p)] for facets, entry in facts.items()
-            if ("shape", p) in entry}
-
-
 def oracle_verdict(facets, p):
     """``(status, dimension, witness face, witness link Betti numbers)`` of
     the complex with these facets (label tuples), from the link class of

@@ -291,13 +291,13 @@ def _record_classes(c, p):
 
     def expand(face, rec, pos, start):
         for i in range(start, len(pos)):
-            child, idx = rec[3][i] or mf._child(rec, i, p)
-            classes[face | pos[i]] = child[0]
+            child, idx = rec[1][i] or mf._child(rec, i)
+            classes[face | pos[i]] = mf._class(child, p)
             expand(face | pos[i], child, [pos[j] for j in idx], sum(j < i for j in idx))
 
     used, norm = cx._reindex(c.facet_masks)
     pos = [1 << v for v in range(c.vertex_count) if used >> v & 1]
-    expand(0, mf._record(norm, used.bit_count(), p, link=False), pos, 0)
+    expand(0, mf._record(norm, used.bit_count()), pos, 0)
     return classes
 
 
@@ -345,28 +345,34 @@ def _shifted(c):
 
 
 def test_one_link_analysis_per_complex(monkeypatch):
-    calls = []
-    real = mf._classify_link
-    monkeypatch.setattr(mf, "_classify_link", lambda *a: calls.append(a) or real(*a))
+    # each link shape is classified once at a prime, from Betti numbers
+    # read once, and each of its vertex links is built once
+    calls, built = [], []
+    real_betti, real_child = mf.betti_for_facets, mf._child
+    monkeypatch.setattr(mf, "betti_for_facets",
+                        lambda k, masks, p: calls.append((masks, p)) or real_betti(k, masks, p))
+    monkeypatch.setattr(mf, "_child", lambda rec, i: built.append((rec[0], i)) or real_child(rec, i))
     for g in (gr.spider(3), gr.complete_bipartite(4, 3),
               {e.name: e for e in catalog.exceptional_table()}["torus_disk_9e"].graph):
         matchtop.clear_caches()  # the shape table is process-wide
         M = cx.matching_complex(g)
         assert len(_record_classes(M, 2)) == len(M.faces()) - 1
-        assert 0 < len(calls) <= len(_distinct_links(M))  # once per link shape
+        assert 0 < len(calls) == len(set(calls)) <= len(_distinct_links(M))  # once per link shape
+        assert len(built) == len(set(built))
         verdict = mf.check_manifold(M, 2)
-        analysed = len(calls)
+        analysed = len(calls), len(built)
         mf.classify(M, verdict, (2, 3))
         mf.boundary_complex(M, 2)
         assert mf.check_manifold(M, 2) == verdict
-        assert len(calls) == analysed
+        assert (len(calls), len(built)) == analysed
         # another complex of the same shapes reuses every record
         copy = _shifted(M)
         assert mf.check_manifold(copy, 2).status == verdict.status
         assert mf.classify(copy) == mf.classify(M)
         assert len(_record_classes(copy, 2)) == len(M.faces()) - 1
-        assert len(calls) == analysed
+        assert (len(calls), len(built)) == analysed
         calls.clear()
+        built.clear()
 
 
 def test_join_link_build_counts_pinned(monkeypatch):
@@ -382,7 +388,7 @@ def test_join_link_build_counts_pinned(monkeypatch):
         M = cx.matching_complex(g)
         mf.classify(M, mf.check_manifold(M, 2))
     assert len(built) == 107
-    assert len(oracle_utils.shape_records(cx._facts, 2)) == 120
+    assert sum("shape" in e for e in cx._facts.values()) == 120
 
 
 def test_one_join_split_per_facet_set_pinned(monkeypatch):
@@ -687,11 +693,17 @@ RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
        (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
 
 
-def test_shape_records_are_kept_per_prime():
+def test_link_classes_are_kept_per_prime(monkeypatch):
     # the apex link of a cone over RP^2 fails at p = 2 and is acyclic at
-    # p = 3, so a record shared between the primes would misclassify it
+    # p = 3, so a class shared between the primes would misclassify it.
+    # The shape's one record keeps a class per prime, and its children,
+    # which do not depend on the prime, are built on the first pass only
     cone = [f + (6,) for f in RP2]
+    built = []
+    real = mf._child
+    monkeypatch.setattr(mf, "_child", lambda rec, i: built.append((rec[0], i)) or real(rec, i))
     matchtop.clear_caches()
+    passes = []
     for p in (3, 2, 3):
         c = cx.from_facets(range(7), cone)
         classes = _classes_by_labels(c, p)
@@ -702,6 +714,10 @@ def test_shape_records_are_kept_per_prime():
             assert verdict.witness_face == (6,) and verdict.witness_betti.p == 2
         else:
             assert verdict.witness_face == (0,)  # the least ball vertex
+        passes.append(len(built))
+    assert passes[0] == len(set(built)) > 0 and passes == passes[:1] * 3
+    apex = cx._reindex([sum(1 << v for v in f) for f in RP2])[1]
+    assert cx._facts[apex]["shape"][2] == {3: "B", 2: "?"}
 
 
 # ---------------------------------------------------------------------------
@@ -857,28 +873,28 @@ def test_shape_summary_flags_read_only_the_record_classes(monkeypatch):
     # ball and a point a sphere makes the vertex of a point a maximal ball
     # face whose link {∅} is no point: the two routes to the boundary
     # disagree
-    def swapped(k, masks, p):
-        return {(0,): "B", (1,): "S"}.get(masks, "S"), None
+    def swapped(rec, p):
+        return {(0,): "B", (1,): "S"}.get(rec[0], "S")
 
-    monkeypatch.setattr(mf, "_classify_link", swapped)
+    monkeypatch.setattr(mf, "_class", swapped)
     monkeypatch.setattr(cx, "_facts", {})
-    segments = mf._record((0b0011, 0b1100), 4, 2)
-    assert mf._join_factors(segments[2]) is None
+    segments = mf._record((0b0011, 0b1100), 4)
+    assert mf._join_factors(segments[0]) is None
     assert mf._shape_summary(segments, 2) == (0, True, True, False, 1)
-    point = oracle_utils.shape_records(cx._facts, 2)[(1,)]
+    point = cx._facts[(1,)]["shape"]
     assert mf._shape_summary(point, 2) == (0, True, True, True, 1)
-    points = mf._record((0b01, 0b10), 2, 2)
-    assert mf._join_factors(points[2]) is None
+    points = mf._record((0b01, 0b10), 2)
+    assert mf._join_factors(points[0]) is None
     assert mf._shape_summary(points, 2) == (0, True, True, True, 1)
     # one that calls {∅} failing fails the vertex of a point (size 1) and
-    # so each segment (size 2), the least failing faces of two segments
-    monkeypatch.setattr(mf, "_classify_link", lambda k, masks, p: ("?" if masks == (0,) else "S", masks))
+    # so each segment (size 2), the least failing faces of two segments;
+    # the witness's Betti numbers are still read off its link's facets
+    monkeypatch.setattr(mf, "_class", lambda rec, p: "?" if rec[0] == (0,) else "S")
     monkeypatch.setattr(cx, "_facts", {})
     verdict = mf.check_manifold(cx.from_facets(None, [(4, 5), (6, 7)]), 2)
-    assert (verdict.witness_face, verdict.witness_betti) == ((4, 5), (0,))
-    shapes = oracle_utils.shape_records(cx._facts, 2)
-    assert shapes[(0b0011, 0b1100)][4][0] == 2
-    assert shapes[(1,)][4] == (1, False, False, False, 1)
+    assert (verdict.witness_face, verdict.witness_betti) == ((4, 5), hm.BettiVector(2, 1, ()))
+    assert cx._facts[(0b0011, 0b1100)]["shape"][3][2][0] == 2
+    assert cx._facts[(1,)]["shape"][3][2] == (1, False, False, False, 1)
 
 
 _FACTORS = {"RP2": RP2, "boundary of a triangle": [(0, 1), (1, 2), (0, 2)],
@@ -891,7 +907,7 @@ def _summary(c, p):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cx, "_facts", {})
         used, norm = cx._reindex(c.facet_masks)
-        rec = mf._record(norm, used.bit_count(), p, link=False)
+        rec = mf._record(norm, used.bit_count())
         return rec, mf._shape_summary(rec, p)
 
 
@@ -913,8 +929,8 @@ def test_join_summary_folds_as_the_vertex_link_loop(factors):
         joined = cx.join(joined, cx.from_facets(None, facets))
     for p in (2, 3, 5):
         rec, folded = _summary(joined, p)
-        if mf._join_factors(rec[2]) is not None:
-            assert rec[3] == [None] * len(rec[3])  # no vertex link built
+        if mf._join_factors(rec[0]) is not None:
+            assert rec[1] == [None] * len(rec[1])  # no vertex link built
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mf, "_join_factors", lambda f: None)
             _, loop = _summary(joined, p)

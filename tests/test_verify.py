@@ -17,6 +17,7 @@ from matchtop import verify
 from matchtop.errors import GuardExceededError, InvalidParameterError
 
 import oracle_utils
+from test_acceptance import _join_arithmetic_cases
 
 
 def spec(**kw):
@@ -416,6 +417,7 @@ def _connected_addition(draw):
 @given(_connected_addition())
 @example((gr.path(4), (0, 3)))  # inner, nu unchanged: C4
 @example((gr.path(3), (0, 2)))  # inner, nu unchanged: K3
+@example((gr.Graph(4, [(0, 1), (2, 3), (1, 2)]), (0, 2)))  # inner, nu unchanged: the paw
 @example((gr.star(3), (1, 2)))  # inner, nu rises: a triangle with a pendant
 @example((gr.path(3), (1, 3)))  # pendant, nu unchanged: K1,3
 @example((gr.path(3), (0, 3)))  # pendant, nu rises: P4
@@ -881,6 +883,21 @@ def test_one_table_keeps_what_is_known_per_facet_set():
     for facets, split in recorded.items():
         assert len(split) == 2 and cx._facts[facets]["split"] is split
     factors = [cx._facts[norm] for split in recorded.values() for _, norm in split]
-    assert any(all(isinstance(e.get(p), homology.BettiVector) for p in (2, 3)) and ("shape", 2) in e
+    assert any(all(isinstance(e.get(p), homology.BettiVector) for p in (2, 3)) and "shape" in e
                for e in factors)
     assert all("boundary" in cx._facts[norm] for _, norm in recorded[ball.facet_masks])
+    # the entry format, after the small criterion-6 joins and a closed
+    # search: a few named slots and the Betti vector under each prime, and
+    # a link-shape record keeps its classes and summaries, no Betti vector
+    for g, _ in _join_arithmetic_cases(face_cap=400):
+        M = cx.matching_complex(g)
+        manifold.classify(M, manifold.check_manifold(M, 2), (2, 3))
+    verify.run_search(spec(target="closed-2-manifold", max_edges=9))
+    slots = {"split", "table", "shape", "boundary"}
+    for facets, entry in cx._facts.items():
+        assert all(k in slots or type(k) is int and homology._is_prime(k) for k in entry), facets
+        rec = entry.get("shape")
+        if rec is not None:
+            assert rec[0] == facets
+            assert not any(isinstance(v, homology.BettiVector)
+                           for v in (*rec, *rec[2].values(), *rec[3].values()))
