@@ -351,7 +351,8 @@ def test_one_link_analysis_per_complex(monkeypatch):
     real_betti, real_child = mf.betti_for_facets, mf._child
     monkeypatch.setattr(mf, "betti_for_facets",
                         lambda k, masks, p: calls.append((masks, p)) or real_betti(k, masks, p))
-    monkeypatch.setattr(mf, "_child", lambda rec, i: built.append((rec[0], i)) or real_child(rec, i))
+    monkeypatch.setattr(mf, "_child",
+                        lambda rec, i: built.append((rec[0], i)) or real_child(rec, i))
     for g in (gr.spider(3), gr.complete_bipartite(4, 3),
               {e.name: e for e in catalog.exceptional_table()}["torus_disk_9e"].graph):
         matchtop.clear_caches()  # the shape table is process-wide
