@@ -44,16 +44,18 @@ and its Betti numbers are folded from the boundaries of the factors, each
 kept once per factor shape in the same table (the proof is at
 ``_fold_boundary``); only a boundary the fold does not prove
 closed is checked by ``check_manifold``, so its witnesses are unchanged.
-The verdict is memoized on the complex per prime.  The boundary itself
-does not depend on the prime, only whether it is closed and its Betti
-numbers do, so the complex keeps its span and its component count once
-(folded as β̃_0 + 1, or the reachability classes of ``graphs._reach``
-over the span's ``complexes._near`` neighbourhoods; 0 when closed).
-``check_manifold``, ``boundary_complex``, ``classify`` and
-``manifold_report`` analyse each complex once, the last two read the
-count through one guard and the boundary's Betti numbers through one
-route, ``_boundary_betti``, and a folded join's boundary is spanned only
-by ``boundary_complex``.  Each public function checks its primes once;
+The verdict is memoized on the complex per prime; no link-shape record
+is kept on the complex, so ``clear_caches`` releases them all.  The
+boundary itself does not depend on the prime, only whether it is closed
+and its Betti numbers do, so the complex keeps its span once, and the
+boundary's Betti numbers per prime.  The component count is one count,
+β̃_0 + 1 of the boundary (0 when closed), folded or spanned alike, as β̃_0
+counts the components less one at every prime.  ``check_manifold``,
+``boundary_complex``, ``classify`` and ``manifold_report`` analyse each
+complex once, the last three read the count through one guard and the
+boundary's Betti numbers through one route, ``_boundary_betti``, and a
+folded join's boundary is spanned only by ``boundary_complex``.  Each
+public function checks its primes once;
 the internals below it (``_verdict``, ``_classify``, ``_fold_boundary``,
 ``_boundary_betti``, ``_component_count``) take the checked int.
 """
@@ -301,8 +303,22 @@ def _fold_boundary(factors, q, check=False):
     So at any prime q: if ∂L is void, P(∂J) = P(∂K)·P(L) (the join rule);
     if K and L are both acyclic at q, ∂K * L and K * ∂L are acyclic and
     meet in ∂K * ∂L, so Mayer-Vietoris on the augmented chains gives
-    P(∂J) = t·P(∂K)·P(∂L); otherwise the fold gives no answer.  The fold
-    is pairwise, K the join of the factors so far.
+    P(∂J) = t·P(∂K)·P(∂L).  Closed form: with B the factors whose ∂ is not
+    void, P(∂J) = t^(|B|-1) · Π_{K∈B} P(∂K) · Π_{K∉B} P(K) whenever B is
+    not empty and |B| = 1 or every member of B is acyclic at q, by
+    induction on the factors in order, as the join so far is acyclic once
+    it holds a member of B; otherwise the fold gives no answer.  One pass,
+    one product per factor.
+
+    This answers exactly where folding pairwise, K the join of the factors
+    so far, did: that answered where each member of B after the first is
+    acyclic and so is the join before it, so the two differ only where the
+    first member of B is not acyclic and a factor before the second, with
+    a void ∂, is.  That cannot occur: every call follows a manifold verdict
+    of J at some prime p, so at p every factor is a sphere with a void ∂
+    or acyclic with a ∂ that is not (as the rule below shows), and a void-∂
+    factor is a GF(p) homology sphere, whose reduced Euler characteristic
+    ±1 is the same at every prime, while a GF(q)-acyclic complex has 0.
 
     The rule at p, for J with no failing face, a ball and no disagree: ∂J
     is a closed manifold iff every factor K has ∂K void or a closed
@@ -325,31 +341,23 @@ def _fold_boundary(factors, q, check=False):
     Conversely, for K acyclic and β a facet of L, lk_{∂J}(α ∪ β) =
     ∂(lk_K α) = lk_{∂K} α, and ∂K itself for α = ∅: a closed ∂J gives a
     closed ∂K with sphere homology of dimension dim K - 1.  So at p the
-    fold answers whenever the rule holds: the join so far has a void ∂
-    while all its factors are spheres, and is acyclic once one is.
+    fold answers whenever the rule holds: B is the acyclic factors, and
+    there is one, as J has a ball.
     """
-    joined = None
+    poly, bounded, acyclic = [1], 0, True
     for k, norm in factors:
         bd = _factor_boundary(k, norm)
         betti = betti_for_facets(k, norm, q)
-        if check and bd is not None and (
-                _verdict(bd, q).status != STATUS_CLOSED
-                or betti.is_ball()
-                and not _betti(bd.facet_masks, q, bd).is_sphere(norm[0].bit_count() - 2)):
-            return None
-        part = _poly(betti), None if bd is None else _poly(_betti(bd.facet_masks, q, bd))
-        if joined is not None:
-            (pk, bk), (pl, bl) = joined, part
-            if bl is None:
-                part = _times(pk, pl), None if bk is None else _times(bk, pl)
-            elif bk is None:
-                part = _times(pk, pl), _times(pk, bl)
-            elif any(pk) or any(pl):
+        if bd is not None:
+            betti_bd = _betti(bd.facet_masks, q, bd)
+            if check and (_verdict(bd, q).status != STATUS_CLOSED
+                          or betti.is_ball() and not betti_bd.is_sphere(norm[0].bit_count() - 2)):
                 return None
-            else:
-                part = _times(pk, pl), [0] + _times(bk, bl)
-        joined = part
-    return joined[1]
+            bounded += 1
+            acyclic &= betti.is_ball()
+            betti = betti_bd
+        poly = _times(poly, _poly(betti))
+    return [0] * (bounded - 1) + poly if bounded and (bounded == 1 or acyclic) else None
 
 
 def _least_failing_face(rec, size, pos, p):
@@ -401,25 +409,14 @@ def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
     return got
 
 
-def _shape(c: Complex):
-    """``(used, record)``: the positions c's facets use and the record of
-    their shape, the facets re-indexed onto 0..k-1 by ``complexes._reindex``.
-    Memoized on c, as the verdict at every prime and the boundary's Betti
-    numbers read the same shape."""
-    got = c._cache.get("shape")
-    if got is None:
-        used, norm = cx._reindex(c.facet_masks)
-        got = c._cache["shape"] = used, _record(norm, used.bit_count())
-    return got
-
-
 def _decide(c: Complex, pp: int) -> ManifoldVerdict:
     if c.is_empty_only():
         return ManifoldVerdict(STATUS_CLOSED, -1, pp)
     if not cx.is_pure(c):
         return ManifoldVerdict(STATUS_NOT_PURE, c.dimension, pp)
     d = c.dimension
-    used, rec = _shape(c)
+    used, norm = cx._reindex(c.facet_masks)
+    rec = _record(norm, used.bit_count())
     fail, ball, disagree, _, _ = _shape_summary(rec, pp)
     pos = [1 << v for v in graphs_mod._bits(used)]
     if fail:
@@ -431,25 +428,15 @@ def _decide(c: Complex, pp: int) -> ManifoldVerdict:
         # the ball faces are closed under subfaces (the lemma of
         # _shape_summary) and their maximal ones are the ridges in exactly
         # one facet
-        factors = _join_factors(rec[0])
+        factors = _join_factors(norm)
         poly = None if factors is None else _fold_boundary(factors, pp, check=True)
         if poly is not None:
             # a join whose boundary the rule of _fold_boundary proves
-            # closed: its Betti numbers are folded, its components β̃_0 + 1,
-            # and nothing here spans it
+            # closed: its Betti numbers are folded, and nothing here spans it
             c._cache[("boundary_betti", pp)] = _from_poly(poly, pp, d - 1)
-            c._cache["boundary_components"] = poly[1] + 1
             return ManifoldVerdict(STATUS_WITH_BOUNDARY, d, pp)
-        bd = _one_facet_ridges(c)
-        sub = _verdict(bd, pp)
+        sub = _verdict(_one_facet_ridges(c), pp)
         if sub.status == STATUS_CLOSED:
-            if "boundary_components" not in c._cache:
-                near = cx._near(bd.facet_masks, bd.vertex_count)
-                parts, left = 0, (1 << bd.vertex_count) - 1
-                while left:
-                    left &= ~graphs_mod._reach(near, left & -left)
-                    parts += 1
-                c._cache["boundary_components"] = parts
             return ManifoldVerdict(STATUS_WITH_BOUNDARY, d, pp)
         if sub.witness_face is not None:
             return ManifoldVerdict(STATUS_NOT_MANIFOLD, d, pp, sub.witness_face, sub.witness_betti)
@@ -479,12 +466,13 @@ def _one_facet_ridges(c: Complex) -> Complex | None:
 
 
 def _component_count(c: Complex, pp: int) -> int:
-    """The number of boundary components of c, 0 for a closed manifold, as
-    the verdict at pp left it on c.  Raises when c is no manifold at pp."""
+    """The number of boundary components of c, 0 for a closed manifold and
+    β̃_0 + 1 of the boundary at pp otherwise, folded or spanned alike.
+    Raises when c is no manifold at pp."""
     verdict = _verdict(c, pp)
     if not verdict.is_manifold:
         raise InvalidParameterError(f"no boundary for status {verdict.status} at p = {pp}")
-    return c._cache.get("boundary_components", 0)
+    return 0 if verdict.status == STATUS_CLOSED else _boundary_betti(c, pp).b(0) + 1
 
 
 def boundary_complex(c: Complex, p) -> BoundaryComplex:
@@ -492,10 +480,11 @@ def boundary_complex(c: Complex, p) -> BoundaryComplex:
     ridges in exactly one facet, which are its maximal faces with ball
     links, and the number of its components.
 
-    Both are the same at every prime and kept once on the complex; a
-    folded join's boundary is spanned only here, on the first call.  A
-    closed manifold's boundary is {∅} with zero components.  Raises when
-    the verdict at p is not a manifold.
+    Both are the same at every prime.  The span is kept once on the
+    complex, and a folded join's boundary is spanned only here, on the
+    first call; the count is β̃_0 + 1 of the boundary at p.  A closed
+    manifold's boundary is {∅} with zero components.  Raises when the
+    verdict at p is not a manifold.
     """
     count = _component_count(c, _prime_of(p))
     return BoundaryComplex(_one_facet_ridges(c) if count else cx.from_facets((), [()]), count)
@@ -510,7 +499,7 @@ def _boundary_betti(c: Complex, q: int) -> BettiVector:
     key = ("boundary_betti", q)
     got = c._cache.get(key)
     if got is None:
-        factors = _join_factors(_shape(c)[1][0])
+        factors = _join_factors(c.facet_masks)
         poly = None if factors is None else _fold_boundary(factors, q)
         if poly is None:
             bd = _one_facet_ridges(c) or cx.from_facets((), [()])
@@ -556,12 +545,11 @@ def _classify(c: Complex, verdict: ManifoldVerdict, p1: int, p2: int) -> Manifol
                 return ManifoldClass("Torus")
             return ManifoldClass("OtherSurface")
         return ManifoldClass("OtherManifold")
-    count = _component_count(c, p1)
     if b1.is_ball() and b2.is_ball():
         if _boundary_betti(c, p1).is_sphere(d - 1) and _boundary_betti(c, p2).is_sphere(d - 1):
             return ManifoldClass("Ball", d)
     if d == 2:
-        fingerprint = (b1.b(1), b2.b(1), count)
+        fingerprint = (b1.b(1), b2.b(1), _component_count(c, p1))
         if fingerprint == (1, 1, 1):
             return ManifoldClass("MoebiusStrip")
         if fingerprint == (1, 1, 2):

@@ -101,9 +101,9 @@ class SearchSpec:
             raise InvalidParameterError(f"unknown search target {self.target!r}")
         _require_int("max_edges", self.max_edges, 1)
         _require_int("max_vertices", self.max_vertices, 2)
-        if not isinstance(self.connected_only, bool):
-            raise InvalidParameterError(
-                f"connected_only must be a bool, got {self.connected_only!r}")
+        for name in ("connected_only", "force"):
+            if not isinstance(getattr(self, name), bool):
+                raise InvalidParameterError(f"{name} must be a bool, got {getattr(self, name)!r}")
         # a non-prime fails here, before any graph is enumerated
         FieldPrime(self.p)
         if self.cross_check_prime is not None:

@@ -241,6 +241,21 @@ def oracle_components(n, edges):
     return sorted(sorted(p) for p in parts)
 
 
+def oracle_facet_components(facets):
+    """The number of connected components of the complex with these facets
+    (label tuples): each facet's vertex set is merged with every part it
+    meets, so {∅}, which has no vertex, has none."""
+    parts = []
+    for f in facets:
+        part = set(f)
+        for other in [q for q in parts if q & part]:
+            parts.remove(other)
+            part |= other
+        if part:
+            parts.append(part)
+    return len(parts)
+
+
 def oracle_reachable(edges, start):
     """The set of vertices joined to ``start`` by the given edges: grown by
     whole passes over the edge list until a pass adds nothing."""

@@ -12,6 +12,7 @@ from matchtop import complexes as cx
 from matchtop import graphs as gr
 from matchtop import homology as hm
 from matchtop import manifold as mf
+from matchtop import verify
 from matchtop.errors import InvalidParameterError
 
 import oracle_utils
@@ -495,6 +496,115 @@ def test_clear_caches_empties_the_factor_boundaries():
     assert any("boundary" in e for e in cx._facts.values())
     matchtop.clear_caches()
     assert not any("boundary" in e for e in cx._facts.values())
+
+
+def test_fold_boundary_makes_one_product_per_factor(monkeypatch):
+    # the closed form multiplies one polynomial per factor, P(∂K) or P(K),
+    # checked or not, and builds no product of the factors themselves
+    products = []
+    real = mf._times
+    monkeypatch.setattr(mf, "_times", lambda a, b: products.append(a) or real(a, b))
+    folded = 0
+    for g, _ in _join_arithmetic_cases(face_cap=2048):
+        factors = cx._join_factors(cx.matching_complex(g).facet_masks)
+        if factors is None:
+            continue
+        for q in (2, 3, 5):
+            for check in (False, True):
+                products.clear()
+                folded += mf._fold_boundary(factors, q, check) is not None
+                assert len(products) == len(factors), (gr.to_graph6(g), q, check)
+    assert folded >= 300
+
+
+def _reached(root):
+    """Every object reachable from root through containers, complexes and
+    dataclass records."""
+    seen, todo = {}, [root]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen or isinstance(x, (int, float, str, bytes, type(None))):
+            continue
+        seen[id(x)] = x
+        if isinstance(x, dict):
+            todo += [*x.keys(), *x.values()]
+        elif isinstance(x, (list, tuple, set, frozenset)):
+            todo += x
+        elif isinstance(x, cx.Complex):
+            todo += [x.labels, x.facet_masks, x._cache]
+        elif hasattr(x, "__dataclass_fields__"):
+            todo += [getattr(x, f) for f in x.__dataclass_fields__]
+    return list(seen.values())
+
+
+def test_clear_caches_releases_every_link_shape_record():
+    # a complex keeps its verdicts, its boundary span and its boundary's
+    # Betti numbers, but no link-shape record and no component count, so
+    # once the process tables are cleared a live complex reaches no record:
+    # a folded join, a spanned annulus, a closed surface and a non-manifold
+    matchtop.clear_caches()
+    table = {e.name: e for e in catalog.exceptional_table()}
+    live = [M_of(gr.path(3), gr.path(2)), M_of(table["annulus_8e"].graph),
+            M_of(gr.complete_bipartite(4, 3)), M_of(gr.star(3), gr.path(2))]
+    statuses = set()
+    for M in live:
+        verdict = mf.check_manifold(M, 2)
+        mf.check_manifold(M, 3)
+        mf.classify(M, verdict)
+        mf.manifold_report(M)
+        if verdict.is_manifold:
+            mf.boundary_complex(M, 2)
+        statuses.add(verdict.status)
+    assert statuses == {mf.STATUS_WITH_BOUNDARY, mf.STATUS_CLOSED, mf.STATUS_NOT_MANIFOLD}
+    records = [e["shape"] for e in cx._facts.values() if "shape" in e]
+    assert len(records) >= 10
+    matchtop.clear_caches()
+    for M in live:
+        assert "shape" not in M._cache and "boundary_components" not in M._cache
+        reached = {id(x) for x in _reached(M._cache)}
+        assert not any(id(rec) in reached for rec in records)
+
+
+def test_boundary_component_counts_match_the_facet_oracle():
+    # the count is β̃_0 + 1 of the boundary, folded or ranked; the oracle
+    # merges the boundary's facets that share a vertex
+    joins = [M_of(g) for g, _ in _join_arithmetic_cases(face_cap=2048)]
+    report = verify.run_search(verify.SearchSpec("2-manifold-with-boundary", max_edges=10))
+    hits = [M_of(gr.from_graph6(h["graph6"])) for h in report.hits]
+    named = [M_of(catalog.named_graph(name)) for name in catalog.catalog_names()]
+    counts = {}
+    for kind, cases in (("joins", joins), ("hits", hits), ("named", named)):
+        for M in cases:
+            for p in (2, 3):
+                if mf.check_manifold(M, p).is_manifold:
+                    bd = mf.boundary_complex(M, p)
+                    assert bd.component_count == oracle_utils.oracle_facet_components(
+                        bd.complex.facets()), (kind, M.facet_masks, p)
+                    counts.setdefault(kind, set()).add(bd.component_count)
+    assert len(joins) == 233 and len(hits) >= 10
+    assert {0, 1} <= counts["joins"] and {1, 2} <= counts["hits"] and {0, 1, 2} <= counts["named"]
+
+
+# sha256 of the rows of _join_rows, pinned before the boundary fold became
+# one pass: criterion 6 beyond the golden catalog reports
+JOIN_DIGEST = "6d0c6900effaefa504c7701eeec58fcaa11d0d0d4d48162cd62f4c12451df0a6"
+
+
+def test_join_boundaries_match_the_pinned_digest():
+    # criterion 6 under 2,048 faces: manifold_report at (2, 3), and the
+    # boundary (its count and facets) and its Betti numbers at 2, 3 and 5
+    rows = []
+    for g, _ in _join_arithmetic_cases(face_cap=2048):
+        M = M_of(g)
+        row = [gr.to_graph6(g), mf.manifold_report(M, (2, 3))]
+        for q in (2, 3, 5):
+            bd = mf.boundary_complex(M, q)
+            row.append([q, bd.component_count, sorted(bd.complex.facets())])
+            b = mf._boundary_betti(M, q)
+            row.append([b.p, b.minus_one, list(b.betti)])
+        rows.append(row)
+    assert len(rows) == 233
+    assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest() == JOIN_DIGEST
 
 
 def _analysis(c):

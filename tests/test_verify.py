@@ -101,6 +101,8 @@ def test_forced_budget_beyond_canonical_cap():
     # budgets must be integers: a float or a string would fail later with a
     # raw TypeError, and a bool is no count
     {"max_edges": 3.5}, {"max_vertices": "10"}, {"max_edges": True},
+    # "no" is truthy: a non-bool force would lift the edge/vertex guard
+    {"max_edges": 13, "force": "no"}, {"max_vertices": 11, "force": 1}, {"force": None},
 ])
 def test_nonsensical_budget_rejected(budget):
     with pytest.raises(InvalidParameterError):
