@@ -25,14 +25,18 @@ FACE_VERTEX_CAP = 64
 
 
 class Complex:
-    """Immutable simplicial complex; construct via :func:`from_facets`."""
+    """Immutable simplicial complex; construct via :func:`from_facets`.
 
-    __slots__ = ("labels", "facet_masks", "_cache")
+    A plain value: its labels and its facets.  What is derived from the
+    facets alone, as the face table, is kept once per facet set in
+    ``_facts``, so complexes with equal facets share it whatever their
+    labels."""
+
+    __slots__ = ("labels", "facet_masks")
 
     def __init__(self, labels, facet_masks):
         self.labels = tuple(labels)
         self.facet_masks = tuple(facet_masks)
-        self._cache = {}
         if not self.facet_masks:
             raise VoidComplexError("a complex needs a facet; [()] gives {∅}")
         if len(self.labels) > FACE_VERTEX_CAP:
@@ -47,23 +51,16 @@ class Complex:
     @property
     def dimension(self) -> int:
         """Max facet size minus one; -1 for {∅}."""
-        d = self._cache.get("dim")
-        if d is None:
-            d = self._cache["dim"] = max(m.bit_count() for m in self.facet_masks) - 1
-        return d
+        return max(m.bit_count() for m in self.facet_masks) - 1
 
     def is_empty_only(self) -> bool:
         """True for the complex {∅}."""
         return self.facet_masks == (0,)
 
     def position(self, label) -> int:
-        pos = self._cache.get("pos")
-        if pos is None:
-            pos = {lab: i for i, lab in enumerate(self.labels)}
-            self._cache["pos"] = pos
-        if label not in pos:
+        if label not in self.labels:
             raise BadSubsetError(f"{label} is not a vertex label of this complex")
-        return pos[label]
+        return self.labels.index(label)
 
     def mask_of(self, face_labels) -> int:
         m = 0
@@ -76,18 +73,11 @@ class Complex:
 
     def faces(self) -> frozenset:
         """All faces as position bitmasks, including 0 for the empty face."""
-        got = self._cache.get("faces")
-        if got is None:
-            got = frozenset().union(*self.faces_by_size().values(), (0,))
-            self._cache["faces"] = got
-        return got
+        return frozenset().union(*self.faces_by_size().values(), (0,))
 
     def faces_by_size(self):
         """dict size -> sorted list of masks, sizes >= 1."""
-        got = self._cache.get("by_size")
-        if got is None:
-            got = self._cache["by_size"] = _faces_by_size(self.facet_masks)
-        return got
+        return _face_table(self.facet_masks)
 
     def facets(self):
         """Facets as sorted tuples of labels."""
@@ -129,6 +119,15 @@ def _faces_by_size(facet_masks) -> dict:
                 m ^= b
         above = out[s] = sorted(level)
     return out
+
+
+def _face_table(facet_masks: tuple) -> dict:
+    """:func:`_faces_by_size` of the facets, built once per facet set in
+    the ``"table"`` slot of its ``_facts`` entry."""
+    facts = _facts_of(facet_masks)
+    if "table" not in facts:
+        facts["table"] = _faces_by_size(facet_masks)
+    return facts["table"]
 
 
 def _ridge_cofacets(facet_masks) -> dict:
@@ -337,10 +336,17 @@ def _near(facet_masks, n: int) -> list:
 
 
 # sorted facet masks -> what the process knows about that facet set, with
-# no labels and no prime in the key: its "split" (the re-indexed join
-# factors or None), the "table" of its faces when it is ranked without a
-# Complex, its BettiVector at each prime p under p, its one link-shape
-# record for every prime under "shape", and a join factor's "boundary"
+# no labels in the key or the value; a Complex keeps nothing of its own.
+# The slots, each filled on first use:
+# * "split": the re-indexed join factors, or None (_join_factors);
+# * "table": the face table (_face_table);
+# * p, a prime: the BettiVector at p (homology._betti);
+# * "shape": the one link-shape record for every prime (manifold._record);
+# * "verdict": {p: (status, dimension, witness mask or None, witness
+#   BettiVector or None)}, the witness a face of these facets' positions;
+# * "span": the ridges in exactly one facet, re-indexed, as (used, masks),
+#   or None when there is none (manifold._boundary_span);
+# * "boundary_betti": {p: the BettiVector of the boundary at p}.
 _facts: dict = {}
 
 

@@ -25,9 +25,11 @@ components, as it builds it.  Any other complex ranks only its
 core: dominated vertices are deleted (:func:`_core`), which keeps the
 homology at every prime, and a smaller core is re-indexed and ranked as a
 complex of its own, split in turn when it is a join.  A complex that is
-its own core and no join is ranked from its face table: a complex's own,
-``Complex.faces_by_size()``, or one kept in that table for every prime,
-next to the Betti numbers at each prime.
+its own core and no join is ranked from its face table, the one that
+``complexes._face_table`` keeps in the same entry, and which
+``Complex.faces_by_size()`` reads too.  Every result is kept there, under
+its prime, by the facets alone: no ``Complex`` is passed in and none keeps
+a memo, so complexes with equal facets and other labels share them all.
 On the 130-case join-arith benchmark the split cut the faces ranked per
 pass from 208,642 to 26,861 at GF(2) and from 104,196 to 18,169 at GF(3).
 
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import Complex, _faces_by_size, _facts_of, _join_factors, _maximal, _reindex
+from .complexes import Complex, _face_table, _facts_of, _join_factors, _maximal, _reindex
 from .errors import InvalidParameterError
 
 
@@ -225,7 +227,7 @@ def _core(facet_masks):
 
 def _betti_from_faces(by_size, p: int, pad_dim: int) -> BettiVector:
     """Direct matrix-rank computation from a face table ``{size: sorted
-    masks}`` of the nonempty faces, as :func:`_faces_by_size` builds it."""
+    masks}`` of the nonempty faces, as ``complexes._faces_by_size`` builds it."""
     if not by_size:
         return BettiVector(p, 1, (0,) * (pad_dim + 1) if pad_dim >= 0 else ())
     top = max(by_size)
@@ -272,20 +274,18 @@ def betti_for_facets(vertex_count: int, facet_masks, p: int) -> BettiVector:
     Results are cached by the facet structure, and the Betti vector keeps
     the length of the original dimension.
     """
-    return _betti(tuple(facet_masks), p, None)
+    return _betti(tuple(facet_masks), p)
 
 
-def _betti(facet_masks: tuple, p: int, c: Complex | None) -> BettiVector:
-    """:func:`betti_for_facets`; ``c``, if given, is a complex with these
-    facets, whose face table is ranked when it is its own core and no join.
+def _betti(facet_masks: tuple, p: int) -> BettiVector:
+    """:func:`betti_for_facets`, kept under p in the facets'
+    ``complexes._facts`` entry.
 
     In this order: a join multiplies its factors' reduced Betti
     polynomials Σ β̃_i t^(i+1) (β̃_-1 at t^0), each ranked through
     :func:`betti_for_facets` (Milnor 1956); else a smaller core is
     re-indexed and ranked through this function, which splits it if it is
-    a join; else the face table is ranked, c's own or the one the facets'
-    ``complexes._facts`` entry keeps for every prime, next to the result
-    under p."""
+    a join; else the facets' one face table is ranked."""
     if facet_masks == (0,):
         return BettiVector(p, 1, ())
     facts = _facts_of(facet_masks)
@@ -296,9 +296,7 @@ def _betti(facet_masks: tuple, p: int, c: Complex | None) -> BettiVector:
         if factors is None:
             core = tuple(_core(facet_masks))
             if core == facet_masks:
-                table = c.faces_by_size() if c is not None else facts.get("table")
-                if table is None:
-                    table = facts["table"] = _faces_by_size(core)
+                table = _face_table(core)
                 got = _betti_from_faces(table, p, max(table) - 1)
             else:  # rank the smaller core, maybe of a lower dimension, as the one factor
                 d = max(m.bit_count() for m in facet_masks) - 1
@@ -336,4 +334,4 @@ def _times(a, b) -> list:
 
 def betti_reduced(c: Complex, p) -> BettiVector:
     """Reduced Betti numbers of a complex over GF(p)."""
-    return _betti(c.facet_masks, _prime_of(p), c)
+    return _betti(c.facet_masks, _prime_of(p))

@@ -44,20 +44,26 @@ and its Betti numbers are folded from the boundaries of the factors, each
 kept once per factor shape in the same table (the proof is at
 ``_fold_boundary``); only a boundary the fold does not prove
 closed is checked by ``check_manifold``, so its witnesses are unchanged.
-The verdict is memoized on the complex per prime; no link-shape record
-is kept on the complex, so ``clear_caches`` releases them all.  The
-boundary itself does not depend on the prime, only whether it is closed
-and its Betti numbers do, so the complex keeps its span once, and the
-boundary's Betti numbers per prime.  The component count is one count,
-β̃_0 + 1 of the boundary (0 when closed), folded or spanned alike, as β̃_0
-counts the components less one at every prime.  ``check_manifold``,
-``boundary_complex``, ``classify`` and ``manifold_report`` analyse each
-complex once, the last three read the count through one guard and the
-boundary's Betti numbers through one route, ``_boundary_betti``, and a
-folded join's boundary is spanned only by ``boundary_complex``.  Each
-public function checks its primes once;
+Every memo is kept once per facet set, without labels, in that same
+table: a complex is only its labels and facets.  A facet set's entry
+keeps its verdict per prime as ``(status, dimension, witness mask or
+None, witness Betti or None)``, its boundary span as ``(used, masks)``,
+the same at every prime and shared by complexes and join factors alike,
+and its boundary's Betti numbers per prime, so ``clear_caches`` releases
+them all, the link-shape records included.  Only the public functions
+attach labels, as they return: ``check_manifold`` labels the witness and
+``boundary_complex`` the span, through the positions it uses.  The
+component count is one count, β̃_0 + 1 of the boundary (0 when closed),
+folded or spanned alike, as β̃_0 counts the components less one at every
+prime, so the boundary's Betti numbers at any prime already known serve.
+``check_manifold``, ``boundary_complex``, ``classify`` and
+``manifold_report`` analyse each facet set once, the last three read the
+count through one guard and the boundary's Betti numbers through one
+route, ``_boundary_betti``, and a folded join's boundary is spanned only
+by ``boundary_complex``.  Each public function checks its primes once;
 the internals below it (``_verdict``, ``_classify``, ``_fold_boundary``,
-``_boundary_betti``, ``_component_count``) take the checked int.
+``_boundary_betti``, ``_component_count``) take the checked int and the
+facets, not the complex.
 """
 
 from __future__ import annotations
@@ -272,20 +278,6 @@ def _join_summary(k, l):
     return cls, fail, bk or bl or acyclic, dk or dl, vk or vl or acyclic, non_ball
 
 
-def _factor_boundary(k, norm):
-    """∂K of a join factor K on positions 0..k-1 with the facets ``norm``:
-    the span of its ridges in exactly one facet, None when there is none.
-    A point is the exception, with ∂ = {∅}: its empty ridge lies in one
-    facet, but ``complexes._ridge_cofacets`` does not count it.  Memoized
-    for the process in the ``"boundary"`` slot of its ``complexes._facts``
-    entry."""
-    facts = cx._facts_of(norm)
-    if "boundary" not in facts:
-        facts["boundary"] = (cx.from_facets((), [()]) if norm == (1,)
-                             else _one_facet_ridges(Complex(range(k), norm)))
-    return facts["boundary"]
-
-
 def _fold_boundary(factors, q, check=False):
     """The reduced Betti polynomial at q of ∂J, as coefficients from t^0,
     folded from the join factors ``(k, facets)`` of a pure J; None where
@@ -293,8 +285,10 @@ def _fold_boundary(factors, q, check=False):
     found no failing face, a ball and no disagree, it is also None unless
     the rule below proves ∂J a closed manifold at q.
 
-    ∂X is the span of X's ridges in exactly one facet, with ∂(point) = {∅}
-    and ∂(S⁰) void; P(X) = Σ β̃_i t^(i+1), P(void) = 0, P({∅}) = 1.
+    ∂X is the span of X's ridges in exactly one facet, each kept once per
+    factor shape by :func:`_boundary_span`, with ∂(point) = {∅}, as
+    ``complexes._ridge_cofacets`` does not count a point's empty ridge, and
+    ∂(S⁰) void; P(X) = Σ β̃_i t^(i+1), P(void) = 0, P({∅}) = 1.
 
     Boundary fold lemma.  For pure K and L, ∂(K * L) = ∂K * L ∪ K * ∂L.
     (1) A ridge of K * L is a facet of one side joined to a ridge of the
@@ -346,11 +340,11 @@ def _fold_boundary(factors, q, check=False):
     """
     poly, bounded, acyclic = [1], 0, True
     for k, norm in factors:
-        bd = _factor_boundary(k, norm)
+        span = (0, (0,)) if norm == (1,) else _boundary_span(norm)
         betti = betti_for_facets(k, norm, q)
-        if bd is not None:
-            betti_bd = _betti(bd.facet_masks, q, bd)
-            if check and (_verdict(bd, q).status != STATUS_CLOSED
+        if span is not None:
+            betti_bd = _betti(span[1], q)
+            if check and (_verdict(span[1], q)[0] != STATUS_CLOSED
                           or betti.is_ball() and not betti_bd.is_sphere(norm[0].bit_count() - 2)):
                 return None
             bounded += 1
@@ -390,40 +384,45 @@ def check_manifold(c: Complex, p) -> ManifoldVerdict:
     have sphere or ball homology of complementary dimension, and the faces
     with ball links (plus ∅) must form a closed homology manifold one
     dimension lower.  Non-pure input short-circuits to NotPure.  The
-    verdict is memoized on the complex.
+    verdict is kept once per facet set and prime, with its witness as a
+    mask, in ``complexes._facts``; the witness is labelled here.
 
     The witness of a non-manifold is its least face (by size, then labels)
     whose link fails.  With none, it is the boundary's own witness when the
     maximal ball faces are the ridges in one facet, and otherwise the least
     vertex whose link is a ball.
     """
-    return _verdict(c, _prime_of(p))
+    pp = _prime_of(p)
+    status, d, face, betti = _verdict(c.facet_masks, pp)
+    return ManifoldVerdict(status, d, pp, None if face is None else c.labels_of(face), betti)
 
 
-def _verdict(c: Complex, pp: int) -> ManifoldVerdict:
-    """:func:`check_manifold` at the checked prime pp, memoized on c."""
-    key = ("verdict", pp)
-    got = c._cache.get(key)
+def _verdict(facets: tuple, pp: int) -> tuple:
+    """:func:`check_manifold` of the facets at the checked prime pp, as
+    ``(status, dimension, witness mask or None, witness Betti or None)``,
+    kept in the ``"verdict"`` slot of their ``complexes._facts`` entry."""
+    known = cx._facts_of(facets).setdefault("verdict", {})
+    got = known.get(pp)
     if got is None:
-        got = c._cache[key] = _decide(c, pp)
+        got = known[pp] = _decide(facets, pp)
     return got
 
 
-def _decide(c: Complex, pp: int) -> ManifoldVerdict:
-    if c.is_empty_only():
-        return ManifoldVerdict(STATUS_CLOSED, -1, pp)
-    if not cx.is_pure(c):
-        return ManifoldVerdict(STATUS_NOT_PURE, c.dimension, pp)
-    d = c.dimension
-    used, norm = cx._reindex(c.facet_masks)
+def _decide(facets: tuple, pp: int) -> tuple:
+    if facets == (0,):
+        return STATUS_CLOSED, -1, None, None
+    sizes = {m.bit_count() for m in facets}
+    d = max(sizes) - 1
+    if len(sizes) > 1:
+        return STATUS_NOT_PURE, d, None, None
+    used, norm = cx._reindex(facets)
     rec = _record(norm, used.bit_count())
     fail, ball, disagree, _, _ = _shape_summary(rec, pp)
     pos = [1 << v for v in graphs_mod._bits(used)]
     if fail:
-        face, betti = _least_failing_face(rec, fail, pos, pp)
-        return ManifoldVerdict(STATUS_NOT_MANIFOLD, d, pp, c.labels_of(face), betti)
+        return STATUS_NOT_MANIFOLD, d, *_least_failing_face(rec, fail, pos, pp)
     if not ball:
-        return ManifoldVerdict(STATUS_CLOSED, d, pp)
+        return STATUS_CLOSED, d, None, None
     if not disagree:
         # the ball faces are closed under subfaces (the lemma of
         # _shape_summary) and their maximal ones are the ridges in exactly
@@ -433,46 +432,53 @@ def _decide(c: Complex, pp: int) -> ManifoldVerdict:
         if poly is not None:
             # a join whose boundary the rule of _fold_boundary proves
             # closed: its Betti numbers are folded, and nothing here spans it
-            c._cache[("boundary_betti", pp)] = _from_poly(poly, pp, d - 1)
-            return ManifoldVerdict(STATUS_WITH_BOUNDARY, d, pp)
-        sub = _verdict(_one_facet_ridges(c), pp)
-        if sub.status == STATUS_CLOSED:
-            return ManifoldVerdict(STATUS_WITH_BOUNDARY, d, pp)
-        if sub.witness_face is not None:
-            return ManifoldVerdict(STATUS_NOT_MANIFOLD, d, pp, sub.witness_face, sub.witness_betti)
+            known = cx._facts_of(facets).setdefault("boundary_betti", {})
+            known[pp] = _from_poly(poly, pp, d - 1)
+            return STATUS_WITH_BOUNDARY, d, None, None
+        span_used, span = _boundary_span(facets)
+        status, _, face, betti = _verdict(span, pp)
+        if status == STATUS_CLOSED:
+            return STATUS_WITH_BOUNDARY, d, None, None
+        if face is not None:
+            # the boundary's witness, mapped back onto these facets' positions
+            back = [1 << v for v in graphs_mod._bits(span_used)]
+            return STATUS_NOT_MANIFOLD, d, sum(back[i] for i in graphs_mod._bits(face)), betti
     # a boundary with boundary, or a maximal ball face below the ridges: the
     # least ball face, a vertex as the ball faces are closed under subfaces
     kids = ((rec[1][i] or _child(rec, i))[0] for i in range(len(rec[1])))
     i, child = next((i, child) for i, child in enumerate(kids) if _class(child, pp) == _BOUNDARY)
-    betti = betti_for_facets(len(child[1]), child[0], pp)
-    return ManifoldVerdict(STATUS_NOT_MANIFOLD, d, pp, c.labels_of(pos[i]), betti)
+    return STATUS_NOT_MANIFOLD, d, pos[i], betti_for_facets(len(child[1]), child[0], pp)
 
 
-def _span(c: Complex, facet_masks) -> Complex:
-    """The subcomplex with the given facets (masks of c), on its own vertex
-    set."""
-    used, masks = cx._reindex(facet_masks)
-    return Complex(c.labels_of(used), masks)
+def _boundary_span(facets: tuple):
+    """The span of the ridges of the facets in exactly one facet, re-indexed
+    by ``complexes._reindex`` as ``(used, masks)``; None when there is
+    none.  A manifold with a ball and no disagree, as in the verdict and a
+    boundary, has one.  Kept once for every prime in the ``"span"`` slot of
+    the facets' ``complexes._facts`` entry, for a complex and a join factor
+    alike."""
+    facts = cx._facts_of(facets)
+    if "span" not in facts:
+        ridges = [r for r, n in cx._ridge_cofacets(facets).items() if n == 1]
+        facts["span"] = cx._reindex(ridges) if ridges else None
+    return facts["span"]
 
 
-def _one_facet_ridges(c: Complex) -> Complex | None:
-    """The span of c's ridges in exactly one facet; None when there is none.
-    A manifold with a ball and no disagree, as in the verdict and a
-    boundary, has one.  Memoized on c, as it is the same at every prime."""
-    if "one_facet_ridges" not in c._cache:
-        ridges = [r for r, n in cx._ridge_cofacets(c.facet_masks).items() if n == 1]
-        c._cache["one_facet_ridges"] = _span(c, ridges) if ridges else None
-    return c._cache["one_facet_ridges"]
-
-
-def _component_count(c: Complex, pp: int) -> int:
-    """The number of boundary components of c, 0 for a closed manifold and
-    β̃_0 + 1 of the boundary at pp otherwise, folded or spanned alike.
-    Raises when c is no manifold at pp."""
-    verdict = _verdict(c, pp)
-    if not verdict.is_manifold:
-        raise InvalidParameterError(f"no boundary for status {verdict.status} at p = {pp}")
-    return 0 if verdict.status == STATUS_CLOSED else _boundary_betti(c, pp).b(0) + 1
+def _component_count(facets: tuple, pp: int) -> int:
+    """The number of boundary components of the facets, 0 for a closed
+    manifold and β̃_0 + 1 of the boundary otherwise, folded or spanned
+    alike.  As β̃_0 counts the components less one at every prime, the
+    boundary's Betti numbers at any prime already known serve, and only
+    with none are they found at pp.  Raises when the facets are no
+    manifold at pp."""
+    status = _verdict(facets, pp)[0]
+    if status not in (STATUS_CLOSED, STATUS_WITH_BOUNDARY):
+        raise InvalidParameterError(f"no boundary for status {status} at p = {pp}")
+    if status == STATUS_CLOSED:
+        return 0
+    known = cx._facts_of(facets).get("boundary_betti")
+    betti = next(iter(known.values())) if known else _boundary_betti(facets, pp)
+    return betti.b(0) + 1
 
 
 def boundary_complex(c: Complex, p) -> BoundaryComplex:
@@ -480,33 +486,37 @@ def boundary_complex(c: Complex, p) -> BoundaryComplex:
     ridges in exactly one facet, which are its maximal faces with ball
     links, and the number of its components.
 
-    Both are the same at every prime.  The span is kept once on the
-    complex, and a folded join's boundary is spanned only here, on the
-    first call; the count is β̃_0 + 1 of the boundary at p.  A closed
-    manifold's boundary is {∅} with zero components.  Raises when the
-    verdict at p is not a manifold.
+    Both are the same at every prime.  The span is kept once per facet set,
+    without labels, and labelled here through the positions it uses; a
+    folded join's boundary is spanned only here, on the first call; the
+    count is β̃_0 + 1 of the boundary at any prime.  A closed manifold's
+    boundary is {∅} with zero components.  Raises when the verdict at p is
+    not a manifold.
     """
-    count = _component_count(c, _prime_of(p))
-    return BoundaryComplex(_one_facet_ridges(c) if count else cx.from_facets((), [()]), count)
+    count = _component_count(c.facet_masks, _prime_of(p))
+    if not count:
+        return BoundaryComplex(cx.from_facets((), [()]), 0)
+    used, masks = _boundary_span(c.facet_masks)
+    return BoundaryComplex(Complex(c.labels_of(used), masks), count)
 
 
-def _boundary_betti(c: Complex, q: int) -> BettiVector:
-    """Reduced Betti numbers at q of the boundary of the manifold c, {∅}
-    when it is closed: folded from c's join factors by
+def _boundary_betti(facets: tuple, q: int) -> BettiVector:
+    """Reduced Betti numbers at q of the boundary of the manifold with
+    these facets, {∅} when it is closed: folded from the join factors by
     :func:`_fold_boundary`, or, for a complex that does not split or where
-    the fold gives no answer, ranked on the span.  Memoized on c per
-    prime."""
-    key = ("boundary_betti", q)
-    got = c._cache.get(key)
+    the fold gives no answer, ranked on the span.  Kept per prime in the
+    ``"boundary_betti"`` slot of the facets' ``complexes._facts`` entry."""
+    known = cx._facts_of(facets).setdefault("boundary_betti", {})
+    got = known.get(q)
     if got is None:
-        factors = _join_factors(c.facet_masks)
+        factors = _join_factors(facets)
         poly = None if factors is None else _fold_boundary(factors, q)
         if poly is None:
-            bd = _one_facet_ridges(c) or cx.from_facets((), [()])
-            got = _betti(bd.facet_masks, q, bd)
+            span = _boundary_span(facets)
+            got = _betti(span[1] if span else (0,), q)
         else:
-            got = _from_poly(poly, q, c.dimension - 1)
-        c._cache[key] = got
+            got = _from_poly(poly, q, facets[0].bit_count() - 2)
+        known[q] = got
     return got
 
 
@@ -524,17 +534,19 @@ def classify(c: Complex, verdict: ManifoldVerdict | None = None, p_pair=(2, 3)) 
     back OtherSurface / OtherManifold.
     """
     p1, p2 = (_prime_of(q) for q in p_pair)
-    return _classify(c, _verdict(c, p1) if verdict is None else verdict, p1, p2)
+    status, d = (_verdict(c.facet_masks, p1)[:2] if verdict is None
+                 else (verdict.status, verdict.dimension))
+    return _classify(c.facet_masks, status, d, p1, p2)
 
 
-def _classify(c: Complex, verdict: ManifoldVerdict, p1: int, p2: int) -> ManifoldClass:
-    """:func:`classify` at the checked primes p1 and p2."""
-    if not verdict.is_manifold:
+def _classify(facets: tuple, status: str, d: int, p1: int, p2: int) -> ManifoldClass:
+    """:func:`classify` of the facets, given a verdict's status and
+    dimension d, at the checked primes p1 and p2."""
+    if status not in (STATUS_CLOSED, STATUS_WITH_BOUNDARY):
         return NOT_MANIFOLD_CLASS
-    d = verdict.dimension
-    b1 = _betti(c.facet_masks, p1, c)
-    b2 = _betti(c.facet_masks, p2, c)
-    if verdict.status == STATUS_CLOSED:
+    b1 = _betti(facets, p1)
+    b2 = _betti(facets, p2)
+    if status == STATUS_CLOSED:
         if b1.is_sphere(d) and b2.is_sphere(d):
             return ManifoldClass("Sphere", d)
         if d == 0 and b1.is_ball() and b2.is_ball():
@@ -546,10 +558,11 @@ def _classify(c: Complex, verdict: ManifoldVerdict, p1: int, p2: int) -> Manifol
             return ManifoldClass("OtherSurface")
         return ManifoldClass("OtherManifold")
     if b1.is_ball() and b2.is_ball():
-        if _boundary_betti(c, p1).is_sphere(d - 1) and _boundary_betti(c, p2).is_sphere(d - 1):
+        if (_boundary_betti(facets, p1).is_sphere(d - 1)
+                and _boundary_betti(facets, p2).is_sphere(d - 1)):
             return ManifoldClass("Ball", d)
     if d == 2:
-        fingerprint = (b1.b(1), b2.b(1), _component_count(c, p1))
+        fingerprint = (b1.b(1), b2.b(1), _component_count(facets, p1))
         if fingerprint == (1, 1, 1):
             return ManifoldClass("MoebiusStrip")
         if fingerprint == (1, 1, 2):
@@ -567,31 +580,32 @@ def manifold_report(c: Complex, p_pair=(2, 3)) -> dict:
     (``cross_check_status`` is None).
     """
     p1, p2 = (_prime_of(q) for q in p_pair)
-    verdict = _verdict(c, p1)
+    facets = c.facet_masks
+    status, d, face, witness_betti = _verdict(facets, p1)
     out = {
-        "status": verdict.status,
-        "dimension": verdict.dimension,
-        "p": verdict.p,
-        "witness_face": list(verdict.witness_face) if verdict.witness_face else None,
-        "witness_betti": verdict.witness_betti.to_list() if verdict.witness_betti else None,
+        "status": status,
+        "dimension": d,
+        "p": p1,
+        "witness_face": list(c.labels_of(face)) if face else None,
+        "witness_betti": witness_betti.to_list() if witness_betti else None,
     }
     fv = cx.f_vector(c)
     out["f_vector"] = list(fv.positive)
     out["euler_characteristic"] = fv.euler_characteristic()
-    b1 = _betti(c.facet_masks, p1, c)
-    b2 = _betti(c.facet_masks, p2, c)
+    b1 = _betti(facets, p1)
+    b2 = _betti(facets, p2)
     out["betti"] = [{"p": p1, "betti": b1.to_list()}]
     if p2 != p1:
         out["betti"].append({"p": p2, "betti": b2.to_list()})
-    if verdict.is_manifold:
-        out["boundary_components"] = _component_count(c, p1)
+    if status in (STATUS_CLOSED, STATUS_WITH_BOUNDARY):
+        out["boundary_components"] = _component_count(facets, p1)
         out["acyclic"] = b1.is_ball() and b2.is_ball()
-        if verdict.status == STATUS_WITH_BOUNDARY:
-            out["boundary_is_sphere"] = all(_boundary_betti(c, q).is_sphere(verdict.dimension - 1)
+        if status == STATUS_WITH_BOUNDARY:
+            out["boundary_is_sphere"] = all(_boundary_betti(facets, q).is_sphere(d - 1)
                                             for q in (p1, p2))
         # a single prime is no cross-check
-        out["cross_check_status"] = _verdict(c, p2).status if p2 != p1 else None
+        out["cross_check_status"] = _verdict(facets, p2)[0] if p2 != p1 else None
     else:
         out["boundary_components"] = None
-    out["class"] = str(_classify(c, verdict, p1, p2))
+    out["class"] = str(_classify(facets, status, d, p1, p2))
     return out

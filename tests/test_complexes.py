@@ -95,6 +95,7 @@ def test_matching_complex_checks_the_face_cap_first(monkeypatch):
 
 
 def test_link_examples():
+    cx.clear_caches()
     tri = cx.from_facets(range(3), [(0, 1), (1, 2), (0, 2)])
     lk = cx.link(tri, [0])
     assert set(lk.labels) == {1, 2}
@@ -105,7 +106,7 @@ def test_link_examples():
     assert cx.link(M, []) == M
     with pytest.raises(FaceNotInComplexError):
         cx.link(tri, [0, 1, 2])
-    assert "faces" not in tri._cache  # the face check scans the facets
+    assert "table" not in cx._facts.get(tri.facet_masks, {})  # the face check scans the facets
 
 
 def test_link_equals_avoided_subgraph_complex():
@@ -306,12 +307,13 @@ def test_one_skeleton_matches_the_face_table(c):
 
 def test_skeleton_questions_build_no_face_table():
     # the 1-skeleton comes off the facets, so none of these needs the faces
+    cx.clear_caches()
     M = cx.matching_complex(gr.disjoint_union([gr.complete_bipartite(4, 3), gr.path(3)]))
     cx.is_connected(M)
     cx.diameter(M)
     cx.is_flag(M)
     cx.has_induced_path6(M)
-    assert "by_size" not in M._cache
+    assert not any("table" in entry for entry in cx._facts.values())
 
 
 def test_induced_path6():

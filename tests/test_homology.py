@@ -192,7 +192,7 @@ def test_large_complexes_match_catalog_prediction():
               gr.disjoint_union([gr.spider(4), gr.spider(4)]),
               gr.spider(9)):
         M = cx.matching_complex(g)
-        assert sum(map(len, hm._faces_by_size(M.facet_masks).values())) > 2048
+        assert sum(map(len, cx._faces_by_size(M.facet_masks).values())) > 2048
         pred = catalog.predict(g)
         d = pred.predicted_dimension
         assert d == M.dimension
@@ -241,7 +241,7 @@ def test_large_non_sphere_torus_join_circle_and_point():
     # the torus joined with S^1 and S^0
     M = cx.matching_complex(gr.disjoint_union(
         [gr.complete_bipartite(4, 3), gr.complete_bipartite(3, 2), gr.path(3)]))
-    by_size = hm._faces_by_size(M.facet_masks)
+    by_size = cx._faces_by_size(M.facet_masks)
     assert sum(map(len, by_size.values())) == 2846
     for p in (2, 3, 5):
         for b in (hm.betti_for_facets(M.vertex_count, M.facet_masks, p),
@@ -253,7 +253,7 @@ def test_large_non_sphere_torus_join_two_circles():
     # the torus joined with two circles
     M = cx.matching_complex(gr.disjoint_union(
         [gr.complete_bipartite(4, 3), gr.complete_bipartite(3, 2), gr.complete_bipartite(3, 2)]))
-    by_size = hm._faces_by_size(M.facet_masks)
+    by_size = cx._faces_by_size(M.facet_masks)
     assert sum(map(len, by_size.values())) == 12336
     for p in (2, 3):
         for b in (hm.betti_for_facets(M.vertex_count, M.facet_masks, p),
@@ -264,7 +264,7 @@ def test_large_non_sphere_torus_join_two_circles():
 def _face_set_betti(facet_masks, p):
     # the oracle of the core: rank the full face table of the given facets
     d = max(m.bit_count() for m in facet_masks) - 1
-    return hm._betti_from_faces(hm._faces_by_size(facet_masks), p, d)
+    return hm._betti_from_faces(cx._faces_by_size(facet_masks), p, d)
 
 
 _PAIRS = [(i, j) for i in range(8) for j in range(i + 1, 8)]
@@ -345,7 +345,7 @@ def _assert_split(facet_masks):
         offset += k
     assert offset == functools.reduce(operator.or_, facet_masks).bit_count()
     assert len(joined) == len(facet_masks)
-    sizes = [{k: len(v) for k, v in hm._faces_by_size(f).items()} for f in (joined, facet_masks)]
+    sizes = [{k: len(v) for k, v in cx._faces_by_size(f).items()} for f in (joined, facet_masks)]
     assert sizes[0] == sizes[1]
 
 
@@ -365,7 +365,7 @@ def test_join_factors_match_face_set_path(c):
     _assert_split(tuple(hm._core(c.facet_masks)))
     for p in (2, 3, 5):
         assert (hm.betti_for_facets(c.vertex_count, c.facet_masks, p)
-                == hm._betti_from_faces(hm._faces_by_size(c.facet_masks), p, c.dimension))
+                == hm._betti_from_faces(cx._faces_by_size(c.facet_masks), p, c.dimension))
 
 
 def test_join_factors_peel_only_whole_components():

@@ -869,10 +869,10 @@ def test_clear_caches_keeps_reports():
 
 
 def test_one_table_keeps_what_is_known_per_facet_set():
-    # a facet set's split, Betti numbers at each prime, link-shape record
-    # and factor boundary are kept in its one complexes._facts entry, and
-    # no other package dict fills but the table of component walks, which
-    # maps graphs, not facet sets
+    # a facet set's split, Betti numbers at each prime, link-shape record,
+    # verdicts, boundary span and boundary Betti numbers are kept in its one
+    # complexes._facts entry, and no other package dict fills but the table
+    # of component walks, which maps graphs, not facet sets
     caches = _caches_at_import()
     matchtop.clear_caches()
     sphere, ball = (cx.matching_complex(gr.disjoint_union(parts))
@@ -887,17 +887,21 @@ def test_one_table_keeps_what_is_known_per_facet_set():
     factors = [cx._facts[norm] for split in recorded.values() for _, norm in split]
     assert any(all(isinstance(e.get(p), homology.BettiVector) for p in (2, 3)) and "shape" in e
                for e in factors)
-    assert all("boundary" in cx._facts[norm] for _, norm in recorded[ball.facet_masks])
+    # the factor M(spider 3) keeps its boundary span; a point's ∂ is {∅}, spanning nothing
+    assert ["span" in cx._facts[norm] for _, norm in recorded[ball.facet_masks]] == [True, False]
+    assert all(set(cx._facts[M.facet_masks]["verdict"]) == {2} for M in (sphere, ball))
     # the entry format, after the small criterion-6 joins and a closed
-    # search: a few named slots and the Betti vector under each prime, and
-    # a link-shape record keeps its classes and summaries, no Betti vector
+    # search: a few named slots and the Betti vector under each prime, a
+    # verdict keeps its witness as a mask, not as labels, and a link-shape
+    # record keeps its classes and summaries, no Betti vector
     for g, _ in _join_arithmetic_cases(face_cap=400):
         M = cx.matching_complex(g)
         manifold.classify(M, manifold.check_manifold(M, 2), (2, 3))
     verify.run_search(spec(target="closed-2-manifold", max_edges=9))
-    slots = {"split", "table", "shape", "boundary"}
+    slots = {"split", "table", "shape", "verdict", "span", "boundary_betti"}
     for facets, entry in cx._facts.items():
         assert all(k in slots or type(k) is int and homology._is_prime(k) for k in entry), facets
+        assert all(type(v[2]) in (int, type(None)) for v in entry.get("verdict", {}).values())
         rec = entry.get("shape")
         if rec is not None:
             assert rec[0] == facets
