@@ -65,9 +65,10 @@ from . import catalog, complexes, homology, manifold, verify
 def clear_caches():
     """Empty every module-level cache: the enumerated graph classes, the one
     table of what is known per facet set, ``complexes._facts`` (join splits,
-    face tables, Betti numbers, link-shape records, verdicts, boundary
-    spans and boundary Betti numbers), the maximal matchings of each
-    component shape, ``complexes._walks``, and the catalog tables.  A
+    face tables, Betti numbers, link-shape children and summaries,
+    verdicts, boundary spans and boundary Betti numbers), the entries of
+    each component shape's maximal matchings, ``complexes._walks``, and
+    the catalog tables.  A
     complex keeps no memo of its own, so nothing outlives this.  Results do
     not change; a long-lived process can call this to bound its memory."""
     verify.clear_caches()

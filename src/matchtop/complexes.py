@@ -77,7 +77,7 @@ class Complex:
 
     def faces_by_size(self):
         """dict size -> sorted list of masks, sizes >= 1."""
-        return _face_table(self.facet_masks)
+        return _face_table(_facts_of(self.facet_masks))
 
     def facets(self):
         """Facets as sorted tuples of labels."""
@@ -121,13 +121,12 @@ def _faces_by_size(facet_masks) -> dict:
     return out
 
 
-def _face_table(facet_masks: tuple) -> dict:
-    """:func:`_faces_by_size` of the facets, built once per facet set in
-    the ``"table"`` slot of its ``_facts`` entry."""
-    facts = _facts_of(facet_masks)
-    if "table" not in facts:
-        facts["table"] = _faces_by_size(facet_masks)
-    return facts["table"]
+def _face_table(entry: dict) -> dict:
+    """:func:`_faces_by_size` of an entry's facets, built once in its
+    ``"table"`` slot."""
+    if "table" not in entry:
+        entry["table"] = _faces_by_size(entry["facets"])
+    return entry["table"]
 
 
 def _ridge_cofacets(facet_masks) -> dict:
@@ -218,15 +217,15 @@ def matching_complex(g: graphs_mod.Graph) -> Complex:
 
     A graph with two or more components that have edges is built as the
     join of their complexes, M(G₁ ⊔ G₂) = M(G₁) * M(G₂): the maximal
-    matchings are walked once per component shape per process, kept in
-    ``_walks`` under the component's edges as ``graphs._component``
-    numbers them, and the facets are the unions of one component facet
-    each.  The split, the components' complexes in order of lowest edge
-    index, each re-indexed, is recorded for :func:`_join_factors` as it is
-    built.  It is the one that function's walk returns, by the lemma
-    there: M(G) is flag, so the graph of vertices that never share a facet
-    is the line graph L(G), whose components are the edge sets of G's
-    components.  A connected graph costs one reachability check more than
+    matchings are walked once per component shape per process, kept as
+    their entry in ``_walks`` under the component's edges as
+    ``graphs._component`` numbers them, and the facets are the unions of
+    one component facet each.  The split, the entries of the components'
+    complexes in order of lowest edge index, each re-indexed, is recorded
+    for :func:`_join_factors` as it is built.  It is the one that
+    function's walk returns, by the lemma there: M(G) is flag, so the
+    graph of vertices that never share a facet is the line graph L(G),
+    whose components are the edge sets of G's components.  A connected graph costs one reachability check more than
     its walk alone, and its walk is not kept: a search meets each graph
     once, where keeping it cost the disconnected-complex search ~1%.
     """
@@ -244,17 +243,18 @@ def matching_complex(g: graphs_mod.Graph) -> Complex:
     facets, split = [0], []
     while comp:
         edges, indices = graphs_mod._component(g, comp)
-        local = _walks.get(edges)
-        if local is None:
+        part = _walks.get(edges)
+        if part is None:
             h = graphs_mod.Graph._trusted(comp.bit_count(), edges)
-            local = _walks[edges] = tuple(sorted(graphs_mod._maximal_matching_masks(h)))
+            part = _walks[edges] = _facts_of(tuple(sorted(graphs_mod._maximal_matching_masks(h))))
+        local = part["facets"]
         low = indices[0]
         if indices[-1] - low == len(indices) - 1:  # a run of edges, as in a disjoint union
             spread = [f << low for f in local]
         else:
             spread = [sum(1 << indices[j] for j in graphs_mod._bits(f)) for f in local]
         facets = [f | e for e in spread for f in facets]
-        split.append((len(indices), local))
+        split.append(part)
         left &= ~comp
         comp = graphs_mod._reach(g.adj, left & -left)
     facets.sort()
@@ -292,11 +292,10 @@ def join(c1: Complex, c2: Complex) -> Complex:
         offset = 0
     labels = c1.labels + tuple(lab + offset for lab in c2.labels)
     n1 = len(c1.labels)
-    facets = []
-    for f1 in c1.facet_masks:
-        for f2 in c2.facet_masks:
-            facets.append(f1 | f2 << n1)
-    return Complex(labels, _maximal(facets))
+    # unions of two antichains on disjoint positions are distinct and an
+    # antichain themselves, so they need no _maximal
+    facets = sorted(f1 | f2 << n1 for f1 in c1.facet_masks for f2 in c2.facet_masks)
+    return Complex(labels, facets)
 
 
 @dataclass(frozen=True)
@@ -335,34 +334,38 @@ def _near(facet_masks, n: int) -> list:
     return near
 
 
-# sorted facet masks -> what the process knows about that facet set, with
-# no labels in the key or the value; a Complex keeps nothing of its own.
-# The slots, each filled on first use:
-# * "split": the re-indexed join factors, or None (_join_factors);
+# sorted facet masks -> their entry, everything the process knows about
+# that facet set, with no labels in the key or the value; a Complex keeps
+# nothing of its own.  Inside the package a facet set travels as its entry,
+# so only the public functions and the sites that make a new facet set look
+# one up.  The slots, each filled on first use:
+# * "facets": the key itself;
+# * "split": the join factors' entries, or None (_join_factors);
 # * "table": the face table (_face_table);
 # * p, a prime: the BettiVector at p (homology._betti);
-# * "shape": the one link-shape record for every prime (manifold._record);
+# * "children": {vertex: (entry of its link, re-indexed, and the link's
+#   vertices as positions here)} (manifold._child);
+# * "summary": {p: the link-shape summary} (manifold._shape_summary);
 # * "verdict": {p: (status, dimension, witness mask or None, witness
 #   BettiVector or None)}, the witness a face of these facets' positions;
-# * "span": the ridges in exactly one facet, re-indexed, as (used, masks),
-#   or None when there is none (manifold._boundary_span);
+# * "span": the ridges in exactly one facet, re-indexed, as (used, their
+#   entry), or None when there is none (manifold._boundary_span);
 # * "boundary_betti": {p: the BettiVector of the boundary at p}.
 _facts: dict = {}
 
 
 def _facts_of(facet_masks: tuple) -> dict:
-    """The entry of ``_facts`` for these facets, made empty on first use."""
+    """The entry of ``_facts`` for these facets, made on first use."""
     got = _facts.get(facet_masks)
     if got is None:
-        got = _facts[facet_masks] = {}
+        got = _facts[facet_masks] = {"facets": facet_masks}
     return got
 
 
 # a connected component's edges, numbered as ``graphs._component`` numbers
-# them -> its maximal matchings as sorted edge masks: the walks of
-# :func:`matching_complex`, one per component shape (a shape whose vertices
-# come in another order is walked again).  It maps a graph to a facet set,
-# which exists only after the walk, so it is no entry of _facts
+# them -> the entry of its maximal matchings as sorted edge masks: the walks
+# of :func:`matching_complex`, one per component shape (a shape whose
+# vertices come in another order is walked again)
 _walks: dict = {}
 
 
@@ -371,13 +374,12 @@ def clear_caches():
     _walks.clear()
 
 
-def _join_factors(facet_masks):
-    """The join factors of the complex with the given maximal faces, each as
-    ``(vertex count, masks re-indexed onto 0..k-1)``, when there are two or
-    more; else None.  Memoized for the process by the facets alone: a
-    matching complex of a disconnected graph has its split recorded by
-    :func:`matching_complex`, and any other facet set is split by
-    :func:`_split` on first use.
+def _join_factors(entry: dict):
+    """The entries of the join factors of an entry's facets, each re-indexed
+    onto 0..k-1, when there are two or more; else None.  Kept in its
+    ``"split"`` slot: a matching complex of a disconnected graph has its
+    split recorded by :func:`matching_complex`, and any other facet set is
+    split by :func:`_split` on first use.
 
     Lemma.  A matching complex M(G) is flag, and two of its vertices never
     share a facet exactly when the two edges of G meet, so the graph that
@@ -389,11 +391,9 @@ def _join_factors(facet_masks):
     ``matching_complex`` records is exactly the walk's: the same factors,
     the same masks, the same order.
     """
-    key = tuple(facet_masks)
-    facts = _facts_of(key)
-    if "split" not in facts:
-        facts["split"] = _split(key)
-    return facts["split"]
+    if "split" not in entry:
+        entry["split"] = _split(entry["facets"])
+    return entry["split"]
 
 
 def _split(facet_masks: tuple):
@@ -430,7 +430,7 @@ def _split(facet_masks: tuple):
         factors.append(rest)
     if len(factors) < 2:
         return None
-    return [(u.bit_count(), norm) for u, norm in map(_reindex, factors)]
+    return [_facts_of(_reindex(factor)[1]) for factor in factors]
 
 
 def one_skeleton(c: Complex) -> graphs_mod.Graph:

@@ -17,9 +17,10 @@ theirs.  ``complexes._join_factors``, the one join split in the package,
 peels off one component at a time of the graph on vertices that never
 share a facet: a component C is a factor when the number of facets is the
 number of their restrictions to C times the number of their restrictions
-to the rest.  It is memoized by the facets alone in ``complexes._facts``,
-the one table of what the process knows per facet set, so the ranks at
-every prime and the manifold verdict read one split, and ``matching_complex``
+to the rest.  It is kept in the facet set's entry of ``complexes._facts``,
+the one table of what the process knows per facet set, as the entries of
+the factors, so the ranks at every prime and the manifold verdict read one
+split and rank each factor in its own entry, and ``matching_complex``
 records the split of a disconnected graph's complex, read off the graph's
 components, as it builds it.  Any other complex ranks only its
 core: dominated vertices are deleted (:func:`_core`), which keeps the
@@ -30,6 +31,8 @@ its own core and no join is ranked from its face table, the one that
 ``Complex.faces_by_size()`` reads too.  Every result is kept there, under
 its prime, by the facets alone: no ``Complex`` is passed in and none keeps
 a memo, so complexes with equal facets and other labels share them all.
+The public functions look the entry up once; below them a facet set is
+passed as its entry.
 On the 130-case join-arith benchmark the split cut the faces ranked per
 pass from 208,642 to 26,861 at GF(2) and from 104,196 to 18,169 at GF(3).
 
@@ -274,40 +277,39 @@ def betti_for_facets(vertex_count: int, facet_masks, p: int) -> BettiVector:
     Results are cached by the facet structure, and the Betti vector keeps
     the length of the original dimension.
     """
-    return _betti(tuple(facet_masks), p)
+    return _betti(_facts_of(tuple(facet_masks)), p)
 
 
-def _betti(facet_masks: tuple, p: int) -> BettiVector:
-    """:func:`betti_for_facets`, kept under p in the facets'
-    ``complexes._facts`` entry.
+def _betti(entry: dict, p: int) -> BettiVector:
+    """:func:`betti_for_facets` of an entry's facets, kept under p in the
+    entry.
 
     In this order: a join multiplies its factors' reduced Betti
-    polynomials Σ β̃_i t^(i+1) (β̃_-1 at t^0), each ranked through
-    :func:`betti_for_facets` (Milnor 1956); else a smaller core is
-    re-indexed and ranked through this function, which splits it if it is
-    a join; else the facets' one face table is ranked."""
-    if facet_masks == (0,):
+    polynomials Σ β̃_i t^(i+1) (β̃_-1 at t^0), each factor's entry ranked
+    here in turn (Milnor 1956); else a smaller core is re-indexed and
+    ranked here as the one factor, split in turn if it is a join; else the
+    entry's one face table is ranked."""
+    facets = entry["facets"]
+    if facets == (0,):
         return BettiVector(p, 1, ())
-    facts = _facts_of(facet_masks)
-    got = facts.get(p)
+    got = entry.get(p)
     if got is None:
         d = None  # a join's product has the length of its dimension plus 2
-        factors = _join_factors(facet_masks)
+        factors = _join_factors(entry)
         if factors is None:
-            core = tuple(_core(facet_masks))
-            if core == facet_masks:
-                table = _face_table(core)
+            core = tuple(_core(facets))
+            if core == facets:
+                table = _face_table(entry)
                 got = _betti_from_faces(table, p, max(table) - 1)
             else:  # rank the smaller core, maybe of a lower dimension, as the one factor
-                d = max(m.bit_count() for m in facet_masks) - 1
-                used, norm = _reindex(core)
-                factors = [(used.bit_count(), norm)]
+                d = max(m.bit_count() for m in facets) - 1
+                factors = [_facts_of(_reindex(core)[1])]
         if got is None:
             poly = [1]
-            for k, masks in factors:
-                poly = _times(poly, _poly(betti_for_facets(k, masks, p)))
+            for factor in factors:
+                poly = _times(poly, _poly(_betti(factor, p)))
             got = _from_poly(poly, p, len(poly) - 2 if d is None else d)
-        facts[p] = got
+        entry[p] = got
     return got
 
 
@@ -334,4 +336,4 @@ def _times(a, b) -> list:
 
 def betti_reduced(c: Complex, p) -> BettiVector:
     """Reduced Betti numbers of a complex over GF(p)."""
-    return _betti(c.facet_masks, _prime_of(p))
+    return betti_for_facets(c.vertex_count, c.facet_masks, _prime_of(p))

@@ -12,30 +12,31 @@ Links are computed top-down: the link of σ ∪ v is the link of v inside
 the link of σ, so no face scans the facets of the whole complex.  Links
 are memoized by shape (the link's facets re-indexed onto positions
 0..k-1) in ``complexes._facts``, the process table of what is known per
-facet set: the children of a link depend only on its shape, so each
-distinct shape keeps one record for the process, however many faces,
-complexes and primes have it, and its children are re-indexed once.  Only
-its class and its summary depend on the prime, and each is kept per prime.
+facet set, and a shape is passed around as its entry there: the children
+of a link depend only on its shape, so each distinct shape's entry keeps
+them for the process, however many faces, complexes and primes have it,
+and each is re-indexed once.  Its class at a prime is read off the Betti
+numbers the same entry keeps, and only its summary is kept per prime.
 
-The verdict is paid per shape, not per face.  A shape's record keeps a
+The verdict is paid per shape, not per face.  A shape's entry keeps a
 summary over its nonempty faces: the least size of a face whose link
 fails, the least size of one whose link is not acyclic, whether some link
 is a ball, and whether the maximal ball faces differ from the ridges in
 exactly one facet.  Every nonempty face is a vertex plus a face of that
-vertex's link, so the summary can be built from the records of the vertex
-links.  A shape that is a join K * L (the matching complex of a disjoint
-union is the join of its parts') is folded from the records of the factors
-that ``complexes._join_factors``, the split the ranks read, returns, and
-builds no vertex link.  Fold lemma: the links of J = K * L are lk_K α *
-lk_L β (lk ∅ the factor itself), and a join is a sphere iff both sides
-are, acyclic iff either is, and fails otherwise, since its reduced Betti
-polynomial is the product of its factors' (Milnor 1956).  So a face
-of J fails iff one side fails and the other is not acyclic, and its least
-size is a sum of the factors' least failing and least non-acyclic sizes,
-or one of them alone where the other factor fails or is a sphere; the
-flags follow the same way (the proof is at ``_shape_summary``).  No face
+vertex's link, so the summary can be built from the summaries of the
+vertex links.  A shape that is a join K * L (the matching complex of a
+disjoint union is the join of its parts') is folded from the summaries of
+the factors' entries that ``complexes._join_factors``, the split the ranks
+read, returns, and builds no vertex link.  Fold lemma: the links of
+J = K * L are lk_K α * lk_L β (lk ∅ the factor itself), and a join is a
+sphere iff both sides are, acyclic iff either is, and fails otherwise,
+since its reduced Betti polynomial is the product of its factors' (Milnor
+1956).  So a face of J fails iff one side fails and the other is not
+acyclic, and its least size is a sum of the factors' least failing and
+least non-acyclic sizes, or one of them alone where the other factor
+fails or is a sphere; the flags follow the same way (the proof is at ``_shape_summary``).  No face
 is visited: a failing complex finds its least failing face by descending
-through the records, which builds a join shape's vertex links only on the
+through the children, which builds a join shape's vertex links only on the
 way down, a closed one has no ball, and the boundary of any other is
 spanned by the ridges in one facet, read off the one ridge count
 ``complexes._ridge_cofacets``.  A join's boundary is not walked either:
@@ -47,12 +48,13 @@ closed is checked by ``check_manifold``, so its witnesses are unchanged.
 Every memo is kept once per facet set, without labels, in that same
 table: a complex is only its labels and facets.  A facet set's entry
 keeps its verdict per prime as ``(status, dimension, witness mask or
-None, witness Betti or None)``, its boundary span as ``(used, masks)``,
-the same at every prime and shared by complexes and join factors alike,
-and its boundary's Betti numbers per prime, so ``clear_caches`` releases
-them all, the link-shape records included.  Only the public functions
-attach labels, as they return: ``check_manifold`` labels the witness and
-``boundary_complex`` the span, through the positions it uses.  The
+None, witness Betti or None)``, its boundary span as ``(used, the
+span's entry)``, the same at every prime and shared by complexes and join
+factors alike, and its boundary's Betti numbers per prime, so
+``clear_caches`` releases them all, the link-shape children and summaries
+included.  Only the public functions attach labels, as they return:
+``check_manifold`` labels the witness and ``boundary_complex`` the span,
+through the positions it uses.  The
 component count is one count, β̃_0 + 1 of the boundary (0 when closed),
 folded or spanned alike, as β̃_0 counts the components less one at every
 prime, so the boundary's Betti numbers at any prime already known serve.
@@ -60,10 +62,11 @@ prime, so the boundary's Betti numbers at any prime already known serve.
 ``manifold_report`` analyse each facet set once, the last three read the
 count through one guard and the boundary's Betti numbers through one
 route, ``_boundary_betti``, and a folded join's boundary is spanned only
-by ``boundary_complex``.  Each public function checks its primes once;
-the internals below it (``_verdict``, ``_classify``, ``_fold_boundary``,
-``_boundary_betti``, ``_component_count``) take the checked int and the
-facets, not the complex.
+by ``boundary_complex``.  Each public function checks its primes once
+and looks up the complex's entry once; the internals below it
+(``_verdict``, ``_classify``, ``_fold_boundary``, ``_boundary_betti``,
+``_component_count``) take the checked int and entries, not the complex,
+and look up only the facet sets they make.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ from . import complexes as cx
 from . import graphs as graphs_mod
 from .complexes import Complex, _join_factors
 from .errors import InvalidParameterError
-from .homology import BettiVector, _betti, _from_poly, _poly, _prime_of, _times, betti_for_facets
+from .homology import BettiVector, _betti, _from_poly, _poly, _prime_of, _times
 
 STATUS_NOT_PURE = "NotPure"
 STATUS_NOT_MANIFOLD = "NotManifold"
@@ -129,41 +132,29 @@ _FAIL = "?"
 _NEVER = float("inf")  # the fail of a shape with no failing face, in a fold
 
 
-def _record(norm, k):
-    """The record of the shape with the normalized facets ``norm`` on k
-    vertices, ``[facets, children, classes, summaries]``, one for the whole
-    process and every prime in the ``"shape"`` slot of their
-    ``complexes._facts`` entry: children built on first use, and the class
-    and the summary kept per prime by :func:`_class` and
-    :func:`_shape_summary`."""
-    facts = cx._facts_of(norm)
-    if "shape" not in facts:
-        facts["shape"] = [norm, [None] * k, {}, {}]
-    return facts["shape"]
+def _child(shape, i):
+    """The child of a link shape's entry for its vertex i, built on first
+    use in its ``"children"`` slot: the entry of lk(i), re-indexed, and the
+    positions of its vertices in the shape."""
+    children = shape.setdefault("children", {})
+    got = children.get(i)
+    if got is None:
+        b = 1 << i
+        used, norm = cx._reindex([f ^ b for f in shape["facets"] if f & b])
+        got = children[i] = (cx._facts_of(norm), bytes(graphs_mod._bits(used)))
+    return got
 
 
-def _child(rec, i):
-    """The child entry of a shape record for its vertex i: the record of
-    lk(i) and the positions of its vertices in the parent."""
-    b = 1 << i
-    used, norm = cx._reindex([f ^ b for f in rec[0] if f & b])
-    entry = rec[1][i] = (_record(norm, used.bit_count()), bytes(graphs_mod._bits(used)))
-    return entry
-
-
-def _class(rec, p):
+def _class(entry, p):
     """'S', 'B' or '?': a shape as a link at p, a sphere of the dimension
-    its facets have, acyclic, or neither.  Read off the Betti numbers on
-    first use and memoized on the record per prime."""
-    cls = rec[2].get(p)
-    if cls is None:
-        betti = betti_for_facets(len(rec[1]), rec[0], p)
-        cls = rec[2][p] = (_INTERIOR if betti.is_sphere(rec[0][0].bit_count() - 1)
-                           else _BOUNDARY if betti.is_ball() else _FAIL)
-    return cls
+    its facets have, acyclic, or neither, read off the Betti numbers that
+    the same entry keeps."""
+    betti = _betti(entry, p)
+    return (_INTERIOR if betti.is_sphere(entry["facets"][0].bit_count() - 1)
+            else _BOUNDARY if betti.is_ball() else _FAIL)
 
 
-def _shape_summary(rec, p):
+def _shape_summary(shape, p):
     """The summary of a shape over its nonempty faces σ: ``(fail, ball,
     disagree, ball_vertex, non_ball)``.
 
@@ -176,15 +167,15 @@ def _shape_summary(rec, p):
     * non_ball: the least size of a σ whose link is not acyclic, at most
       the facet size, as a facet's link {∅} is a sphere.
 
-    Memoized on the record per prime.  A shape that ``_join_factors``
-    splits is folded from the records of the re-indexed factors it returns,
-    each classified as a link, and builds no vertex link.  Any other is read off
-    its vertex links: every nonempty face is a vertex i plus a face τ of
-    lk(i), with lk σ = lk_{lk(i)}(τ), so the summary is read off the vertex
-    links themselves (τ = ∅, size 1) and their own summaries (size + 1).
-    The loop stops at the first vertex link that fails, where non_ball is 1
-    and exact, so the flags are complete only when fail is 0.  They are
-    read only then.
+    Kept per prime in the ``"summary"`` slot of the shape's entry.  A
+    shape that ``_join_factors`` splits is folded from the summaries of the
+    factors' entries it returns, each classified as a link, and builds no
+    vertex link.  Any other is read off its vertex links: every nonempty
+    face is a vertex i plus a face τ of lk(i), with lk σ = lk_{lk(i)}(τ),
+    so the summary is read off the vertex links themselves (τ = ∅, size
+    1) and their own summaries (size + 1).  The loop stops at the first
+    vertex link that fails, where non_ball is 1 and exact, so the flags
+    are complete only when fail is 0.  They are read only then.
 
     Fold lemma.  The faces of J = K * L are the α ∪ β, α a face of K and β
     one of L, not both empty, and lk_J(α ∪ β) = lk_K α * lk_L β with lk ∅
@@ -224,28 +215,29 @@ def _shape_summary(rec, p):
     the facets of z through w, with w deleted, form a nonzero (k-1)-cycle
     of lk_L(w), which is therefore not acyclic.
     """
-    got = rec[3].get(p)
+    known = shape.setdefault("summary", {})
+    got = known.get(p)
     if got is not None:
         return got
-    factors = _join_factors(rec[0])
+    factors = _join_factors(shape)
     if factors is not None:
         joined = None
-        for k, norm in factors:
-            factor = _record(norm, k)
+        for factor in factors:
             cls = _class(factor, p)
             fail, ball, disagree, ball_vertex, non_ball = _shape_summary(factor, p)
-            disagree |= (cls == _BOUNDARY and not ball_vertex) != (norm == (1,))
+            disagree |= (cls == _BOUNDARY and not ball_vertex) != (factor["facets"] == (1,))
             part = (cls, fail or _NEVER, ball, disagree, ball_vertex, non_ball)
             joined = part if joined is None else _join_summary(joined, part)
         _, fail, ball, disagree, ball_vertex, non_ball = joined
-        got = rec[3][p] = (0 if fail == _NEVER else fail, ball, disagree, ball_vertex, non_ball)
+        got = known[p] = (0 if fail == _NEVER else fail, ball, disagree, ball_vertex, non_ball)
         return got
+    facets = shape["facets"]
     fail = 0
     ball = disagree = ball_vertex = False
-    non_ball = rec[0][0].bit_count()
-    kids = rec[1]
-    for i in range(len(kids)):
-        child = (kids[i] or _child(rec, i))[0]
+    non_ball = facets[0].bit_count()
+    # the facets use positions 0..k-1, and the greatest mask has the top one
+    for i in range(facets[-1].bit_length()):
+        child = _child(shape, i)[0]
         cls = _class(child, p)
         if cls == _FAIL:
             fail = non_ball = 1
@@ -257,8 +249,8 @@ def _shape_summary(rec, p):
         non_ball = min(non_ball, sub[4] + 1 if is_ball else 1)
         ball_vertex |= is_ball
         ball |= is_ball or sub[1]
-        disagree |= sub[2] or (is_ball and not sub[3]) != (child[0] == (1,))
-    got = rec[3][p] = (fail, ball, disagree, ball_vertex, non_ball)
+        disagree |= sub[2] or (is_ball and not sub[3]) != (child["facets"] == (1,))
+    got = known[p] = (fail, ball, disagree, ball_vertex, non_ball)
     return got
 
 
@@ -280,13 +272,13 @@ def _join_summary(k, l):
 
 def _fold_boundary(factors, q, check=False):
     """The reduced Betti polynomial at q of ∂J, as coefficients from t^0,
-    folded from the join factors ``(k, facets)`` of a pure J; None where
+    folded from the entries of the join factors of a pure J; None where
     the fold gives no answer.  With ``check``, from J's verdict at q, which
     found no failing face, a ball and no disagree, it is also None unless
     the rule below proves ∂J a closed manifold at q.
 
-    ∂X is the span of X's ridges in exactly one facet, each kept once per
-    factor shape by :func:`_boundary_span`, with ∂(point) = {∅}, as
+    ∂X is the span of X's ridges in exactly one facet, each kept once in
+    the factor's entry by :func:`_boundary_span`, with ∂(point) = {∅}, as
     ``complexes._ridge_cofacets`` does not count a point's empty ridge, and
     ∂(S⁰) void; P(X) = Σ β̃_i t^(i+1), P(void) = 0, P({∅}) = 1.
 
@@ -339,13 +331,14 @@ def _fold_boundary(factors, q, check=False):
     there is one, as J has a ball.
     """
     poly, bounded, acyclic = [1], 0, True
-    for k, norm in factors:
-        span = (0, (0,)) if norm == (1,) else _boundary_span(norm)
-        betti = betti_for_facets(k, norm, q)
+    for factor in factors:
+        facets = factor["facets"]
+        span = (0, cx._facts_of((0,))) if facets == (1,) else _boundary_span(factor)
+        betti = _betti(factor, q)
         if span is not None:
             betti_bd = _betti(span[1], q)
             if check and (_verdict(span[1], q)[0] != STATUS_CLOSED
-                          or betti.is_ball() and not betti_bd.is_sphere(norm[0].bit_count() - 2)):
+                          or betti.is_ball() and not betti_bd.is_sphere(facets[0].bit_count() - 2)):
                 return None
             bounded += 1
             acyclic &= betti.is_ball()
@@ -354,7 +347,7 @@ def _fold_boundary(factors, q, check=False):
     return [0] * (bounded - 1) + poly if bounded and (bounded == 1 or acyclic) else None
 
 
-def _least_failing_face(rec, size, pos, p):
+def _least_failing_face(shape, size, pos, p):
     """``(mask, betti)`` of the least failing face of a shape by labels,
     given its least failing size and the masks of its positions.
 
@@ -367,14 +360,14 @@ def _least_failing_face(rec, size, pos, p):
     down."""
     face = 0
     while True:
-        for i in range(len(rec[1])):
-            child, idx = rec[1][i] or _child(rec, i)
+        for i in range(len(pos)):
+            child, idx = _child(shape, i)
             if _class(child, p) == _FAIL if size == 1 else _shape_summary(child, p)[0] == size - 1:
                 break
         face |= pos[i]
         if size == 1:
-            return face, betti_for_facets(len(child[1]), child[0], p)
-        rec, size, pos = child, size - 1, [pos[j] for j in idx]
+            return face, _betti(child, p)
+        shape, size, pos = child, size - 1, [pos[j] for j in idx]
 
 
 def check_manifold(c: Complex, p) -> ManifoldVerdict:
@@ -393,22 +386,23 @@ def check_manifold(c: Complex, p) -> ManifoldVerdict:
     vertex whose link is a ball.
     """
     pp = _prime_of(p)
-    status, d, face, betti = _verdict(c.facet_masks, pp)
+    status, d, face, betti = _verdict(cx._facts_of(c.facet_masks), pp)
     return ManifoldVerdict(status, d, pp, None if face is None else c.labels_of(face), betti)
 
 
-def _verdict(facets: tuple, pp: int) -> tuple:
-    """:func:`check_manifold` of the facets at the checked prime pp, as
-    ``(status, dimension, witness mask or None, witness Betti or None)``,
-    kept in the ``"verdict"`` slot of their ``complexes._facts`` entry."""
-    known = cx._facts_of(facets).setdefault("verdict", {})
+def _verdict(entry: dict, pp: int) -> tuple:
+    """:func:`check_manifold` of an entry's facets at the checked prime pp,
+    as ``(status, dimension, witness mask or None, witness Betti or
+    None)``, kept in the entry's ``"verdict"`` slot."""
+    known = entry.setdefault("verdict", {})
     got = known.get(pp)
     if got is None:
-        got = known[pp] = _decide(facets, pp)
+        got = known[pp] = _decide(entry, pp)
     return got
 
 
-def _decide(facets: tuple, pp: int) -> tuple:
+def _decide(entry: dict, pp: int) -> tuple:
+    facets = entry["facets"]
     if facets == (0,):
         return STATUS_CLOSED, -1, None, None
     sizes = {m.bit_count() for m in facets}
@@ -416,26 +410,25 @@ def _decide(facets: tuple, pp: int) -> tuple:
     if len(sizes) > 1:
         return STATUS_NOT_PURE, d, None, None
     used, norm = cx._reindex(facets)
-    rec = _record(norm, used.bit_count())
-    fail, ball, disagree, _, _ = _shape_summary(rec, pp)
+    shape = entry if norm == facets else cx._facts_of(norm)  # a link shape on 0..k-1
+    fail, ball, disagree, _, _ = _shape_summary(shape, pp)
     pos = [1 << v for v in graphs_mod._bits(used)]
     if fail:
-        return STATUS_NOT_MANIFOLD, d, *_least_failing_face(rec, fail, pos, pp)
+        return STATUS_NOT_MANIFOLD, d, *_least_failing_face(shape, fail, pos, pp)
     if not ball:
         return STATUS_CLOSED, d, None, None
     if not disagree:
         # the ball faces are closed under subfaces (the lemma of
         # _shape_summary) and their maximal ones are the ridges in exactly
         # one facet
-        factors = _join_factors(norm)
+        factors = _join_factors(shape)
         poly = None if factors is None else _fold_boundary(factors, pp, check=True)
         if poly is not None:
             # a join whose boundary the rule of _fold_boundary proves
             # closed: its Betti numbers are folded, and nothing here spans it
-            known = cx._facts_of(facets).setdefault("boundary_betti", {})
-            known[pp] = _from_poly(poly, pp, d - 1)
+            entry.setdefault("boundary_betti", {})[pp] = _from_poly(poly, pp, d - 1)
             return STATUS_WITH_BOUNDARY, d, None, None
-        span_used, span = _boundary_span(facets)
+        span_used, span = _boundary_span(entry)
         status, _, face, betti = _verdict(span, pp)
         if status == STATUS_CLOSED:
             return STATUS_WITH_BOUNDARY, d, None, None
@@ -445,39 +438,38 @@ def _decide(facets: tuple, pp: int) -> tuple:
             return STATUS_NOT_MANIFOLD, d, sum(back[i] for i in graphs_mod._bits(face)), betti
     # a boundary with boundary, or a maximal ball face below the ridges: the
     # least ball face, a vertex as the ball faces are closed under subfaces
-    kids = ((rec[1][i] or _child(rec, i))[0] for i in range(len(rec[1])))
+    kids = (_child(shape, i)[0] for i in range(len(pos)))
     i, child = next((i, child) for i, child in enumerate(kids) if _class(child, pp) == _BOUNDARY)
-    return STATUS_NOT_MANIFOLD, d, pos[i], betti_for_facets(len(child[1]), child[0], pp)
+    return STATUS_NOT_MANIFOLD, d, pos[i], _betti(child, pp)
 
 
-def _boundary_span(facets: tuple):
-    """The span of the ridges of the facets in exactly one facet, re-indexed
-    by ``complexes._reindex`` as ``(used, masks)``; None when there is
-    none.  A manifold with a ball and no disagree, as in the verdict and a
-    boundary, has one.  Kept once for every prime in the ``"span"`` slot of
-    the facets' ``complexes._facts`` entry, for a complex and a join factor
-    alike."""
-    facts = cx._facts_of(facets)
-    if "span" not in facts:
-        ridges = [r for r, n in cx._ridge_cofacets(facets).items() if n == 1]
-        facts["span"] = cx._reindex(ridges) if ridges else None
-    return facts["span"]
+def _boundary_span(entry: dict):
+    """The span of the ridges of an entry's facets in exactly one facet,
+    re-indexed by ``complexes._reindex``, as ``(used, its entry)``; None
+    when there is none.  A manifold with a ball and no disagree, as in the
+    verdict and a boundary, has one.  Kept once for every prime in the
+    entry's ``"span"`` slot, for a complex and a join factor alike."""
+    if "span" not in entry:
+        ridges = [r for r, n in cx._ridge_cofacets(entry["facets"]).items() if n == 1]
+        used, masks = cx._reindex(ridges)
+        entry["span"] = (used, cx._facts_of(masks)) if ridges else None
+    return entry["span"]
 
 
-def _component_count(facets: tuple, pp: int) -> int:
+def _component_count(entry: dict, pp: int) -> int:
     """The number of boundary components of the facets, 0 for a closed
     manifold and β̃_0 + 1 of the boundary otherwise, folded or spanned
     alike.  As β̃_0 counts the components less one at every prime, the
     boundary's Betti numbers at any prime already known serve, and only
     with none are they found at pp.  Raises when the facets are no
     manifold at pp."""
-    status = _verdict(facets, pp)[0]
+    status = _verdict(entry, pp)[0]
     if status not in (STATUS_CLOSED, STATUS_WITH_BOUNDARY):
         raise InvalidParameterError(f"no boundary for status {status} at p = {pp}")
     if status == STATUS_CLOSED:
         return 0
-    known = cx._facts_of(facets).get("boundary_betti")
-    betti = next(iter(known.values())) if known else _boundary_betti(facets, pp)
+    known = entry.get("boundary_betti")
+    betti = next(iter(known.values())) if known else _boundary_betti(entry, pp)
     return betti.b(0) + 1
 
 
@@ -493,29 +485,30 @@ def boundary_complex(c: Complex, p) -> BoundaryComplex:
     boundary is {∅} with zero components.  Raises when the verdict at p is
     not a manifold.
     """
-    count = _component_count(c.facet_masks, _prime_of(p))
+    entry = cx._facts_of(c.facet_masks)
+    count = _component_count(entry, _prime_of(p))
     if not count:
         return BoundaryComplex(cx.from_facets((), [()]), 0)
-    used, masks = _boundary_span(c.facet_masks)
-    return BoundaryComplex(Complex(c.labels_of(used), masks), count)
+    used, span = _boundary_span(entry)
+    return BoundaryComplex(Complex(c.labels_of(used), span["facets"]), count)
 
 
-def _boundary_betti(facets: tuple, q: int) -> BettiVector:
-    """Reduced Betti numbers at q of the boundary of the manifold with
-    these facets, {∅} when it is closed: folded from the join factors by
+def _boundary_betti(entry: dict, q: int) -> BettiVector:
+    """Reduced Betti numbers at q of the boundary of the manifold with an
+    entry's facets, {∅} when it is closed: folded from the join factors by
     :func:`_fold_boundary`, or, for a complex that does not split or where
     the fold gives no answer, ranked on the span.  Kept per prime in the
-    ``"boundary_betti"`` slot of the facets' ``complexes._facts`` entry."""
-    known = cx._facts_of(facets).setdefault("boundary_betti", {})
+    entry's ``"boundary_betti"`` slot."""
+    known = entry.setdefault("boundary_betti", {})
     got = known.get(q)
     if got is None:
-        factors = _join_factors(facets)
+        factors = _join_factors(entry)
         poly = None if factors is None else _fold_boundary(factors, q)
         if poly is None:
-            span = _boundary_span(facets)
-            got = _betti(span[1] if span else (0,), q)
+            span = _boundary_span(entry)
+            got = _betti(span[1], q) if span else BettiVector(q, 1, ())
         else:
-            got = _from_poly(poly, q, facets[0].bit_count() - 2)
+            got = _from_poly(poly, q, entry["facets"][0].bit_count() - 2)
         known[q] = got
     return got
 
@@ -533,19 +526,28 @@ def classify(c: Complex, verdict: ManifoldVerdict | None = None, p_pair=(2, 3)) 
     trivial homology *and* a sphere boundary; anything off the table comes
     back OtherSurface / OtherManifold.
     """
-    p1, p2 = (_prime_of(q) for q in p_pair)
-    status, d = (_verdict(c.facet_masks, p1)[:2] if verdict is None
+    p1, p2 = _primes(p_pair)
+    entry = cx._facts_of(c.facet_masks)
+    status, d = (_verdict(entry, p1)[:2] if verdict is None
                  else (verdict.status, verdict.dimension))
-    return _classify(c.facet_masks, status, d, p1, p2)
+    return _classify(entry, status, d, p1, p2)
 
 
-def _classify(facets: tuple, status: str, d: int, p1: int, p2: int) -> ManifoldClass:
-    """:func:`classify` of the facets, given a verdict's status and
+def _primes(p_pair) -> tuple:
+    """The two checked primes of a ``p_pair``; raises unless it has two."""
+    p_pair = tuple(p_pair)
+    if len(p_pair) != 2:
+        raise InvalidParameterError(f"p_pair needs two primes, not {len(p_pair)}")
+    return tuple(_prime_of(q) for q in p_pair)
+
+
+def _classify(entry: dict, status: str, d: int, p1: int, p2: int) -> ManifoldClass:
+    """:func:`classify` of an entry's facets, given a verdict's status and
     dimension d, at the checked primes p1 and p2."""
     if status not in (STATUS_CLOSED, STATUS_WITH_BOUNDARY):
         return NOT_MANIFOLD_CLASS
-    b1 = _betti(facets, p1)
-    b2 = _betti(facets, p2)
+    b1 = _betti(entry, p1)
+    b2 = _betti(entry, p2)
     if status == STATUS_CLOSED:
         if b1.is_sphere(d) and b2.is_sphere(d):
             return ManifoldClass("Sphere", d)
@@ -558,11 +560,11 @@ def _classify(facets: tuple, status: str, d: int, p1: int, p2: int) -> ManifoldC
             return ManifoldClass("OtherSurface")
         return ManifoldClass("OtherManifold")
     if b1.is_ball() and b2.is_ball():
-        if (_boundary_betti(facets, p1).is_sphere(d - 1)
-                and _boundary_betti(facets, p2).is_sphere(d - 1)):
+        if (_boundary_betti(entry, p1).is_sphere(d - 1)
+                and _boundary_betti(entry, p2).is_sphere(d - 1)):
             return ManifoldClass("Ball", d)
     if d == 2:
-        fingerprint = (b1.b(1), b2.b(1), _component_count(facets, p1))
+        fingerprint = (b1.b(1), b2.b(1), _component_count(entry, p1))
         if fingerprint == (1, 1, 1):
             return ManifoldClass("MoebiusStrip")
         if fingerprint == (1, 1, 2):
@@ -579,9 +581,9 @@ def manifold_report(c: Complex, p_pair=(2, 3)) -> dict:
     With two equal primes each is listed once and there is no cross-check
     (``cross_check_status`` is None).
     """
-    p1, p2 = (_prime_of(q) for q in p_pair)
-    facets = c.facet_masks
-    status, d, face, witness_betti = _verdict(facets, p1)
+    p1, p2 = _primes(p_pair)
+    entry = cx._facts_of(c.facet_masks)
+    status, d, face, witness_betti = _verdict(entry, p1)
     out = {
         "status": status,
         "dimension": d,
@@ -592,20 +594,20 @@ def manifold_report(c: Complex, p_pair=(2, 3)) -> dict:
     fv = cx.f_vector(c)
     out["f_vector"] = list(fv.positive)
     out["euler_characteristic"] = fv.euler_characteristic()
-    b1 = _betti(facets, p1)
-    b2 = _betti(facets, p2)
+    b1 = _betti(entry, p1)
+    b2 = _betti(entry, p2)
     out["betti"] = [{"p": p1, "betti": b1.to_list()}]
     if p2 != p1:
         out["betti"].append({"p": p2, "betti": b2.to_list()})
     if status in (STATUS_CLOSED, STATUS_WITH_BOUNDARY):
-        out["boundary_components"] = _component_count(facets, p1)
+        out["boundary_components"] = _component_count(entry, p1)
         out["acyclic"] = b1.is_ball() and b2.is_ball()
         if status == STATUS_WITH_BOUNDARY:
-            out["boundary_is_sphere"] = all(_boundary_betti(facets, q).is_sphere(d - 1)
+            out["boundary_is_sphere"] = all(_boundary_betti(entry, q).is_sphere(d - 1)
                                             for q in (p1, p2))
         # a single prime is no cross-check
-        out["cross_check_status"] = _verdict(facets, p2)[0] if p2 != p1 else None
+        out["cross_check_status"] = _verdict(entry, p2)[0] if p2 != p1 else None
     else:
         out["boundary_components"] = None
-    out["class"] = str(_classify(facets, status, d, p1, p2))
+    out["class"] = str(_classify(entry, status, d, p1, p2))
     return out

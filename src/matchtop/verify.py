@@ -207,8 +207,7 @@ def _free_pairs(g: gr.Graph, nu: int, origin: tuple | None = None):
 
 def _leaf_row(n: int, leaves: int, u: int) -> int:
     """The mask of the v whose child (u, v) passes the leaf rule of
-    ``connected_graph_classes``, for a parent on n vertices with the leaf
-    mask ``leaves``."""
+    ``_levels``, for a parent on n vertices with the leaf mask ``leaves``."""
     others = leaves & ~(1 << u)
     if not others:
         return -1
@@ -253,8 +252,8 @@ class _Parent:
 
 def _canonical_child(p: _Parent, u: int, v: int) -> int | None:
     """The invariant of the child that adds (u, v) to ``p``, or None when
-    (u, v) is not the child's canonical deletion (see
-    ``connected_graph_classes``); v must be in ``_leaf_row(p.n, p.leaves, u)``."""
+    (u, v) is not the child's canonical deletion (see ``_levels``); v must
+    be in ``_leaf_row(p.n, p.leaves, u)``."""
     n = p.n
     w = p.w
     deg = p.deg
@@ -308,6 +307,93 @@ def _orbit(gens, u: int, v: int) -> set:
 
 
 def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
+    """The connected isomorphism classes on at most ``max_vertices``
+    vertices by edge count, each exactly once, as ``_Levels.graphs``: kept
+    in ``_LEVELS`` and extended on demand to at least ``max_edges``.
+
+    Every connected graph with m+1 edges loses either a cycle edge or a leaf
+    edge to a connected graph with m edges, so augmenting by those two moves
+    reaches everything.
+
+    With a matching ``cap``, only the classes with matching number at most
+    the cap are generated: a child above the cap is dropped before it is
+    canonicalized.  Nothing is lost, because adding an edge never lowers
+    the matching number, so the connected parent (by one of the two moves
+    above) of a class within the cap is within the cap as well.  The levels
+    are then exactly the uncapped ones restricted to the cap, with the same
+    representatives in the same order: a parent above the cap has no child
+    within it.  The cap reads, per parent, the pairs (u, v) whose addition
+    raises the matching number: those some maximum matching leaves both
+    uncovered.  They are inherited (see ``_free_pairs``): a child P + uv
+    has P's maximum matchings and those through uv when the matching
+    number stays, and only those through uv when it rises, so each class
+    keeps its parent's pairs and its new edge until it is a parent itself,
+    and then walks only the matchings through that edge.  Every maximum
+    matching is walked only for the root P2.  A budget below P2's, a cap
+    below 1 or fewer than 2 vertices, is an ``InvalidParameterError``.
+
+    A child is canonicalized only when its added edge passes
+    ``_canonical_child``: it is removable (a pendant edge, or a non-bridge
+    when the child has no pendant edge) and its isomorphism-invariant key
+    ranks highest among the child's removable edges (McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Most
+    children of a class are rejected there, the orbit rule below drops
+    most repeats among one parent's children, and the canonical-form
+    dedupe removes the rest.  The prefilter loses no class: a class
+    C with m+1 edges has a removable edge e of top key, and deleting e (with
+    its leaf, for a pendant edge) leaves a connected graph with m edges
+    within the cap and the vertex budget, isomorphic to some parent P of
+    level m.  The isomorphism carries e to an addition on P whose child is
+    C, and the key and removability are invariants, so that addition ranks
+    highest in its child and passes.
+
+    The test reads state computed once per parent, and only for a parent
+    with an addition that survives the masks below.  A vertex's key is
+    ``degree << w | sum of neighbour degrees``, w = (2m).bit_length() for
+    the child's m edges; both numbers are at most 2m.  Adding (u, v)
+    changes only the keys near it: u gains one degree and deg v + 1 of
+    neighbour sum (v likewise), and each neighbour of u or of v gains 1.
+    Only u and v change degree, so the child has a leaf unless every parent
+    leaf is u or v, and a child with a leaf passes only by a pendant edge
+    to the new vertex.  An edge between parent vertices is no bridge, the
+    parent being connected, and a parent edge ab is a bridge of the child
+    exactly when it is one of the parent whose side (the vertices reachable
+    from a without ab) holds both of u and v or neither; otherwise (u, v)
+    closes a cycle through it.  This leaf rule, the cap and the twin rule
+    below are applied to all of u's additions at once, as masks of v, and
+    only the survivors are tested one by one.
+
+    Additions in one orbit of the parent's automorphism group give
+    isomorphic children, and only the first of them, in the order u, then
+    v, is kept; nothing else changes, since the cap, the canonical-deletion
+    test and the invariant are invariants of the orbit.  Most of them go
+    for free: swapping two twins (vertices with equal open or equal closed
+    neighbourhoods) is an automorphism, so only additions (u, v) with u the
+    first of its twin class and v the first of its own or the second of
+    u's are made, each the least pair of its orbit under the twin swaps.
+    The slot n is a class of its own.  A later child of the same parent
+    that joins the bucket of an earlier one is dropped when its pair lies
+    in the orbit of the earlier child's pair under the parent's
+    automorphisms (``graphs._automorphisms``, computed at most once per
+    parent, and only for such a parent).
+
+    A child that passes is filed under its invariant, the sorted multiset
+    of its vertex keys packed into one integer.  Only when a
+    second child joins a bucket are the bucket's children canonicalized and
+    deduplicated by form, the first child of each form kept.  This is
+    exact: isomorphic children have equal invariants, so every repeat of a
+    child lands in the child's own bucket, and a child still alone when
+    the level ends is a class of its own that needs no canonical form.
+    The orbit pruning drops only repeats that come after the first child
+    of their class, so the same children are kept; a bucket that keeps a
+    single class then sorts under the empty form instead of that class's
+    form, but it is the only key of its invariant, so the order is the
+    same.  A
+    level is ordered by (invariant, form), the form empty for a lone child.
+    Under a cap, a bucket may lose its children above the cap and keep a
+    lone child without a form; nothing else within the cap shares that
+    invariant, so the capped order is still the uncapped one restricted.
+    """
     _require_int("max_vertices", max_vertices, 2)
     if cap is not None:
         _require_int("matching_cap", cap, 1)
@@ -396,96 +482,6 @@ def _levels(max_edges: int, max_vertices: int, cap: int | None) -> _Levels:
         lv.origins = [classes[k][2] for k in keys]
         lv.pruned.append(pruned)
     return lv
-
-
-def connected_graph_classes(max_edges: int, max_vertices: int,
-                            matching_cap: int | None = None):
-    """Connected isomorphism classes by edge count, each exactly once.
-
-    Every connected graph with m+1 edges loses either a cycle edge or a leaf
-    edge to a connected graph with m edges, so augmenting by those two moves
-    reaches everything.
-
-    With a ``matching_cap``, only the classes with matching number at most
-    the cap are generated: a child above the cap is dropped before it is
-    canonicalized.  Nothing is lost, because adding an edge never lowers
-    the matching number, so the connected parent (by one of the two moves
-    above) of a class within the cap is within the cap as well.  The levels
-    are then exactly the uncapped ones restricted to the cap, with the same
-    representatives in the same order: a parent above the cap has no child
-    within it.  The cap reads, per parent, the pairs (u, v) whose addition
-    raises the matching number: those some maximum matching leaves both
-    uncovered.  They are inherited (see ``_free_pairs``): a child P + uv
-    has P's maximum matchings and those through uv when the matching
-    number stays, and only those through uv when it rises, so each class
-    keeps its parent's pairs and its new edge until it is a parent itself,
-    and then walks only the matchings through that edge.  Every maximum
-    matching is walked only for the root P2.  A budget below P2's, a cap
-    below 1 or fewer than 2 vertices, is an ``InvalidParameterError``.
-
-    A child is canonicalized only when its added edge passes
-    ``_canonical_child``: it is removable (a pendant edge, or a non-bridge
-    when the child has no pendant edge) and its isomorphism-invariant key
-    ranks highest among the child's removable edges (McKay,
-    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Most
-    children of a class are rejected there, the orbit rule below drops
-    most repeats among one parent's children, and the canonical-form
-    dedupe removes the rest.  The prefilter loses no class: a class
-    C with m+1 edges has a removable edge e of top key, and deleting e (with
-    its leaf, for a pendant edge) leaves a connected graph with m edges
-    within the cap and the vertex budget, isomorphic to some parent P of
-    level m.  The isomorphism carries e to an addition on P whose child is
-    C, and the key and removability are invariants, so that addition ranks
-    highest in its child and passes.
-
-    The test reads state computed once per parent, and only for a parent
-    with an addition that survives the masks below.  A vertex's key is
-    ``degree << w | sum of neighbour degrees``, w = (2m).bit_length() for
-    the child's m edges; both numbers are at most 2m.  Adding (u, v)
-    changes only the keys near it: u gains one degree and deg v + 1 of
-    neighbour sum (v likewise), and each neighbour of u or of v gains 1.
-    Only u and v change degree, so the child has a leaf unless every parent
-    leaf is u or v, and a child with a leaf passes only by a pendant edge
-    to the new vertex.  An edge between parent vertices is no bridge, the
-    parent being connected, and a parent edge ab is a bridge of the child
-    exactly when it is one of the parent whose side (the vertices reachable
-    from a without ab) holds both of u and v or neither; otherwise (u, v)
-    closes a cycle through it.  This leaf rule, the cap and the twin rule
-    below are applied to all of u's additions at once, as masks of v, and
-    only the survivors are tested one by one.
-
-    Additions in one orbit of the parent's automorphism group give
-    isomorphic children, and only the first of them, in the order u, then
-    v, is kept; nothing else changes, since the cap, the canonical-deletion
-    test and the invariant are invariants of the orbit.  Most of them go
-    for free: swapping two twins (vertices with equal open or equal closed
-    neighbourhoods) is an automorphism, so only additions (u, v) with u the
-    first of its twin class and v the first of its own or the second of
-    u's are made, each the least pair of its orbit under the twin swaps.
-    The slot n is a class of its own.  A later child of the same parent
-    that joins the bucket of an earlier one is dropped when its pair lies
-    in the orbit of the earlier child's pair under the parent's
-    automorphisms (``graphs._automorphisms``, computed at most once per
-    parent, and only for such a parent).
-
-    A child that passes is filed under its invariant, the sorted multiset
-    of its vertex keys packed into one integer.  Only when a
-    second child joins a bucket are the bucket's children canonicalized and
-    deduplicated by form, the first child of each form kept.  This is
-    exact: isomorphic children have equal invariants, so every repeat of a
-    child lands in the child's own bucket, and a child still alone when
-    the level ends is a class of its own that needs no canonical form.
-    The orbit pruning drops only repeats that come after the first child
-    of their class, so the same children are kept; a bucket that keeps a
-    single class then sorts under the empty form instead of that class's
-    form, but it is the only key of its invariant, so the order is the
-    same.  A
-    level is ordered by (invariant, form), the form empty for a lone child.
-    Under a cap, a bucket may lose its children above the cap and keep a
-    lone child without a form; nothing else within the cap shares that
-    invariant, so the capped order is still the uncapped one restricted.
-    """
-    return _levels(max_edges, max_vertices, matching_cap).graphs[: max_edges + 1]
 
 
 def enumerate_graphs(spec: SearchSpec, matching_cap: int | None = None):

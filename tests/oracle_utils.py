@@ -1,15 +1,19 @@
 """Independent brute-force oracles and graph helpers used only by the tests.
 
-Nothing here shares code with the package internals: matchings come from
+The oracles share no code with the package internals: matchings come from
 filtering all edge subsets, faces from powersets of facets, ranks from a
 naive dense elimination, links from scanning every facet, and canonical
 forms from trying every vertex permutation (or, for the fast search's
-exact bytes, from the search as first written).
+exact bytes, from the search as first written).  The one helper that reads
+the package is :func:`connected_graph_classes`, the search's own levels as
+the tests read them.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from matchtop import verify
 
 
 def brute_matchings(g):
@@ -206,6 +210,12 @@ def oracle_canonical_form(g):
     payload = bytes(63 + int("".join(map(str, bits[k:k + 6])), 2)
                     for k in range(0, len(bits), 6))
     return bytes([63 + n]) + payload
+
+
+def connected_graph_classes(max_edges, max_vertices, matching_cap=None):
+    """The connected isomorphism classes by edge count, levels 0 to
+    ``max_edges``, each exactly once (see ``verify._levels``)."""
+    return verify._levels(max_edges, max_vertices, matching_cap).graphs[: max_edges + 1]
 
 
 def relabel(g, perm):

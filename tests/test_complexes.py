@@ -170,11 +170,13 @@ def test_graph_born_joins_match_the_walk(g):
     walked = cx._split(M.facet_masks)
     parts = len(gr.connected_components(g)[0])
     if parts > 1:
-        assert cx._facts[M.facet_masks]["split"] == walked
+        # the same factors, each the one entry of its facet set
+        recorded = cx._facts[M.facet_masks]["split"]
         assert len(walked) == parts
+        assert all(a is b is cx._facts[a["facets"]] for a, b in zip(recorded, walked, strict=True))
     else:
         assert walked is None
-    assert cx._join_factors(M.facet_masks) == walked
+    assert cx._join_factors(cx._facts_of(M.facet_masks)) == walked
 
 
 @st.composite
@@ -232,7 +234,7 @@ def test_one_walk_per_component_shape():
 def test_a_connected_graph_gives_no_join():
     # the lemma of _join_factors: L(G) is connected, so the walk finds one
     # component and no split
-    levels = verify.connected_graph_classes(7, 8)
+    levels = oracle_utils.connected_graph_classes(7, 8)
     assert sum(map(len, levels[2:])) > 100
     for level in levels[2:]:
         for g in level:
@@ -294,6 +296,20 @@ def _complexes(draw):
     faces = draw(st.lists(st.sets(st.integers(0, n - 1), max_size=4) if n else st.just(set()),
                           min_size=1, max_size=6))
     return cx.from_facets(range(n), faces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_complexes(), _complexes())
+@example(cx.from_facets((), [()]), cx.from_facets(range(3), [(0, 1), (2,)]))
+@example(cx.from_facets(range(3), [(0, 1), (2,)]), cx.from_facets((), [()]))
+@example(cx.from_facets([4, 9], [(4,), (9,)]), cx.from_facets([-2, 5, 7], [(-2, 5, 7)]))
+def test_join_is_every_union_of_facets(c1, c2):
+    # the labels of c2 move past those of c1, and the facets are all unions
+    # of a facet of each, with no redundant one to absorb
+    offset = c1.labels[-1] + 1 - c2.labels[0] if c1.labels and c2.labels else 0
+    labels = c1.labels + tuple(lab + offset for lab in c2.labels)
+    unions = [f1 + tuple(lab + offset for lab in f2) for f1 in c1.facets() for f2 in c2.facets()]
+    assert cx.join(c1, c2) == cx.from_facets(labels, unions)
 
 
 @settings(max_examples=300, deadline=None)

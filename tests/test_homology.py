@@ -330,19 +330,27 @@ _FACTOR = st.one_of(
     st.sampled_from(_NON_FLAG))
 
 
+def _factors(facet_masks):
+    """_join_factors of the entry of these facets."""
+    return hm._join_factors(cx._facts_of(tuple(facet_masks)))
+
+
 def _assert_split(facet_masks):
-    """_join_factors(facet_masks) is None, or factors on 0..k-1 each whose
-    join, laid side by side, has the complex's vertex and facet counts and
-    face numbers."""
-    factors = hm._join_factors(facet_masks)
+    """_join_factors of the facets is None, or the entries of factors on
+    0..k-1 each whose join, laid side by side, has the complex's vertex and
+    facet counts and face numbers."""
+    factors = _factors(facet_masks)
     if factors is None:
         return
     assert len(factors) >= 2
     joined, offset = [0], 0
-    for k, masks in factors:
-        assert functools.reduce(operator.or_, masks) == (1 << k) - 1
+    for factor in factors:
+        masks = factor["facets"]
+        assert factor is cx._facts[masks]
+        used = functools.reduce(operator.or_, masks)
+        assert used & used + 1 == 0  # every position of 0..k-1
         joined = [a | b << offset for a in joined for b in masks]
-        offset += k
+        offset += used.bit_length()
     assert offset == functools.reduce(operator.or_, facet_masks).bit_count()
     assert len(joined) == len(facet_masks)
     sizes = [{k: len(v) for k, v in cx._faces_by_size(f).items()} for f in (joined, facet_masks)]
@@ -371,16 +379,16 @@ def test_join_factors_match_face_set_path(c):
 def test_join_factors_peel_only_whole_components():
     tri = _boundary_simplex(3)
     # three one-vertex components, none a join factor on its own
-    assert hm._join_factors(tri.facet_masks) is None
-    assert hm._join_factors(cx.join(tri, tri).facet_masks) is None
-    assert len(hm._join_factors(cx.join(tri, _TWO_POINTS).facet_masks)) == 2
-    assert len(hm._join_factors(cycle_complex(4).facet_masks)) == 2  # S^0 * S^0
+    assert _factors(tri.facet_masks) is None
+    assert _factors(cx.join(tri, tri).facet_masks) is None
+    assert len(_factors(cx.join(tri, _TWO_POINTS).facet_masks)) == 2
+    assert len(_factors(cycle_complex(4).facet_masks)) == 2  # S^0 * S^0
     octahedron = cx.matching_complex(gr.disjoint_union([gr.path(3)] * 3))
-    assert len(hm._join_factors(octahedron.facet_masks)) == 3
-    # a split of the core that the facets do not show
-    assert hm._join_factors(_CORE_SPLITS.facet_masks) is None
-    core = tuple(hm._core(_CORE_SPLITS.facet_masks))
-    assert hm._join_factors(core) == [(2, (0b01, 0b10)), (2, (0b01, 0b10))]
+    assert len(_factors(octahedron.facet_masks)) == 3
+    # a split of the core that the facets do not show, into one S^0 twice
+    assert _factors(_CORE_SPLITS.facet_masks) is None
+    s0, other = _factors(hm._core(_CORE_SPLITS.facet_masks))
+    assert s0 is other and s0["facets"] == (0b01, 0b10)
 
 
 def test_each_join_factor_shape_is_ranked_once_per_prime(monkeypatch):

@@ -210,7 +210,7 @@ def test_closed_manifolds_have_no_proper_closed_subcomplex():
 
 
 def test_face_class_cache_consistency():
-    # the same complex read off the shape records twice gives identical
+    # the same complex read off the link-shape entries twice gives identical
     # tables, and a fresh copy of it the same table again
     M = M_of(gr.complete_bipartite(4, 3))
     first = _record_classes(M, 2)
@@ -247,6 +247,15 @@ def test_manifold_report_shape():
     report = mf.manifold_report(M)
     assert report["class"] == "Ball(2)"
     assert report["acyclic"] and report["boundary_is_sphere"]
+
+
+@pytest.mark.parametrize("p_pair", [(2, 3, 5), (2,), ()])
+@pytest.mark.parametrize("read", [mf.classify, mf.manifold_report])
+def test_a_p_pair_holds_two_primes(read, p_pair):
+    M = M_of(gr.complete_bipartite(4, 3))
+    with pytest.raises(InvalidParameterError, match="two primes"):
+        read(M, p_pair=p_pair)
+    assert read(M, p_pair=(3, 3))  # two equal primes stay allowed
 
 
 def test_vertex_count_bounds_on_manifold_complexes():
@@ -289,20 +298,28 @@ def test_reports_match_golden_for_every_catalog_name():
 
 def _record_classes(c, p):
     """{face mask: class} for every nonempty face of a pure complex, read
-    off the shape records: a face is a vertex i of the complex's shape plus
-    a face of lk(i) above i, whose class is that of its link's record."""
+    off the link-shape entries: a face is a vertex i of the complex's shape
+    plus a face of lk(i) above i, whose class is that of its link's entry."""
     classes = {}
 
-    def expand(face, rec, pos, start):
+    def expand(face, shape, pos, start):
         for i in range(start, len(pos)):
-            child, idx = rec[1][i] or mf._child(rec, i)
+            child, idx = mf._child(shape, i)
             classes[face | pos[i]] = mf._class(child, p)
             expand(face | pos[i], child, [pos[j] for j in idx], sum(j < i for j in idx))
 
     used, norm = cx._reindex(c.facet_masks)
     pos = [1 << v for v in range(c.vertex_count) if used >> v & 1]
-    expand(0, mf._record(norm, used.bit_count()), pos, 0)
+    expand(0, cx._facts_of(norm), pos, 0)
     return classes
+
+
+def _link_memos():
+    """(children built, link shapes ranked at 2) over the whole table.
+    Every child is the one entry of its facet set."""
+    children = [child for e in cx._facts.values() for child, _ in e.get("children", {}).values()]
+    assert all(child is cx._facts[child["facets"]] for child in children)
+    return len(children), sum(2 in child for child in {id(c): c for c in children}.values())
 
 
 def _classes_by_labels(c, p):
@@ -348,52 +365,40 @@ def _shifted(c):
                           [[v + 100 for v in f] for f in c.facets()])
 
 
-def test_one_link_analysis_per_complex(monkeypatch):
-    # each link shape is classified once at a prime, from Betti numbers
-    # read once, and each of its vertex links is built once
-    calls, built = [], []
-    real_betti, real_child = mf.betti_for_facets, mf._child
-    monkeypatch.setattr(mf, "betti_for_facets",
-                        lambda k, masks, p: calls.append((masks, p)) or real_betti(k, masks, p))
-    monkeypatch.setattr(mf, "_child",
-                        lambda rec, i: built.append((rec[0], i)) or real_child(rec, i))
+def test_one_link_analysis_per_complex():
+    # each link shape is one entry, classified at a prime off the Betti
+    # numbers it keeps, and each of its vertex links is built once into it
     for g in (gr.spider(3), gr.complete_bipartite(4, 3),
               {e.name: e for e in catalog.exceptional_table()}["torus_disk_9e"].graph):
         matchtop.clear_caches()  # the shape table is process-wide
         M = cx.matching_complex(g)
         assert len(_record_classes(M, 2)) == len(M.faces()) - 1
-        assert 0 < len(calls) == len(set(calls)) <= len(_distinct_links(M))  # once per link shape
-        assert len(built) == len(set(built))
+        assert 0 < _link_memos()[1] <= len(_distinct_links(M))  # once per link shape
         verdict = mf.check_manifold(M, 2)
-        analysed = len(calls), len(built)
+        analysed = _link_memos()
         mf.classify(M, verdict, (2, 3))
         mf.boundary_complex(M, 2)
         assert mf.check_manifold(M, 2) == verdict
-        assert (len(calls), len(built)) == analysed
-        # another complex of the same shapes reuses every record
+        assert _link_memos() == analysed
+        # another complex of the same shapes reuses every entry
         copy = _shifted(M)
         assert mf.check_manifold(copy, 2).status == verdict.status
         assert mf.classify(copy) == mf.classify(M)
         assert len(_record_classes(copy, 2)) == len(M.faces()) - 1
-        assert (len(calls), len(built)) == analysed
-        calls.clear()
-        built.clear()
+        assert _link_memos() == analysed
 
 
-def test_join_link_build_counts_pinned(monkeypatch):
+def test_join_link_build_counts_pinned():
     # criterion 6 on the small joins, from a cold shape table: a join
-    # shape is folded from its factors' records, so vertex links are built
+    # shape is folded from its factors' summaries, so vertex links are built
     # only for shapes the split leaves whole, and a join's boundary is
     # folded from its factors' boundaries, so none is walked
-    built = []
-    real = mf._child
-    monkeypatch.setattr(mf, "_child", lambda *a: built.append(a) or real(*a))
     matchtop.clear_caches()
     for g, _ in _join_arithmetic_cases(face_cap=400):
         M = cx.matching_complex(g)
         mf.classify(M, mf.check_manifold(M, 2))
-    assert len(built) == 107
-    assert sum("shape" in e for e in cx._facts.values()) == 120
+    assert _link_memos()[0] == 107
+    assert sum("summary" in e for e in cx._facts.values()) == 120
 
 
 def test_one_join_split_per_facet_set_pinned(monkeypatch):
@@ -436,7 +441,8 @@ def test_a_folded_boundary_is_spanned_only_when_read(monkeypatch):
         verdict = mf.check_manifold(M, 2)
         mf.classify(M, verdict)
         mf.manifold_report(M)
-        if verdict.status == mf.STATUS_WITH_BOUNDARY and cx._join_factors(M.facet_masks):
+        if (verdict.status == mf.STATUS_WITH_BOUNDARY
+                and cx._join_factors(cx._facts_of(M.facet_masks))):
             folded.append(M)
     assert len(folded) >= 40
     assert not {M.facet_masks for M in folded} & set(spanned)
@@ -461,7 +467,8 @@ def test_no_folded_join_boundary_is_walked(monkeypatch):
     # for a factor is the facet set of that case's boundary
     checked = []
     real = mf._verdict
-    monkeypatch.setattr(mf, "_verdict", lambda facets, p: checked.append(facets) or real(facets, p))
+    monkeypatch.setattr(mf, "_verdict",
+                        lambda entry, p: checked.append(entry["facets"]) or real(entry, p))
     matchtop.clear_caches()
     folded = 0
     for g, _ in _join_arithmetic_cases(face_cap=400):
@@ -469,12 +476,13 @@ def test_no_folded_join_boundary_is_walked(monkeypatch):
         before = len(checked)
         verdict = mf.check_manifold(M, 2)
         mf.classify(M, verdict)
-        if verdict.status == mf.STATUS_WITH_BOUNDARY and hm._join_factors(cx._reindex(M.facet_masks)[1]):
+        if (verdict.status == mf.STATUS_WITH_BOUNDARY
+                and cx._join_factors(cx._facts_of(M.facet_masks))):
             bd = mf.boundary_complex(M, 2).complex
             assert bd.facet_masks not in checked[before:]
             folded += 1
     assert folded >= 40
-    boundaries = {e["span"][1] for e in cx._facts.values() if e.get("span")}
+    boundaries = {e["span"][1]["facets"] for e in cx._facts.values() if e.get("span")}
     assert boundaries & set(checked)  # the factors' are
 
 
@@ -514,7 +522,7 @@ def test_fold_boundary_makes_one_product_per_factor(monkeypatch):
     monkeypatch.setattr(mf, "_times", lambda a, b: products.append(a) or real(a, b))
     folded = 0
     for g, _ in _join_arithmetic_cases(face_cap=2048):
-        factors = cx._join_factors(cx.matching_complex(g).facet_masks)
+        factors = cx._join_factors(cx._facts_of(cx.matching_complex(g).facet_masks))
         if factors is None:
             continue
         for q in (2, 3, 5):
@@ -556,7 +564,7 @@ def _analysed(M):
 def test_clear_caches_releases_every_link_shape_record():
     # a complex is a plain value, its labels and facets, and every memo
     # (verdicts, face table, boundary span and Betti numbers, link-shape
-    # records) is kept per facet set in complexes._facts, so once the
+    # children and summaries) is kept per facet set in complexes._facts, so once the
     # process tables are cleared a live complex reaches no memo at all, and
     # analysing it again says the same: a folded join, a spanned annulus, a
     # closed surface and a non-manifold
@@ -570,7 +578,7 @@ def test_clear_caches_releases_every_link_shape_record():
                                                mf.STATUS_NOT_MANIFOLD}
     memos = [x for e in cx._facts.values() for x in _reached(e)
              if not isinstance(x, (tuple, frozenset))]
-    assert sum("shape" in e for e in cx._facts.values()) >= 10
+    assert sum("summary" in e for e in cx._facts.values()) >= 10
     assert all(any(slot in cx._facts[M.facet_masks] for slot in ("verdict", "table", "span"))
                for M in live)
     matchtop.clear_caches()
@@ -616,7 +624,7 @@ def test_join_boundaries_match_the_pinned_digest():
         for q in (2, 3, 5):
             bd = mf.boundary_complex(M, q)
             row.append([q, bd.component_count, sorted(bd.complex.facets())])
-            b = mf._boundary_betti(M.facet_masks, q)
+            b = mf._boundary_betti(cx._facts_of(M.facet_masks), q)
             row.append([b.p, b.minus_one, list(b.betti)])
         rows.append(row)
     assert len(rows) == 233
@@ -734,10 +742,42 @@ def test_one_face_table_per_facet_set(monkeypatch):
     moebius = cx.matching_complex(catalog.named_graph("moebius_8e"))
     core = tuple(hm._core(moebius.facet_masks))
     assert (len(moebius.facet_masks), len(core)) == (9, 7)
-    assert hm._join_factors(core) is None
+    assert hm._join_factors(cx._facts_of(core)) is None
     assert mf.manifold_report(moebius, (2, 3))["class"] == "MoebiusStrip"
     assert built.count(tuple(cx._reindex(core)[1])) == 1
     assert built.count(moebius.facet_masks) == 1
+
+
+def test_a_facet_set_travels_as_its_entry(monkeypatch):
+    # a cold pass of the join-arith benchmark: the verdict at 2, the class
+    # at (2, 3).  Inside the package a facet set is passed as its entry, so
+    # the table is looked up only by the public functions and where a new
+    # facet set is made: a split, a child, a core, a span.  Looking a facet
+    # set up again by its facets in every private function that reads a
+    # memo makes 4,940 lookups here
+    workloads = _bench_workloads()
+    graphs = workloads.prepare(matchtop, workloads.workload_params("join-arith", "full", matchtop))
+    looked = []
+    real = cx._facts_of
+
+    def counting(facets):
+        looked.append(facets)
+        return real(facets)
+
+    monkeypatch.setattr(cx, "_facts_of", counting)
+    monkeypatch.setattr(hm, "_facts_of", counting)
+    matchtop.clear_caches()
+    for g in graphs:
+        M = cx.matching_complex(g)
+        mf.classify(M, mf.check_manifold(M, 2), (2, 3))
+    assert len(graphs) == 130
+    assert len(looked) == 746
+    # every factor of a split and every child is the one entry of its facets
+    reached = [x for e in cx._facts.values()
+               for x in [*(e.get("split") or ()), *(c for c, _ in e.get("children", {}).values())]]
+    assert len(reached) > 100
+    assert all(x is cx._facts[x["facets"]] for x in reached)
+    assert not any("shape" in e for e in cx._facts.values())
 
 
 def _relabelled(c, rng):
@@ -794,8 +834,9 @@ def test_one_boundary_span_per_facet_set(monkeypatch):
             assert mf.boundary_complex(c, 3) == bd
             mf.manifold_report(c, (2, 3))
             mf.manifold_report(c, (3, 2))
-            used, masks = cx._facts[M.facet_masks]["span"]
-            assert bd.complex == cx.Complex(c.labels_of(used), masks)
+            used, span = cx._facts[M.facet_masks]["span"]
+            assert span is cx._facts[span["facets"]]
+            assert bd.complex == cx.Complex(c.labels_of(used), span["facets"])
         assert counted == [M.facet_masks]  # one ridge count per facet set
         counted.clear()
 
@@ -903,15 +944,13 @@ RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
        (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
 
 
-def test_link_classes_are_kept_per_prime(monkeypatch):
+def test_link_classes_are_kept_per_prime():
     # the apex link of a cone over RP^2 fails at p = 2 and is acyclic at
     # p = 3, so a class shared between the primes would misclassify it.
-    # The shape's one record keeps a class per prime, and its children,
-    # which do not depend on the prime, are built on the first pass only
+    # The shape's one entry keeps a Betti vector per prime, which its class
+    # is read off, and its children, which do not depend on the prime, are
+    # built on the first pass only
     cone = [f + (6,) for f in RP2]
-    built = []
-    real = mf._child
-    monkeypatch.setattr(mf, "_child", lambda rec, i: built.append((rec[0], i)) or real(rec, i))
     matchtop.clear_caches()
     passes = []
     for p in (3, 2, 3):
@@ -924,10 +963,10 @@ def test_link_classes_are_kept_per_prime(monkeypatch):
             assert verdict.witness_face == (6,) and verdict.witness_betti.p == 2
         else:
             assert verdict.witness_face == (0,)  # the least ball vertex
-        passes.append(len(built))
-    assert passes[0] == len(set(built)) > 0 and passes == passes[:1] * 3
-    apex = cx._reindex([sum(1 << v for v in f) for f in RP2])[1]
-    assert cx._facts[apex]["shape"][2] == {3: "B", 2: "?"}
+        passes.append(_link_memos()[0])
+    assert passes[0] > 0 and passes == passes[:1] * 3
+    apex = cx._facts[cx._reindex([sum(1 << v for v in f) for f in RP2])[1]]
+    assert {2, 3} <= set(apex) and {p: mf._class(apex, p) for p in (3, 2)} == {3: "B", 2: "?"}
 
 
 # ---------------------------------------------------------------------------
@@ -1028,7 +1067,7 @@ def _joined(facets, apexes):
 @example(_joined(_FAILS_ABOVE_A_LARGER_FAILURE, (20, 21)))
 @example(_joined(_HUNG_CONE, (20, 21)))
 def test_verdict_matches_the_oracle_verdict_on_random_joins(facets):
-    # a join's record is folded from its factors, and the witness descent
+    # a join's summary is folded from its factors, and the witness descent
     # builds its children on the way down: from a cold shape table, and
     # again on fresh complexes from the table the first round filled
     matchtop.clear_caches()
@@ -1083,28 +1122,28 @@ def test_shape_summary_flags_read_only_the_record_classes(monkeypatch):
     # ball and a point a sphere makes the vertex of a point a maximal ball
     # face whose link {∅} is no point: the two routes to the boundary
     # disagree
-    def swapped(rec, p):
-        return {(0,): "B", (1,): "S"}.get(rec[0], "S")
+    def swapped(entry, p):
+        return {(0,): "B", (1,): "S"}.get(entry["facets"], "S")
 
     monkeypatch.setattr(mf, "_class", swapped)
     monkeypatch.setattr(cx, "_facts", {})
-    segments = mf._record((0b0011, 0b1100), 4)
-    assert mf._join_factors(segments[0]) is None
+    segments = cx._facts_of((0b0011, 0b1100))
+    assert mf._join_factors(segments) is None
     assert mf._shape_summary(segments, 2) == (0, True, True, False, 1)
-    point = cx._facts[(1,)]["shape"]
+    point = cx._facts[(1,)]
     assert mf._shape_summary(point, 2) == (0, True, True, True, 1)
-    points = mf._record((0b01, 0b10), 2)
-    assert mf._join_factors(points[0]) is None
+    points = cx._facts_of((0b01, 0b10))
+    assert mf._join_factors(points) is None
     assert mf._shape_summary(points, 2) == (0, True, True, True, 1)
     # one that calls {∅} failing fails the vertex of a point (size 1) and
     # so each segment (size 2), the least failing faces of two segments;
     # the witness's Betti numbers are still read off its link's facets
-    monkeypatch.setattr(mf, "_class", lambda rec, p: "?" if rec[0] == (0,) else "S")
+    monkeypatch.setattr(mf, "_class", lambda entry, p: "?" if entry["facets"] == (0,) else "S")
     monkeypatch.setattr(cx, "_facts", {})
     verdict = mf.check_manifold(cx.from_facets(None, [(4, 5), (6, 7)]), 2)
     assert (verdict.witness_face, verdict.witness_betti) == ((4, 5), hm.BettiVector(2, 1, ()))
-    assert cx._facts[(0b0011, 0b1100)]["shape"][3][2][0] == 2
-    assert cx._facts[(1,)]["shape"][3][2] == (1, False, False, False, 1)
+    assert cx._facts[(0b0011, 0b1100)]["summary"][2][0] == 2
+    assert cx._facts[(1,)]["summary"][2] == (1, False, False, False, 1)
 
 
 _FACTORS = {"RP2": RP2, "boundary of a triangle": [(0, 1), (1, 2), (0, 2)],
@@ -1116,9 +1155,8 @@ def _summary(c, p):
     """The summary of c's shape, from a cold shape table."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cx, "_facts", {})
-        used, norm = cx._reindex(c.facet_masks)
-        rec = mf._record(norm, used.bit_count())
-        return rec, mf._shape_summary(rec, p)
+        shape = cx._facts_of(cx._reindex(c.facet_masks)[1])
+        return shape, mf._shape_summary(shape, p)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1138,9 +1176,9 @@ def test_join_summary_folds_as_the_vertex_link_loop(factors):
     for facets in factors[1:]:
         joined = cx.join(joined, cx.from_facets(None, facets))
     for p in (2, 3, 5):
-        rec, folded = _summary(joined, p)
-        if mf._join_factors(rec[0]) is not None:
-            assert rec[1] == [None] * len(rec[1])  # no vertex link built
+        shape, folded = _summary(joined, p)
+        if mf._join_factors(shape) is not None:
+            assert "children" not in shape  # no vertex link built
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mf, "_join_factors", lambda f: None)
             _, loop = _summary(joined, p)
@@ -1166,19 +1204,21 @@ def _boundary_routes(facets):
     splitting manifolds that check_manifold saw."""
     matchtop.clear_caches()  # so no route reads the memos of another
     M = cx.from_facets(None, facets)
-    splits = hm._join_factors(cx._reindex(M.facet_masks)[1]) is not None
+    entry = cx._facts_of(M.facet_masks)
+    splits = cx._join_factors(entry) is not None
     walked = []
     got = []
     real = mf._verdict
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mf, "_verdict", lambda facets, p: walked.append(facets) or real(facets, p))
+        patch.setattr(mf, "_verdict",
+                      lambda entry, p: walked.append(entry["facets"]) or real(entry, p))
         for p in (2, 3, 5):
             verdict = mf.check_manifold(M, p)
             got.append((verdict.status, verdict.witness_face, verdict.witness_betti))
             if verdict.is_manifold:
                 bd = mf.boundary_complex(M, p)
                 got.append((sorted(bd.complex.facets()), bd.component_count))
-                got.append([mf._boundary_betti(M.facet_masks, q) for q in (2, 3, 5)])
+                got.append([mf._boundary_betti(entry, q) for q in (2, 3, 5)])
         got += [mf.classify(M, mf.check_manifold(M, a), (a, b)) for a, b in ((2, 3), (3, 5))]
     with_boundary = [mf.boundary_complex(M, p).complex for p in (2, 3, 5)
                      if mf.check_manifold(M, p).status == mf.STATUS_WITH_BOUNDARY]

@@ -47,7 +47,7 @@ def test_enumerate_connected_three_edges():
 
 def test_enumeration_contains_k43():
     # K43 has matching number 3: the capped levels of criterion 4 hold it
-    levels = verify.connected_graph_classes(12, 10, 3)
+    levels = oracle_utils.connected_graph_classes(12, 10, 3)
     keys = {gr.canonical_form(g) for g in levels[12]}
     assert gr.canonical_form(gr.complete_bipartite(4, 3)) in keys
 
@@ -114,7 +114,7 @@ def test_matching_cap_below_one_rejected(cap):
     # P2, the seed of every level, has nu = 1: a cap of 0 would keep it and
     # its children, P4 (nu = 2) among them
     with pytest.raises(InvalidParameterError, match="matching_cap"):
-        verify.connected_graph_classes(3, 10, cap)
+        oracle_utils.connected_graph_classes(3, 10, cap)
     for connected_only in (True, False):
         with pytest.raises(InvalidParameterError, match="matching_cap"):
             list(verify.enumerate_graphs(spec(max_edges=3, connected_only=connected_only), cap))
@@ -124,7 +124,7 @@ def test_matching_cap_below_one_rejected(cap):
 def test_level_vertex_budget_below_two_rejected(max_vertices):
     # P2, the seed of every level, has 2 vertices
     with pytest.raises(InvalidParameterError, match="max_vertices"):
-        verify.connected_graph_classes(2, max_vertices)
+        oracle_utils.connected_graph_classes(2, max_vertices)
 
 
 @pytest.mark.parametrize("connected_only", ["no", 1, None])
@@ -322,7 +322,7 @@ def _prefilter_matches_the_oracle(g):
 
 
 def test_ridge_prefilter_matches_the_facet_oracle_on_every_class():
-    classes = [g for level in verify.connected_graph_classes(8, 10) for g in level]
+    classes = [g for level in oracle_utils.connected_graph_classes(8, 10) for g in level]
     assert len(classes) == 358
     for g in classes:
         _prefilter_matches_the_oracle(g)
@@ -503,13 +503,13 @@ def test_prefilter_matches_dedupe_only_oracle(monkeypatch):
             # the row's leaf rule nor the canonical-deletion test drops one
             m.setattr(verify, "_leaf_row", lambda n, leaves, u: -1)
             m.setattr(verify, "_canonical_child", lambda parent, u, v: 0)
-            oracle_levels = [_level_forms(verify.connected_graph_classes(e, 10, cap))
+            oracle_levels = [_level_forms(oracle_utils.connected_graph_classes(e, 10, cap))
                              for e, cap in budgets]
             oracle_reports = [verify.run_search(s).to_dict(include_timing=False)
                               for s in specs]
     finally:
         verify.clear_caches()  # no oracle level outlives the test
-    levels = [_level_forms(verify.connected_graph_classes(e, 10, cap))
+    levels = [_level_forms(oracle_utils.connected_graph_classes(e, 10, cap))
               for e, cap in budgets]
     assert levels == oracle_levels
     reports = [verify.run_search(s).to_dict(include_timing=False) for s in specs]
@@ -542,7 +542,7 @@ def test_orbit_pruning_matches_unpruned_levels(monkeypatch):
 def test_level_graphs_equal_their_checked_builds():
     # each accepted child is built without the constructor's checks, from
     # its parent's sorted edges and the new pair
-    levels = verify.connected_graph_classes(11, 10, 3)
+    levels = oracle_utils.connected_graph_classes(11, 10, 3)
     assert sum(map(len, levels)) > 1000
     for level in levels:
         for g in level:
@@ -627,7 +627,7 @@ def test_bridge_sides_match_the_oracle(g):
 
 
 def test_skeleton_connected_matches_the_complex():
-    for level in verify.connected_graph_classes(7, 10):
+    for level in oracle_utils.connected_graph_classes(7, 10):
         for g in level:
             assert verify._skeleton_connected(g) == cx.is_connected(cx.matching_complex(g))
 
@@ -658,7 +658,7 @@ def test_prefilter_canonicalizes_each_class_about_once(monkeypatch):
 
     monkeypatch.setattr(verify, "_free_pairs", free_pairs)
     verify.clear_caches()
-    levels = verify.connected_graph_classes(11, 10, 3)
+    levels = oracle_utils.connected_graph_classes(11, 10, 3)
     # 2,065 classes.  Of the 20,182 children within the cap, the twin-orbit
     # rule leaves 13,621 and the leaf rule 5,218 for the canonical-deletion
     # test; without the invariant buckets the 2,484 that pass it would all
@@ -678,7 +678,7 @@ def test_prefilter_canonicalizes_each_class_about_once(monkeypatch):
     assert parents[0] == 1258 - 161
 
 
-_CLASSES_TO_6 = [g for level in verify.connected_graph_classes(6, 10) for g in level]
+_CLASSES_TO_6 = [g for level in oracle_utils.connected_graph_classes(6, 10) for g in level]
 
 
 @settings(max_examples=200, deadline=None)
@@ -869,10 +869,11 @@ def test_clear_caches_keeps_reports():
 
 
 def test_one_table_keeps_what_is_known_per_facet_set():
-    # a facet set's split, Betti numbers at each prime, link-shape record,
-    # verdicts, boundary span and boundary Betti numbers are kept in its one
-    # complexes._facts entry, and no other package dict fills but the table
-    # of component walks, which maps graphs, not facet sets
+    # a facet set's split, Betti numbers at each prime, link-shape children
+    # and summaries, verdicts, boundary span and boundary Betti numbers are
+    # kept in its one complexes._facts entry, and no other package dict
+    # fills but the table of component walks, which maps graphs, not facet
+    # sets
     caches = _caches_at_import()
     matchtop.clear_caches()
     sphere, ball = (cx.matching_complex(gr.disjoint_union(parts))
@@ -884,26 +885,25 @@ def test_one_table_keeps_what_is_known_per_facet_set():
                                                                  "complexes._walks"}
     for facets, split in recorded.items():
         assert len(split) == 2 and cx._facts[facets]["split"] is split
-    factors = [cx._facts[norm] for split in recorded.values() for _, norm in split]
-    assert any(all(isinstance(e.get(p), homology.BettiVector) for p in (2, 3)) and "shape" in e
+    factors = [factor for split in recorded.values() for factor in split]
+    assert any(all(isinstance(e.get(p), homology.BettiVector) for p in (2, 3)) and "summary" in e
                for e in factors)
     # the factor M(spider 3) keeps its boundary span; a point's ∂ is {∅}, spanning nothing
-    assert ["span" in cx._facts[norm] for _, norm in recorded[ball.facet_masks]] == [True, False]
+    assert ["span" in factor for factor in recorded[ball.facet_masks]] == [True, False]
     assert all(set(cx._facts[M.facet_masks]["verdict"]) == {2} for M in (sphere, ball))
     # the entry format, after the small criterion-6 joins and a closed
-    # search: a few named slots and the Betti vector under each prime, a
-    # verdict keeps its witness as a mask, not as labels, and a link-shape
-    # record keeps its classes and summaries, no Betti vector
+    # search: its facets, a few named slots and the Betti vector under each
+    # prime; a verdict keeps its witness as a mask, not as labels, and a
+    # summary keeps flags and sizes, no Betti vector
     for g, _ in _join_arithmetic_cases(face_cap=400):
         M = cx.matching_complex(g)
         manifold.classify(M, manifold.check_manifold(M, 2), (2, 3))
     verify.run_search(spec(target="closed-2-manifold", max_edges=9))
-    slots = {"split", "table", "shape", "verdict", "span", "boundary_betti"}
+    slots = {"facets", "split", "table", "children", "summary", "verdict", "span",
+             "boundary_betti"}
     for facets, entry in cx._facts.items():
+        assert entry["facets"] is facets
         assert all(k in slots or type(k) is int and homology._is_prime(k) for k in entry), facets
         assert all(type(v[2]) in (int, type(None)) for v in entry.get("verdict", {}).values())
-        rec = entry.get("shape")
-        if rec is not None:
-            assert rec[0] == facets
-            assert not any(isinstance(v, homology.BettiVector)
-                           for v in (*rec, *rec[2].values(), *rec[3].values()))
+        assert all(type(x) in (int, bool) for got in entry.get("summary", {}).values()
+                   for x in got)
