@@ -278,8 +278,7 @@ def _fold_boundary(factors, q, check=False):
     the rule below proves ∂J a closed manifold at q.
 
     ∂X is the span of X's ridges in exactly one facet, each kept once in
-    the factor's entry by :func:`_boundary_span`, with ∂(point) = {∅}, as
-    ``complexes._ridge_cofacets`` does not count a point's empty ridge, and
+    the factor's entry by :func:`_boundary_span`, with ∂(point) = {∅} and
     ∂(S⁰) void; P(X) = Σ β̃_i t^(i+1), P(void) = 0, P({∅}) = 1.
 
     Boundary fold lemma.  For pure K and L, ∂(K * L) = ∂K * L ∪ K * ∂L.
@@ -333,7 +332,7 @@ def _fold_boundary(factors, q, check=False):
     poly, bounded, acyclic = [1], 0, True
     for factor in factors:
         facets = factor["facets"]
-        span = (0, cx._facts_of((0,))) if facets == (1,) else _boundary_span(factor)
+        span = _boundary_span(factor)
         betti = _betti(factor, q)
         if span is not None:
             betti_bd = _betti(span[1], q)
@@ -447,10 +446,14 @@ def _boundary_span(entry: dict):
     """The span of the ridges of an entry's facets in exactly one facet,
     re-indexed by ``complexes._reindex``, as ``(used, its entry)``; None
     when there is none.  A manifold with a ball and no disagree, as in the
-    verdict and a boundary, has one.  Kept once for every prime in the
-    entry's ``"span"`` slot, for a complex and a join factor alike."""
+    verdict and a boundary, has one, and so does a point: {∅}, its empty
+    ridge, which ``complexes._ridge_cofacets`` does not count.  Kept once
+    for every prime in the entry's ``"span"`` slot, for a complex and a
+    join factor alike."""
     if "span" not in entry:
-        ridges = [r for r, n in cx._ridge_cofacets(entry["facets"]).items() if n == 1]
+        facets = entry["facets"]
+        ridges = [0] if facets == (1,) else [
+            r for r, n in cx._ridge_cofacets(facets).items() if n == 1]
         used, masks = cx._reindex(ridges)
         entry["span"] = (used, cx._facts_of(masks)) if ridges else None
     return entry["span"]

@@ -322,6 +322,38 @@ def _link_memos():
     return len(children), sum(2 in child for child in {id(c): c for c in children}.values())
 
 
+def _work_in(monkeypatch, name, module, work):
+    """The ``(entry facets, argument)`` of every call of ``manifold.<name>``
+    that calls ``module.<work>``, the first step of its build: the calls
+    that build, where one that finds its memo returns it as is."""
+    done, inside = [], []
+    real, real_work = getattr(mf, name), getattr(module, work)
+
+    def call(entry, arg):
+        inside.append([entry["facets"], arg, False])
+        try:
+            return real(entry, arg)
+        finally:
+            facets, arg, worked = inside.pop()
+            if worked:
+                done.append((facets, arg))
+
+    def step(*args):
+        if inside:
+            inside[-1][2] = True
+        return real_work(*args)
+
+    monkeypatch.setattr(mf, name, call)
+    monkeypatch.setattr(module, work, step)
+    return done
+
+
+def _child_builds(monkeypatch):
+    """The (shape facets, vertex) of every vertex link ``_child`` builds,
+    each a re-index of the link's facets."""
+    return _work_in(monkeypatch, "_child", cx, "_reindex")
+
+
 def _classes_by_labels(c, p):
     return {frozenset(c.labels_of(m)): cls for m, cls in _record_classes(c, p).items()}
 
@@ -365,39 +397,47 @@ def _shifted(c):
                           [[v + 100 for v in f] for f in c.facets()])
 
 
-def test_one_link_analysis_per_complex():
-    # each link shape is one entry, classified at a prime off the Betti
-    # numbers it keeps, and each of its vertex links is built once into it
+def test_one_link_analysis_per_complex(monkeypatch):
+    # each link shape is one entry, classified once at a prime off the
+    # Betti numbers it keeps, ranked once, and each of its vertex links is
+    # built once into it
+    ranked = _work_in(monkeypatch, "_class", hm, "_join_factors")  # _betti's first step
+    built = _child_builds(monkeypatch)
     for g in (gr.spider(3), gr.complete_bipartite(4, 3),
               {e.name: e for e in catalog.exceptional_table()}["torus_disk_9e"].graph):
         matchtop.clear_caches()  # the shape table is process-wide
         M = cx.matching_complex(g)
         assert len(_record_classes(M, 2)) == len(M.faces()) - 1
-        assert 0 < _link_memos()[1] <= len(_distinct_links(M))  # once per link shape
+        assert 0 < len(ranked) == len(set(ranked)) <= len(_distinct_links(M))  # once per link shape
+        assert 0 < _link_memos()[1] <= len(_distinct_links(M))
+        assert len(built) == len(set(built)) == _link_memos()[0]
         verdict = mf.check_manifold(M, 2)
-        analysed = _link_memos()
+        analysed = len(ranked), len(built), _link_memos()
         mf.classify(M, verdict, (2, 3))
         mf.boundary_complex(M, 2)
         assert mf.check_manifold(M, 2) == verdict
-        assert _link_memos() == analysed
+        assert (len(ranked), len(built), _link_memos()) == analysed
         # another complex of the same shapes reuses every entry
         copy = _shifted(M)
         assert mf.check_manifold(copy, 2).status == verdict.status
         assert mf.classify(copy) == mf.classify(M)
         assert len(_record_classes(copy, 2)) == len(M.faces()) - 1
-        assert _link_memos() == analysed
+        assert (len(ranked), len(built), _link_memos()) == analysed
+        ranked.clear()
+        built.clear()
 
 
-def test_join_link_build_counts_pinned():
+def test_join_link_build_counts_pinned(monkeypatch):
     # criterion 6 on the small joins, from a cold shape table: a join
     # shape is folded from its factors' summaries, so vertex links are built
     # only for shapes the split leaves whole, and a join's boundary is
     # folded from its factors' boundaries, so none is walked
+    built = _child_builds(monkeypatch)
     matchtop.clear_caches()
     for g, _ in _join_arithmetic_cases(face_cap=400):
         M = cx.matching_complex(g)
         mf.classify(M, mf.check_manifold(M, 2))
-    assert _link_memos()[0] == 107
+    assert len(built) == len(set(built)) == _link_memos()[0] == 107
     assert sum("summary" in e for e in cx._facts.values()) == 120
 
 
@@ -771,7 +811,7 @@ def test_a_facet_set_travels_as_its_entry(monkeypatch):
         M = cx.matching_complex(g)
         mf.classify(M, mf.check_manifold(M, 2), (2, 3))
     assert len(graphs) == 130
-    assert len(looked) == 746
+    assert len(looked) == 573
     # every factor of a split and every child is the one entry of its facets
     reached = [x for e in cx._facts.values()
                for x in [*(e.get("split") or ()), *(c for c, _ in e.get("children", {}).values())]]
@@ -944,13 +984,14 @@ RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
        (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
 
 
-def test_link_classes_are_kept_per_prime():
+def test_link_classes_are_kept_per_prime(monkeypatch):
     # the apex link of a cone over RP^2 fails at p = 2 and is acyclic at
     # p = 3, so a class shared between the primes would misclassify it.
     # The shape's one entry keeps a Betti vector per prime, which its class
     # is read off, and its children, which do not depend on the prime, are
     # built on the first pass only
     cone = [f + (6,) for f in RP2]
+    built = _child_builds(monkeypatch)
     matchtop.clear_caches()
     passes = []
     for p in (3, 2, 3):
@@ -963,8 +1004,8 @@ def test_link_classes_are_kept_per_prime():
             assert verdict.witness_face == (6,) and verdict.witness_betti.p == 2
         else:
             assert verdict.witness_face == (0,)  # the least ball vertex
-        passes.append(_link_memos()[0])
-    assert passes[0] > 0 and passes == passes[:1] * 3
+        passes.append(len(built))
+    assert passes[0] == len(set(built)) == _link_memos()[0] > 0 and passes == passes[:1] * 3
     apex = cx._facts[cx._reindex([sum(1 << v for v in f) for f in RP2])[1]]
     assert {2, 3} <= set(apex) and {p: mf._class(apex, p) for p in (3, 2)} == {3: "B", 2: "?"}
 

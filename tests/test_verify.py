@@ -888,8 +888,9 @@ def test_one_table_keeps_what_is_known_per_facet_set():
     factors = [factor for split in recorded.values() for factor in split]
     assert any(all(isinstance(e.get(p), homology.BettiVector) for p in (2, 3)) and "summary" in e
                for e in factors)
-    # the factor M(spider 3) keeps its boundary span; a point's ∂ is {∅}, spanning nothing
-    assert ["span" in factor for factor in recorded[ball.facet_masks]] == [True, False]
+    # the factor M(spider 3) keeps its boundary span, and the point its ∂ = {∅}
+    spider, point = recorded[ball.facet_masks]
+    assert spider["span"] and point["span"][0] == 0 and point["span"][1] is cx._facts[(0,)]
     assert all(set(cx._facts[M.facet_masks]["verdict"]) == {2} for M in (sphere, ball))
     # the entry format, after the small criterion-6 joins and a closed
     # search: its facets, a few named slots and the Betti vector under each
