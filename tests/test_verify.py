@@ -698,8 +698,14 @@ def test_search_rejects_every_union_exactly(parts):
 
 # sha256 of run_search(...).to_json(include_timing=False)
 REPORT_DIGESTS = {
+    ("1-sphere", 8):
+        "0c3daf7625a2ea52f5725f7c0f8e0dac12932c7b13d821dc951c5ab501982042",
+    ("2-sphere", 10):
+        "a12c0bcc292322d39e4ac5483286fbda5a8c9ec63a43e23f0c0cdce832f6f757",
     ("closed-2-manifold", 11):
         "f09226d370a219224c9be0ea2aa5dfb8150f9e31e8ab019c3daa2963dde15113",
+    ("2-manifold-with-boundary", 11):
+        "f061dfcc3902a73dc46764fbec478588d455be92519dc0c30f6020130b73aced",
     ("disconnected-complex", 9):
         "3b51f71f484113331da63f9b46c1aed287bd326e94f6dc204682a3ca36e38b82",
 }
