@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import graphs as gr
 from .errors import InvalidParameterError
-from .manifold import ManifoldClass
+from .manifold import STATUS_CLOSED, STATUS_WITH_BOUNDARY, ManifoldClass
 
 
 @dataclass(frozen=True)
@@ -333,13 +333,13 @@ def predict(g: gr.Graph) -> Prediction:
 
 
 # the search targets with a manifold of dimension d as hits:
-# name -> (dimension d, with boundary, sphere only)
+# name -> (dimension d, the manifold status of a hit, sphere only)
 _MANIFOLD_TARGETS = {
-    "1-sphere": (1, False, True),
-    "2-sphere": (2, False, True),
-    "closed-2-manifold": (2, False, False),
-    "2-manifold-with-boundary": (2, True, False),
-    "connected-2-manifold-with-boundary": (2, True, False),
+    "1-sphere": (1, STATUS_CLOSED, True),
+    "2-sphere": (2, STATUS_CLOSED, True),
+    "closed-2-manifold": (2, STATUS_CLOSED, False),
+    "2-manifold-with-boundary": (2, STATUS_WITH_BOUNDARY, False),
+    "connected-2-manifold-with-boundary": (2, STATUS_WITH_BOUNDARY, False),
 }
 
 _CLOSED_LABELS = ("Sphere", "Torus")
@@ -375,20 +375,21 @@ def expected_search_hits(target: str, max_edges: int, max_vertices: int,
                          connected_only: bool):
     """The cataloged graphs a search should find, filtered to the budget.
 
-    A manifold target is a row (d, boundary, sphere_only) of the search
+    A manifold target is a row (d, status, sphere_only) of the search
     table.  Since dim M(G) = nu(G) - 1, its candidates are the disjoint
     unions of basics whose matching numbers add up to d + 1, each with
     the class ``predict_for_kinds`` gives it, and in dimension 2 also the
     exceptional graphs that are not basics themselves.  A candidate is
-    kept when its class has a boundary exactly when the target does (a
-    sphere or the torus has none) and, for sphere-only targets, when it
-    is a sphere.  Returns None for targets whose expectation is computed
-    per graph (disconnected-complex)."""
+    kept when its class has the row's status (closed for the labels in
+    ``_CLOSED_LABELS``, a sphere or the torus, and with boundary for any
+    other) and, for sphere-only targets, when it is a sphere.  Returns
+    None for targets whose expectation is computed per graph
+    (disconnected-complex)."""
     if target == "disconnected-complex":
         return None
     if target not in _MANIFOLD_TARGETS:
         raise InvalidParameterError(f"unknown search target {target!r}")
-    d, boundary, sphere_only = _MANIFOLD_TARGETS[target]
+    d, status, sphere_only = _MANIFOLD_TARGETS[target]
     entries = [(_union_name(kinds), gr.disjoint_union([k.graph for k in kinds]),
                 predict_for_kinds(kinds).predicted_class)
                for kinds in _basic_unions(d + 1)]
@@ -401,7 +402,7 @@ def expected_search_hits(target: str, max_edges: int, max_vertices: int,
             continue
         if connected_only and not gr.is_connected_graph(g):
             continue
-        if (cls.label not in _CLOSED_LABELS) != boundary:
+        if (STATUS_CLOSED if cls.label in _CLOSED_LABELS else STATUS_WITH_BOUNDARY) != status:
             continue
         if sphere_only and cls.label != "Sphere":
             continue

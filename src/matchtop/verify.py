@@ -11,16 +11,18 @@ homology checks, and reports compare the hit set against the catalog's
 expectations.
 
 Every target but disconnected-complex is one row of the catalog's
-``_MANIFOLD_TARGETS``: a homology manifold of dimension d, closed or with
-boundary, and whether only spheres count.  All of them run one path.  The
-ridge prefilter keeps a graph only if every facet of M(G) has d + 1
-vertices and every ridge (a facet minus one vertex) lies in at most 2
-facets: a ridge's link is a set of points, which has sphere or ball
-homology only as 2 points or 1.  A closed target needs every ridge in
-exactly 2 facets, a target with boundary some ridge in 1.  The facets of
-M(G) are the maximal matchings of G, so M(G) is pure exactly when G is
-equimatchable, and a homology manifold is pure.  The prefilter lists no
-facet: it walks the matchings of at most d edges, each once, by
+``_MANIFOLD_TARGETS``: a homology manifold of dimension d, the status of
+its hits (``STATUS_CLOSED`` or ``STATUS_WITH_BOUNDARY``), and whether only
+spheres count.  All of them run one path.  The ridge prefilter keeps a
+graph only if every facet of M(G) has d + 1 vertices and every ridge (a
+facet minus one vertex) lies in at most 2 facets: a ridge's link is a set
+of points, which has sphere or ball homology only as 2 points or 1.  From
+the same walk it returns the one status the ridges allow: closed when
+every ridge lies in exactly 2 facets, with boundary when some ridge lies
+in 1, and the graph goes on only when that is the row's status.  The
+facets of M(G) are the maximal matchings of G, so M(G) is pure exactly
+when G is equimatchable, and a homology manifold is pure.  The prefilter
+lists no facet: it walks the matchings of at most d edges, each once, by
 increasing edge index.  One that no edge avoids is a maximal matching
 that is too small, and the graph is rejected.  If none is, and no ridge
 (a d-matching) is avoided by two disjoint edges, then no (d + 2)-matching
@@ -28,13 +30,13 @@ exists, since one loses two disjoint edges to such a ridge, so every
 (d + 1)-matching is maximal and M(G) is pure.  M(G) being flag, the
 facets through a ridge are then exactly the ridge plus each edge that
 avoids it, and the ridge is counted by its avoiding edges; one with more
-than 2 fails either way.  For d <= 0 the empty ridge is not counted, as
-in ``complexes._ridge_cofacets``: d = -1 takes a graph with no edge and
-d = 0 one whose edges pairwise meet, both closed.  The survivors
-are checked by ``check_manifold`` at the search prime (status, dimension d
-and, for sphere-only targets, sphere homology), again at the cross-check
-prime, and named by ``classify``.  The expected hits are computed by the
-catalog from the same row.
+than 2 fails whatever the status.  For d <= 0 the empty ridge is not
+counted, as in ``complexes._ridge_cofacets``: d = -1 takes a graph with
+no edge and d = 0 one whose edges pairwise meet, both closed.  The
+survivors are checked by ``check_manifold`` at the search prime (the
+row's status, dimension d and, for sphere-only targets, sphere homology),
+again at the cross-check prime, and named by ``classify``.  The expected
+hits are computed by the catalog from the same row.
 
 Since dim M(G) = nu(G) - 1, where nu is the matching number, a target of
 dimension d can only be hit by graphs with nu = d + 1.  Every search
@@ -541,20 +543,21 @@ def clear_caches():
 # target predicates
 
 
-def _ridge_prefilter(g: gr.Graph, d: int, boundary: bool) -> bool:
-    """Necessary conditions on g for M(G) to be a homology d-manifold,
-    closed or with boundary: every facet has d + 1 vertices (G is
-    equimatchable, M(G) pure), and every ridge lies in at most 2 facets,
-    in exactly 2 when closed and in 1 for some ridge with boundary.  Read
-    off the edge conflicts, without listing a facet (see the module
+def _ridge_prefilter(g: gr.Graph, d: int) -> str | None:
+    """The manifold status the ridges of M(G) allow, if M(G) can be a
+    homology d-manifold at all: every facet has d + 1 vertices (G is
+    equimatchable, M(G) pure) and every ridge lies in at most 2 facets.
+    Then M(G) can only be closed when every ridge lies in exactly 2, and
+    only have boundary when some ridge lies in 1; else None.  Read off the
+    edge conflicts in one walk, without listing a facet (see the module
     docstring): no matching of at most d edges may be maximal, and the
     edges avoiding a d-matching, its cofacets, are 1 or 2 that meet."""
     conf = g.edge_conflicts()
     full = (1 << len(g.edges)) - 1
     if d < 1:
         # the empty ridge is not counted: only the facet size is checked
-        return not boundary and (not full if d == -1 else
-                                 d == 0 and full != 0 and all(c == full for c in conf))
+        closed = not full if d == -1 else d == 0 and full != 0 and all(c == full for c in conf)
+        return STATUS_CLOSED if closed else None
     one = False
 
     def walk(start, k, blocked):
@@ -566,7 +569,7 @@ def _ridge_prefilter(g: gr.Graph, d: int, boundary: bool) -> bool:
             rest = avoid & avoid - 1
             if not rest:
                 one = True
-                return boundary
+                return True
             # two cofacets, which must meet
             return not rest & rest - 1 and conf[rest.bit_length() - 1] & avoid != rest
         for i in gr._bits(avoid >> start << start):
@@ -574,7 +577,7 @@ def _ridge_prefilter(g: gr.Graph, d: int, boundary: bool) -> bool:
                 return False
         return True
 
-    return walk(0, 0, 0) and one == boundary
+    return walk(0, 0, 0) and (STATUS_WITH_BOUNDARY if one else STATUS_CLOSED) or None
 
 
 def _skeleton_connected(g: gr.Graph) -> bool:
@@ -622,15 +625,14 @@ def _evaluate(g: gr.Graph, target: str, p: int,
             return None
         return _entry("DisconnectedComplex", cx.matching_complex(g), p, q), None
 
-    d, boundary, sphere_only = catalog._MANIFOLD_TARGETS[target]
-    if not _ridge_prefilter(g, d, boundary):
+    d, status, sphere_only = catalog._MANIFOLD_TARGETS[target]
+    if _ridge_prefilter(g, d) != status:
         return None
-    want_status = STATUS_WITH_BOUNDARY if boundary else STATUS_CLOSED
     M = cx.matching_complex(g)
 
     def verdict(prime):
         v = mf.check_manifold(M, prime)
-        hit = v.status == want_status and v.dimension == d and (
+        hit = v.status == status and v.dimension == d and (
             not sphere_only or betti_reduced(M, prime).is_sphere(d))
         return v, hit
 

@@ -198,7 +198,7 @@ def test_large_complexes_match_catalog_prediction():
         assert d == M.dimension
         top = 1 if pred.predicted_class.label == "Sphere" else 0
         for p in (2, 3):
-            b = hm.betti_for_facets(M.vertex_count, M.facet_masks, p)
+            b = hm.betti_for_facets(M.facet_masks, p)
             assert (b.minus_one, b.betti) == (0, (0,) * d + (top,))
 
 
@@ -244,7 +244,7 @@ def test_large_non_sphere_torus_join_circle_and_point():
     by_size = cx._faces_by_size(M.facet_masks)
     assert sum(map(len, by_size.values())) == 2846
     for p in (2, 3, 5):
-        for b in (hm.betti_for_facets(M.vertex_count, M.facet_masks, p),
+        for b in (hm.betti_for_facets(M.facet_masks, p),
                   hm._betti_from_faces(by_size, p, M.dimension)):
             assert (b.minus_one, b.betti) == (0, (0, 0, 0, 0, 2, 1))
 
@@ -256,7 +256,7 @@ def test_large_non_sphere_torus_join_two_circles():
     by_size = cx._faces_by_size(M.facet_masks)
     assert sum(map(len, by_size.values())) == 12336
     for p in (2, 3):
-        for b in (hm.betti_for_facets(M.vertex_count, M.facet_masks, p),
+        for b in (hm.betti_for_facets(M.facet_masks, p),
                   hm._betti_from_faces(by_size, p, M.dimension)):
             assert (b.minus_one, b.betti) == (0, (0, 0, 0, 0, 0, 2, 1))
 
@@ -284,7 +284,7 @@ def test_core_matches_face_set_path(c):
     assert max(m.bit_count() for m in core) <= c.dimension + 1
     assert sorted(hm._core(core)) == sorted(core)
     for p in (2, 3, 5):
-        assert (hm.betti_for_facets(c.vertex_count, c.facet_masks, p)
+        assert (hm.betti_for_facets(c.facet_masks, p)
                 == _face_set_betti(c.facet_masks, p))
 
 
@@ -372,7 +372,7 @@ def test_join_factors_match_face_set_path(c):
     _assert_split(c.facet_masks)
     _assert_split(tuple(hm._core(c.facet_masks)))
     for p in (2, 3, 5):
-        assert (hm.betti_for_facets(c.vertex_count, c.facet_masks, p)
+        assert (hm.betti_for_facets(c.facet_masks, p)
                 == hm._betti_from_faces(cx._faces_by_size(c.facet_masks), p, c.dimension))
 
 

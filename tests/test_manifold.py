@@ -258,6 +258,20 @@ def test_a_p_pair_holds_two_primes(read, p_pair):
     assert read(M, p_pair=(3, 3))  # two equal primes stay allowed
 
 
+@pytest.mark.parametrize("prime", ["2", "7"])
+@pytest.mark.parametrize("read", [
+    lambda M, p: mf.check_manifold(M, p),
+    lambda M, p: mf.classify(M, None, (p, "3")),
+    lambda M, p: verify.SearchSpec("1-sphere", p=p),
+], ids=["check_manifold", "classify", "SearchSpec"])
+def test_a_prime_given_as_a_string_is_named_as_one(read, prime):
+    # "2 is not prime" would be false of the number the string spells
+    M = M_of(gr.cycle(5))
+    with pytest.raises(InvalidParameterError) as err:
+        read(M, prime)
+    assert str(err.value) == f"{prime!r} is not prime"
+
+
 def test_vertex_count_bounds_on_manifold_complexes():
     # manifold matching complexes of dimension d != 2 seen here have at most
     # 3d + 3 vertices; dimension-2 ones at most 12

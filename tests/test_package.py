@@ -79,3 +79,23 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                     and node.name not in elsewhere | _code_names(tree, skip=node)):
                 unused.append(f"{path.name}: {node.name}")
     assert not unused
+
+
+def test_no_parameter_goes_unread():
+    # every parameter of every function but self and cls is read by name in
+    # the function's body, nested functions included: a parameter no code
+    # reads is dead weight that every caller still has to pass
+    unread = []
+    for path, tree in _trees():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
+            params += [x.arg for x in (a.vararg, a.kwarg) if x is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.name}: {getattr(fn, 'name', 'lambda')}({name})"
+                       for name in params if name not in read | {"self", "cls"}]
+    assert not unread

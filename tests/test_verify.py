@@ -270,7 +270,9 @@ def test_ridge_prefilter_matches_no_prefilter(target, connected_only, monkeypatc
     s = spec(target=target, max_edges=9, connected_only=connected_only)
     filtered = verify.run_search(s)
     with monkeypatch.context() as m:
-        m.setattr(verify, "_ridge_prefilter", lambda facets, d, boundary: True)
+        # the stub passes every graph on with the row's own status
+        status = catalog._MANIFOLD_TARGETS[target][1]
+        m.setattr(verify, "_ridge_prefilter", lambda g, d: status)
         unfiltered = verify.run_search(s)
     assert filtered.to_dict(include_timing=False) == unfiltered.to_dict(include_timing=False)
 
@@ -305,19 +307,22 @@ def _graphs_up_to(draw, max_n=8):
 @example((8, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7)]))  # P3+P2+P3: a 3-ball
 def test_ridge_prefilter_passes_every_manifold(case):
     # the prefilter is a necessary condition in any dimension, with or
-    # without boundary, disconnected graphs included
+    # without boundary, disconnected graphs included, and the status it
+    # allows is the manifold's own
     n, pairs = case
     g = gr.Graph(n, pairs)
     v = manifold.check_manifold(cx.matching_complex(g), 2)
     if v.is_manifold:
-        boundary = v.status == manifold.STATUS_WITH_BOUNDARY
-        assert verify._ridge_prefilter(g, v.dimension, boundary)
+        assert verify._ridge_prefilter(g, v.dimension) == v.status
 
 
 def _prefilter_matches_the_oracle(g):
+    # the one status the walk returns is the one kind the oracle accepts
     for d in range(-1, 5):
-        for boundary in (False, True):
-            assert (verify._ridge_prefilter(g, d, boundary)
+        status = verify._ridge_prefilter(g, d)
+        for boundary, kind in ((False, manifold.STATUS_CLOSED),
+                               (True, manifold.STATUS_WITH_BOUNDARY)):
+            assert ((status == kind)
                     == oracle_utils.oracle_ridge_prefilter(g, d, boundary)), (g, d, boundary)
 
 
@@ -343,21 +348,23 @@ def test_ridge_prefilter_small_dimensions():
     # the empty ridge is not counted, so for d <= 0 only the facet size is
     # checked; each ridge of 3P2 at d = 1 avoids two disjoint edges, and at
     # d = 2 it is a triangle, each ridge in 1 facet
+    closed, with_boundary = manifold.STATUS_CLOSED, manifold.STATUS_WITH_BOUNDARY
     cases = {
-        ((1, ()), -1): (True, False),
-        ((2, ((0, 1),)), -1): (False, False),
-        ((3, ((0, 1), (0, 2), (1, 2))), 0): (True, False),
-        ((4, ((0, 1), (0, 2), (0, 3))), 0): (True, False),
-        ((4, ((0, 1), (2, 3))), 0): (False, False),
-        ((4, ((0, 1), (2, 3))), 1): (False, True),
-        ((6, ((0, 1), (2, 3), (4, 5))), 1): (False, False),
-        ((6, ((0, 1), (2, 3), (4, 5))), 2): (False, True),
+        ((1, ()), -1): closed,
+        ((2, ((0, 1),)), -1): None,
+        ((3, ((0, 1), (0, 2), (1, 2))), 0): closed,
+        ((4, ((0, 1), (0, 2), (0, 3))), 0): closed,
+        ((4, ((0, 1), (2, 3))), 0): None,
+        ((4, ((0, 1), (2, 3))), 1): with_boundary,
+        ((6, ((0, 1), (2, 3), (4, 5))), 1): None,
+        ((6, ((0, 1), (2, 3), (4, 5))), 2): with_boundary,
     }
     for ((n, pairs), d), want in cases.items():
         g = gr.Graph(n, pairs)
-        for boundary, ok in zip((False, True), want):
-            assert verify._ridge_prefilter(g, d, boundary) is ok, (g, d, boundary)
-            assert oracle_utils.oracle_ridge_prefilter(g, d, boundary) is ok, (g, d, boundary)
+        assert verify._ridge_prefilter(g, d) == want, (g, d)
+        for boundary, kind in ((False, closed), (True, with_boundary)):
+            assert (oracle_utils.oracle_ridge_prefilter(g, d, boundary)
+                    is (want == kind)), (g, d, boundary)
 
 
 @settings(max_examples=300, deadline=None)
@@ -752,21 +759,24 @@ def test_closed_search_call_counts_pinned(monkeypatch):
 def test_ridge_prefilter_lists_no_facets(monkeypatch):
     # the prefilter reads the ridges' cofacets off the graph: it lists no
     # maximal matching and counts no ridge of a facet list, so over the
-    # closed-surface search only its 3 survivors' complexes list facets
+    # closed-surface search only its 3 survivors' complexes list facets.
+    # It runs once per examined graph, whatever the status it returns
     matchtop.clear_caches()  # so no component walk is served by the walk table
     facets = _counting(monkeypatch, "_maximal_matching_masks")
     ridges = _counting(monkeypatch, "_ridge_cofacets", cx)
     prefilter, evaluate = verify._ridge_prefilter, verify._evaluate
     survivors = []
     rejected_walks = [0]
+    calls = [0]
 
-    def counted_prefilter(g, d, boundary):
+    def counted_prefilter(g, d):
+        calls[0] += 1
         before = facets[0], ridges[0]
-        ok = prefilter(g, d, boundary)
+        status = prefilter(g, d)
         assert (facets[0], ridges[0]) == before
-        if ok:
+        if status == manifold.STATUS_CLOSED:
             survivors.append(g)
-        return ok
+        return status
 
     def counted_evaluate(g, *args):
         before, kept = facets[0], len(survivors)
@@ -779,6 +789,7 @@ def test_ridge_prefilter_lists_no_facets(monkeypatch):
     monkeypatch.setattr(verify, "_evaluate", counted_evaluate)
     report = verify.run_search(spec(target="closed-2-manifold", max_edges=11))
     assert report.graphs_examined == 2370
+    assert calls[0] == 2370
     assert len(survivors) == 3
     assert rejected_walks[0] == 0
 
