@@ -37,7 +37,6 @@ from .graphs import (
 )
 from .homology import (
     BettiVector,
-    FieldPrime,
     betti_reduced,
 )
 from .manifold import (

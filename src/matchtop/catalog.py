@@ -108,9 +108,15 @@ class ExceptionalEntry:
     name: str
     graph: gr.Graph
     expected_class: ManifoldClass
-    vertices: int
-    edges: int
     description: str
+
+    @property
+    def vertices(self) -> int:
+        return self.graph.vertex_count
+
+    @property
+    def edges(self) -> int:
+        return len(self.graph.edges)
 
 
 def _c7_plus(chords):
@@ -137,44 +143,44 @@ def _exceptional_graphs():
     )
     return (
         ExceptionalEntry(
-            "K43", gr.complete_bipartite(4, 3), ManifoldClass("Torus"), 7, 12,
+            "K43", gr.complete_bipartite(4, 3), ManifoldClass("Torus"),
             "complete bipartite graph on 4+3 vertices; matching complex is a torus",
         ),
         ExceptionalEntry(
-            "Sp3", gr.spider(3), ManifoldClass("Ball", 2), 7, 6,
+            "Sp3", gr.spider(3), ManifoldClass("Ball", 2),
             "spider with three length-2 legs; matching complex is a 2-ball",
         ),
         ExceptionalEntry(
-            "annulus_8e", annulus, ManifoldClass("Annulus"), 7, 8,
+            "annulus_8e", annulus, ManifoldClass("Annulus"),
             "two 4-cycles sharing one vertex",
         ),
         ExceptionalEntry(
-            "moebius_c7", gr.cycle(7), ManifoldClass("MoebiusStrip"), 7, 7,
+            "moebius_c7", gr.cycle(7), ManifoldClass("MoebiusStrip"),
             "the 7-cycle",
         ),
         ExceptionalEntry(
-            "moebius_8e", _c7_plus([(1, 5)]), ManifoldClass("MoebiusStrip"), 7, 8,
+            "moebius_8e", _c7_plus([(1, 5)]), ManifoldClass("MoebiusStrip"),
             "7-cycle with one distance-3 chord",
         ),
         ExceptionalEntry(
             "moebius_9e", _c7_plus([(0, 4), (1, 5)]), ManifoldClass("MoebiusStrip"),
-            7, 9, "7-cycle with two rotated distance-3 chords",
+            "7-cycle with two rotated distance-3 chords",
         ),
         ExceptionalEntry(
             "moebius_10e", _c7_plus([(0, 4), (1, 5), (2, 6)]),
-            ManifoldClass("MoebiusStrip"), 7, 10,
+            ManifoldClass("MoebiusStrip"),
             "7-cycle with three rotated distance-3 chords",
         ),
         ExceptionalEntry(
-            "torus_disk_9e", torus_disk_9e, ManifoldClass("TorusMinusDisk"), 7, 9,
+            "torus_disk_9e", torus_disk_9e, ManifoldClass("TorusMinusDisk"),
             "7 vertices, 9 edges; matching complex is a torus minus an open disk",
         ),
         ExceptionalEntry(
-            "torus_disk_10e", torus_disk_10e, ManifoldClass("TorusMinusDisk"), 7, 10,
+            "torus_disk_10e", torus_disk_10e, ManifoldClass("TorusMinusDisk"),
             "7 vertices, 10 edges; matching complex is a torus minus an open disk",
         ),
         ExceptionalEntry(
-            "torus_disk_11e", torus_disk_11e, ManifoldClass("TorusMinusDisk"), 7, 11,
+            "torus_disk_11e", torus_disk_11e, ManifoldClass("TorusMinusDisk"),
             "7 vertices, 11 edges; matching complex is a torus minus an open disk",
         ),
     )
@@ -321,10 +327,8 @@ def predict(g: gr.Graph) -> Prediction:
         key = gr.canonical_form(g)
         for entry in exceptional_table():
             if key == gr.canonical_form(entry.graph):
-                return Prediction(
-                    "exceptional", None, entry.name, entry.expected_class,
-                    2 if entry.expected_class.dimension is None else entry.expected_class.dimension,
-                )
+                # every exceptional complex is a surface
+                return Prediction("exceptional", None, entry.name, entry.expected_class, 2)
     return NO_PREDICTION
 
 

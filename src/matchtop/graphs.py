@@ -567,9 +567,10 @@ def _automorphisms(g: Graph) -> list:
 
 
 def to_graph6(g: Graph) -> str:
+    head = _g6_header(g.vertex_count)  # raises before the O(n^2) bits are built
     bits = "".join("01"[g.adj[j] >> i & 1]
                    for j in range(1, g.vertex_count) for i in range(j))
-    return (_g6_header(g.vertex_count) + _pack6(bits)).decode("ascii")
+    return (head + _pack6(bits)).decode("ascii")
 
 
 def from_graph6(s: str) -> Graph:

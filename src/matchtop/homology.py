@@ -10,6 +10,14 @@ primes {row: coefficient} dicts.  The maps are reduced from the top
 dimension down, skipping the columns of faces that are already pivot rows
 one dimension up, since those reduce to zero (clearing).
 
+p is checked once, at the public boundary, by :func:`_checked`, the
+package's one prime check: ``betti_for_facets`` (and ``betti_reduced``
+through it), the public functions of ``manifold`` and
+``verify.SearchSpec`` call it before they look anything up, and the
+internals below them take the checked int.  The ranks need a prime: the
+mod-p reduction inverts a pivot entry c as c^(p-2), which is no inverse
+for any other modulus.
+
 A complex is split before it is shrunk.  Over a field the reduced Betti
 polynomial Σ β̃_i t^(i+1) of a join is the product of those of its factors
 (Milnor 1956), and the matching complex of a disjoint union is the join of
@@ -67,28 +75,14 @@ def _is_prime(p: int) -> bool:
 
 
 def _checked(p) -> int:
-    """p, when it is an int prime below 2^16; else raises."""
+    """p, when it is an int prime below 2^16; else raises
+    ``InvalidParameterError``.  The package's one prime check (see the
+    module docstring)."""
     if not isinstance(p, int) or not _is_prime(p):
         raise InvalidParameterError(f"{p!r} is not prime")
     if p >= 1 << 16:
         raise InvalidParameterError("primes must be below 2^16")
     return p
-
-
-@dataclass(frozen=True)
-class FieldPrime:
-    """A prime modulus for homology coefficients."""
-
-    p: int
-
-    def __post_init__(self):
-        _checked(self.p)
-
-
-def _prime_of(p) -> int:
-    if isinstance(p, FieldPrime):
-        return p.p
-    return _checked(p)
 
 
 @dataclass(frozen=True)
@@ -143,14 +137,11 @@ def _column(mask: int, index, p: int) -> dict:
 # ranks
 
 
-def _rank_gf2(cols, pivots=None) -> int:
-    """Rank of a GF(2) matrix given as column bitmasks over row indices.
-
-    ``pivots``, if given, receives the pivot row of every nonzero reduced
-    column.
+def _rank_gf2(cols) -> dict:
+    """The pivots of a GF(2) matrix given as column bitmasks over row
+    indices, as ``{pivot row: reduced column}``; their number is the rank.
     """
-    if pivots is None:
-        pivots = {}
+    pivots = {}
     for c in cols:
         while c:
             h = c.bit_length() - 1
@@ -159,19 +150,21 @@ def _rank_gf2(cols, pivots=None) -> int:
                 pivots[h] = c
                 break
             c ^= row
-    return len(pivots)
+    return pivots
 
 
-def _rank_modp(cols, p: int, pivots=None) -> int:
-    """Rank mod p of a matrix given as sparse columns ``{row: coefficient}``.
+def _rank_modp(cols, p: int) -> dict:
+    """The pivots mod p of a matrix given as sparse columns ``{row:
+    coefficient}``, as ``{pivot row: (reduced column, inverse of its pivot
+    entry)}``; their number is the rank.  p must be a prime, as
+    :func:`_checked` makes sure at the public boundary: the inverse is
+    ``c^(p-2)`` by Fermat's little theorem.
 
     Each column is reduced against the kept columns by its lowest (highest
     index) nonzero row until it is zero or that row is a new pivot; the
-    column dicts are consumed.  ``pivots``, if given, receives the pivot
-    rows as for :func:`_rank_gf2`.
+    column dicts are consumed.
     """
-    if pivots is None:
-        pivots = {}
+    pivots = {}
     for col in cols:
         for r in [r for r, v in col.items() if not v % p]:
             del col[r]
@@ -189,7 +182,7 @@ def _rank_modp(cols, p: int, pivots=None) -> int:
                     col[r] = nv
                 else:
                     del col[r]
-    return len(pivots)
+    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +221,22 @@ def _core(facet_masks):
         facets = _maximal(f & ~gone for f in facets)
 
 
-def _betti_from_faces(by_size, p: int, pad_dim: int) -> BettiVector:
-    """Direct matrix-rank computation from a face table ``{size: sorted
-    masks}`` of the nonempty faces, as ``complexes._faces_by_size`` builds it."""
-    if not by_size:
-        return BettiVector(p, 1, (0,) * (pad_dim + 1) if pad_dim >= 0 else ())
+def _betti_from_faces(by_size, p: int) -> BettiVector:
+    """Reduced Betti numbers over GF(p), p prime, ranked directly from the
+    face table ``{size: sorted masks}`` of a complex other than {∅}, as
+    ``complexes._faces_by_size`` builds it; the vector has the table's
+    dimension, its largest size less one.
+
+    The maps are reduced from the top down, and the pivot rows of each
+    clear the columns of the map below; d_0, the augmentation, has rank 1,
+    as the table has vertices."""
     top = max(by_size)
     ranks = [0] * (top + 1)  # ranks[k] = rank of d_k; d_top has no columns
-    ranks[0] = 1 if by_size.get(1) else 0
+    ranks[0] = 1
     cleared = {}  # pivot rows of d_{k+1}: columns of d_k that reduce to zero
     for k in range(top - 1, 0, -1):
         index = {m: i for i, m in enumerate(by_size[k])}
         cols = [cm for j, cm in enumerate(by_size[k + 1]) if j not in cleared]
-        pivots = {}
         if p == 2:
             ints = []
             for cm in cols:
@@ -251,18 +247,12 @@ def _betti_from_faces(by_size, p: int, pad_dim: int) -> BettiVector:
                     v |= 1 << index[cm ^ b]
                     m ^= b
                 ints.append(v)
-            _rank_gf2(ints, pivots)
+            cleared = _rank_gf2(ints)
         else:
-            _rank_modp([_column(cm, index, p) for cm in cols], p, pivots)
-        ranks[k] = len(pivots)
-        cleared = pivots
-    betti = []
-    for k in range(top):
-        f_k = len(by_size.get(k + 1, ()))
-        betti.append(f_k - ranks[k] - ranks[k + 1])
-    while len(betti) < pad_dim + 1:
-        betti.append(0)
-    return BettiVector(p, 1 - ranks[0], tuple(betti))
+            cleared = _rank_modp([_column(cm, index, p) for cm in cols], p)
+        ranks[k] = len(cleared)
+    return BettiVector(p, 0, tuple(len(by_size[k + 1]) - ranks[k] - ranks[k + 1]
+                                   for k in range(top)))
 
 
 def betti_for_facets(facet_masks, p: int) -> BettiVector:
@@ -274,8 +264,11 @@ def betti_for_facets(facet_masks, p: int) -> BettiVector:
     when it is a join: finding the core costs one pass over the facets per
     round, while ranking the full complex costs its whole face table.
     Results are cached by the facet structure, and the Betti vector keeps
-    the length of the original dimension.
+    the length of the original dimension.  p is checked by
+    :func:`_checked` before anything is looked up or ranked, so a
+    non-prime raises ``InvalidParameterError`` and leaves no memo.
     """
+    p = _checked(p)
     return _betti(_facts_of(tuple(facet_masks)), p)
 
 
@@ -298,8 +291,7 @@ def _betti(entry: dict, p: int) -> BettiVector:
         if factors is None:
             core = tuple(_core(facets))
             if core == facets:
-                table = _face_table(entry)
-                got = _betti_from_faces(table, p, max(table) - 1)
+                got = _betti_from_faces(_face_table(entry), p)
             else:  # rank the smaller core, maybe of a lower dimension, as the one factor
                 d = max(m.bit_count() for m in facets) - 1
                 factors = [_facts_of(_reindex(core)[1])]
@@ -334,7 +326,8 @@ def _times(a, b) -> list:
 
 
 def betti_reduced(c: Complex, p) -> BettiVector:
-    """Reduced Betti numbers of a complex over GF(p)."""
+    """Reduced Betti numbers of a complex over GF(p); p is checked by
+    :func:`betti_for_facets`."""
     # by keyword: bench/tracing.py reads a traced call's facets and prime
     # at argument positions 1 and 2, else by name, and they sit at 0 and 1
-    return betti_for_facets(facet_masks=c.facet_masks, p=_prime_of(p))
+    return betti_for_facets(facet_masks=c.facet_masks, p=p)

@@ -77,7 +77,7 @@ from . import complexes as cx
 from . import graphs as graphs_mod
 from .complexes import Complex, _join_factors
 from .errors import InvalidParameterError
-from .homology import BettiVector, _betti, _from_poly, _poly, _prime_of, _times
+from .homology import BettiVector, _betti, _checked, _from_poly, _poly, _times
 
 STATUS_NOT_PURE = "NotPure"
 STATUS_NOT_MANIFOLD = "NotManifold"
@@ -384,7 +384,7 @@ def check_manifold(c: Complex, p) -> ManifoldVerdict:
     maximal ball faces are the ridges in one facet, and otherwise the least
     vertex whose link is a ball.
     """
-    pp = _prime_of(p)
+    pp = _checked(p)
     status, d, face, betti = _verdict(cx._facts_of(c.facet_masks), pp)
     return ManifoldVerdict(status, d, pp, None if face is None else c.labels_of(face), betti)
 
@@ -488,8 +488,9 @@ def boundary_complex(c: Complex, p) -> BoundaryComplex:
     boundary is {∅} with zero components.  Raises when the verdict at p is
     not a manifold.
     """
+    pp = _checked(p)
     entry = cx._facts_of(c.facet_masks)
-    count = _component_count(entry, _prime_of(p))
+    count = _component_count(entry, pp)
     if not count:
         return BoundaryComplex(cx.from_facets((), [()]), 0)
     used, span = _boundary_span(entry)
@@ -541,7 +542,7 @@ def _primes(p_pair) -> tuple:
     p_pair = tuple(p_pair)
     if len(p_pair) != 2:
         raise InvalidParameterError(f"p_pair needs two primes, not {len(p_pair)}")
-    return tuple(_prime_of(q) for q in p_pair)
+    return tuple(_checked(q) for q in p_pair)
 
 
 def _classify(entry: dict, status: str, d: int, p1: int, p2: int) -> ManifoldClass:

@@ -69,7 +69,7 @@ from dataclasses import dataclass, fields
 
 from . import catalog, complexes as cx, graphs as gr, manifold as mf
 from .errors import GuardExceededError, InvalidParameterError
-from .homology import FieldPrime, betti_reduced
+from .homology import _checked, betti_reduced
 from .manifold import STATUS_CLOSED, STATUS_WITH_BOUNDARY
 
 GUARD_MAX_EDGES = 12
@@ -107,9 +107,9 @@ class SearchSpec:
             if not isinstance(getattr(self, name), bool):
                 raise InvalidParameterError(f"{name} must be a bool, got {getattr(self, name)!r}")
         # a non-prime fails here, before any graph is enumerated
-        FieldPrime(self.p)
+        _checked(self.p)
         if self.cross_check_prime is not None:
-            FieldPrime(self.cross_check_prime)
+            _checked(self.cross_check_prime)
         if self.cross_check_prime == self.p:
             # the same prime twice is no cross-check
             object.__setattr__(self, "cross_check_prime", None)

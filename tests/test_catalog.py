@@ -49,14 +49,11 @@ def test_recognize_requires_connected_no_isolated():
 
 
 def test_exceptional_table_checksums():
-    table = catalog.exceptional_table()
-    assert len(table) == 10
-    for entry in table:
-        assert entry.graph.vertex_count == entry.vertices
-        assert len(entry.graph.edges) == entry.edges
-    by_name = {e.name: e for e in table}
-    assert (by_name["annulus_8e"].vertices, by_name["annulus_8e"].edges) == (7, 8)
-    assert (by_name["torus_disk_11e"].vertices, by_name["torus_disk_11e"].edges) == (7, 11)
+    # the sizes are read off each graph, so they pin the graphs
+    assert {e.name: (e.vertices, e.edges) for e in catalog.exceptional_table()} == {
+        "K43": (7, 12), "Sp3": (7, 6), "annulus_8e": (7, 8), "moebius_c7": (7, 7),
+        "moebius_8e": (7, 8), "moebius_9e": (7, 9), "moebius_10e": (7, 10),
+        "torus_disk_9e": (7, 9), "torus_disk_10e": (7, 10), "torus_disk_11e": (7, 11)}
 
 
 def test_exceptional_classes_verify():

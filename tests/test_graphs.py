@@ -3,10 +3,12 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from matchtop import complexes as cx, graphs as gr, verify
+from matchtop import catalog, complexes as cx, graphs as gr, verify
 from matchtop.errors import (
+    BadSubsetError,
     DuplicateEdgeError,
     FormatError,
+    InvalidParameterError,
     LoopEdgeError,
     NotAMatchingError,
     TooLargeError,
@@ -310,6 +312,35 @@ def test_graph6_known_values():
     for s in ("é", "Aé", "C~é", "Dh\u00e9"):
         with pytest.raises(FormatError):
             gr.from_graph6(s)
+
+
+_POINTS = cx.from_facets(None, [(0,), (1,)])
+
+
+@pytest.mark.parametrize("call, expect", [
+    # the size is checked before the n(n-1)/2 bits are joined
+    (lambda: gr.to_graph6(gr.Graph(258_048, [])), FormatError),
+    (lambda: gr.from_graph6(">>graph6<<C~"), gr.complete(4)),
+    (lambda: gr.from_graph6("~?"), FormatError),  # truncated size block
+    (lambda: gr.from_graph6("~?>?"), FormatError),  # bad size byte
+    (lambda: gr.from_graph6("A" + chr(127)), FormatError),  # bad payload byte
+    (lambda: gr.Graph(-1, []), InvalidParameterError),
+    (lambda: gr.subgraph_avoiding(gr.path(3), [2]), VertexOutOfRangeError),
+    (lambda: cx.Complex(range(65), [1]), TooLargeError),
+    (lambda: _POINTS.position(2), BadSubsetError),
+    (lambda: cx.from_facets([0, 1], [(0, 2)]), BadSubsetError),
+    (lambda: catalog.predict(gr.Graph(3, [(0, 1)])), InvalidParameterError),
+    (lambda: gr.canonical_form(gr.Graph(0, [])), b"?"),
+], ids=["to_graph6-too-large", "from_graph6-prefix", "from_graph6-truncated-size",
+        "from_graph6-bad-size-byte", "from_graph6-bad-payload-byte", "negative-order",
+        "subgraph_avoiding-edge-index", "complex-65-labels", "position-unknown-label",
+        "from_facets-unknown-label", "predict-isolated-vertex", "canonical_form-empty"])
+def test_input_checks(call, expect):
+    if isinstance(expect, type) and issubclass(expect, Exception):
+        with pytest.raises(expect):
+            call()
+    else:
+        assert call() == expect
 
 
 def test_edge_list_round_trip_and_errors():

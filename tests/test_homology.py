@@ -1,4 +1,5 @@
 import functools
+import inspect
 import itertools
 import operator
 import random
@@ -11,6 +12,7 @@ from matchtop import complexes as cx
 from matchtop import graphs as gr
 from matchtop import homology as hm
 from matchtop import manifold as mf
+from matchtop import verify
 from matchtop.errors import InvalidParameterError
 
 import oracle_utils
@@ -23,14 +25,11 @@ def betti_tuple(c, p):
 
 
 def test_field_prime_validation():
-    hm.FieldPrime(2)
-    hm.FieldPrime(65521)
-    with pytest.raises(InvalidParameterError):
-        hm.FieldPrime(4)
-    with pytest.raises(InvalidParameterError):
-        hm.FieldPrime(1)
-    with pytest.raises(InvalidParameterError):
-        hm.FieldPrime(65537)  # prime, but over the 2^16 cap
+    assert hm._checked(2) == 2
+    assert hm._checked(65521) == 65521
+    for bad in (4, 1, 65537):  # 65537 is prime, but over the 2^16 cap
+        with pytest.raises(InvalidParameterError):
+            hm._checked(bad)
     # an int prime is checked on every call, not remembered, so a valid 2
     # lets no 2.0 or True through after it
     point = cx.from_facets(None, [(0,)])
@@ -39,6 +38,79 @@ def test_field_prime_validation():
         for check in (mf.check_manifold, hm.betti_reduced):
             with pytest.raises(InvalidParameterError):
                 check(point, bad)
+        with pytest.raises(InvalidParameterError):
+            hm.betti_for_facets(point.facet_masks, bad)
+
+
+def _prime_takers():
+    """Each public function of homology and manifold with a ``p`` or
+    ``p_pair`` parameter, found by its signature."""
+    found = []
+    for mod in (hm, mf):
+        for name, fn in sorted(vars(mod).items()):
+            if (not name.startswith("_") and inspect.isfunction(fn)
+                    and fn.__module__ == mod.__name__
+                    and {"p", "p_pair"} & set(inspect.signature(fn).parameters)):
+                found.append(fn)
+    return found
+
+
+_PRIME_TAKERS = _prime_takers()
+_SLOTS = {"facets", "split", "table", "children", "summary", "verdict", "span",
+          "boundary_betti"}  # the slot names of a complexes._facts entry
+
+
+def _keys(facet_masks):
+    """The keys of a facet set's ``complexes._facts`` entry, with those of
+    its per-prime slots as (slot, prime)."""
+    entry = cx._facts.get(facet_masks, {})
+    return set(entry) | {(slot, q) for slot in ("summary", "verdict", "boundary_betti")
+                         for q in entry.get(slot, ())}
+
+
+def _is_checked_prime(q):
+    try:
+        return hm._checked(q) is q
+    except InvalidParameterError:
+        return False
+
+
+def test_the_prime_takers_are_found():
+    assert sorted(fn.__name__ for fn in _PRIME_TAKERS) == [
+        "betti_for_facets", "betti_reduced", "boundary_complex", "check_manifold",
+        "classify", "manifold_report"]
+
+
+@pytest.mark.parametrize("bad", [0, 1, 4, 6, "3", 2.0, True, 65537], ids=repr)
+@pytest.mark.parametrize("fn", _PRIME_TAKERS + [verify.SearchSpec], ids=lambda fn: fn.__name__)
+def test_every_public_prime_parameter_rejects_a_non_prime(fn, bad):
+    # each is refused before anything is ranked or kept: the point's entry
+    # gains no key but its slots and checked primes
+    point = cx.from_facets(None, [(0,)])
+    params = inspect.signature(fn).parameters
+    if fn is verify.SearchSpec:
+        calls = [lambda: fn("disconnected-complex", p=bad),
+                 lambda: fn("disconnected-complex", p=2, cross_check_prime=bad)]
+    elif "p_pair" in params:
+        calls = [lambda: fn(point, p_pair=(2, bad))]
+    else:
+        first = point.facet_masks if next(iter(params)) == "facet_masks" else point
+        calls = [lambda: fn(first, p=bad)]
+    before = _keys(point.facet_masks)
+    for call in calls:
+        with pytest.raises(InvalidParameterError):
+            call()
+    for key in _keys(point.facet_masks) - before:
+        assert key in _SLOTS or _is_checked_prime(key[1] if type(key) is tuple else key)
+
+
+def test_a_non_prime_modulus_raises_before_ranking():
+    # mod 6 the pivot "inverse" c^4 is no inverse, and the reduction of the
+    # hexagon's matching complex did not end
+    M = cx.matching_complex(gr.cycle(6))
+    with pytest.raises(InvalidParameterError):
+        hm.betti_for_facets(M.facet_masks, 6)
+    assert 6 not in cx._facts.get(M.facet_masks, {})
 
 
 def _boundary_columns(c, size, p):
@@ -53,7 +125,7 @@ def test_boundary_matrix_single_edge():
     c = cx.from_facets([0, 1], [(0, 1)])
     d1 = _boundary_columns(c, 2, 3)
     assert d1 == [{0: 2, 1: 1}]  # -1 and +1 mod 3 against increasing rows
-    assert hm._rank_modp(d1, 3) == 1
+    assert len(hm._rank_modp(d1, 3)) == 1
     assert betti_tuple(c, 3) == (0, [0, 0])  # the augmentation has rank 1 too
 
 
@@ -79,7 +151,7 @@ def test_boundary_squared_is_zero():
 
 def test_boundary_matrix_triangle_rank():
     full = cx.from_facets(range(3), [(0, 1, 2)])
-    assert hm._rank_modp(_boundary_columns(full, 3, 2), 2) == 1
+    assert len(hm._rank_modp(_boundary_columns(full, 3, 2), 2)) == 1
     assert max(full.faces_by_size()) == 3  # no 3-face: d_3 has no column
 
 
@@ -218,9 +290,9 @@ def test_rank_helpers_against_oracle():
                         if mat[i][j] % 2:
                             v |= 1 << i
                     ints.append(v)
-                assert hm._rank_gf2(ints) == expect
+                assert len(hm._rank_gf2(ints)) == expect
             else:
-                assert hm._rank_modp(_sparse_columns(mat), p) == expect
+                assert len(hm._rank_modp(_sparse_columns(mat), p)) == expect
 
 
 def _sparse_columns(mat):
@@ -234,7 +306,7 @@ def _sparse_columns(mat):
            min_size=1, max_size=9)))
 def test_sparse_rank_matches_naive_elimination(p, columns):
     mat = [list(row) for row in zip(*columns)]  # the drawn lists are columns
-    assert hm._rank_modp(_sparse_columns(mat), p) == oracle_utils.naive_rank_mod_p(mat, p)
+    assert len(hm._rank_modp(_sparse_columns(mat), p)) == oracle_utils.naive_rank_mod_p(mat, p)
 
 
 def test_large_non_sphere_torus_join_circle_and_point():
@@ -245,7 +317,7 @@ def test_large_non_sphere_torus_join_circle_and_point():
     assert sum(map(len, by_size.values())) == 2846
     for p in (2, 3, 5):
         for b in (hm.betti_for_facets(M.facet_masks, p),
-                  hm._betti_from_faces(by_size, p, M.dimension)):
+                  hm._betti_from_faces(by_size, p)):
             assert (b.minus_one, b.betti) == (0, (0, 0, 0, 0, 2, 1))
 
 
@@ -257,14 +329,13 @@ def test_large_non_sphere_torus_join_two_circles():
     assert sum(map(len, by_size.values())) == 12336
     for p in (2, 3):
         for b in (hm.betti_for_facets(M.facet_masks, p),
-                  hm._betti_from_faces(by_size, p, M.dimension)):
+                  hm._betti_from_faces(by_size, p)):
             assert (b.minus_one, b.betti) == (0, (0, 0, 0, 0, 0, 2, 1))
 
 
 def _face_set_betti(facet_masks, p):
     # the oracle of the core: rank the full face table of the given facets
-    d = max(m.bit_count() for m in facet_masks) - 1
-    return hm._betti_from_faces(cx._faces_by_size(facet_masks), p, d)
+    return hm._betti_from_faces(cx._faces_by_size(facet_masks), p)
 
 
 _PAIRS = [(i, j) for i in range(8) for j in range(i + 1, 8)]
@@ -373,7 +444,7 @@ def test_join_factors_match_face_set_path(c):
     _assert_split(tuple(hm._core(c.facet_masks)))
     for p in (2, 3, 5):
         assert (hm.betti_for_facets(c.facet_masks, p)
-                == hm._betti_from_faces(cx._faces_by_size(c.facet_masks), p, c.dimension))
+                == hm._betti_from_faces(cx._faces_by_size(c.facet_masks), p))
 
 
 def test_join_factors_peel_only_whole_components():
@@ -395,7 +466,7 @@ def test_each_join_factor_shape_is_ranked_once_per_prime(monkeypatch):
     ranked = []
     real = hm._betti_from_faces
     monkeypatch.setattr(hm, "_betti_from_faces",
-                        lambda by_size, p, d: ranked.append(p) or real(by_size, p, d))
+                        lambda by_size, p: ranked.append(p) or real(by_size, p))
     cx.clear_caches()
     # the join of three hexagons: one factor shape, three times
     M = cx.matching_complex(gr.disjoint_union([gr.complete_bipartite(3, 2)] * 3))
