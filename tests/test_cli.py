@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -251,3 +252,38 @@ def test_python_dash_m_runs_without_an_install():
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"] == "Match"
+
+
+# sha256 of the exit code and stdout of every invocation in _DIGEST_RUNS
+# (the verify run also writes its report with --out, and its elapsed_ms is
+# dropped), pinned before the subcommands were declared through one helper
+CLI_DIGEST = "305211120a915ce580371f5a1ed6ccd742922ac909f256a019919b2fa5eda9f3"
+
+_DIGEST_RUNS = [
+    *((command, "--name", name)
+      for name in catalog.catalog_names()
+      for command in ("build", "homology", "manifold", "classify", "predict")),
+    *(("manifold", "--name", name, "--format", "table") for name in catalog.catalog_names()),
+    *(("build", "--name", name, "--emit-graph6") for name in catalog.catalog_names()),
+    ("catalog",),
+    ("catalog", "--format", "table"),
+    ("verify", "--target", "2-manifold-with-boundary", "--max-edges", "7",
+     "--max-vertices", "9", "--connected", "--p", "3", "--cross-check-prime", "5",
+     "--force", "--format", "json"),
+]
+
+
+def test_cli_output_digest(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    h = hashlib.sha256()
+    for argv in _DIGEST_RUNS:
+        if argv[0] == "verify":
+            code, out, _ = run_cli(capsys, *argv, "--out", str(report))
+            data = json.loads(out)
+            assert json.loads(report.read_text()) == data
+            del data["elapsed_ms"]
+            out = json.dumps(data, indent=2)
+        else:
+            code, out, _ = run_cli(capsys, *argv)
+        h.update(f"{argv!r} {code}\n{out}\0".encode())
+    assert h.hexdigest() == CLI_DIGEST
