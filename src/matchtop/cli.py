@@ -3,6 +3,9 @@
 Data goes to stdout (JSON by default, a flat table with --format table);
 diagnostics go to stderr.  Exit codes: 0 success (and verification Match),
 1 usage or input error, 2 verification mismatch or anomaly.
+
+Each subcommand is declared once, by the ``command`` helper of
+``_build_parser``, which adds the input, output and prime flags it takes.
 """
 
 from __future__ import annotations
@@ -23,17 +26,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _add_input_flags(sub):
-    sub.add_argument("--graph6", help="graph6 string")
-    sub.add_argument("--edges", help="edge-list file: 'n m' then m lines 'u v'")
-    sub.add_argument("--name", help="catalog graph name (see `catalog`)")
-
-
-def _add_output_flags(sub):
-    sub.add_argument("--format", choices=("json", "table"), default="json")
-    sub.add_argument("--out", help="also write the JSON report to this path")
 
 
 def _resolve_graph(args) -> gr.Graph:
@@ -177,25 +169,17 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    entries = []
-    for e in catalog.exceptional_table():
-        entries.append({
-            "name": e.name,
-            "class": str(e.expected_class),
-            "vertices": e.vertices,
-            "edges": e.edges,
-            "graph6": gr.to_graph6(e.graph),
-            "description": e.description,
-        })
-    for name, g, desc in catalog.disconnected_ball_table():
-        entries.append({
-            "name": name,
-            "class": "Ball(2)",
-            "vertices": g.vertex_count,
-            "edges": len(g.edges),
-            "graph6": gr.to_graph6(g),
-            "description": desc,
-        })
+    rows = [(e.name, str(e.expected_class), e.graph, e.description)
+            for e in catalog.exceptional_table()]
+    rows += [(name, "Ball(2)", g, desc) for name, g, desc in catalog.disconnected_ball_table()]
+    entries = [{
+        "name": name,
+        "class": klass,
+        "vertices": g.vertex_count,
+        "edges": len(g.edges),
+        "graph6": gr.to_graph6(g),
+        "description": desc,
+    } for name, klass, g, desc in rows]
     _emit({"entries": entries, "names": catalog.catalog_names()}, args)
     return 0
 
@@ -231,45 +215,36 @@ def _cmd_props(args) -> int:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="matchtop", description=__doc__)
+    # the docstring's last paragraph is about the code, not for --help
+    parser = _Parser(prog="matchtop", description=__doc__.rsplit("\n\n", 1)[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("build", help="construct and inspect a graph")
-    _add_input_flags(sp)
-    _add_output_flags(sp)
+    def command(name, summary, fn, reads_graph=True, primes=False):
+        """Declare a subcommand: the graph input flags when it reads a
+        graph, the output flags, the repeatable --p when it takes primes."""
+        sp = subs.add_parser(name, help=summary)
+        if reads_graph:
+            sp.add_argument("--graph6", help="graph6 string")
+            sp.add_argument("--edges", help="edge-list file: 'n m' then m lines 'u v'")
+            sp.add_argument("--name", help="catalog graph name (see `catalog`)")
+        sp.add_argument("--format", choices=("json", "table"), default="json")
+        sp.add_argument("--out", help="also write the JSON report to this path")
+        if primes:
+            sp.add_argument("--p", type=int, action="append", help="prime (repeatable)")
+        sp.set_defaults(fn=fn)
+        return sp
+
+    sp = command("build", "construct and inspect a graph", _cmd_build)
     sp.add_argument("--emit-graph6", action="store_true",
                     help="print only the canonical graph6 string")
-    sp.set_defaults(fn=_cmd_build)
+    command("homology", "Betti numbers of the matching complex", _cmd_homology, primes=True)
+    command("manifold", "manifold check and classification", _cmd_manifold, primes=True)
+    command("classify", "classification label only", _cmd_classify, primes=True)
+    command("predict", "closed-form prediction from the catalog", _cmd_predict)
+    command("catalog", "list cataloged graphs", _cmd_catalog, reads_graph=False)
 
-    sp = subs.add_parser("homology", help="Betti numbers of the matching complex")
-    _add_input_flags(sp)
-    _add_output_flags(sp)
-    sp.add_argument("--p", type=int, action="append", help="prime (repeatable)")
-    sp.set_defaults(fn=_cmd_homology)
-
-    sp = subs.add_parser("manifold", help="manifold check and classification")
-    _add_input_flags(sp)
-    _add_output_flags(sp)
-    sp.add_argument("--p", type=int, action="append", help="prime (repeatable)")
-    sp.set_defaults(fn=_cmd_manifold)
-
-    sp = subs.add_parser("classify", help="classification label only")
-    _add_input_flags(sp)
-    _add_output_flags(sp)
-    sp.add_argument("--p", type=int, action="append", help="prime (repeatable)")
-    sp.set_defaults(fn=_cmd_classify)
-
-    sp = subs.add_parser("predict", help="closed-form prediction from the catalog")
-    _add_input_flags(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(fn=_cmd_predict)
-
-    sp = subs.add_parser("catalog", help="list cataloged graphs")
-    _add_output_flags(sp)
-    sp.set_defaults(fn=_cmd_catalog)
-
-    sp = subs.add_parser("verify", help="exhaustive search against the catalog")
-    _add_output_flags(sp)
+    sp = command("verify", "exhaustive search against the catalog", _cmd_verify,
+                 reads_graph=False)
     sp.add_argument("--target", required=True,
                     help="|".join(verify.TARGETS))
     sp.add_argument("--max-edges", type=int, default=12)
@@ -280,13 +255,10 @@ def _build_parser() -> _Parser:
     sp.add_argument("--cross-check-prime", type=int, default=3)
     sp.add_argument("--force", action="store_true",
                     help="lift the edge/vertex runtime guard")
-    sp.set_defaults(fn=_cmd_verify)
 
-    sp = subs.add_parser("props", help="randomized property suite")
-    _add_output_flags(sp)
+    sp = command("props", "randomized property suite", _cmd_props, reads_graph=False)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=int, default=200)
-    sp.set_defaults(fn=_cmd_props)
 
     return parser
 
