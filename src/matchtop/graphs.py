@@ -30,17 +30,32 @@ CANONICAL_VERTEX_CAP = 10
 EDGE_LIST_VERTEX_CAP = 1024
 
 
+def _require_int(name: str, value, least: int | None = None):
+    """Raise ``InvalidParameterError`` unless value is an int, not a bool,
+    and at least ``least`` when that is given.  The package's one int
+    check."""
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise InvalidParameterError(f"{name} must be an integer{bound}, got {value!r}")
+
+
 class Graph:
     """Immutable simple undirected graph with indexed edges."""
 
     __slots__ = ("vertex_count", "edges", "adj", "has_isolated_vertices", "_conflicts")
 
     def __init__(self, vertex_count: int, pairs):
-        if vertex_count < 0:
-            raise InvalidParameterError("vertex_count must be >= 0")
+        _require_int("vertex_count", vertex_count, 0)
         adj = [0] * vertex_count
         norm = []
-        for u, v in pairs:
+        for pair in pairs:
+            try:
+                u, v = pair
+            except (TypeError, ValueError):
+                raise InvalidParameterError(f"edge {pair!r} is not a pair") from None
+            _require_int("an endpoint", u)
+            _require_int("an endpoint", v)
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise VertexOutOfRangeError(
                     f"edge ({u}, {v}) outside vertex range 0..{vertex_count - 1}"
@@ -157,26 +172,23 @@ def _reach(adj, frontier: int, seen: int = 0) -> int:
 
 def path(n: int) -> Graph:
     """Path on n vertices (n - 1 edges)."""
-    if n < 1:
-        raise InvalidParameterError("path needs n >= 1")
+    _require_int("path n", n, 1)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
-    if n < 3:
-        raise InvalidParameterError("cycle needs n >= 3")
+    _require_int("cycle n", n, 3)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
-    if n < 1:
-        raise InvalidParameterError("complete needs n >= 1")
+    _require_int("complete n", n, 1)
     return Graph(n, list(itertools.combinations(range(n), 2)))
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
-    if m < 1 or n < 1:
-        raise InvalidParameterError("complete_bipartite needs m, n >= 1")
+    _require_int("complete_bipartite m", m, 1)
+    _require_int("complete_bipartite n", n, 1)
     return Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
 
 
@@ -191,8 +203,7 @@ def spider(k: int) -> Graph:
     Leg i uses middle vertex 2i+1 and tip 2i+2, so the graph has 2k+1
     vertices and 2k edges.
     """
-    if k < 2:
-        raise InvalidParameterError("spider needs k >= 2")
+    _require_int("spider k", k, 2)
     pairs = []
     for i in range(k):
         pairs.append((0, 2 * i + 1))

@@ -69,6 +69,7 @@ from dataclasses import dataclass, fields
 
 from . import catalog, complexes as cx, graphs as gr, manifold as mf
 from .errors import GuardExceededError, InvalidParameterError
+from .graphs import _require_int
 from .homology import _checked, betti_reduced
 from .manifold import STATUS_CLOSED, STATUS_WITH_BOUNDARY
 
@@ -81,11 +82,6 @@ BOUNDED_SEARCH_NOTE = (
 )
 
 TARGETS = (*catalog._MANIFOLD_TARGETS, "disconnected-complex")
-
-
-def _require_int(name: str, value, least: int):
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

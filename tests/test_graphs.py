@@ -325,6 +325,15 @@ _POINTS = cx.from_facets(None, [(0,), (1,)])
     (lambda: gr.from_graph6("~?>?"), FormatError),  # bad size byte
     (lambda: gr.from_graph6("A" + chr(127)), FormatError),  # bad payload byte
     (lambda: gr.Graph(-1, []), InvalidParameterError),
+    (lambda: gr.Graph(2.5, []), InvalidParameterError),
+    (lambda: gr.Graph(3, [(0, "a")]), InvalidParameterError),
+    (lambda: gr.Graph(3, [(0,)]), InvalidParameterError),
+    (lambda: gr.Graph(3, [(0, 1, 2)]), InvalidParameterError),
+    (lambda: gr.Graph(3, [5]), InvalidParameterError),
+    (lambda: gr.Graph(3, [(False, True)]), InvalidParameterError),
+    (lambda: gr.path(2.5), InvalidParameterError),
+    (lambda: gr.complete_bipartite(2, 1.5), InvalidParameterError),
+    (lambda: gr.spider(2.0), InvalidParameterError),
     (lambda: gr.subgraph_avoiding(gr.path(3), [2]), VertexOutOfRangeError),
     (lambda: cx.Complex(range(65), [1]), TooLargeError),
     (lambda: _POINTS.position(2), BadSubsetError),
@@ -333,6 +342,8 @@ _POINTS = cx.from_facets(None, [(0,), (1,)])
     (lambda: gr.canonical_form(gr.Graph(0, [])), b"?"),
 ], ids=["to_graph6-too-large", "from_graph6-prefix", "from_graph6-truncated-size",
         "from_graph6-bad-size-byte", "from_graph6-bad-payload-byte", "negative-order",
+        "float-order", "str-endpoint", "one-item-pair", "three-item-pair", "int-pair",
+        "bool-endpoints", "path-float", "complete_bipartite-float", "spider-float",
         "subgraph_avoiding-edge-index", "complex-65-labels", "position-unknown-label",
         "from_facets-unknown-label", "predict-isolated-vertex", "canonical_form-empty"])
 def test_input_checks(call, expect):
