@@ -57,8 +57,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import complexes
 from .complexes import Complex, _face_table, _facts_of, _join_factors, _maximal, _reindex
 from .errors import InvalidParameterError
+from .graphs import _require_int
 
 
 def _is_prime(p: int) -> bool:
@@ -256,20 +258,30 @@ def _betti_from_faces(by_size, p: int) -> BettiVector:
 
 
 def betti_for_facets(facet_masks, p: int) -> BettiVector:
-    """Reduced Betti numbers for the complex with the given maximal faces.
+    """Reduced Betti numbers for the complex with the given faces.
 
-    ``facet_masks`` must be inclusion-maximal and nonempty; (0,) denotes {∅}.
-    A join is ranked factor by factor (see :func:`_join_factors`); any other
-    complex ranks only its core (see :func:`_core`), which is split in turn
-    when it is a join: finding the core costs one pass over the facets per
-    round, while ranking the full complex costs its whole face table.
+    ``facet_masks`` is a nonempty sequence of int masks >= 0; (0,) denotes
+    {∅}.  A set that is not inclusion-maximal is cut back to its maximal
+    masks, so it shares their entry.  A join is ranked factor by factor
+    (see :func:`_join_factors`); any other complex ranks only its core
+    (see :func:`_core`), which is split in turn when it is a join:
+    finding the core costs one pass over the facets per round, while
+    ranking the full complex costs its whole face table.
     Results are cached by the facet structure, and the Betti vector keeps
     the length of the original dimension.  p is checked by
-    :func:`_checked` before anything is looked up or ranked, so a
-    non-prime raises ``InvalidParameterError`` and leaves no memo.
+    :func:`_checked`, and the masks too, before anything is looked up or
+    ranked, so a bad call raises ``InvalidParameterError`` and leaves no
+    memo.
     """
     p = _checked(p)
-    return _betti(_facts_of(tuple(facet_masks)), p)
+    masks = tuple(facet_masks)
+    if not masks:
+        raise InvalidParameterError("a complex needs a facet; (0,) gives {∅}")
+    for m in masks:
+        _require_int("a facet mask", m, 0)
+    # a known key is used as it is: the package keys its entries by maximal
+    # sets, so only a new set is cut back
+    return _betti(complexes._facts.get(masks) or _facts_of(tuple(_maximal(masks))), p)
 
 
 def _betti(entry: dict, p: int) -> BettiVector:

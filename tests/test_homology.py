@@ -27,7 +27,7 @@ def betti_tuple(c, p):
 def test_field_prime_validation():
     assert hm._checked(2) == 2
     assert hm._checked(65521) == 65521
-    for bad in (4, 1, 65537):  # 65537 is prime, but over the 2^16 cap
+    for bad in (4, 1, 9, 65537):  # 65537 is prime, but over the 2^16 cap
         with pytest.raises(InvalidParameterError):
             hm._checked(bad)
     # an int prime is checked on every call, not remembered, so a valid 2
@@ -111,6 +111,26 @@ def test_a_non_prime_modulus_raises_before_ranking():
     with pytest.raises(InvalidParameterError):
         hm.betti_for_facets(M.facet_masks, 6)
     assert 6 not in cx._facts.get(M.facet_masks, {})
+
+
+@pytest.mark.parametrize("facets", [(), (-1,), ("a",), (True,), (1.0,), (3, -4)], ids=repr)
+def test_malformed_facets_raise_before_the_lookup(facets):
+    keys = set(cx._facts)
+    with pytest.raises(InvalidParameterError):
+        hm.betti_for_facets(facets, 2)
+    assert set(cx._facts) == keys
+
+
+def test_a_non_maximal_set_shares_the_entry_of_its_maximal_masks():
+    # every set of at most 3 masks on at most 4 vertices: unsorted,
+    # repeated and dominated masks are cut back before the lookup
+    for k in (1, 2, 3):
+        for masks in itertools.product(range(16), repeat=k):
+            maximal = tuple(cx._maximal(masks))
+            for p in (2, 3):
+                assert hm.betti_for_facets(masks, p) == hm.betti_for_facets(maximal, p)
+            if masks != maximal:
+                assert masks not in cx._facts
 
 
 def _boundary_columns(c, size, p):
