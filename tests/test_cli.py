@@ -156,6 +156,10 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "build", "--graph6", "é")
     assert code == 1
+    # argparse's own errors: a missing required flag, an int flag given text
+    for argv in (("verify",), ("homology", "--name", "k43", "--p", "x")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("usage error: ")
 
 
 def test_verify_nonsensical_budget_exits_one(capsys):
@@ -212,6 +216,10 @@ def test_table_format_carries_same_data(capsys):
     rows = dict(line.rsplit(None, 1) for line in out.strip().splitlines())
     assert json.loads(rows["class"]) == data["class"]
     assert json.loads(rows["status"]) == data["status"]
+    # a list of dicts is flattened by index
+    code, out, _ = run_cli(capsys, "homology", "--name", "C7", "--p", "3", "--format", "table")
+    rows = dict(line.rsplit(None, 1) for line in out.strip().splitlines())
+    assert code == 0 and json.loads(rows["results[0].p"]) == 3
 
 
 def test_out_flag_writes_json(tmp_path, capsys):

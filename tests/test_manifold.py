@@ -999,6 +999,36 @@ RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
        (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
 
 
+def _icosahedron():
+    """The boundary of the icosahedron: apexes 0 and 11 over the rings
+    1..5 and 6..10."""
+    facets = []
+    for i in range(5):
+        u, u2, v, v2 = 1 + i, 1 + (i + 1) % 5, 6 + i, 6 + (i + 1) % 5
+        facets += [(0, u, u2), (11, v, v2), (u, u2, v), (u2, v, v2)]
+    return facets
+
+
+# the icosahedron less three vertex-disjoint triangles: a pair of pants
+_PANTS = [f for f in _icosahedron() if f not in ((0, 1, 2), (11, 6, 7), (3, 4, 8))]
+
+
+@pytest.mark.parametrize("facets, status, betti_1", [
+    (RP2, mf.STATUS_CLOSED, {2: 1, 3: 0}),
+    (_PANTS, mf.STATUS_WITH_BOUNDARY, {2: 2, 3: 2}),
+], ids=["RP2", "pair-of-pants"])
+def test_other_surfaces(facets, status, betti_1):
+    c = cx.from_facets(None, facets)
+    for pair in ((2, 3), (3, 2)):
+        report = mf.manifold_report(c, pair)
+        assert (report["status"], report["dimension"]) == (status, 2)
+        assert report["cross_check_status"] == status
+        assert {b["p"]: b["betti"][1] for b in report["betti"]} == betti_1
+        assert report["class"] == "OtherSurface"
+    if status == mf.STATUS_WITH_BOUNDARY:
+        assert report["boundary_components"] == 3
+
+
 def test_link_classes_are_kept_per_prime(monkeypatch):
     # the apex link of a cone over RP^2 fails at p = 2 and is acyclic at
     # p = 3, so a class shared between the primes would misclassify it.
