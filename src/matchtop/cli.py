@@ -6,6 +6,9 @@ diagnostics go to stderr.  Exit codes: 0 success (and verification Match),
 
 Each subcommand is declared once, by the ``command`` helper of
 ``_build_parser``, which adds the input, output and prime flags it takes.
+When the first argument names a subcommand, only that subcommand's parser
+is built; otherwise (no arguments, ``-h``, an unknown command or a leading
+option) all of them are.
 """
 
 from __future__ import annotations
@@ -214,14 +217,19 @@ def _cmd_props(args) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
+def _build_parser(only=None) -> _Parser:
+    """The parser with the subcommand ``only`` alone when it names one,
+    else with every subcommand."""
     # the docstring's last paragraph is about the code, not for --help
     parser = _Parser(prog="matchtop", description=__doc__.rsplit("\n\n", 1)[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
     def command(name, summary, fn, reads_graph=True, primes=False):
         """Declare a subcommand: the graph input flags when it reads a
-        graph, the output flags, the repeatable --p when it takes primes."""
+        graph, the output flags, the repeatable --p when it takes primes.
+        Returns its parser, or None when it is not the one to build."""
+        if only not in (None, name):
+            return None
         sp = subs.add_parser(name, help=summary)
         if reads_graph:
             sp.add_argument("--graph6", help="graph6 string")
@@ -235,8 +243,9 @@ def _build_parser() -> _Parser:
         return sp
 
     sp = command("build", "construct and inspect a graph", _cmd_build)
-    sp.add_argument("--emit-graph6", action="store_true",
-                    help="print only the canonical graph6 string")
+    if sp:
+        sp.add_argument("--emit-graph6", action="store_true",
+                        help="print only the canonical graph6 string")
     command("homology", "Betti numbers of the matching complex", _cmd_homology, primes=True)
     command("manifold", "manifold check and classification", _cmd_manifold, primes=True)
     command("classify", "classification label only", _cmd_classify, primes=True)
@@ -245,26 +254,32 @@ def _build_parser() -> _Parser:
 
     sp = command("verify", "exhaustive search against the catalog", _cmd_verify,
                  reads_graph=False)
-    sp.add_argument("--target", required=True,
-                    help="|".join(verify.TARGETS))
-    sp.add_argument("--max-edges", type=int, default=12)
-    sp.add_argument("--max-vertices", type=int, default=10)
-    sp.add_argument("--connected", action="store_true")
-    sp.add_argument("--p", type=int, action="append",
-                    help="the search prime (once; default 2)")
-    sp.add_argument("--cross-check-prime", type=int, default=3)
-    sp.add_argument("--force", action="store_true",
-                    help="lift the edge/vertex runtime guard")
+    if sp:
+        sp.add_argument("--target", required=True,
+                        help="|".join(verify.TARGETS))
+        sp.add_argument("--max-edges", type=int, default=12)
+        sp.add_argument("--max-vertices", type=int, default=10)
+        sp.add_argument("--connected", action="store_true")
+        sp.add_argument("--p", type=int, action="append",
+                        help="the search prime (once; default 2)")
+        sp.add_argument("--cross-check-prime", type=int, default=3)
+        sp.add_argument("--force", action="store_true",
+                        help="lift the edge/vertex runtime guard")
 
     sp = command("props", "randomized property suite", _cmd_props, reads_graph=False)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=200)
+    if sp:
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--trials", type=int, default=200)
 
+    if only is not None and not subs.choices:  # no subcommand is called that
+        return _build_parser()
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         return args.fn(args)

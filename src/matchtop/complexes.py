@@ -17,11 +17,17 @@ from . import graphs as graphs_mod
 from .errors import (
     BadSubsetError,
     FaceNotInComplexError,
+    InvalidParameterError,
     TooLargeError,
     VoidComplexError,
 )
 
 FACE_VERTEX_CAP = 64
+
+
+def _check_cap(n: int):
+    if n > FACE_VERTEX_CAP:
+        raise TooLargeError(f"{n} vertices exceeds face cap {FACE_VERTEX_CAP}")
 
 
 class Complex:
@@ -30,19 +36,39 @@ class Complex:
     A plain value: its labels and its facets.  What is derived from the
     facets alone, as the face table, is kept once per facet set in
     ``_facts``, so complexes with equal facets share it whatever their
-    labels."""
+    labels.
+
+    ``Complex(labels, facet_masks)`` checks each mask (an int, no bool,
+    >= 0, no bit past the labels) and cuts the masks back to the sorted
+    maximal ones; the package builds its own complexes with
+    :meth:`_trusted`."""
 
     __slots__ = ("labels", "facet_masks")
 
     def __init__(self, labels, facet_masks):
-        self.labels = tuple(labels)
-        self.facet_masks = tuple(facet_masks)
-        if not self.facet_masks:
+        labels = tuple(labels)
+        masks = tuple(facet_masks)
+        if not masks:
             raise VoidComplexError("a complex needs a facet; [()] gives {∅}")
-        if len(self.labels) > FACE_VERTEX_CAP:
-            raise TooLargeError(
-                f"{len(self.labels)} vertices exceeds face cap {FACE_VERTEX_CAP}"
-            )
+        _check_cap(len(labels))
+        for m in masks:
+            graphs_mod._require_int("a facet mask", m, 0)
+            if m >> len(labels):
+                raise InvalidParameterError(
+                    f"facet mask {m} uses a position past the {len(labels)} labels")
+        self.labels = labels
+        self.facet_masks = tuple(_maximal(masks))
+
+    @classmethod
+    def _trusted(cls, labels: tuple, facet_masks: tuple) -> Complex:
+        """A complex its caller built valid: at most ``FACE_VERTEX_CAP``
+        labels and a nonempty sorted tuple of maximal masks over their
+        positions.  Nothing is checked or cut back, so only code that
+        derives the masks itself calls this."""
+        c = cls.__new__(cls)
+        c.labels = labels
+        c.facet_masks = facet_masks
+        return c
 
     @property
     def vertex_count(self) -> int:
@@ -191,6 +217,8 @@ def from_facets(labels, facet_list) -> Complex:
     :class:`VoidComplexError`, as every complex has the empty face.
     """
     facet_list = [tuple(f) for f in facet_list]
+    if not facet_list:
+        raise VoidComplexError("a complex needs a facet; [()] gives {∅}")
     if labels is None:
         labels = sorted({lab for f in facet_list for lab in f})
     else:
@@ -200,6 +228,7 @@ def from_facets(labels, facet_list) -> Complex:
             for lab in f:
                 if lab not in known:
                     raise BadSubsetError(f"face label {lab} not in labels")
+    _check_cap(len(labels))
     pos = {lab: i for i, lab in enumerate(labels)}
     masks = []
     for f in facet_list:
@@ -207,7 +236,7 @@ def from_facets(labels, facet_list) -> Complex:
         for lab in f:
             m |= 1 << pos[lab]
         masks.append(m)
-    return Complex(labels, _maximal(masks))
+    return Complex._trusted(tuple(labels), tuple(_maximal(masks)))
 
 
 def matching_complex(g: graphs_mod.Graph) -> Complex:
@@ -225,19 +254,23 @@ def matching_complex(g: graphs_mod.Graph) -> Complex:
     for :func:`_join_factors` as it is built.  It is the one that
     function's walk returns, by the lemma there: M(G) is flag, so the
     graph of vertices that never share a facet is the line graph L(G),
-    whose components are the edge sets of G's components.  A connected graph costs one reachability check more than
-    its walk alone, and its walk is not kept: a search meets each graph
-    once, where keeping it cost the disconnected-complex search ~1%.
+    whose components are the edge sets of G's components.  A connected
+    graph costs one reachability check more than its walk alone, and its
+    walk is not kept in ``_walks``: a search meets each graph once, where
+    keeping it cost the disconnected-complex search ~1%.  Its facets get
+    their ``_facts`` entry here all the same, as a disconnected graph's do,
+    so the public functions find it and do not cut the facets back again.
     """
     m = len(g.edges)
-    if m > FACE_VERTEX_CAP:
-        raise TooLargeError(f"{m} vertices exceeds face cap {FACE_VERTEX_CAP}")
+    _check_cap(m)
     left = sum(1 << v for v, a in enumerate(g.adj) if a)
     comp = graphs_mod._reach(g.adj, left & -left)
     if comp == left:
         facets = graphs_mod._maximal_matching_masks(g)
         facets.sort()
-        return Complex(range(m), facets)
+        facets = tuple(facets)
+        _facts_of(facets)
+        return Complex._trusted(tuple(range(m)), facets)
     # the component of the lowest vertex holds the lowest edge, as edges
     # are sorted pairs
     facets, split = [0], []
@@ -260,7 +293,7 @@ def matching_complex(g: graphs_mod.Graph) -> Complex:
     facets.sort()
     facets = tuple(facets)
     _facts_of(facets)["split"] = split
-    return Complex(range(m), facets)
+    return Complex._trusted(tuple(range(m)), facets)
 
 
 def link(c: Complex, face_labels) -> Complex:
@@ -277,7 +310,7 @@ def link(c: Complex, face_labels) -> Complex:
     # every Complex holds an antichain of facets, and the facets F through
     # the face, less the face, are one too: F - σ ⊆ G - σ gives F ⊆ G
     used, masks = _reindex([f & ~mask for f in c.facet_masks if f & mask == mask])
-    return Complex(c.labels_of(used), masks)
+    return Complex._trusted(c.labels_of(used), masks)
 
 
 def join(c1: Complex, c2: Complex) -> Complex:
@@ -291,11 +324,12 @@ def join(c1: Complex, c2: Complex) -> Complex:
     else:
         offset = 0
     labels = c1.labels + tuple(lab + offset for lab in c2.labels)
+    _check_cap(len(labels))
     n1 = len(c1.labels)
     # unions of two antichains on disjoint positions are distinct and an
     # antichain themselves, so they need no _maximal
     facets = sorted(f1 | f2 << n1 for f1 in c1.facet_masks for f2 in c2.facet_masks)
-    return Complex(labels, facets)
+    return Complex._trusted(labels, tuple(facets))
 
 
 @dataclass(frozen=True)

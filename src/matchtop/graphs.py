@@ -47,6 +47,10 @@ class Graph:
 
     def __init__(self, vertex_count: int, pairs):
         _require_int("vertex_count", vertex_count, 0)
+        try:
+            pairs = iter(pairs)
+        except TypeError:
+            raise InvalidParameterError(f"pairs {pairs!r} is not iterable") from None
         adj = [0] * vertex_count
         norm = []
         for pair in pairs:

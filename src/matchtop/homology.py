@@ -18,9 +18,16 @@ internals below them take the checked int.  The ranks need a prime: the
 mod-p reduction inverts a pivot entry c as c^(p-2), which is no inverse
 for any other modulus.
 
-A complex is split before it is shrunk.  Over a field the reduced Betti
-polynomial Σ β̃_i t^(i+1) of a join is the product of those of its factors
-(Milnor 1956), and the matching complex of a disjoint union is the join of
+A complex of dimension at most 1 is a graph, and is counted, not ranked
+(:func:`_graph_betti`): with c components in its 1-skeleton, β̃₀ = c - 1
+and β̃₁ = |E| - |V| + c.  This holds at every prime, as d₁ is the
+incidence matrix of a graph, whose rank over any field is |V| - c.  The
+matching complexes of the disconnected-complex search all have ν(G) <= 2,
+so each of them is counted, before any split or core.
+
+Any other complex is split before it is shrunk.  Over a field the reduced
+Betti polynomial Σ β̃_i t^(i+1) of a join is the product of those of its
+factors (Milnor 1956), and the matching complex of a disjoint union is the join of
 theirs.  ``complexes._join_factors``, the one join split in the package,
 peels off one component at a time of the graph on vertices that never
 share a facet: a component C is a factor when the number of facets is the
@@ -58,9 +65,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import complexes
-from .complexes import Complex, _face_table, _facts_of, _join_factors, _maximal, _reindex
+from .complexes import (Complex, _face_table, _facts_of, _join_factors, _maximal, _near,
+                        _reindex)
 from .errors import InvalidParameterError
-from .graphs import _require_int
+from .graphs import _reach, _require_int
 
 
 def _is_prime(p: int) -> bool:
@@ -262,11 +270,13 @@ def betti_for_facets(facet_masks, p: int) -> BettiVector:
 
     ``facet_masks`` is a nonempty sequence of int masks >= 0; (0,) denotes
     {∅}.  A set that is not inclusion-maximal is cut back to its maximal
-    masks, so it shares their entry.  A join is ranked factor by factor
-    (see :func:`_join_factors`); any other complex ranks only its core
-    (see :func:`_core`), which is split in turn when it is a join:
-    finding the core costs one pass over the facets per round, while
-    ranking the full complex costs its whole face table.
+    masks, so it shares their entry.  A complex of dimension at most 1 is
+    counted off its components, the same at every prime (see
+    :func:`_graph_betti`).  A join is ranked factor by factor (see
+    :func:`_join_factors`); any other complex ranks only its core (see
+    :func:`_core`), which is split in turn when it is a join: finding the
+    core costs one pass over the facets per round, while ranking the full
+    complex costs its whole face table.
     Results are cached by the facet structure, and the Betti vector keeps
     the length of the original dimension.  p is checked by
     :func:`_checked`, and the masks too, before anything is looked up or
@@ -288,32 +298,58 @@ def _betti(entry: dict, p: int) -> BettiVector:
     """:func:`betti_for_facets` of an entry's facets, kept under p in the
     entry.
 
-    In this order: a join multiplies its factors' reduced Betti
-    polynomials Σ β̃_i t^(i+1) (β̃_-1 at t^0), each factor's entry ranked
-    here in turn (Milnor 1956); else a smaller core is re-indexed and
-    ranked here as the one factor, split in turn if it is a join; else the
-    entry's one face table is ranked."""
+    In this order: a complex of dimension at most 1 is counted
+    (:func:`_graph_betti`, exact at every prime); a join multiplies its
+    factors' reduced Betti polynomials Σ β̃_i t^(i+1) (β̃_-1 at t^0), each
+    factor's entry ranked here in turn (Milnor 1956); else a smaller core
+    is re-indexed and ranked here as the one factor, split in turn if it
+    is a join; else the entry's one face table is ranked."""
     facets = entry["facets"]
     if facets == (0,):
         return BettiVector(p, 1, ())
     got = entry.get(p)
     if got is None:
-        d = None  # a join's product has the length of its dimension plus 2
-        factors = _join_factors(entry)
-        if factors is None:
-            core = tuple(_core(facets))
-            if core == facets:
-                got = _betti_from_faces(_face_table(entry), p)
-            else:  # rank the smaller core, maybe of a lower dimension, as the one factor
-                d = max(m.bit_count() for m in facets) - 1
-                factors = [_facts_of(_reindex(core)[1])]
-        if got is None:
-            poly = [1]
-            for factor in factors:
-                poly = _times(poly, _poly(_betti(factor, p)))
-            got = _from_poly(poly, p, len(poly) - 2 if d is None else d)
+        # stops at the first facet of 3 vertices: a pure complex of a
+        # higher dimension, as a join, pays one test
+        if all(m.bit_count() <= 2 for m in facets):
+            got = _graph_betti(facets, p)
+        else:
+            d = None  # a join's product has the length of its dimension plus 2
+            factors = _join_factors(entry)
+            if factors is None:
+                core = tuple(_core(facets))
+                if core == facets:
+                    got = _betti_from_faces(_face_table(entry), p)
+                else:  # rank the smaller core, maybe of a lower dimension, as the one factor
+                    d = max(m.bit_count() for m in facets) - 1
+                    factors = [_facts_of(_reindex(core)[1])]
+            if got is None:
+                poly = [1]
+                for factor in factors:
+                    poly = _times(poly, _poly(_betti(factor, p)))
+                got = _from_poly(poly, p, len(poly) - 2 if d is None else d)
         entry[p] = got
     return got
+
+
+def _graph_betti(facets, p: int) -> BettiVector:
+    """The reduced Betti numbers of a complex of dimension 0 or 1, a graph
+    with c components, counted: β̃₀ = c - 1 and, when it has an edge,
+    β̃₁ = |E| - |V| + c.  The same at every prime, since d₁ is a graph's
+    incidence matrix, whose rank over any field is |V| - c.  The components
+    are those of the 1-skeleton that :func:`complexes._near` reads off the
+    facets."""
+    used = 0
+    for f in facets:
+        used |= f
+    near = _near(facets, used.bit_length())
+    c = 0
+    left = used
+    while left:
+        left &= ~_reach(near, left & -left)
+        c += 1
+    edges = sum(f.bit_count() == 2 for f in facets)
+    return BettiVector(p, 0, (c - 1, edges - used.bit_count() + c) if edges else (c - 1,))
 
 
 def _poly(b: BettiVector) -> tuple:

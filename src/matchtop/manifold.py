@@ -494,7 +494,7 @@ def boundary_complex(c: Complex, p) -> BoundaryComplex:
     if not count:
         return BoundaryComplex(cx.from_facets((), [()]), 0)
     used, span = _boundary_span(entry)
-    return BoundaryComplex(Complex(c.labels_of(used), span["facets"]), count)
+    return BoundaryComplex(Complex._trusted(c.labels_of(used), span["facets"]), count)
 
 
 def _boundary_betti(entry: dict, q: int) -> BettiVector:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -295,3 +296,28 @@ def test_cli_output_digest(tmp_path, capsys):
             code, out, _ = run_cli(capsys, *argv)
         h.update(f"{argv!r} {code}\n{out}\0".encode())
     assert h.hexdigest() == CLI_DIGEST
+
+
+def test_only_the_invoked_subcommand_is_built(capsys, monkeypatch):
+    # a first argument that names a subcommand builds its parser alone;
+    # anything else builds all eight, so help and errors list them all
+    declared = []
+    real = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: declared.append(name) or real(self, name, **kw))
+    code, data, _ = run_json(capsys, "verify", "--target", "1-sphere", "--max-edges", "5")
+    assert code == 0 and data["verdict"] == "Match"
+    assert declared == ["verify"]
+    everything = ["build", "homology", "manifold", "classify", "predict", "catalog",
+                  "verify", "props"]
+    for argv in (["-h"], ["--help"]):
+        declared.clear()
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert declared == everything
+        assert "{build,homology,manifold,classify,predict,catalog,verify,props}" in (
+            capsys.readouterr().out)
+    for argv in ([], ["bogus"], ["--format", "json", "build"]):
+        declared.clear()
+        assert run_cli(capsys, *argv)[0] == 1
+        assert declared == everything

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from matchtop import complexes as cx
 from matchtop import graphs as gr
+from matchtop import manifold as mf
 from matchtop import verify
 from matchtop.errors import (
     FaceNotInComplexError,
@@ -366,3 +367,12 @@ def test_reindex_matches_position_list(masks):
     positions = [i for i in range(used.bit_length()) if used >> i & 1]
     want = sorted(sum(1 << j for j, i in enumerate(positions) if m >> i & 1) for m in masks)
     assert cx._reindex(masks) == (used, tuple(want))
+
+
+def test_the_constructor_cuts_its_masks_back():
+    # the path {01, 12} given with a redundant, unsorted mask is the path
+    path = cx.Complex([0, 1, 2], [3, 1, 6])
+    assert path.facet_masks == (3, 6)
+    assert path == cx.from_facets([0, 1, 2], [(0, 1), (1, 2)])
+    assert mf.check_manifold(path, 2).status == mf.STATUS_WITH_BOUNDARY
+    assert cx.Complex([], [0]).is_empty_only()

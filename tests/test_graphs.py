@@ -335,7 +335,13 @@ _POINTS = cx.from_facets(None, [(0,), (1,)])
     (lambda: gr.complete_bipartite(2, 1.5), InvalidParameterError),
     (lambda: gr.spider(2.0), InvalidParameterError),
     (lambda: gr.subgraph_avoiding(gr.path(3), [2]), VertexOutOfRangeError),
+    (lambda: gr.Graph(3, None), InvalidParameterError),
+    (lambda: gr.Graph(3, 5), InvalidParameterError),
     (lambda: cx.Complex(range(65), [1]), TooLargeError),
+    (lambda: cx.Complex([0, 1], [-1]), InvalidParameterError),
+    (lambda: cx.Complex([0], [4]), InvalidParameterError),
+    (lambda: cx.Complex([0, 1], [True]), InvalidParameterError),
+    (lambda: cx.Complex([0, 1], [1.0]), InvalidParameterError),
     (lambda: _POINTS.position(2), BadSubsetError),
     (lambda: cx.from_facets([0, 1], [(0, 2)]), BadSubsetError),
     (lambda: catalog.predict(gr.Graph(3, [(0, 1)])), InvalidParameterError),
@@ -344,7 +350,9 @@ _POINTS = cx.from_facets(None, [(0,), (1,)])
         "from_graph6-bad-size-byte", "from_graph6-bad-payload-byte", "negative-order",
         "float-order", "str-endpoint", "one-item-pair", "three-item-pair", "int-pair",
         "bool-endpoints", "path-float", "complete_bipartite-float", "spider-float",
-        "subgraph_avoiding-edge-index", "complex-65-labels", "position-unknown-label",
+        "subgraph_avoiding-edge-index", "pairs-none", "pairs-int", "complex-65-labels",
+        "complex-negative-mask", "complex-mask-past-labels", "complex-bool-mask",
+        "complex-float-mask", "position-unknown-label",
         "from_facets-unknown-label", "predict-isolated-vertex", "canonical_form-empty"])
 def test_input_checks(call, expect):
     if isinstance(expect, type) and issubclass(expect, Exception):

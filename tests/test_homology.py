@@ -488,9 +488,59 @@ def test_each_join_factor_shape_is_ranked_once_per_prime(monkeypatch):
     monkeypatch.setattr(hm, "_betti_from_faces",
                         lambda by_size, p: ranked.append(p) or real(by_size, p))
     cx.clear_caches()
-    # the join of three hexagons: one factor shape, three times
-    M = cx.matching_complex(gr.disjoint_union([gr.complete_bipartite(3, 2)] * 3))
+    # the join of three M(K3,3): one factor shape of dimension 2, its own
+    # core and no join, three times (a factor of dimension 1 is counted,
+    # not ranked)
+    k33 = cx.matching_complex(gr.complete_bipartite(3, 3))
+    assert (len(k33.facet_masks), k33.dimension) == (6, 2)
+    assert tuple(hm._core(k33.facet_masks)) == k33.facet_masks
+    M = cx.matching_complex(gr.disjoint_union([gr.complete_bipartite(3, 3)] * 3))
     for p in (2, 3, 2):
         b = hm.betti_reduced(M, p)
-        assert (b.minus_one, b.betti) == (0, (0, 0, 0, 0, 0, 1))
+        assert (b.minus_one, b.betti) == (0, (0, 0, 0, 0, 0, 64, 0, 0, 0))
     assert ranked == [2, 3]
+
+
+def _component(kind, k, draw):
+    """The edges of one component on positions 0..k-1 (none for a vertex)."""
+    if kind == "vertex":
+        return []
+    if kind == "path":
+        return [(i, i + 1) for i in range(k - 1)]
+    if kind == "cycle":
+        return [(i, (i + 1) % k) for i in range(k)]
+    if kind == "tree":
+        return [(draw(st.integers(0, i - 1)), i) for i in range(1, k)]
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    return draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+
+
+@st.composite
+def _graph_facets(draw):
+    """The facets of a complex of dimension <= 1: isolated vertices, paths,
+    cycles, trees and dense graphs, side by side, with unused positions
+    between them."""
+    facets, offset = [], 0
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["vertex", "path", "cycle", "tree", "dense"]))
+        k = 1 if kind == "vertex" else draw(st.integers(3 if kind == "cycle" else 2, 6))
+        edges = _component(kind, k, draw)
+        facets += [1 << offset + u | 1 << offset + v for u, v in edges] or [1 << offset]
+        offset += k + draw(st.integers(0, 2))
+    return tuple(cx._maximal(facets))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_facets())
+@example((1,))
+@example((1, 2, 8))  # three points
+@example((3, 5, 6))  # a triangle's boundary
+@example((3, 12, 16))  # two edges and a point
+def test_a_complex_of_dimension_at_most_one_is_counted(facets):
+    # β̃₀ = c - 1 and β̃₁ = |E| - |V| + c, read off the components without
+    # a face table, equal the face-table ranks at every prime
+    cx.clear_caches()
+    for p in (2, 3, 5, 7):
+        assert (hm.betti_for_facets(facets, p)
+                == hm._betti_from_faces(cx._faces_by_size(facets), p))
+    assert "table" not in cx._facts[facets]

@@ -336,12 +336,12 @@ def _link_memos():
     return len(children), sum(2 in child for child in {id(c): c for c in children}.values())
 
 
-def _work_in(monkeypatch, name, module, work):
+def _work_in(monkeypatch, name, module, *works):
     """The ``(entry facets, argument)`` of every call of ``manifold.<name>``
-    that calls ``module.<work>``, the first step of its build: the calls
-    that build, where one that finds its memo returns it as is."""
+    that calls one of ``module.<works>``, the first steps of its build: the
+    calls that build, where one that finds its memo returns it as is."""
     done, inside = [], []
-    real, real_work = getattr(mf, name), getattr(module, work)
+    real = getattr(mf, name)
 
     def call(entry, arg):
         inside.append([entry["facets"], arg, False])
@@ -352,13 +352,16 @@ def _work_in(monkeypatch, name, module, work):
             if worked:
                 done.append((facets, arg))
 
-    def step(*args):
-        if inside:
-            inside[-1][2] = True
-        return real_work(*args)
+    def stepping(real_work):
+        def step(*args):
+            if inside:
+                inside[-1][2] = True
+            return real_work(*args)
+        return step
 
     monkeypatch.setattr(mf, name, call)
-    monkeypatch.setattr(module, work, step)
+    for work in works:
+        monkeypatch.setattr(module, work, stepping(getattr(module, work)))
     return done
 
 
@@ -415,7 +418,8 @@ def test_one_link_analysis_per_complex(monkeypatch):
     # each link shape is one entry, classified once at a prime off the
     # Betti numbers it keeps, ranked once, and each of its vertex links is
     # built once into it
-    ranked = _work_in(monkeypatch, "_class", hm, "_join_factors")  # _betti's first step
+    # _betti's first steps: the count of a graph, else the split
+    ranked = _work_in(monkeypatch, "_class", hm, "_graph_betti", "_join_factors")
     built = _child_builds(monkeypatch)
     for g in (gr.spider(3), gr.complete_bipartite(4, 3),
               {e.name: e for e in catalog.exceptional_table()}["torus_disk_9e"].graph):
@@ -772,7 +776,8 @@ def test_one_face_table_per_facet_set(monkeypatch):
         M = cx.matching_complex(g)
         mf.classify(M, mf.check_manifold(M, 2), (2, 3))
     assert len(graphs) == 130
-    assert len(built) == len(set(built)) == 13
+    # 13 before complexes of dimension <= 1 were counted, not ranked
+    assert len(built) == len(set(built)) == 7
     # every catalog graph's report, and its boundary at a second prime
     matchtop.clear_caches()
     built.clear()
@@ -782,7 +787,8 @@ def test_one_face_table_per_facet_set(monkeypatch):
         with contextlib.suppress(InvalidParameterError):
             mf.boundary_complex(M, 3)
     assert len(catalog.catalog_names()) == 51
-    assert len(built) == len(set(built)) == 66
+    # 66 before complexes of dimension <= 1 were counted, not ranked
+    assert len(built) == len(set(built)) == 55
     # a complex that is its own core and no join: its report's f-vector
     # and both primes' ranks read one table
     matchtop.clear_caches()
@@ -809,7 +815,9 @@ def test_a_facet_set_travels_as_its_entry(monkeypatch):
     # the table is looked up only by the public functions and where a new
     # facet set is made: a split, a child, a core, a span.  Looking a facet
     # set up again by its facets in every private function that reads a
-    # memo makes 4,940 lookups here
+    # memo makes 4,940 lookups here.  573 before a connected graph's
+    # matching complex made its entry (6 more, one per connected case) and
+    # complexes of dimension <= 1 were counted (4 re-indexed cores fewer)
     workloads = _bench_workloads()
     graphs = workloads.prepare(matchtop, workloads.workload_params("join-arith", "full", matchtop))
     looked = []
@@ -826,7 +834,7 @@ def test_a_facet_set_travels_as_its_entry(monkeypatch):
         M = cx.matching_complex(g)
         mf.classify(M, mf.check_manifold(M, 2), (2, 3))
     assert len(graphs) == 130
-    assert len(looked) == 573
+    assert len(looked) == 575
     # every factor of a split and every child is the one entry of its facets
     reached = [x for e in cx._facts.values()
                for x in [*(e.get("split") or ()), *(c for c, _ in e.get("children", {}).values())]]
@@ -1393,8 +1401,15 @@ def test_a_face_table_per_shape_for_both_primes(monkeypatch):
     hexagon = cx.link(k43, k43.labels[:1]).facet_masks  # a vertex link: M(K32)
     assert sum(map(len, real(hexagon).values())) == 12
     assert mf.manifold_report(k43, (2, 3))["class"] == "Torus"
-    assert built[hexagon] == 1
+    assert hexagon not in built  # dimension 1: counted, not ranked
     assert built[k43.facet_masks] == 1
+    # a vertex link of dimension 2, its own core and no join: M(K33) in M(K44)
+    k44 = cx.matching_complex(gr.complete_bipartite(4, 4))
+    k33 = cx.link(k44, k44.labels[:1]).facet_masks
+    assert len(k33) == 6 and tuple(hm._core(k33)) == k33
+    assert mf.manifold_report(k44, (2, 3))["status"] == "NotManifold"
+    assert built[k33] == 1
+    assert built[k44.facet_masks] == 1
     # the second prime of a report builds no face table at all
     for name in ("K43", "annulus_8e", "moebius_c7", "Sp3"):
         counts = []
