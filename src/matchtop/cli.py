@@ -277,8 +277,7 @@ def _build_parser(only=None) -> _Parser:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)

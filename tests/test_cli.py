@@ -308,6 +308,9 @@ def test_only_the_invoked_subcommand_is_built(capsys, monkeypatch):
     code, data, _ = run_json(capsys, "verify", "--target", "1-sphere", "--max-edges", "5")
     assert code == 0 and data["verdict"] == "Match"
     assert declared == ["verify"]
+    declared.clear()
+    assert cli.main(iter(["catalog"])) == 0 and declared == ["catalog"]  # any iterable
+    capsys.readouterr()
     everything = ["build", "homology", "manifold", "classify", "predict", "catalog",
                   "verify", "props"]
     for argv in (["-h"], ["--help"]):

@@ -776,7 +776,6 @@ def test_one_face_table_per_facet_set(monkeypatch):
         M = cx.matching_complex(g)
         mf.classify(M, mf.check_manifold(M, 2), (2, 3))
     assert len(graphs) == 130
-    # 13 before complexes of dimension <= 1 were counted, not ranked
     assert len(built) == len(set(built)) == 7
     # every catalog graph's report, and its boundary at a second prime
     matchtop.clear_caches()
@@ -787,7 +786,6 @@ def test_one_face_table_per_facet_set(monkeypatch):
         with contextlib.suppress(InvalidParameterError):
             mf.boundary_complex(M, 3)
     assert len(catalog.catalog_names()) == 51
-    # 66 before complexes of dimension <= 1 were counted, not ranked
     assert len(built) == len(set(built)) == 55
     # a complex that is its own core and no join: its report's f-vector
     # and both primes' ranks read one table
@@ -815,9 +813,7 @@ def test_a_facet_set_travels_as_its_entry(monkeypatch):
     # the table is looked up only by the public functions and where a new
     # facet set is made: a split, a child, a core, a span.  Looking a facet
     # set up again by its facets in every private function that reads a
-    # memo makes 4,940 lookups here.  573 before a connected graph's
-    # matching complex made its entry (6 more, one per connected case) and
-    # complexes of dimension <= 1 were counted (4 re-indexed cores fewer)
+    # memo makes 4,940 lookups here
     workloads = _bench_workloads()
     graphs = workloads.prepare(matchtop, workloads.workload_params("join-arith", "full", matchtop))
     looked = []
